@@ -186,7 +186,6 @@ def _build_parser() -> _Parser:
     p_bind.add_argument("--q", type=float, default=1.0)
     p_bind.add_argument("--q-grid", default=None,
                         help="comma-separated q values; overrides --q")
-    p_bind.add_argument("--grid", type=int, default=64, help="steering grid points per axis")
     _add_output_flags(p_bind)
 
     return parser
@@ -230,11 +229,11 @@ def _build_scenario(args) -> HonestAlice | EprAlice:
     return EprAlice(strategy=strategy, target_bit=target, steer_basis=steer, intent_bit=args.bit)
 
 
-def _build_strategy(a0_spec: str, a1_spec: str, grid: int = 64) -> CheatStrategy:
+def _build_strategy(a0_spec: str, a1_spec: str) -> CheatStrategy:
     a0 = _parse_vector(a0_spec, "--a0")
     a1 = _parse_vector(a1_spec, "--a1")
     try:
-        return CheatStrategy(a0=a0, a1=a1, steer_grid=(grid, grid))
+        return CheatStrategy(a0=a0, a1=a1)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -335,7 +334,7 @@ def _cmd_hiding(args) -> int:
 
 
 def _cmd_binding(args) -> int:
-    strategy = _build_strategy(args.a0, args.a1, grid=args.grid)
+    strategy = _build_strategy(args.a0, args.a1)
     target = _parse_state(args.target, "--target")
     if args.q_grid is not None:
         try:
@@ -349,10 +348,9 @@ def _cmd_binding(args) -> int:
     rows = []
     for q in qs:
         try:
-            channel = DepolarizingChannel(q)
+            report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        report = alice_binding_attack(strategy, channel, target)
         rows.append(
             {
                 "q": q,

@@ -10,6 +10,7 @@ Bell pair disentangles everything.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -95,10 +96,13 @@ def eb_threshold(
     """Bisect the entanglement-breaking boundary of a one-parameter family.
 
     ``channel_family(q)`` must classify differently at ``lo`` and ``hi``;
-    the bracket is narrowed to ``width`` and its midpoint returned.
+    the bracket is narrowed to ``width``, or until its midpoint is no
+    longer representable between the endpoints, and its midpoint returned.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"width must be finite and > 0, got {width}")
     eb_lo = is_entanglement_breaking(channel_family(lo), tol)
     eb_hi = is_entanglement_breaking(channel_family(hi), tol)
     if eb_lo == eb_hi:
@@ -108,6 +112,8 @@ def eb_threshold(
         )
     while hi - lo > width:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
         if is_entanglement_breaking(channel_family(mid), tol) == eb_lo:
             lo = mid
         else:

@@ -63,6 +63,8 @@ class ProtocolConfig:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if not (math.isfinite(self.accept_sigma) and self.accept_sigma >= 0):
+            raise ValueError(f"accept_sigma must be finite and >= 0, got {self.accept_sigma}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

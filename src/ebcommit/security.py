@@ -10,9 +10,10 @@ Binding: a cheating sender who committed half of an entangled pair picks
 a measurement on her half to steer the receiver's state toward the bit
 she now wants to open. Her figure of merit is the squared fidelity
 between the receiver's conditional state and the announced carrier,
-maximized over announcement after she sees each outcome. The search over
-steering bases is an exhaustive (theta, phi) grid; at two parameters on
-a compact domain this is oracle-grade and derivative-free.
+maximized over announcement after she sees each outcome. For a pure
+target this is a two-hypothesis discrimination problem on the sender's
+side, so the optimum over all steering bases is Helstrom's closed form
+(Quantum Detection and Estimation Theory, 1976): one 2x2 eigensolve.
 """
 
 from __future__ import annotations
@@ -23,27 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, channel_apply, lift_apply
-from .linalg import eig_hermitian, fidelity, trace_distance
-from .states import (
-    DensityMatrix,
-    ProjectiveBasis,
-    cheat_state,
-    joint_outcome_decomposition,
-)
+from .linalg import PAULI_I, eig_hermitian, kron, partial_trace, trace_distance
+from .states import RECTILINEAR, DensityMatrix, ProjectiveBasis, cheat_state
+
+#: A target with tr(t^2) below 1 - PURITY_TOL is rejected as mixed.
+PURITY_TOL = 1e-9
+
+#: Eigenvalues of X_t - X_t' within this of zero count as zero, so that
+#: roundoff on a flat objective cannot pick an arbitrary eigenvector.
+SIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class CheatStrategy:
-    """Entangling amplitudes plus the steering-search resolution.
+    """Entangling amplitudes of the committed pair |a0>|0> + |a1>|1>.
 
-    ``a0`` and ``a1`` are the single-qubit amplitudes of the committed
-    pair |a0>|0> + |a1>|1>; ``steer_grid`` is the (theta, phi) resolution
-    of the candidate-basis grid.
+    ``a0`` and ``a1`` are single-qubit state vectors.
     """
 
     a0: np.ndarray
     a1: np.ndarray
-    steer_grid: tuple[int, int] = (64, 64)
 
     def __post_init__(self):
         for name in ("a0", "a1"):
@@ -55,18 +55,11 @@ class CheatStrategy:
                 raise ValueError(f"{name} must be normalized, got norm {n!r}")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        nt, np_ = self.steer_grid
-        if nt < 2 or np_ < 2:
-            raise ValueError(f"steer_grid needs >= 2 points per axis, got {self.steer_grid}")
 
 
-def bell_strategy(steer_grid: tuple[int, int] = (64, 64)) -> CheatStrategy:
+def bell_strategy() -> CheatStrategy:
     """The canonical attack: commit half of a maximally entangled pair."""
-    return CheatStrategy(
-        a0=np.array([1, 0], dtype=complex),
-        a1=np.array([0, 1], dtype=complex),
-        steer_grid=steer_grid,
-    )
+    return CheatStrategy(a0=np.array([1, 0], dtype=complex), a1=np.array([0, 1], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -76,17 +69,12 @@ class HidingReport:
     p_bcheat: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BindingReport:
-    """Best steering basis with the objective over the whole grid.
-
-    ``fidelity_grid`` is theta-major: entry ``i * n_phi + j`` belongs to
-    ``(theta_i, phi_j)``. Ties resolve to the lowest index.
-    """
+    """Optimal steering basis and the steering objective it attains."""
 
     best_basis: ProjectiveBasis
     best_fidelity_sq: float
-    fidelity_grid: np.ndarray
 
 
 def bob_cheat_probability(
@@ -108,55 +96,39 @@ def bob_cheat_probability(
     )
 
 
-def _orthogonal_variant(target: DensityMatrix) -> DensityMatrix:
-    """The other carrier of the target's encoding: its minor eigenstate."""
-    _, v = eig_hermitian(target.mat, vectors=True)
-    return DensityMatrix.from_pure(v[:, -1], (2,))
-
-
-def _steering_objective(
-    rho_out: DensityMatrix,
-    basis: ProjectiveBasis,
-    announcements: tuple[DensityMatrix, ...],
-) -> float:
-    obj = 0.0
-    for p, cond in joint_outcome_decomposition(rho_out, "A", basis):
-        if cond is None:
-            continue
-        obj += p * max(fidelity(cond, t) ** 2 for t in announcements)
-    return obj
-
-
 def alice_binding_attack(
     strategy: CheatStrategy, channel: DepolarizingChannel, target: DensityMatrix
 ) -> BindingReport:
-    """Grid-search the sender's steering measurement.
+    """The sender's optimal steering measurement, in closed form.
 
-    The objective at each basis is the outcome-weighted best squared
+    The objective at a basis is the outcome-weighted best squared
     fidelity between the receiver's conditional state and an
-    announcement, where the sender may announce either variant of the
-    target's encoding after seeing her outcome. This is the reading most
-    generous to the sender.
-    """
-    rho_out = lift_apply(channel, cheat_state(strategy.a0, strategy.a1))
-    announcements = (target, _orthogonal_variant(target))
-    n_theta, n_phi = strategy.steer_grid
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    announcement, where the sender may announce the pure target t or its
+    orthogonal partner t' = I - t after seeing her outcome. This is the
+    reading most generous to the sender. Its maximum over all bases is
+    the Helstrom value (1 + ||X_t - X_t'||_1)/2 with
+    X_T = tr_B[(I x T) rho], attained by the eigenbasis of X_t - X_t';
+    outcome 0 (the positive eigenvector) announces t.
 
-    grid = np.empty(n_theta * n_phi)
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            basis = ProjectiveBasis(float(theta), float(phi))
-            grid[i * n_phi + j] = _steering_objective(rho_out, basis, announcements)
-    best = int(np.argmax(grid))
-    best_basis = ProjectiveBasis(float(thetas[best // n_phi]), float(phis[best % n_phi]))
-    grid.setflags(write=False)
-    return BindingReport(
-        best_basis=best_basis,
-        best_fidelity_sq=float(grid[best]),
-        fidelity_grid=grid,
-    )
+    When the two eigenvalues do not have opposite signs, every basis
+    attains the optimum and the computational basis (0, 0) is reported.
+    Raises ValueError for a mixed target.
+    """
+    purity = float(np.vdot(target.mat, target.mat).real)
+    if purity < 1.0 - PURITY_TOL:
+        raise ValueError(f"target must be a pure state, got tr(t^2) = {purity:.9g}")
+    rho_out = lift_apply(channel, cheat_state(strategy.a0, strategy.a1))
+    diff = 2.0 * target.mat - PAULI_I  # t - t'
+    w, v = eig_hermitian(partial_trace(rho_out.mat @ kron(PAULI_I, diff), keep="A"), vectors=True)
+    best = (1.0 + float(np.abs(w).sum())) / 2.0
+    if not (w[0] > SIGN_TOL and w[1] < -SIGN_TOL):
+        return BindingReport(best_basis=RECTILINEAR, best_fidelity_sq=best)
+    b0, b1 = v[:, 0]
+    theta = 2.0 * math.atan2(abs(b1), abs(b0))
+    phi = float(np.angle(b1 * b0.conjugate())) % (2.0 * math.pi)
+    if phi >= 2.0 * math.pi:  # a tiny negative angle rounds up to 2 pi
+        phi = 0.0
+    return BindingReport(best_basis=ProjectiveBasis(theta, phi), best_fidelity_sq=best)
 
 
 def binding_curve(

@@ -119,7 +119,7 @@ def test_criterion_5_perfect_hiding():
 
 
 def test_criterion_6_binding_curve():
-    strategy = bell_strategy(steer_grid=(17, 16))
+    strategy = bell_strategy()
     values = []
     for q in np.linspace(0.0, 1.0, 11):
         report = alice_binding_attack(strategy, DepolarizingChannel(q), ZERO)
@@ -128,8 +128,8 @@ def test_criterion_6_binding_curve():
     assert abs(values[-1] - 1.0) <= 1e-9
     assert all(b - a >= -1e-10 for a, b in zip(values, values[1:]))
 
-    thetas = np.linspace(0.0, math.pi, strategy.steer_grid[0])
-    phis = np.linspace(0.0, 2 * math.pi, strategy.steer_grid[1], endpoint=False)
+    thetas = np.linspace(0.0, math.pi, 17)
+    phis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
     for q in (0.2, 1 / 3):
         rho = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
         marginal = partial_trace(rho.mat, "B")

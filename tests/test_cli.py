@@ -59,6 +59,17 @@ def test_run_epr_bell_passes_verification(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-50"])
+def test_bad_accept_sigma_is_usage_error(capsys, command, sigma):
+    argv = [command, "--accept-sigma", sigma, "--rounds", "10"]
+    if command == "run":
+        argv += ["--q", "0.5"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "accept_sigma" in err
+
+
 def test_run_rejects_bad_q(capsys):
     code, _, err = run_cli(capsys, "run", "--q", "1.5", "--rounds", "10")
     assert code == EXIT_USAGE
@@ -98,6 +109,13 @@ def test_threshold_coarse_tolerance(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--tol", "1e-6")
     assert code == EXIT_OK
     assert abs(float(out) - 1 / 3) <= 1e-6
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_threshold_rejects_bad_tolerance(capsys, tol):
+    code, _, err = run_cli(capsys, "threshold", "--tol", tol)
+    assert code == EXIT_USAGE
+    assert "width" in err
 
 
 def test_threshold_without_sign_change_fails(capsys):
@@ -166,16 +184,16 @@ def test_hiding_bad_state_name(capsys):
 
 
 def test_binding_endpoints(capsys):
-    code, out, _ = run_cli(capsys, "binding", "--q", "0", "--grid", "9")
+    code, out, _ = run_cli(capsys, "binding", "--q", "0")
     assert code == EXIT_OK
     assert abs(json.loads(out)["rows"][0]["best_fidelity_sq"] - 0.5) <= 1e-9
-    code, out, _ = run_cli(capsys, "binding", "--q", "1", "--grid", "9")
+    code, out, _ = run_cli(capsys, "binding", "--q", "1")
     assert abs(json.loads(out)["rows"][0]["best_fidelity_sq"] - 1.0) <= 1e-9
 
 
 def test_binding_q_grid_table(capsys):
     code, out, _ = run_cli(
-        capsys, "binding", "--q-grid", "0,0.5,1", "--grid", "9", "--format", "csv",
+        capsys, "binding", "--q-grid", "0,0.5,1", "--format", "csv",
     )
     assert code == EXIT_OK
     lines = out.strip().split("\n")
@@ -186,10 +204,18 @@ def test_binding_q_grid_table(capsys):
 def test_binding_bloch_angle_states(capsys):
     code, out, _ = run_cli(
         capsys, "binding", "--a0", "0,0", "--a1", "3.141592653589793,0",
-        "--q", "1", "--grid", "9",
+        "--q", "1",
     )
     assert code == EXIT_OK
     assert abs(json.loads(out)["rows"][0]["best_fidelity_sq"] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("target", ["bb84-0", "bb84-1"])
+def test_binding_rejects_mixed_target(capsys, target):
+    code, out, err = run_cli(capsys, "binding", "--target", target)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "pure" in err
 
 
 def test_binding_malformed_q_grid(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ def test_eb_threshold_locates_one_third():
 def test_eb_threshold_coarser_width():
     q_star = eb_threshold(DepolarizingChannel, 0.0, 1.0, width=1e-6)
     assert abs(q_star - 1 / 3) <= 1e-6
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+def test_eb_threshold_rejects_bad_width(width):
+    with pytest.raises(ValueError, match="width"):
+        eb_threshold(DepolarizingChannel, 0.0, 1.0, width=width)
+
+
+def test_eb_threshold_stops_at_float_resolution():
+    # a width below the spacing of floats near 1/3 cannot be reached
+    q_star = eb_threshold(DepolarizingChannel, 0.0, 1.0, width=5e-324)
+    assert abs(q_star - 1 / 3) <= 1e-9
 
 
 def test_eb_threshold_requires_sign_change():

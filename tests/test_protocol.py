@@ -38,6 +38,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(q=0.5, rounds=10, seed=2**64)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -50.0, -1e-12])
+    def test_rejects_bad_accept_sigma(self, sigma):
+        with pytest.raises(ValueError, match="accept_sigma"):
+            ProtocolConfig(q=0.5, rounds=10, accept_sigma=sigma)
+
+    def test_zero_accept_sigma_puts_threshold_at_expectation(self):
+        report = run_session(cfg(1.0, 100, seed=3, accept_sigma=0.0), HonestAlice(bit=0))[1]
+        assert report.threshold == report.expected_fraction == 1.0
+
 
 def test_honest_determinism():
     c = cfg(0.5, 2000, seed=42)

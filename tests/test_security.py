@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ebcommit.channels import DepolarizingChannel
-from ebcommit.linalg import partial_trace, trace_distance
+from ebcommit.channels import DepolarizingChannel, lift_apply
+from ebcommit.linalg import fidelity, partial_trace
 from ebcommit.security import (
     CheatStrategy,
     alice_binding_attack,
@@ -13,13 +15,13 @@ from ebcommit.security import (
     bob_cheat_probability,
 )
 from ebcommit.states import (
+    RECTILINEAR,
     DensityMatrix,
     ProjectiveBasis,
     bb84_pair_mixture,
     cheat_state,
     joint_outcome_decomposition,
 )
-from ebcommit.channels import lift_apply
 
 from conftest import random_density_matrix
 
@@ -31,10 +33,6 @@ class TestCheatStrategy:
     def test_requires_normalized_amplitudes(self):
         with pytest.raises(ValueError, match="normalized"):
             CheatStrategy(a0=np.array([1.0, 1.0]), a1=np.array([0.0, 1.0]))
-
-    def test_requires_minimum_grid(self):
-        with pytest.raises(ValueError, match="steer_grid"):
-            bell_strategy(steer_grid=(1, 8))
 
     def test_bell_strategy_amplitudes(self):
         s = bell_strategy()
@@ -76,46 +74,77 @@ class TestHiding:
 SMALL_GRID = (17, 16)  # includes theta = 0, so the computational basis is on the grid
 
 
+def _steering_objective(rho_out, basis, announcements):
+    """Outcome-weighted best squared fidelity over the announcements, as a reference."""
+    return sum(
+        p * max(fidelity(cond, t) ** 2 for t in announcements)
+        for p, cond in joint_outcome_decomposition(rho_out, "A", basis)
+        if cond is not None
+    )
+
+
+def _orthogonal(target):
+    return DensityMatrix(np.eye(2) - target.mat)
+
+
+def _grid_objective(strategy, q, target, n_theta, n_phi):
+    """Reference objective over a theta-major (theta, phi) grid of steering bases."""
+    rho_out = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+    announcements = (target, _orthogonal(target))
+    return np.array([
+        _steering_objective(rho_out, ProjectiveBasis(float(theta), float(phi)), announcements)
+        for theta in np.linspace(0.0, math.pi, n_theta)
+        for phi in np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
+    ])
+
+
+def _grid_slack(n_theta, n_phi):
+    """Most the grid optimum can fall short of the true one.
+
+    A Bloch direction lies within half a step of a grid point on each axis;
+    the angle a between them obeys 1 - cos a <= (1 - cos dtheta/2) +
+    (1 - cos dphi/2), and the objective falls by at most (1 - cos a)/2.
+    """
+    half_theta = math.pi / (n_theta - 1) / 2
+    half_phi = math.pi / n_phi
+    return (2.0 - math.cos(half_theta) - math.cos(half_phi)) / 2
+
+
 class TestBinding:
     def test_fully_depolarized_objective_is_flat_half(self):
-        report = alice_binding_attack(
-            bell_strategy(SMALL_GRID), DepolarizingChannel(0.0), ZERO
-        )
-        assert abs(report.best_fidelity_sq - 0.5) <= 1e-9
-        assert report.fidelity_grid.max() - report.fidelity_grid.min() <= 1e-10
+        report = alice_binding_attack(bell_strategy(), DepolarizingChannel(0.0), ZERO)
+        assert abs(report.best_fidelity_sq - 0.5) <= 1e-12
+        assert report.best_basis == RECTILINEAR  # every basis ties
+        grid = _grid_objective(bell_strategy(), 0.0, ZERO, *SMALL_GRID)
+        assert np.abs(grid - 0.5).max() <= 1e-10
 
     def test_noiseless_bell_steering_is_perfect(self):
-        report = alice_binding_attack(
-            bell_strategy(SMALL_GRID), DepolarizingChannel(1.0), ZERO
-        )
-        assert abs(report.best_fidelity_sq - 1.0) <= 1e-9
+        report = alice_binding_attack(bell_strategy(), DepolarizingChannel(1.0), ZERO)
+        assert abs(report.best_fidelity_sq - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("q", [0.2, 1 / 3, 0.6, 0.9])
     def test_bell_strategy_objective_closed_form(self, q):
         # best basis is the target's encoding; the value is (1+q)/2
-        report = alice_binding_attack(
-            bell_strategy(SMALL_GRID), DepolarizingChannel(q), ZERO
-        )
-        assert abs(report.best_fidelity_sq - (1 + q) / 2) <= 1e-9
+        report = alice_binding_attack(bell_strategy(), DepolarizingChannel(q), ZERO)
+        assert abs(report.best_fidelity_sq - (1 + q) / 2) <= 1e-12
+        assert report.best_basis == RECTILINEAR
 
     def test_entanglement_breaking_regime_strictly_worse_than_noiseless(self):
-        low = alice_binding_attack(bell_strategy(SMALL_GRID), DepolarizingChannel(1 / 3), ZERO)
-        high = alice_binding_attack(bell_strategy(SMALL_GRID), DepolarizingChannel(1.0), ZERO)
+        low = alice_binding_attack(bell_strategy(), DepolarizingChannel(1 / 3), ZERO)
+        high = alice_binding_attack(bell_strategy(), DepolarizingChannel(1.0), ZERO)
         assert low.best_fidelity_sq < high.best_fidelity_sq - 0.2
 
     def test_report_invariants(self):
-        report = alice_binding_attack(
-            bell_strategy((9, 8)), DepolarizingChannel(0.5), ZERO
-        )
-        assert report.best_fidelity_sq == report.fidelity_grid.max()
-        assert report.fidelity_grid.shape == (72,)
-        assert np.all(report.fidelity_grid >= -1e-12)
-        assert np.all(report.fidelity_grid <= 1.0 + 1e-12)
+        report = alice_binding_attack(bell_strategy(), DepolarizingChannel(0.5), ZERO)
+        grid = _grid_objective(bell_strategy(), 0.5, ZERO, 9, 8)
+        assert grid.shape == (72,)
+        assert np.all(grid >= -1e-12)
+        assert np.all(grid <= 1.0 + 1e-12)
+        # theta = 0 is on the grid, so the grid attains the optimum here
+        assert abs(report.best_fidelity_sq - grid.max()) <= 1e-12
 
     def test_curve_endpoints_and_monotonicity(self):
-        curve = binding_curve(
-            bell_strategy(SMALL_GRID), np.linspace(0, 1, 11), ZERO
-        )
+        curve = binding_curve(bell_strategy(), np.linspace(0, 1, 11), ZERO)
         values = [v for _, v in curve]
         assert abs(values[0] - 0.5) <= 1e-9
         assert abs(values[-1] - 1.0) <= 1e-9
@@ -139,7 +168,41 @@ class TestBinding:
 
     def test_partial_entanglement_steers_partially(self):
         a1 = np.array([math.sin(0.4), math.cos(0.4)])
-        strategy = CheatStrategy(a0=np.array([1.0, 0.0]), a1=a1, steer_grid=SMALL_GRID)
+        strategy = CheatStrategy(a0=np.array([1.0, 0.0]), a1=a1)
         weak = alice_binding_attack(strategy, DepolarizingChannel(1.0), ZERO)
-        full = alice_binding_attack(bell_strategy(SMALL_GRID), DepolarizingChannel(1.0), ZERO)
+        full = alice_binding_attack(bell_strategy(), DepolarizingChannel(1.0), ZERO)
         assert 0.5 < weak.best_fidelity_sq < full.best_fidelity_sq
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_mixed_target_rejected(self, bit):
+        with pytest.raises(ValueError, match="pure"):
+            alice_binding_attack(bell_strategy(), DepolarizingChannel(0.5), bb84_pair_mixture(bit))
+
+
+_ANGLES = st.tuples(
+    st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True)
+)
+PROPERTY_GRID = (9, 8)
+
+
+def _pure(angles):
+    return ProjectiveBasis(*angles).vectors()[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(a0=_ANGLES, a1=_ANGLES, t=_ANGLES, q=st.floats(0.0, 1.0))
+def test_closed_form_is_the_steering_optimum(a0, a1, t, q):
+    strategy = CheatStrategy(a0=_pure(a0), a1=_pure(a1))
+    target = DensityMatrix.from_pure(_pure(t))
+    report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
+    exact = report.best_fidelity_sq
+    grid = _grid_objective(strategy, q, target, *PROPERTY_GRID).max()
+    assert exact >= grid - 1e-12
+    assert exact - grid <= _grid_slack(*PROPERTY_GRID)
+    assert exact <= 1.0
+    # the reported basis attains the optimum under the reference objective
+    rho_out = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+    attained = _steering_objective(rho_out, report.best_basis, (target, _orthogonal(target)))
+    assert abs(attained - exact) <= 1e-9
+    bell = alice_binding_attack(bell_strategy(), DepolarizingChannel(q), target)
+    assert abs(bell.best_fidelity_sq - (1 + q) / 2) <= 1e-12
