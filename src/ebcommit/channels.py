@@ -2,14 +2,12 @@
 
 The depolarizing channel eps(X) = q X + (1-q) tr[X] I/2 keeps a state
 with probability q and replaces it with the maximally mixed state
-otherwise. Lifted to half of a two-qubit state it is the noise the
-receiver (or the transmission line, see :class:`NoiseLocation`) applies
+otherwise. Lifted to half of a two-qubit state it is the noise applied
 to incoming commitment qubits.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,18 +64,6 @@ class DepolarizingChannel:
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
-
-
-class NoiseLocation(enum.Enum):
-    """Where the depolarizing step physically happens.
-
-    Both placements implement the same map on the transmitted qubit, so
-    this is configuration metadata only; simulation results are
-    identical.
-    """
-
-    BOB_APPARATUS = "bob"
-    TRANSMISSION_CHANNEL = "channel"
 
 
 def depolarize_apply(c: DepolarizingChannel, x) -> np.ndarray:

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import DepolarizingChannel, NoiseLocation
+from .channels import DepolarizingChannel
 from .entanglement import eb_threshold
 from .protocol import (
     EprAlice,
@@ -31,8 +31,8 @@ from .protocol import (
     monte_carlo,
     run_session,
 )
-from .security import CheatStrategy, alice_binding_attack, bob_cheat_probability
-from .states import DensityMatrix, ProjectiveBasis, bb84_pair_mixture
+from .security import alice_binding_attack, bob_cheat_probability
+from .states import CheatStrategy, DensityMatrix, ProjectiveBasis, bb84_pair_mixture
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,12 +124,10 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=float, required=True)
     p.add_argument("--rounds", type=int, default=1000)
     p.add_argument("--bit", type=int, choices=(0, 1), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alice", choices=("honest", "epr"), default="honest")
-    p.add_argument("--noise-location", choices=("bob", "channel"), default="bob")
     p.add_argument("--accept-sigma", type=float, default=3.0)
     p.add_argument("--a0", default="zero", help="cheat amplitude for the B=|0> branch")
     p.add_argument("--a1", default="one", help="cheat amplitude for the B=|1> branch")
@@ -144,6 +142,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one commitment session")
+    p_run.add_argument("--q", type=float, required=True)
     _add_session_flags(p_run)
     p_run.add_argument("--dump-transcript", action="store_true")
     _add_output_flags(p_run)
@@ -152,18 +151,8 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--q-min", type=float, default=0.0)
     p_sweep.add_argument("--q-max", type=float, default=1.0)
     p_sweep.add_argument("--q-steps", type=int, default=11)
-    p_sweep.add_argument("--rounds", type=int, default=1000)
+    _add_session_flags(p_sweep)
     p_sweep.add_argument("--trials", type=int, default=10)
-    p_sweep.add_argument("--bit", type=int, choices=(0, 1), default=0)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--alice", choices=("honest", "epr"), default="honest")
-    p_sweep.add_argument("--noise-location", choices=("bob", "channel"), default="bob")
-    p_sweep.add_argument("--accept-sigma", type=float, default=3.0)
-    p_sweep.add_argument("--a0", default="zero")
-    p_sweep.add_argument("--a1", default="one")
-    p_sweep.add_argument("--target-bit", type=int, choices=(0, 1), default=None)
-    p_sweep.add_argument("--steer-theta", type=float, default=0.0)
-    p_sweep.add_argument("--steer-phi", type=float, default=0.0)
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="concurrent trials; results are worker-count independent")
     _add_output_flags(p_sweep)
@@ -191,10 +180,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _noise_location(name: str) -> NoiseLocation:
-    return NoiseLocation.BOB_APPARATUS if name == "bob" else NoiseLocation.TRANSMISSION_CHANNEL
-
-
 def _meta(args, skip=("format", "output")) -> dict:
     """Full resolved flag set plus the artifact version, in definition order."""
     meta = {"command": args.command, "version": __version__}
@@ -209,7 +194,6 @@ def _build_config(args, q: float) -> ProtocolConfig:
         return ProtocolConfig(
             q=q,
             rounds=args.rounds,
-            noise_location=_noise_location(args.noise_location),
             accept_sigma=args.accept_sigma,
             seed=args.seed,
         )
@@ -250,27 +234,38 @@ def _report_row(report) -> dict:
     }
 
 
+def _transcript_rows(transcript) -> list[dict]:
+    """One dict per round; ``matched`` is null on unsifted rounds."""
+    n = transcript.config.rounds
+    alice = [None] * n if transcript.alice_outcome is None else transcript.alice_outcome.tolist()
+    columns = zip(
+        transcript.bob_basis.tolist(),
+        transcript.bob_outcome.tolist(),
+        transcript.announced_variant.tolist(),
+        alice,
+        transcript.sifted.tolist(),
+        transcript.matched.tolist(),
+    )
+    return [
+        {
+            "round": i,
+            "bob_basis": basis,
+            "bob_outcome": outcome,
+            "announced_variant": variant,
+            "alice_outcome": a,
+            "sifted": sifted,
+            "matched": matched if sifted else None,
+        }
+        for i, (basis, outcome, variant, a, sifted, matched) in enumerate(columns)
+    ]
+
+
 def _cmd_run(args) -> int:
     config = _build_config(args, args.q)
     scenario = _build_scenario(args)
     transcript, report = run_session(config, scenario)
     meta = _meta(args)
-    extra = None
-    if args.dump_transcript:
-        extra = {
-            "transcript": [
-                {
-                    "round": i,
-                    "bob_basis": r.bob_basis,
-                    "bob_outcome": r.bob_outcome,
-                    "announced_variant": r.announced_variant,
-                    "alice_outcome": r.alice_outcome,
-                    "sifted": r.sifted,
-                    "matched": r.matched,
-                }
-                for i, r in enumerate(transcript.records)
-            ]
-        }
+    extra = {"transcript": _transcript_rows(transcript)} if args.dump_transcript else None
     _emit(meta, [_report_row(report)], args.format, args.output, extra)
     return EXIT_OK if report.accepted else EXIT_REJECT
 

@@ -12,6 +12,12 @@ below the honest expectation (1+q)/2.
 A cheating sender commits halves of entangled pairs instead and delays
 her variant announcements until she has measured her retained halves.
 
+A transcript stores its rounds as columns: one read-only int8 array of
+length ``rounds`` per field (receiver basis and outcome, announced
+variant, the cheater's own outcome). Every round's state is one of a few
+(carrier, basis, outcome) classes, so each phase samples all rounds at
+once by looking up the Born probability of its class.
+
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario)`` always reproduces the
 same transcript. Within a session, draws happen in a fixed order
@@ -29,14 +35,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import DepolarizingChannel, NoiseLocation, channel_apply, lift_apply
+from .channels import DepolarizingChannel, channel_apply, lift_apply
 from .entanglement import concurrence, is_separable
-from .security import CheatStrategy
 from .states import (
     DIAGONAL,
     OUTCOME_EPS,
     RECTILINEAR,
     Bb84Symbol,
+    CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
     bb84_state,
@@ -44,7 +50,7 @@ from .states import (
     joint_outcome_decomposition,
 )
 
-#: Basis indices used in round records; the encoding basis of bit b has index b.
+#: Basis indices used in transcripts; the encoding basis of bit b has index b.
 BASIS_RECTILINEAR = 0
 BASIS_DIAGONAL = 1
 _BASES = (RECTILINEAR, DIAGONAL)
@@ -54,7 +60,6 @@ _BASES = (RECTILINEAR, DIAGONAL)
 class ProtocolConfig:
     q: float
     rounds: int
-    noise_location: NoiseLocation = NoiseLocation.BOB_APPARATUS
     accept_sigma: float = 3.0
     seed: int = 0
 
@@ -69,41 +74,76 @@ class ProtocolConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One protocol round.
+_COLUMNS = ("bob_basis", "bob_outcome", "announced_variant", "alice_outcome")
 
-    ``sifted`` and ``matched`` are None until the transcript is opened;
-    ``matched`` stays None on unsifted rounds. For cheating rounds
-    ``state_sent`` is the post-channel joint state and
-    ``alice_conditional`` the sender's retained half given the
-    receiver's measurement.
+
+@dataclass(frozen=True, eq=False)
+class Transcript:
+    """The rounds of one session, one read-only int8 column per field.
+
+    ``bob_basis`` and ``bob_outcome`` are fixed at commit.
+    ``announced_variant`` is None until the transcript is opened, and
+    ``alice_outcome`` is set only for opened cheating sessions. A
+    cheating transcript keeps the post-channel ``joint`` state and
+    ``sender_conditionals[b][o]``, the sender's retained half given
+    receiver basis b and outcome o (None for an impossible outcome).
+    Equality compares every field by value.
     """
 
-    alice_symbol: Bb84Symbol | None
-    state_sent: DensityMatrix
-    bob_basis: int
-    bob_outcome: int
-    alice_conditional: DensityMatrix | None = None
-    announced_variant: int | None = None
-    alice_outcome: int | None = None
-    sifted: bool | None = None
-    matched: bool | None = None
-
-
-@dataclass(frozen=True)
-class Transcript:
     config: ProtocolConfig
     committed_bit: int
     opened_bit: int | None
-    cheating: bool
-    records: tuple[RoundRecord, ...]
+    bob_basis: np.ndarray
+    bob_outcome: np.ndarray
+    announced_variant: np.ndarray | None = None
+    alice_outcome: np.ndarray | None = None
+    joint: DensityMatrix | None = None
+    sender_conditionals: tuple[tuple[DensityMatrix | None, ...], ...] | None = None
 
     def __post_init__(self):
-        if len(self.records) != self.config.rounds:
-            raise ValueError(
-                f"{len(self.records)} records for {self.config.rounds} rounds"
-            )
+        if (self.opened_bit is None) != (self.announced_variant is None):
+            raise ValueError("opened_bit and announced_variant must be set together")
+        for name in _COLUMNS:
+            col = getattr(self, name)
+            if col is None:
+                continue
+            col = np.array(col, dtype=np.int8)
+            if col.shape != (self.config.rounds,):
+                raise ValueError(
+                    f"{name} has shape {col.shape} for {self.config.rounds} rounds"
+                )
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        others = ("config", "committed_bit", "opened_bit", "joint", "sender_conditionals")
+        return all(getattr(self, f) == getattr(other, f) for f in others) and all(
+            _same_column(getattr(self, c), getattr(other, c)) for c in _COLUMNS
+        )
+
+    @property
+    def cheating(self) -> bool:
+        return self.joint is not None
+
+    @property
+    def sifted(self) -> np.ndarray:
+        """Rounds measured in the opened bit's encoding basis."""
+        if self.opened_bit is None:
+            raise ValueError("transcript is not opened")
+        return self.bob_basis == self.opened_bit
+
+    @property
+    def matched(self) -> np.ndarray:
+        """Sifted rounds whose outcome equals the announced variant."""
+        return self.sifted & (self.bob_outcome == self.announced_variant)
+
+
+def _same_column(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
 
 
 @dataclass(frozen=True)
@@ -147,8 +187,7 @@ def commit_honest(config: ProtocolConfig, bit: int, rng: np.random.Generator) ->
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     channel = DepolarizingChannel(config.q)
-    symbols = (Bb84Symbol(bit, 0), Bb84Symbol(bit, 1))
-    sent = tuple(DensityMatrix.from_pure(bb84_state(s), (2,)) for s in symbols)
+    sent = (DensityMatrix.from_pure(bb84_state(Bb84Symbol(bit, v)), (2,)) for v in (0, 1))
     noisy = tuple(channel_apply(channel, d.mat) for d in sent)
     p0 = np.array(
         [[_outcome_prob0(noisy[v], _BASES[b]) for b in range(2)] for v in range(2)]
@@ -157,30 +196,15 @@ def commit_honest(config: ProtocolConfig, bit: int, rng: np.random.Generator) ->
     n = config.rounds
     variants = rng.integers(0, 2, size=n)
     bob_bases = rng.integers(0, 2, size=n)
-    outcomes = (rng.random(n) >= p0[variants, bob_bases]).astype(np.int64)
-
-    # Records are immutable, so the eight possible (variant, basis,
-    # outcome) rounds share instances; sifted iff the basis index equals
-    # the bit value.
-    cache = {
-        (v, b, o): RoundRecord(
-            alice_symbol=symbols[v],
-            state_sent=sent[v],
-            bob_basis=b,
-            bob_outcome=o,
-            announced_variant=v,
-            sifted=(b == bit),
-            matched=(o == v) if b == bit else None,
-        )
-        for v in (0, 1)
-        for b in (0, 1)
-        for o in (0, 1)
-    }
-    records = tuple(
-        cache[v, b, o]
-        for v, b, o in zip(variants.tolist(), bob_bases.tolist(), outcomes.tolist())
+    outcomes = rng.random(n) >= p0[variants, bob_bases]
+    return Transcript(
+        config,
+        committed_bit=bit,
+        opened_bit=bit,
+        bob_basis=bob_bases,
+        bob_outcome=outcomes,
+        announced_variant=variants,
     )
-    return Transcript(config, committed_bit=bit, opened_bit=bit, cheating=False, records=records)
 
 
 def commit_cheating(
@@ -192,9 +216,9 @@ def commit_cheating(
     """Commit phase with an entangling sender.
 
     Every round carries the B half of the strategy's entangled pair; the
-    A half stays with the sender. The post-channel joint state and the
-    sender's conditional state given the receiver's outcome are kept in
-    the round record so the open phase can steer; measurements on the
+    A half stays with the sender. The transcript keeps the post-channel
+    joint state and the sender's conditional state for each receiver
+    (basis, outcome), so the open phase can steer; measurements on the
     two halves commute, so sampling the receiver's first leaves the
     joint statistics unchanged. The transcript is not opened yet.
     """
@@ -207,22 +231,15 @@ def commit_cheating(
 
     n = config.rounds
     bob_bases = rng.integers(0, 2, size=n)
-    outcomes = (rng.random(n) >= p0[bob_bases]).astype(np.int64)
-
-    cache = {
-        (b, o): RoundRecord(
-            alice_symbol=None,
-            state_sent=joint,
-            bob_basis=b,
-            bob_outcome=o,
-            alice_conditional=branches[b][o][1],
-        )
-        for b in (0, 1)
-        for o in (0, 1)
-    }
-    records = tuple(cache[b, o] for b, o in zip(bob_bases.tolist(), outcomes.tolist()))
+    outcomes = rng.random(n) >= p0[bob_bases]
     return Transcript(
-        config, committed_bit=intent_bit, opened_bit=None, cheating=True, records=records
+        config,
+        committed_bit=intent_bit,
+        opened_bit=None,
+        bob_basis=bob_bases,
+        bob_outcome=outcomes,
+        joint=joint,
+        sender_conditionals=tuple(tuple(cond for _, cond in branch) for branch in branches),
     )
 
 
@@ -236,42 +253,24 @@ def open_and_steer(
 
     The sender measures her retained half of every round in
     ``steer_basis``, announces ``target_bit``, and announces as each
-    round's variant the index of her own outcome. The receiver's records
+    round's variant the index of her own outcome. The receiver's columns
     are untouched; only the opened fields are filled in.
     """
     if not transcript.cheating:
         raise ValueError("honest transcripts need no steering; the commit already announces")
     if target_bit not in (0, 1):
         raise ValueError(f"target_bit must be 0 or 1, got {target_bit}")
-
-    p0_cache: dict[int, float] = {}
-    opened_cache: dict[tuple[int, int], RoundRecord] = {}
-
-    def steer_p0(cond: DensityMatrix) -> float:
-        key = id(cond)
-        if key not in p0_cache:
-            p0_cache[key] = _outcome_prob0(cond.mat, steer_basis)
-        return p0_cache[key]
-
-    def opened_record(r: RoundRecord, alice_outcome: int) -> RoundRecord:
-        key = (id(r), alice_outcome)
-        if key not in opened_cache:
-            sifted = r.bob_basis == target_bit
-            opened_cache[key] = replace(
-                r,
-                announced_variant=alice_outcome,
-                alice_outcome=alice_outcome,
-                sifted=sifted,
-                matched=(r.bob_outcome == alice_outcome) if sifted else None,
-            )
-        return opened_cache[key]
-
-    u = rng.random(len(transcript.records))
-    opened = tuple(
-        opened_record(r, 0 if x < steer_p0(r.alice_conditional) else 1)
-        for r, x in zip(transcript.records, u.tolist())
+    # An impossible receiver outcome never occurs, so its entry is never read.
+    p0 = np.array(
+        [
+            [0.0 if cond is None else _outcome_prob0(cond.mat, steer_basis) for cond in row]
+            for row in transcript.sender_conditionals
+        ]
     )
-    return replace(transcript, opened_bit=target_bit, records=opened)
+    alice = rng.random(transcript.config.rounds) >= p0[transcript.bob_basis, transcript.bob_outcome]
+    return replace(
+        transcript, opened_bit=target_bit, announced_variant=alice, alice_outcome=alice
+    )
 
 
 def verify(transcript: Transcript) -> VerificationReport:
@@ -284,17 +283,10 @@ def verify(transcript: Transcript) -> VerificationReport:
     standard deviations below it. With no sifted rounds the receiver has
     no evidence and rejects.
     """
-    if transcript.opened_bit is None:
-        raise ValueError("transcript is not opened")
+    sifted_count = int(np.count_nonzero(transcript.sifted))
+    match_count = int(np.count_nonzero(transcript.matched))
     cfg = transcript.config
     expected = (1.0 + cfg.q) / 2.0
-    sifted_count = 0
-    match_count = 0
-    for r in transcript.records:
-        if r.sifted:
-            sifted_count += 1
-            if r.matched:
-                match_count += 1
     if sifted_count == 0:
         return VerificationReport(
             sifted_count=0,
@@ -352,24 +344,23 @@ def run_session(
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
+    """Statistics over the trials of one configuration.
+
+    The match-fraction mean and std run over the trials that had sifted
+    rounds; ``no_sifted_trials`` counts the others, and with none left
+    both are 0.0. Separability (0 or 1) and concurrence are those of the
+    post-channel joint state, which is the same in every trial; an
+    honest sender reports 1 and 0.
+    """
+
     trials: int
     match_fraction_mean: float
     match_fraction_std: float
     acceptance_rate: float
     separable_fraction: float
     mean_concurrence: float
+    no_sifted_trials: int
     reports: tuple[VerificationReport, ...]
-
-
-def _run_trial(config: ProtocolConfig, scenario: Scenario, trial: int):
-    transcript, report = run_session(config, scenario, trial)
-    if transcript.cheating:
-        joint = transcript.records[0].state_sent
-        sep = 1.0 if is_separable(joint) else 0.0
-        conc = concurrence(joint).value
-    else:
-        sep, conc = 1.0, 0.0
-    return report, sep, conc
 
 
 def monte_carlo(
@@ -382,19 +373,26 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+
+    def trial(t: int) -> tuple[VerificationReport, DensityMatrix | None]:
+        transcript, report = run_session(config, scenario, t)
+        return report, transcript.joint
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _run_trial(config, scenario, t), range(trials)))
+            results = list(pool.map(trial, range(trials)))
     else:
-        results = [_run_trial(config, scenario, t) for t in range(trials)]
-    reports = tuple(r for r, _, _ in results)
-    fractions = np.array([r.match_fraction for r in reports])
+        results = [trial(t) for t in range(trials)]
+    reports = tuple(r for r, _ in results)
+    joint = results[0][1]
+    fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
     return MonteCarloSummary(
         trials=trials,
-        match_fraction_mean=float(fractions.mean()),
-        match_fraction_std=float(fractions.std()),
+        match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
+        match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
         acceptance_rate=sum(r.accepted for r in reports) / trials,
-        separable_fraction=sum(s for _, s, _ in results) / trials,
-        mean_concurrence=sum(c for _, _, c in results) / trials,
+        separable_fraction=1.0 if joint is None or is_separable(joint) else 0.0,
+        mean_concurrence=0.0 if joint is None else concurrence(joint).value,
+        no_sifted_trials=trials - fractions.size,
         reports=reports,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, channel_apply, lift_apply
 from .linalg import PAULI_I, eig_hermitian, kron, partial_trace, trace_distance
-from .states import RECTILINEAR, DensityMatrix, ProjectiveBasis, cheat_state
+from .states import RECTILINEAR, CheatStrategy, DensityMatrix, ProjectiveBasis, cheat_state
 
 #: A target with tr(t^2) below 1 - PURITY_TOL is rejected as mixed.
 PURITY_TOL = 1e-9
@@ -33,28 +33,6 @@ PURITY_TOL = 1e-9
 #: Eigenvalues of X_t - X_t' within this of zero count as zero, so that
 #: roundoff on a flat objective cannot pick an arbitrary eigenvector.
 SIGN_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class CheatStrategy:
-    """Entangling amplitudes of the committed pair |a0>|0> + |a1>|1>.
-
-    ``a0`` and ``a1`` are single-qubit state vectors.
-    """
-
-    a0: np.ndarray
-    a1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a0", "a1"):
-            v = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
-            if v.shape != (2,):
-                raise ValueError(f"{name} must be a single-qubit state vector")
-            n = np.linalg.norm(v)
-            if abs(n - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be normalized, got norm {n!r}")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
 
 
 def bell_strategy() -> CheatStrategy:

@@ -190,6 +190,28 @@ def isotropic(q: float) -> DensityMatrix:
     return DensityMatrix(q * _BELL_PROJ + (1.0 - q) / 4.0 * np.eye(4), (2, 2))
 
 
+@dataclass(frozen=True, eq=False)
+class CheatStrategy:
+    """Entangling amplitudes of the committed pair |a0>|0> + |a1>|1>.
+
+    ``a0`` and ``a1`` are single-qubit state vectors.
+    """
+
+    a0: np.ndarray
+    a1: np.ndarray
+
+    def __post_init__(self):
+        for name in ("a0", "a1"):
+            v = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
+            if v.shape != (2,):
+                raise ValueError(f"{name} must be a single-qubit state vector")
+            n = np.linalg.norm(v)
+            if abs(n - 1.0) > 1e-9:
+                raise ValueError(f"{name} must be normalized, got norm {n!r}")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+
 def cheat_state(a0, a1) -> DensityMatrix:
     """Entangled commitment |a0>_A |0>_B + |a1>_A |1>_B, normalized.
 

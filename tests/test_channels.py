@@ -4,7 +4,6 @@ import pytest
 from ebcommit.channels import (
     DepolarizingChannel,
     KrausChannel,
-    NoiseLocation,
     as_kraus,
     channel_apply,
     choi,
@@ -130,8 +129,3 @@ def test_classification_flips_once_on_grid():
     flags = [is_entanglement_breaking(DepolarizingChannel(q)) for q in np.linspace(0, 1, 101)]
     flips = sum(a != b for a, b in zip(flags, flags[1:]))
     assert flips == 1
-
-
-def test_noise_location_values():
-    assert NoiseLocation("bob") is NoiseLocation.BOB_APPARATUS
-    assert NoiseLocation("channel") is NoiseLocation.TRANSMISSION_CHANNEL

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,17 @@ def test_sweep_csv_schema_and_determinism(capsys):
     assert out == out2
 
 
+def test_sweep_mean_skips_trials_without_sifted_rounds(capsys):
+    # one round per trial: the trials measured off the encoding basis have
+    # no evidence and stay out of the mean; the noiseless ones all match
+    code, out, _ = run_cli(
+        capsys, "sweep", "--rounds", "1", "--trials", "20", "--q-steps", "3", "--format", "csv",
+    )
+    assert code == EXIT_OK
+    last = out.strip().split("\n")[-1].split(",")
+    assert last[:4] == ["1", "1", "0", "0.25"]
+
+
 def test_sweep_empty_grid_fails(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--q-steps", "0")
     assert code == EXIT_USAGE
@@ -232,3 +244,63 @@ def test_output_to_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["meta"]["command"] == "run"
+
+
+# sha256 of the CLI output that changes to the session internals must
+# leave byte-identical. For run --dump-transcript only ``rows`` and
+# ``transcript`` are pinned (``meta`` echoes the flag set), serialized
+# compactly in document order.
+_PINNED_DUMPS = {
+    "honest": (
+        ["run", "--q", "0.6", "--rounds", "300", "--bit", "1", "--seed", "11"],
+        "314712f3067eb58270c3f4611268078913eafc1cf7851a1743b6a17b92b3ab25",
+        "3c4bbda6cda7f3d846163f91500e8f32c2dae4a262571b93b72e3afcf5506c5d",
+    ),
+    "epr": (
+        ["run", "--alice", "epr", "--q", "0.7", "--rounds", "300", "--bit", "0",
+         "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
+         "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "5"],
+        "9f345b0ab94a2505b5eb83d6e133c76c8c5fc11c4cf42cbb6f93051c746fef9b",
+        "ac2174af6dc422a945c0cd6d7e7f96f876054e65f805975bfda399ffbbeafadb",
+    ),
+}
+
+_PINNED_SWEEPS = {
+    "honest": (
+        ["sweep", "--q-steps", "4", "--rounds", "200", "--trials", "3", "--bit", "1",
+         "--seed", "4"],
+        "4bf40219b866c1655c35e334b2a9ff5548e51b4b327ac70fe7738dec30eefb8d",
+    ),
+    "epr": (
+        ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",
+         "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
+         "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "6"],
+        "2bf2aa37554fe92161072732df68288dd2a4eb338beb07a058660755129e30cd",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DUMPS))
+def test_dump_transcript_bytes_pinned(capsys, name):
+    argv, rows_digest, transcript_digest = _PINNED_DUMPS[name]
+    code, out, _ = run_cli(capsys, *argv, "--dump-transcript")
+    assert code in (EXIT_OK, EXIT_REJECT)
+    doc = json.loads(out)
+    assert _sha256(_compact(doc["rows"])) == rows_digest
+    assert _sha256(_compact(doc["transcript"])) == transcript_digest
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SWEEPS))
+def test_sweep_csv_bytes_pinned(capsys, name):
+    argv, digest = _PINNED_SWEEPS[name]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert _sha256(out) == digest

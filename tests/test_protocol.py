@@ -1,15 +1,19 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ebcommit.channels import NoiseLocation
+from ebcommit.cli import main
 from ebcommit.entanglement import concurrence, is_separable
 from ebcommit.protocol import (
     EprAlice,
     HonestAlice,
     ProtocolConfig,
-    RoundRecord,
     Transcript,
     commit_cheating,
     commit_honest,
@@ -20,7 +24,7 @@ from ebcommit.protocol import (
     verify,
 )
 from ebcommit.security import CheatStrategy, bell_strategy
-from ebcommit.states import DIAGONAL, RECTILINEAR, DensityMatrix, ProjectiveBasis
+from ebcommit.states import DIAGONAL, RECTILINEAR, ProjectiveBasis, joint_outcome_decomposition
 
 
 def cfg(q, rounds, seed=0, **kw):
@@ -72,13 +76,19 @@ def test_different_seeds_differ():
     assert t1 != t2
 
 
+def test_transcript_equality_covers_opened_columns():
+    t = commit_cheating(cfg(0.5, 100, seed=4), bell_strategy(), derive_rng(4, 0))
+    opened = open_and_steer(t, 0, RECTILINEAR, derive_rng(4, 1))
+    assert t == commit_cheating(cfg(0.5, 100, seed=4), bell_strategy(), derive_rng(4, 0))
+    assert t != opened and opened != t
+    assert opened != open_and_steer(t, 0, DIAGONAL, derive_rng(4, 1))
+
+
 def test_honest_noiseless_all_sifted_match():
     t, report = run_session(cfg(1.0, 2000, seed=3), HonestAlice(bit=0))
     assert report.match_fraction == 1.0
     assert report.accepted
-    for r in t.records:
-        if r.sifted:
-            assert r.matched
+    assert np.array_equal(t.matched, t.sifted)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2, 0.5, 0.8])
@@ -92,18 +102,18 @@ def test_honest_match_fraction_concentrates(q):
     assert report.match_fraction >= q / 2
 
 
-def test_honest_record_structure():
+def test_honest_transcript_columns():
     bit = 1
     t = commit_honest(cfg(0.7, 200, seed=5), bit, derive_rng(5, 0))
-    assert len(t.records) == 200
-    assert t.opened_bit == bit and not t.cheating
-    for r in t.records:
-        assert r.alice_symbol.bit == bit
-        assert r.announced_variant == r.alice_symbol.variant
-        assert r.sifted == (r.bob_basis == bit)
-        if not r.sifted:
-            assert r.matched is None
-        assert r.alice_conditional is None
+    assert t.committed_bit == t.opened_bit == bit and not t.cheating
+    for col in (t.bob_basis, t.bob_outcome, t.announced_variant):
+        assert col.shape == (200,) and col.dtype == np.int8
+        assert not col.flags.writeable
+    # the announced variants are the first draw of the session stream
+    assert np.array_equal(t.announced_variant, derive_rng(5, 0).integers(0, 2, size=200))
+    assert np.array_equal(t.sifted, t.bob_basis == bit)
+    assert not t.matched[~t.sifted].any()
+    assert t.alice_outcome is None and t.joint is None and t.sender_conditionals is None
 
 
 def test_commit_honest_validates_bit():
@@ -114,24 +124,26 @@ def test_commit_honest_validates_bit():
 def test_cheating_noiseless_joint_is_bell():
     t = commit_cheating(cfg(1.0, 50, seed=9), bell_strategy(), derive_rng(9, 0))
     assert t.cheating and t.opened_bit is None
-    joint = t.records[0].state_sent
-    assert abs(concurrence(joint).value - 1.0) < 1e-12
-    for r in t.records:
-        assert r.state_sent is joint  # one entangled source per session
+    assert t.announced_variant is None and t.alice_outcome is None
+    assert abs(concurrence(t.joint).value - 1.0) < 1e-12
+    # one entangled source per session: every round steers from the same joint
+    assert t.sender_conditionals == tuple(
+        tuple(cond for _, cond in joint_outcome_decomposition(t.joint, "B", basis))
+        for basis in (RECTILINEAR, DIAGONAL)
+    )
 
 
 @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 1 / 3])
 def test_cheating_below_threshold_is_separable(q):
     t = commit_cheating(cfg(q, 50, seed=9), bell_strategy(), derive_rng(9, 0))
-    for r in t.records:
-        assert is_separable(r.state_sent, 1e-10)
-        assert concurrence(r.state_sent).value <= 1e-10
+    assert is_separable(t.joint, 1e-10)
+    assert concurrence(t.joint).value <= 1e-10
 
 
 @pytest.mark.parametrize("q", [0.4, 0.7, 1.0])
 def test_cheating_above_threshold_keeps_entanglement(q):
     t = commit_cheating(cfg(q, 20, seed=9), bell_strategy(), derive_rng(9, 0))
-    assert abs(concurrence(t.records[0].state_sent).value - (3 * q - 1) / 2) < 1e-9
+    assert abs(concurrence(t.joint).value - (3 * q - 1) / 2) < 1e-9
 
 
 def test_open_and_steer_rejects_honest_transcript():
@@ -150,14 +162,14 @@ def test_steering_perfect_at_q1():
 
 
 def test_steering_cannot_touch_bob_outcomes():
-    # the receiver's records are fixed at commit time; steering later in any
+    # the receiver's columns are fixed at commit time; steering later in any
     # basis leaves them bit-for-bit identical (the no-signalling statement)
     c = cfg(0.3, 3000, seed=13)
     t = commit_cheating(c, bell_strategy(), derive_rng(13, 0))
-    outcomes = [r.bob_outcome for r in t.records]
+    outcomes = t.bob_outcome.copy()
     for theta, phi in ((0.0, 0.0), (math.pi / 2, 0.0), (1.1, 2.2)):
         opened = open_and_steer(t, 0, ProjectiveBasis(theta, phi), derive_rng(13, 1))
-        assert [r.bob_outcome for r in opened.records] == outcomes
+        assert np.array_equal(opened.bob_outcome, outcomes)
 
 
 def test_steered_announcements_follow_alice_outcomes():
@@ -165,9 +177,8 @@ def test_steered_announcements_follow_alice_outcomes():
     t = commit_cheating(c, bell_strategy(), derive_rng(21, 0))
     opened = open_and_steer(t, 1, DIAGONAL, derive_rng(21, 1))
     assert opened.opened_bit == 1
-    for r in opened.records:
-        assert r.announced_variant == r.alice_outcome
-        assert r.sifted == (r.bob_basis == 1)
+    assert np.array_equal(opened.announced_variant, opened.alice_outcome)
+    assert np.array_equal(opened.sifted, opened.bob_basis == 1)
 
 
 def test_verify_requires_opened_transcript():
@@ -187,14 +198,10 @@ def test_verify_threshold_formula():
 
 def test_verify_zero_sifted_rounds_flagged():
     c = cfg(0.5, 1)
-    record = RoundRecord(
-        alice_symbol=None,
-        state_sent=DensityMatrix(np.eye(2) / 2),
-        bob_basis=1,  # announced bit 0 encodes rectilinear, so never sifted
-        bob_outcome=0,
-        sifted=False,
+    # announced bit 0 encodes rectilinear, so a diagonal measurement is never sifted
+    t = Transcript(
+        c, committed_bit=0, opened_bit=0, bob_basis=[1], bob_outcome=[0], announced_variant=[0]
     )
-    t = Transcript(c, committed_bit=0, opened_bit=0, cheating=False, records=(record,))
     report = verify(t)
     assert report.no_sifted_rounds
     assert not report.accepted
@@ -203,18 +210,26 @@ def test_verify_zero_sifted_rounds_flagged():
 
 def test_transcript_length_invariant():
     c = cfg(0.5, 3)
-    with pytest.raises(ValueError, match="records"):
-        Transcript(c, committed_bit=0, opened_bit=0, cheating=False, records=())
+    with pytest.raises(ValueError, match="rounds"):
+        Transcript(
+            c, committed_bit=0, opened_bit=0, bob_basis=[], bob_outcome=[], announced_variant=[]
+        )
+    with pytest.raises(ValueError, match="alice_outcome"):
+        Transcript(
+            c, committed_bit=0, opened_bit=0, bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0],
+            announced_variant=[0, 0, 1], alice_outcome=[0, 1],
+        )
 
 
-def test_noise_location_is_metadata_only():
-    a = ProtocolConfig(q=0.5, rounds=1000, seed=7, noise_location=NoiseLocation.BOB_APPARATUS)
-    b = ProtocolConfig(
-        q=0.5, rounds=1000, seed=7, noise_location=NoiseLocation.TRANSMISSION_CHANNEL
-    )
-    _, ra = run_session(a, HonestAlice(bit=0))
-    _, rb = run_session(b, HonestAlice(bit=0))
-    assert ra == rb
+def test_opened_bit_and_announcements_go_together():
+    c = cfg(0.5, 2)
+    with pytest.raises(ValueError, match="together"):
+        Transcript(c, committed_bit=0, opened_bit=0, bob_basis=[0, 1], bob_outcome=[1, 1])
+    with pytest.raises(ValueError, match="together"):
+        Transcript(
+            c, committed_bit=0, opened_bit=None, bob_basis=[0, 1], bob_outcome=[1, 1],
+            announced_variant=[0, 1],
+        )
 
 
 def test_monte_carlo_single_trial_matches_run_session():
@@ -223,6 +238,30 @@ def test_monte_carlo_single_trial_matches_run_session():
     _, report = run_session(c, HonestAlice(bit=0), trial=0)
     assert summary.reports == (report,)
     assert summary.match_fraction_mean == report.match_fraction
+    assert summary.no_sifted_trials == 0
+
+
+def test_monte_carlo_mean_skips_trials_without_sifted_rounds():
+    # one round per trial: about half the trials measure off the encoding
+    # basis and have no evidence; the noiseless ones that do all match
+    summary = monte_carlo(cfg(1.0, 1, seed=0), HonestAlice(bit=0), trials=20)
+    empty = sum(r.no_sifted_rounds for r in summary.reports)
+    assert 0 < empty < 20
+    assert summary.no_sifted_trials == empty
+    assert summary.match_fraction_mean == 1.0 and summary.match_fraction_std == 0.0
+    assert summary.acceptance_rate == (20 - empty) / 20
+
+
+def test_monte_carlo_without_any_sifted_rounds_reports_zero():
+    c = next(
+        cfg(1.0, 1, seed=seed)
+        for seed in range(64)
+        if run_session(cfg(1.0, 1, seed=seed), HonestAlice(bit=0))[1].no_sifted_rounds
+    )
+    summary = monte_carlo(c, HonestAlice(bit=0), trials=1)
+    assert summary.no_sifted_trials == 1
+    assert summary.match_fraction_mean == summary.match_fraction_std == 0.0
+    assert summary.acceptance_rate == 0.0
 
 
 def test_monte_carlo_parallel_equals_sequential():
@@ -258,6 +297,8 @@ def test_monte_carlo_cheating_summary_fields():
     high = monte_carlo(cfg(0.8, 300, seed=3), sc, trials=4)
     assert high.separable_fraction == 0.0
     assert abs(high.mean_concurrence - (3 * 0.8 - 1) / 2) < 1e-9
+    joint = run_session(cfg(0.8, 300, seed=3), sc)[0].joint
+    assert high.mean_concurrence == concurrence(joint).value
 
 
 def test_monte_carlo_validates_trials():
@@ -271,4 +312,69 @@ def test_custom_cheat_strategy_flows_through():
     c = cfg(0.5, 200, seed=19)
     t = commit_cheating(c, strategy, derive_rng(19, 0))
     # C(cheat) = sin(pi/4) pre-channel, scaled by (3q-1)/2 after the lift
-    assert abs(concurrence(t.records[0].state_sent).value - math.sin(math.pi / 4) * 0.25) < 1e-9
+    assert abs(concurrence(t.joint).value - math.sin(math.pi / 4) * 0.25) < 1e-9
+
+
+_angle_theta = st.floats(0.0, math.pi)
+_angle_phi = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+def _dump(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv + ["--dump-transcript"])
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    rounds=st.integers(1, 300),
+    bit=st.integers(0, 1),
+    epr=st.booleans(),
+    target_bit=st.integers(0, 1),
+    a0=st.tuples(_angle_theta, _angle_phi),
+    a1=st.tuples(_angle_theta, _angle_phi),
+    steer=st.tuples(_angle_theta, _angle_phi),
+)
+def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bit, a0, a1, steer):
+    argv = ["run", "--q", repr(q), "--rounds", str(rounds), "--bit", str(bit), "--seed", str(seed)]
+    config = cfg(q, rounds, seed=seed)
+    if epr:
+        argv += ["--alice", "epr", "--a0", "%r,%r" % a0, "--a1", "%r,%r" % a1,
+                 "--target-bit", str(target_bit), "--steer-theta", repr(steer[0]),
+                 "--steer-phi", repr(steer[1])]
+        strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+        scenario = EprAlice(strategy, target_bit, ProjectiveBasis(*steer), intent_bit=bit)
+    else:
+        scenario = HonestAlice(bit=bit)
+    transcript, report = run_session(config, scenario)
+
+    # verify's counts equal a recount of the dumped records
+    doc = _dump(argv)
+    records = doc["transcript"]
+    assert doc["rows"][0]["sifted_count"] == report.sifted_count == sum(
+        r["sifted"] for r in records
+    )
+    assert doc["rows"][0]["match_count"] == report.match_count == sum(
+        r["matched"] is True for r in records
+    )
+    assert all((r["matched"] is None) == (not r["sifted"]) for r in records)
+    assert [r["bob_basis"] for r in records] == transcript.bob_basis.tolist()
+    assert [r["bob_outcome"] for r in records] == transcript.bob_outcome.tolist()
+    assert [r["announced_variant"] for r in records] == transcript.announced_variant.tolist()
+
+    if not epr:
+        assert all(r["alice_outcome"] is None for r in records)
+        return
+    # the cheater announces her own outcomes
+    assert np.array_equal(transcript.announced_variant, transcript.alice_outcome)
+    assert [r["alice_outcome"] for r in records] == transcript.alice_outcome.tolist()
+    # steering in any basis leaves the receiver's columns bit-for-bit unchanged
+    committed = commit_cheating(config, strategy, derive_rng(seed, 0), bit)
+    for basis in (ProjectiveBasis(*steer), RECTILINEAR, DIAGONAL):
+        opened = open_and_steer(committed, target_bit, basis, derive_rng(seed, 1))
+        assert np.array_equal(opened.bob_basis, committed.bob_basis)
+        assert np.array_equal(opened.bob_outcome, committed.bob_outcome)
+        assert np.array_equal(opened.announced_variant, opened.alice_outcome)

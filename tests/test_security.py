@@ -30,6 +30,12 @@ ONE = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
 
 
 class TestCheatStrategy:
+    def test_resolves_from_every_namespace(self):
+        import ebcommit
+        import ebcommit.states
+
+        assert ebcommit.CheatStrategy is CheatStrategy is ebcommit.states.CheatStrategy
+
     def test_requires_normalized_amplitudes(self):
         with pytest.raises(ValueError, match="normalized"):
             CheatStrategy(a0=np.array([1.0, 1.0]), a1=np.array([0.0, 1.0]))
