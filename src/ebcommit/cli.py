@@ -202,14 +202,16 @@ def _build_config(args, q: float) -> ProtocolConfig:
 
 
 def _build_scenario(args) -> HonestAlice | EprAlice:
-    if args.alice == "honest":
-        return HonestAlice(bit=args.bit)
+    # The cheater flags are parsed for every sender, so a malformed one is a
+    # usage error even where the honest sender ignores it.
     strategy = _build_strategy(args.a0, args.a1)
-    target = args.bit if args.target_bit is None else args.target_bit
     try:
         steer = ProjectiveBasis(args.steer_theta, args.steer_phi)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.alice == "honest":
+        return HonestAlice(bit=args.bit)
+    target = args.bit if args.target_bit is None else args.target_bit
     return EprAlice(strategy=strategy, target_bit=target, steer_basis=steer, intent_bit=args.bit)
 
 
@@ -277,6 +279,9 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    for flag, q in (("--q-min", args.q_min), ("--q-max", args.q_max)):
+        if not (math.isfinite(q) and 0.0 <= q <= 1.0):
+            raise UsageError(f"{flag} must be finite and lie in [0, 1], got {q}")
     if args.q_steps == 1:
         qs = [args.q_min]
     else:

@@ -16,7 +16,10 @@ A transcript stores its rounds as columns: one read-only int8 array of
 length ``rounds`` per field (receiver basis and outcome, announced
 variant, the cheater's own outcome). Every round's state is one of a few
 (carrier, basis, outcome) classes, so each phase samples all rounds at
-once by looking up the Born probability of its class.
+once by looking up the Born probability of its class. Those tables
+depend only on q and the scenario: a session is prepared once (post-
+channel state and Born tables) and then sampled, and ``monte_carlo``
+prepares once for all of its trials.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario)`` always reproduces the
@@ -30,6 +33,7 @@ identical to measuring each round's state individually.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -176,23 +180,22 @@ def _outcome_prob0(state: np.ndarray, basis: ProjectiveBasis) -> float:
     return _effective_p0(float(np.real(b0.conj() @ state @ b0)))
 
 
-def commit_honest(config: ProtocolConfig, bit: int, rng: np.random.Generator) -> Transcript:
-    """Commit phase with an honest sender.
+def _check_bit(name: str, value: int) -> None:
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value}")
 
-    Each round draws a uniform variant of ``bit``'s encoding, pushes the
-    carrier through the depolarizing step, and has the receiver measure
-    in a uniformly random basis. An honest opening simply announces the
-    committed bit, so the returned transcript is already opened.
-    """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    channel = DepolarizingChannel(config.q)
+
+def _honest_p0(q: float, bit: int) -> np.ndarray:
+    """Born table p0[variant, basis] of ``bit``'s carriers after the channel."""
+    channel = DepolarizingChannel(q)
     sent = (DensityMatrix.from_pure(bb84_state(Bb84Symbol(bit, v)), (2,)) for v in (0, 1))
     noisy = tuple(channel_apply(channel, d.mat) for d in sent)
-    p0 = np.array(
-        [[_outcome_prob0(noisy[v], _BASES[b]) for b in range(2)] for v in range(2)]
-    )
+    return np.array([[_outcome_prob0(noisy[v], _BASES[b]) for b in range(2)] for v in range(2)])
 
+
+def _draw_honest(
+    config: ProtocolConfig, bit: int, p0: np.ndarray, rng: np.random.Generator
+) -> Transcript:
     n = config.rounds
     variants = rng.integers(0, 2, size=n)
     bob_bases = rng.integers(0, 2, size=n)
@@ -204,6 +207,55 @@ def commit_honest(config: ProtocolConfig, bit: int, rng: np.random.Generator) ->
         bob_basis=bob_bases,
         bob_outcome=outcomes,
         announced_variant=variants,
+    )
+
+
+def commit_honest(config: ProtocolConfig, bit: int, rng: np.random.Generator) -> Transcript:
+    """Commit phase with an honest sender.
+
+    Each round draws a uniform variant of ``bit``'s encoding, pushes the
+    carrier through the depolarizing step, and has the receiver measure
+    in a uniformly random basis. An honest opening simply announces the
+    committed bit, so the returned transcript is already opened.
+    """
+    _check_bit("bit", bit)
+    return _draw_honest(config, bit, _honest_p0(config.q, bit), rng)
+
+
+@dataclass(frozen=True)
+class _CheatSource:
+    """What every round of one (q, strategy) shares: the post-channel pair,
+    the sender's conditionals and the receiver's p0 per basis."""
+
+    joint: DensityMatrix
+    conditionals: tuple[tuple[DensityMatrix | None, ...], ...]
+    p0: np.ndarray
+
+
+def _cheat_source(q: float, strategy: CheatStrategy) -> _CheatSource:
+    joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+    branches = [joint_outcome_decomposition(joint, "B", basis) for basis in _BASES]
+    return _CheatSource(
+        joint,
+        tuple(tuple(cond for _, cond in branch) for branch in branches),
+        np.array([_effective_p0(branch[0][0]) for branch in branches]),
+    )
+
+
+def _draw_commit(
+    config: ProtocolConfig, source: _CheatSource, intent_bit: int, rng: np.random.Generator
+) -> Transcript:
+    n = config.rounds
+    bob_bases = rng.integers(0, 2, size=n)
+    outcomes = rng.random(n) >= source.p0[bob_bases]
+    return Transcript(
+        config,
+        committed_bit=intent_bit,
+        opened_bit=None,
+        bob_basis=bob_bases,
+        bob_outcome=outcomes,
+        joint=source.joint,
+        sender_conditionals=source.conditionals,
     )
 
 
@@ -222,24 +274,27 @@ def commit_cheating(
     two halves commute, so sampling the receiver's first leaves the
     joint statistics unchanged. The transcript is not opened yet.
     """
-    if intent_bit not in (0, 1):
-        raise ValueError(f"intent_bit must be 0 or 1, got {intent_bit}")
-    channel = DepolarizingChannel(config.q)
-    joint = lift_apply(channel, cheat_state(strategy.a0, strategy.a1))
-    branches = [joint_outcome_decomposition(joint, "B", basis) for basis in _BASES]
-    p0 = np.array([_effective_p0(branches[b][0][0]) for b in range(2)])
+    _check_bit("intent_bit", intent_bit)
+    return _draw_commit(config, _cheat_source(config.q, strategy), intent_bit, rng)
 
-    n = config.rounds
-    bob_bases = rng.integers(0, 2, size=n)
-    outcomes = rng.random(n) >= p0[bob_bases]
-    return Transcript(
-        config,
-        committed_bit=intent_bit,
-        opened_bit=None,
-        bob_basis=bob_bases,
-        bob_outcome=outcomes,
-        joint=joint,
-        sender_conditionals=tuple(tuple(cond for _, cond in branch) for branch in branches),
+
+def _steer_p0(conditionals, steer_basis: ProjectiveBasis) -> np.ndarray:
+    """Born table p0[bob_basis, bob_outcome] of the sender's steering measurement."""
+    # An impossible receiver outcome never occurs, so its entry is never read.
+    return np.array(
+        [
+            [0.0 if cond is None else _outcome_prob0(cond.mat, steer_basis) for cond in row]
+            for row in conditionals
+        ]
+    )
+
+
+def _draw_open(
+    transcript: Transcript, target_bit: int, p0: np.ndarray, rng: np.random.Generator
+) -> Transcript:
+    alice = rng.random(transcript.config.rounds) >= p0[transcript.bob_basis, transcript.bob_outcome]
+    return replace(
+        transcript, opened_bit=target_bit, announced_variant=alice, alice_outcome=alice
     )
 
 
@@ -258,19 +313,9 @@ def open_and_steer(
     """
     if not transcript.cheating:
         raise ValueError("honest transcripts need no steering; the commit already announces")
-    if target_bit not in (0, 1):
-        raise ValueError(f"target_bit must be 0 or 1, got {target_bit}")
-    # An impossible receiver outcome never occurs, so its entry is never read.
-    p0 = np.array(
-        [
-            [0.0 if cond is None else _outcome_prob0(cond.mat, steer_basis) for cond in row]
-            for row in transcript.sender_conditionals
-        ]
-    )
-    alice = rng.random(transcript.config.rounds) >= p0[transcript.bob_basis, transcript.bob_outcome]
-    return replace(
-        transcript, opened_bit=target_bit, announced_variant=alice, alice_outcome=alice
-    )
+    _check_bit("target_bit", target_bit)
+    p0 = _steer_p0(transcript.sender_conditionals, steer_basis)
+    return _draw_open(transcript, target_bit, p0, rng)
 
 
 def verify(transcript: Transcript) -> VerificationReport:
@@ -327,19 +372,47 @@ class EprAlice:
 Scenario = HonestAlice | EprAlice
 
 
+def _prepare(
+    config: ProtocolConfig, scenario: Scenario
+) -> Callable[[int], tuple[Transcript, VerificationReport]]:
+    """Build a scenario's Born tables for ``config.q`` once; return the session of a trial.
+
+    Each session makes the same draws, in the same order, as the public
+    commit and open functions, so a trial sharing the tables reproduces
+    the one that builds its own.
+    """
+    if isinstance(scenario, HonestAlice):
+        _check_bit("bit", scenario.bit)
+        p0 = _honest_p0(config.q, scenario.bit)
+
+        def draw(rng: np.random.Generator) -> Transcript:
+            return _draw_honest(config, scenario.bit, p0, rng)
+
+    elif isinstance(scenario, EprAlice):
+        _check_bit("intent_bit", scenario.intent_bit)
+        _check_bit("target_bit", scenario.target_bit)
+        source = _cheat_source(config.q, scenario.strategy)
+        steer_p0 = _steer_p0(source.conditionals, scenario.steer_basis)
+
+        def draw(rng: np.random.Generator) -> Transcript:
+            committed = _draw_commit(config, source, scenario.intent_bit, rng)
+            return _draw_open(committed, scenario.target_bit, steer_p0, rng)
+
+    else:
+        raise TypeError(f"not a scenario: {scenario!r}")
+
+    def session(trial: int) -> tuple[Transcript, VerificationReport]:
+        transcript = draw(derive_rng(config.seed, trial))
+        return transcript, verify(transcript)
+
+    return session
+
+
 def run_session(
     config: ProtocolConfig, scenario: Scenario, trial: int = 0
 ) -> tuple[Transcript, VerificationReport]:
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial)."""
-    rng = derive_rng(config.seed, trial)
-    if isinstance(scenario, HonestAlice):
-        transcript = commit_honest(config, scenario.bit, rng)
-    elif isinstance(scenario, EprAlice):
-        transcript = commit_cheating(config, scenario.strategy, rng, scenario.intent_bit)
-        transcript = open_and_steer(transcript, scenario.target_bit, scenario.steer_basis, rng)
-    else:
-        raise TypeError(f"not a scenario: {scenario!r}")
-    return transcript, verify(transcript)
+    return _prepare(config, scenario)(trial)
 
 
 @dataclass(frozen=True)
@@ -369,13 +442,15 @@ def monte_carlo(
     """Repeat a session over trial-indexed seed streams and summarize.
 
     Trial t uses the stream (config.seed, t), so results do not depend on
-    execution order or on ``workers``.
+    execution order or on ``workers``. The scenario's Born tables are
+    built once per call and shared by every trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    session = _prepare(config, scenario)
 
     def trial(t: int) -> tuple[VerificationReport, DensityMatrix | None]:
-        transcript, report = run_session(config, scenario, t)
+        transcript, report = session(t)
         return report, transcript.joint
 
     if workers > 1:

@@ -158,6 +158,35 @@ def test_sweep_empty_grid_fails(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--q-min", "--q-max"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+def test_sweep_rejects_q_bounds_outside_unit_interval(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "sweep", "--q-steps", "3", "--rounds", "10", "--trials", "1", flag, value,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"ebcommit: error: {flag} ")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--q", "0.5"],
+    ["sweep", "--q-steps", "2", "--rounds", "10", "--trials", "1"],
+], ids=["run", "sweep"])
+@pytest.mark.parametrize("bad", [
+    ["--a0", "garbage"],
+    ["--a1", "1,2,3"],
+    ["--steer-theta", "4"],
+    ["--steer-phi", "-1"],
+], ids=["a0", "a1", "steer-theta", "steer-phi"])
+def test_honest_sender_rejects_bad_cheater_flags(capsys, command, bad):
+    code, out, err = run_cli(capsys, *command, "--alice", "honest", *bad)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("ebcommit: error: ")
+
+
 def test_epr_sweep_separability_columns(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--q-min", "0.1", "--q-max", "1.0", "--q-steps", "4",

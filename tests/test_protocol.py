@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebcommit import protocol
+from ebcommit.channels import lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence, is_separable
 from ebcommit.protocol import (
@@ -239,6 +241,35 @@ def test_monte_carlo_single_trial_matches_run_session():
     assert summary.reports == (report,)
     assert summary.match_fraction_mean == report.match_fraction
     assert summary.no_sifted_trials == 0
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        HonestAlice(bit=1),
+        EprAlice(strategy=bell_strategy(), target_bit=1, steer_basis=ProjectiveBasis(0.9, 2.1)),
+    ],
+    ids=["honest", "epr"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_trials_match_run_session(scenario, workers):
+    c = cfg(0.6, 150, seed=23)
+    summary = monte_carlo(c, scenario, trials=6, workers=workers)
+    assert summary.reports == tuple(run_session(c, scenario, t)[1] for t in range(6))
+
+
+def test_monte_carlo_builds_the_joint_state_once(monkeypatch):
+    calls = []
+
+    def counting_lift_apply(*args):
+        calls.append(args)
+        return lift_apply(*args)
+
+    monkeypatch.setattr(protocol, "lift_apply", counting_lift_apply)
+    sc = EprAlice(strategy=bell_strategy(), target_bit=0, steer_basis=RECTILINEAR)
+    summary = monte_carlo(cfg(0.7, 40, seed=2), sc, trials=50)
+    assert len(calls) == 1
+    assert len(summary.reports) == 50
 
 
 def test_monte_carlo_mean_skips_trials_without_sifted_rounds():
