@@ -13,10 +13,14 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
+import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -94,15 +98,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(meta: dict, rows: list[dict], fmt: str, path: str, extra: dict | None = None) -> None:
+@contextlib.contextmanager
+def _open_output(path: str):
+    """The stream ``--output`` names: stdout for '-', else the file, closed on exit."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"--output: {exc}") from None
+    with fh:
+        yield fh
+
+
+def _emit(meta: dict, rows: list[dict], fmt: str, path: str) -> None:
     if fmt == "json":
-        doc = {"meta": meta, "rows": rows}
-        if extra:
-            doc.update(extra)
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
     else:
-        if extra:
-            raise UsageError("--dump-transcript requires --format json")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if rows:
@@ -111,11 +124,8 @@ def _emit(meta: dict, rows: list[dict], fmt: str, path: str, extra: dict | None 
             for row in rows:
                 writer.writerow([_fmt(row[k]) for k in header])
         text = buf.getvalue()
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _open_output(path) as fh:
+        fh.write(text)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -205,10 +215,13 @@ def _build_scenario(args) -> HonestAlice | EprAlice:
     # The cheater flags are parsed for every sender, so a malformed one is a
     # usage error even where the honest sender ignores it.
     strategy = _build_strategy(args.a0, args.a1)
-    try:
-        steer = ProjectiveBasis(args.steer_theta, args.steer_phi)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # theta alone first, so that an error names the flag that caused it
+    for flag, angles in (("--steer-theta", (args.steer_theta, 0.0)),
+                         ("--steer-phi", (args.steer_theta, args.steer_phi))):
+        try:
+            steer = ProjectiveBasis(*angles)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from None
     if args.alice == "honest":
         return HonestAlice(bit=args.bit)
     target = args.bit if args.target_bit is None else args.target_bit
@@ -236,39 +249,92 @@ def _report_row(report) -> dict:
     }
 
 
-def _transcript_rows(transcript) -> list[dict]:
-    """One dict per round; ``matched`` is null on unsifted rounds."""
-    n = transcript.config.rounds
-    alice = [None] * n if transcript.alice_outcome is None else transcript.alice_outcome.tolist()
-    columns = zip(
-        transcript.bob_basis.tolist(),
-        transcript.bob_outcome.tolist(),
-        transcript.announced_variant.tolist(),
+# Every field of a transcript record after ``round`` takes one of these
+# values, so a record is its round number plus one of 144 field classes.
+_RECORD_FIELDS = (
+    ("bob_basis", (0, 1)),
+    ("bob_outcome", (0, 1)),
+    ("announced_variant", (0, 1)),
+    ("alice_outcome", (None, 0, 1)),
+    ("sifted", (False, True)),
+    ("matched", (None, False, True)),
+)
+
+# Records per write: bounds the dump's memory whatever the round count.
+_RECORDS_PER_WRITE = 4096
+
+
+@functools.cache
+def _record_texts() -> tuple[str, str, tuple[str, ...]]:
+    """json.dumps(indent=2) of a record in the transcript list, split at its round number.
+
+    Returns the text before the number of the first record, the same text
+    for every later record (item separator included), and the text after
+    the number for each class code: the mixed-radix index of the record's
+    values in ``_RECORD_FIELDS``.
+    """
+    # the list's opener, item separator and closer at the transcript's depth
+    opener, sep, closer = json.dumps({"transcript": [0, 0]}, indent=2).split("0")
+    names = [name for name, _ in _RECORD_FIELDS]
+    tails = []
+    for values in itertools.product(*(choices for _, choices in _RECORD_FIELDS)):
+        record = {"round": 0, **dict(zip(names, values))}
+        text = json.dumps({"transcript": [record]}, indent=2)
+        pre, tail = text.removeprefix(opener).removesuffix(closer).split("0", 1)
+        tails.append(tail)
+    return pre, sep + pre, tuple(tails)
+
+
+def _record_classes(transcript) -> np.ndarray:
+    """Class code of each round's record; ``matched`` is null on unsifted rounds."""
+    sifted = transcript.sifted
+    alice = 0 if transcript.alice_outcome is None else transcript.alice_outcome + 1
+    digits = (
+        transcript.bob_basis,
+        transcript.bob_outcome,
+        transcript.announced_variant,
         alice,
-        transcript.sifted.tolist(),
-        transcript.matched.tolist(),
+        sifted,
+        np.where(sifted, transcript.matched + 1, 0),
     )
-    return [
-        {
-            "round": i,
-            "bob_basis": basis,
-            "bob_outcome": outcome,
-            "announced_variant": variant,
-            "alice_outcome": a,
-            "sifted": sifted,
-            "matched": matched if sifted else None,
-        }
-        for i, (basis, outcome, variant, a, sifted, matched) in enumerate(columns)
-    ]
+    codes = np.zeros(transcript.config.rounds, dtype=np.intp)
+    for (_, choices), digit in zip(_RECORD_FIELDS, digits):
+        codes = codes * len(choices) + digit
+    return codes
+
+
+def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
+    """Write the JSON report with a ``transcript`` list, one record per round.
+
+    The text equals ``json.dumps(doc, indent=2) + "\\n"`` of the document
+    with one dict per round, but it is written in slices straight from the
+    columns, so memory stays bounded in the round count.
+    """
+    doc = json.dumps({"meta": meta, "rows": rows, "transcript": [0]}, indent=2)
+    head, foot = doc.rsplit("0", 1)
+    first, later, tails = _record_texts()
+    codes = _record_classes(transcript)
+    fh.write(head + first)
+    for start in range(0, len(codes), _RECORDS_PER_WRITE):
+        chunk = codes[start:start + _RECORDS_PER_WRITE].tolist()
+        records = [f"{i}{tails[code]}" for i, code in enumerate(chunk, start)]
+        fh.write((later if start else "") + later.join(records))
+    fh.write(foot + "\n")
 
 
 def _cmd_run(args) -> int:
+    if args.dump_transcript and args.format != "json":
+        raise UsageError("--dump-transcript requires --format json")
     config = _build_config(args, args.q)
     scenario = _build_scenario(args)
     transcript, report = run_session(config, scenario)
     meta = _meta(args)
-    extra = {"transcript": _transcript_rows(transcript)} if args.dump_transcript else None
-    _emit(meta, [_report_row(report)], args.format, args.output, extra)
+    rows = [_report_row(report)]
+    if args.dump_transcript:
+        with _open_output(args.output) as fh:
+            _write_transcript_doc(fh, meta, rows, transcript)
+    else:
+        _emit(meta, rows, args.format, args.output)
     return EXIT_OK if report.accepted else EXIT_REJECT
 
 
@@ -383,4 +449,13 @@ def main(argv=None) -> int:
 
 
 def run_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout left early (say, `| head`): the report has
+        # nowhere to go, so stop quietly with the output-error code. Point
+        # stdout at devnull so the interpreter's final flush does not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ebcommit
+from ebcommit import cli
 from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 
 
@@ -92,12 +97,32 @@ def test_dump_transcript_json(capsys):
     assert {"round", "bob_basis", "bob_outcome", "sifted"} <= set(doc["transcript"][0])
 
 
-def test_dump_transcript_requires_json(capsys):
-    code, _, err = run_cli(
+def test_dump_transcript_requires_json(capsys, monkeypatch, tmp_path):
+    # rejected before any round is simulated
+    def no_session(*args):
+        raise AssertionError("run_session called")
+
+    monkeypatch.setattr(cli, "run_session", no_session)
+    target = tmp_path / "dump.csv"
+    code, out, err = run_cli(
         capsys, "run", "--q", "0.5", "--rounds", "20", "--dump-transcript",
-        "--format", "csv",
+        "--format", "csv", "--output", str(target),
     )
     assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "ebcommit: error: --dump-transcript requires --format json\n"
+    assert not target.exists()
+
+
+def test_dump_transcript_file_bytes_equal_stdout(capsys, tmp_path):
+    argv = ["run", "--alice", "epr", "--q", "0.4", "--rounds", "300", "--seed", "8",
+            "--steer-theta", "1.2", "--steer-phi", "4.0", "--dump-transcript"]
+    code, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "dump.json"
+    code_file, out_file, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == code_file
+    assert out_file == ""
+    assert target.read_bytes() == out.encode()
 
 
 def test_threshold_prints_one_third(capsys):
@@ -184,7 +209,25 @@ def test_honest_sender_rejects_bad_cheater_flags(capsys, command, bad):
     code, out, err = run_cli(capsys, *command, "--alice", "honest", *bad)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("ebcommit: error: ")
+    assert err.startswith(f"ebcommit: error: {bad[0]}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--q", "0.5"],
+    ["sweep", "--q-steps", "2", "--rounds", "10", "--trials", "1"],
+], ids=["run", "sweep"])
+@pytest.mark.parametrize("theta, phi, flag", [
+    ("4", "0", "--steer-theta"),
+    ("1", "7", "--steer-phi"),
+    ("nan", "-1", "--steer-theta"),
+])
+def test_steering_error_names_its_flag(capsys, command, theta, phi, flag):
+    code, out, err = run_cli(
+        capsys, *command, "--alice", "epr", "--steer-theta", theta, "--steer-phi", phi,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"ebcommit: error: {flag}: ")
 
 
 def test_epr_sweep_separability_columns(capsys):
@@ -273,6 +316,37 @@ def test_output_to_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["meta"]["command"] == "run"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--q", "0.5", "--rounds", "20"],
+    ["run", "--q", "0.5", "--rounds", "20", "--dump-transcript"],
+    ["sweep", "--q-steps", "2", "--rounds", "10", "--trials", "1"],
+], ids=["run", "run-dump", "sweep"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("ebcommit: error: --output: ")
+    assert str(target) in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # a dump far larger than a pipe buffer, whose reader leaves after 10 bytes
+    src = os.path.dirname(os.path.dirname(ebcommit.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ebcommit", "run", "--q", "0.5", "--rounds", "100000",
+         "--dump-transcript"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.read(10) == b'{\n  "meta"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert err == b""
 
 
 # sha256 of the CLI output that changes to the session internals must

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebcommit import protocol
@@ -350,14 +350,47 @@ _angle_theta = st.floats(0.0, math.pi)
 _angle_phi = st.floats(0.0, 2 * math.pi, exclude_max=True)
 
 
-def _dump(argv: list[str]) -> dict:
+def _dump(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(argv + ["--dump-transcript"])
-    return json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def _reference_records(transcript: Transcript) -> list[dict]:
+    """One dict per round, built directly from the columns."""
+    n = transcript.config.rounds
+    alice = [None] * n if transcript.alice_outcome is None else transcript.alice_outcome.tolist()
+    columns = zip(
+        transcript.bob_basis.tolist(),
+        transcript.bob_outcome.tolist(),
+        transcript.announced_variant.tolist(),
+        alice,
+        transcript.sifted.tolist(),
+        transcript.matched.tolist(),
+    )
+    return [
+        {
+            "round": i,
+            "bob_basis": basis,
+            "bob_outcome": outcome,
+            "announced_variant": variant,
+            "alice_outcome": a,
+            "sifted": sifted,
+            "matched": matched if sifted else None,
+        }
+        for i, (basis, outcome, variant, a, sifted, matched) in enumerate(columns)
+    ]
+
+
+_no_angles = (0.0, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
+@example(q=0.5, seed=0, rounds=1, bit=0, epr=False, target_bit=0,
+         a0=_no_angles, a1=_no_angles, steer=_no_angles)
+@example(q=0.5, seed=0, rounds=1, bit=1, epr=True, target_bit=0,
+         a0=_no_angles, a1=(math.pi, 0.0), steer=_no_angles)
 @given(
     q=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32),
@@ -382,8 +415,14 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
         scenario = HonestAlice(bit=bit)
     transcript, report = run_session(config, scenario)
 
+    # the dump is, byte for byte, the indented document of one dict per round
+    text = _dump(argv)
+    doc = json.loads(text)
+    reference = {"meta": doc["meta"], "rows": doc["rows"],
+                 "transcript": _reference_records(transcript)}
+    assert text == json.dumps(reference, indent=2) + "\n"
+
     # verify's counts equal a recount of the dumped records
-    doc = _dump(argv)
     records = doc["transcript"]
     assert doc["rows"][0]["sifted_count"] == report.sifted_count == sum(
         r["sifted"] for r in records
