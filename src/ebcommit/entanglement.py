@@ -22,13 +22,12 @@ from .linalg import (
     as_operator,
     clip_spectrum,
     eig_hermitian,
+    is_psd,
     kron,
     partial_transpose,
     sqrtm_psd,
 )
 from .states import DensityMatrix
-
-SEPARABILITY_TOL = 1e-10
 
 _YY = kron(PAULI_Y, PAULI_Y)
 
@@ -51,9 +50,7 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     at roundoff scale (including tiny negatives, checked >= -1e-12) are
     clamped to 0 before the square root.
     """
-    m = as_operator(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit state, got shape {m.shape}")
+    m = as_operator(rho, 4)
     s = sqrtm_psd(m)
     r = s @ _YY @ m.conj() @ _YY @ s
     w = eig_hermitian(r)
@@ -64,13 +61,9 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     return ConcurrenceResult(value, tuple(float(x) for x in lams))
 
 
-def is_separable(rho: DensityMatrix, tol: float = SEPARABILITY_TOL) -> bool:
+def is_separable(rho: DensityMatrix) -> bool:
     """Positive-partial-transpose test, necessary and sufficient at 2x2."""
-    m = as_operator(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit state, got shape {m.shape}")
-    w = eig_hermitian(partial_transpose(m, on="B"))
-    return bool(w[-1] >= -tol)
+    return is_psd(partial_transpose(rho))
 
 
 def factorization_residual(x, c: KrausChannel | DepolarizingChannel) -> float:
@@ -91,7 +84,6 @@ def eb_threshold(
     lo: float,
     hi: float,
     width: float = 1e-9,
-    tol: float = SEPARABILITY_TOL,
 ) -> float:
     """Bisect the entanglement-breaking boundary of a one-parameter family.
 
@@ -103,8 +95,8 @@ def eb_threshold(
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not (math.isfinite(width) and width > 0):
         raise ValueError(f"width must be finite and > 0, got {width}")
-    eb_lo = is_entanglement_breaking(channel_family(lo), tol)
-    eb_hi = is_entanglement_breaking(channel_family(hi), tol)
+    eb_lo = is_entanglement_breaking(channel_family(lo))
+    eb_hi = is_entanglement_breaking(channel_family(hi))
     if eb_lo == eb_hi:
         raise ValueError(
             f"no classification change on [{lo}, {hi}]: both are "
@@ -114,7 +106,7 @@ def eb_threshold(
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             break
-        if is_entanglement_breaking(channel_family(mid), tol) == eb_lo:
+        if is_entanglement_breaking(channel_family(mid)) == eb_lo:
             lo = mid
         else:
             hi = mid

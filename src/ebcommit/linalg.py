@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
+#: The one numerical tolerance of the package: Hermiticity defects, PSD
+#: and PPT tests, unit trace and Kraus completeness are all judged at it.
+TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -22,17 +24,18 @@ for _p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
 del _p
 
 
-def as_operator(x) -> np.ndarray:
-    """Coerce array-likes or ``.mat``-carrying wrappers to a square complex matrix."""
+def as_operator(x, dim: int | None = None) -> np.ndarray:
+    """Coerce array-likes or ``.mat``-carrying wrappers to a square complex matrix.
+
+    With ``dim``, the matrix must be ``dim`` x ``dim``: 2 for a qubit, 4
+    for a pair.
+    """
     m = np.asarray(getattr(x, "mat", x), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if dim is not None and m.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} operator, got shape {m.shape}")
     return m
-
-
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(m).conj().T
 
 
 def kron(a, b) -> np.ndarray:
@@ -46,23 +49,27 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def _hermitian_part(m, tol: float) -> np.ndarray:
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+def _hermitian_part(m) -> np.ndarray:
+    """The one validation point for operators that must be Hermitian."""
     m = as_operator(m)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    defect = hermiticity_defect(m)
+    if defect > TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {TOL:.1e})")
     return (m + m.conj().T) / 2
 
 
-def eig_hermitian(m, vectors: bool = False, tol: float = HERMITICITY_TOL):
+def eig_hermitian(m, vectors: bool = False):
     """Eigenvalues of a Hermitian matrix, sorted descending.
 
     The input is symmetrized before decomposition to absorb roundoff from
-    channel-application chains; inputs whose Hermiticity defect exceeds
-    ``tol`` are rejected. With ``vectors=True`` returns ``(w, V)`` where
-    column ``V[:, i]`` belongs to ``w[i]`` and ``M = V diag(w) V†``.
+    channel-application chains; inputs with non-finite entries or a
+    Hermiticity defect above ``TOL`` are rejected. With ``vectors=True``
+    returns ``(w, V)`` where column ``V[:, i]`` belongs to ``w[i]`` and
+    ``M = V diag(w) V†``.
     """
-    h = _hermitian_part(m, tol)
+    h = _hermitian_part(m)
     if vectors:
         w, v = np.linalg.eigh(h)
         return w[::-1].copy(), v[:, ::-1].copy()
@@ -72,37 +79,33 @@ def eig_hermitian(m, vectors: bool = False, tol: float = HERMITICITY_TOL):
 SPECTRUM_FLOOR = 1e-14
 
 
-def clip_spectrum(w: np.ndarray, floor: float = SPECTRUM_FLOOR) -> np.ndarray:
+def clip_spectrum(w: np.ndarray) -> np.ndarray:
     """Zero out eigenvalues indistinguishable from 0 at roundoff scale.
 
     Square-rooting a spurious +1e-16 eigenvalue would inject a 1e-8
-    error, so anything below ``floor * max(1, w_max)`` is treated as an
-    exact zero before a square root is taken.
+    error, so anything below ``SPECTRUM_FLOOR * max(1, w_max)`` is
+    treated as an exact zero before a square root is taken.
     """
     w = np.clip(w, 0.0, None)
-    cutoff = floor * max(1.0, float(w.max()))
+    cutoff = SPECTRUM_FLOOR * max(1.0, float(w.max()))
     w[w < cutoff] = 0.0
     return w
 
 
-def sqrtm_psd(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def sqrtm_psd(m) -> np.ndarray:
     """Hermitian square root of a PSD matrix; tiny negative eigenvalues are clamped to 0."""
-    w, v = eig_hermitian(m, vectors=True, tol=tol)
+    w, v = eig_hermitian(m, vectors=True)
     w = clip_spectrum(w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def is_psd(m, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
-    w = eig_hermitian(m)
-    return bool(w[-1] >= -tol)
+def is_psd(m) -> bool:
+    """True iff the smallest eigenvalue of a Hermitian matrix is >= -TOL.
 
-
-def _as_two_qubit(m) -> np.ndarray:
-    m = as_operator(m)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit operator, got shape {m.shape}")
-    return m
+    The package's one positivity test: density-matrix validation and the
+    separability and entanglement-breaking tests all decide through it.
+    """
+    return bool(eig_hermitian(m)[-1] >= -TOL)
 
 
 def partial_trace(m, keep: str) -> np.ndarray:
@@ -110,7 +113,7 @@ def partial_trace(m, keep: str) -> np.ndarray:
 
     ``keep="A"`` returns Tr_B(M), ``keep="B"`` returns Tr_A(M).
     """
-    t = _as_two_qubit(m).reshape(2, 2, 2, 2)
+    t = as_operator(m, 4).reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("ijkj->ik", t)
     if keep == "B":
@@ -124,7 +127,7 @@ def partial_transpose(m, on: str = "B") -> np.ndarray:
     Pure index permutation, so applying it twice restores the input
     exactly.
     """
-    t = _as_two_qubit(m).reshape(2, 2, 2, 2)
+    t = as_operator(m, 4).reshape(2, 2, 2, 2)
     if on == "B":
         return t.transpose(0, 3, 2, 1).reshape(4, 4)
     if on == "A":

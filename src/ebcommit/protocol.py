@@ -33,6 +33,7 @@ identical to measuring each round's state individually.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,7 +43,6 @@ import numpy as np
 from .channels import DepolarizingChannel, channel_apply, lift_apply
 from .entanglement import concurrence, is_separable
 from .states import (
-    DIAGONAL,
     OUTCOME_EPS,
     RECTILINEAR,
     Bb84Symbol,
@@ -51,13 +51,9 @@ from .states import (
     ProjectiveBasis,
     bb84_state,
     cheat_state,
+    encoding_basis,
     joint_outcome_decomposition,
 )
-
-#: Basis indices used in transcripts; the encoding basis of bit b has index b.
-BASIS_RECTILINEAR = 0
-BASIS_DIAGONAL = 1
-_BASES = (RECTILINEAR, DIAGONAL)
 
 
 @dataclass(frozen=True)
@@ -70,6 +66,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        _check_int("rounds", self.rounds)
+        _check_int("seed", self.seed)
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not (math.isfinite(self.accept_sigma) and self.accept_sigma >= 0):
@@ -85,7 +83,8 @@ _COLUMNS = ("bob_basis", "bob_outcome", "announced_variant", "alice_outcome")
 class Transcript:
     """The rounds of one session, one read-only int8 column per field.
 
-    ``bob_basis`` and ``bob_outcome`` are fixed at commit.
+    ``bob_basis`` and ``bob_outcome`` are fixed at commit; basis b is
+    ``encoding_basis(b)``.
     ``announced_variant`` is None until the transcript is opened, and
     ``alice_outcome`` is set only for opened cheating sessions. A
     cheating transcript keeps the post-channel ``joint`` state and
@@ -185,12 +184,18 @@ def _check_bit(name: str, value: int) -> None:
         raise ValueError(f"{name} must be 0 or 1, got {value}")
 
 
+def _check_int(name: str, value) -> None:
+    # bool is an Integral too, but True is no count and no seed
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _honest_p0(q: float, bit: int) -> np.ndarray:
     """Born table p0[variant, basis] of ``bit``'s carriers after the channel."""
     channel = DepolarizingChannel(q)
     sent = (DensityMatrix.from_pure(bb84_state(Bb84Symbol(bit, v)), (2,)) for v in (0, 1))
     noisy = tuple(channel_apply(channel, d.mat) for d in sent)
-    return np.array([[_outcome_prob0(noisy[v], _BASES[b]) for b in range(2)] for v in range(2)])
+    return np.array([[_outcome_prob0(noisy[v], encoding_basis(b)) for b in range(2)] for v in range(2)])
 
 
 def _draw_honest(
@@ -234,7 +239,7 @@ class _CheatSource:
 
 def _cheat_source(q: float, strategy: CheatStrategy) -> _CheatSource:
     joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-    branches = [joint_outcome_decomposition(joint, "B", basis) for basis in _BASES]
+    branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in range(2)]
     return _CheatSource(
         joint,
         tuple(tuple(cond for _, cond in branch) for branch in branches),
@@ -445,6 +450,7 @@ def monte_carlo(
     execution order or on ``workers``. The scenario's Born tables are
     built once per call and shared by every trial.
     """
+    _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     session = _prepare(config, scenario)

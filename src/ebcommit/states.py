@@ -1,4 +1,4 @@
-"""State constructors and projective measurement.
+"""State constructors and the conditional states of a local measurement.
 
 Encoding convention for the commitment scheme: bit 0 is carried by the
 computational pair {|0>, |1>} (rectilinear), bit 1 by the diagonal pair
@@ -6,8 +6,8 @@ computational pair {|0>, |1>} (rectilinear), bit 1 by the diagonal pair
 sent. Either pair averages to I/2, so the committed bit is invisible to
 anyone holding a single unopened qubit.
 
-Measurement randomness is always an injected uniform value in [0, 1);
-nothing in this module owns a generator.
+Nothing in this module samples: outcomes are drawn in ``protocol`` from
+the Born probabilities computed here.
 """
 
 from __future__ import annotations
@@ -17,18 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_operator,
-    eig_hermitian,
-    hermiticity_defect,
-    kron,
-    partial_trace,
-)
-
-DENSITY_TOL = 1e-10
+from .linalg import TOL, as_operator, eig_hermitian, is_psd, kron, partial_trace
 
 # Probability below which a measurement outcome is treated as impossible
-# and never returned.
+# and never sampled.
 OUTCOME_EPS = 1e-12
 
 
@@ -58,15 +50,12 @@ class DensityMatrix:
         object.__setattr__(self, "subsystems", subs)
         if math.prod(subs) != m.shape[0]:
             raise ValueError(f"subsystems {subs} do not multiply to dim {m.shape[0]}")
-        defect = hermiticity_defect(m)
-        if defect > DENSITY_TOL:
-            raise ValueError(f"not Hermitian (defect {defect:.3e})")
+        # is_psd rejects non-finite and non-Hermitian matrices first
+        if not is_psd(m):
+            raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(m)[-1]:.3e})")
         tr = m.trace().real
-        if abs(tr - 1.0) > DENSITY_TOL:
+        if abs(tr - 1.0) > TOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
-        w = eig_hermitian(m)
-        if w[-1] < -DENSITY_TOL:
-            raise ValueError(f"not PSD (min eigenvalue {w[-1]:.3e})")
 
     @property
     def dim(self) -> int:
@@ -77,7 +66,7 @@ class DensityMatrix:
         """Projector |v><v| of a normalized state vector."""
         v = np.asarray(vec, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails this too
             raise ValueError(f"state vector norm {n!r} is not 1")
         v = v / n
         return cls(np.outer(v, v.conj()), subsystems)
@@ -206,7 +195,7 @@ class CheatStrategy:
             if v.shape != (2,):
                 raise ValueError(f"{name} must be a single-qubit state vector")
             n = np.linalg.norm(v)
-            if abs(n - 1.0) > 1e-9:
+            if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails this too
                 raise ValueError(f"{name} must be normalized, got norm {n!r}")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -225,26 +214,10 @@ def cheat_state(a0, a1) -> DensityMatrix:
         raise ValueError("a0 and a1 must be single-qubit state vectors")
     joint = np.array([a0[0], a1[0], a0[1], a1[1]], dtype=complex)
     n = np.linalg.norm(joint)
-    if n < 1e-12:
-        raise ValueError("joint vector has zero norm")
+    if not 1e-12 <= n < math.inf:
+        raise ValueError(f"joint vector has zero norm or non-finite entries (norm {n!r})")
     joint = joint / n
     return DensityMatrix(np.outer(joint, joint.conj()), (2, 2))
-
-
-def measure(rho: DensityMatrix, basis: ProjectiveBasis, rand: float) -> tuple[int, np.ndarray]:
-    """Projective measurement of a single qubit by the Born rule.
-
-    Outcome 0 is returned iff ``rand < <b0|rho|b0>``; the post-measurement
-    state is the corresponding basis vector.
-    """
-    m = as_operator(rho)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a single-qubit state, got shape {m.shape}")
-    b0, b1 = basis.vectors()
-    p0 = float(np.real(b0.conj() @ m @ b0))
-    if rand < p0:
-        return 0, b0
-    return 1, b1
 
 
 def joint_outcome_decomposition(
@@ -257,9 +230,7 @@ def joint_outcome_decomposition(
     normalized state left on the other side. Branches with probability
     below ``OUTCOME_EPS`` carry ``None``.
     """
-    m = as_operator(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit state, got shape {m.shape}")
+    m = as_operator(rho, 4)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     other = "B" if side == "A" else "A"
@@ -274,21 +245,3 @@ def joint_outcome_decomposition(
         cond = partial_trace(full @ m @ full, keep=other) / p
         branches.append((p, DensityMatrix(cond, (2,))))
     return tuple(branches)
-
-
-def measure_joint(
-    rho: DensityMatrix, side: str, basis: ProjectiveBasis, rand: float
-) -> tuple[int, DensityMatrix]:
-    """Sample a local measurement on half of a two-qubit state.
-
-    Outcomes with Born probability below ``OUTCOME_EPS`` are never
-    returned.
-    """
-    (p0, cond0), (p1, cond1) = joint_outcome_decomposition(rho, side, basis)
-    if cond0 is None:
-        return 1, cond1
-    if cond1 is None:
-        return 0, cond0
-    if rand < p0:
-        return 0, cond0
-    return 1, cond1

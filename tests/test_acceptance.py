@@ -79,7 +79,7 @@ def test_criterion_3_disentangling_claim():
             c = concurrence(out).value
             worst_c = max(worst_c, c)
             assert c <= 1e-10
-            assert is_separable(out, 1e-10)
+            assert is_separable(out)
     bell = cheat_state([1, 0], [0, 1])
     for q in (0.4, 0.7, 1.0):
         c = concurrence(lift_apply(DepolarizingChannel(q), bell)).value

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebcommit.channels import (
     DepolarizingChannel,
@@ -11,12 +15,37 @@ from ebcommit.channels import (
     is_entanglement_breaking,
     lift_apply,
 )
+from ebcommit.entanglement import is_separable
 from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
 from ebcommit.states import DensityMatrix, bell_psi_plus, isotropic
 
 from conftest import random_density_matrix
 
 I2 = np.eye(2)
+
+
+def amplitude_damping(gamma: float) -> KrausChannel:
+    return KrausChannel(
+        (
+            np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+            np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),
+        )
+    )
+
+
+def bit_flip(p: float) -> KrausChannel:
+    return KrausChannel((math.sqrt(1.0 - p) * PAULI_I, math.sqrt(p) * PAULI_X))
+
+
+# At gamma = 1 amplitude damping resets to |0> and breaks entanglement. Below
+# that, the smallest eigenvalue of its Choi state's partial transpose is
+# -(1 - gamma)/2, so gamma <= 1 - 1e-6 keeps it well clear of the tolerance.
+_DAMPING = st.floats(0.0, 1.0 - 1e-6)
+_CHANNELS = st.one_of(
+    st.floats(0.0, 1.0).map(DepolarizingChannel),
+    _DAMPING.map(amplitude_damping),
+    st.floats(0.0, 1.0).map(bit_flip),
+)
 
 
 def test_depolarizing_channel_validation():
@@ -96,13 +125,12 @@ def test_lift_product_factorizes(rng):
     assert np.abs(lift_apply(c, joint).mat - expected).max() < 1e-12
 
 
-def test_lift_preserves_sender_marginal(rng):
-    for _ in range(10):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = g @ g.conj().T
-        rho = DensityMatrix(m / m.trace().real, (2, 2))
-        out = lift_apply(DepolarizingChannel(rng.uniform()), rho)
-        assert np.abs(partial_trace(out.mat, "A") - partial_trace(rho.mat, "A")).max() < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(channel=_CHANNELS, seed=st.integers(0, 2**32 - 1))
+def test_lift_preserves_sender_marginal(channel, seed):
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4), (2, 2))
+    out = lift_apply(channel, rho)
+    assert np.abs(partial_trace(out.mat, "A") - partial_trace(rho.mat, "A")).max() < 1e-10
 
 
 def test_lift_rejects_single_qubit():
@@ -118,11 +146,25 @@ def test_choi_identity_and_depolarizing():
         assert np.abs(choi(DepolarizingChannel(q)).mat - isotropic(q).mat).max() < 1e-12
 
 
-def test_entanglement_breaking_classification():
+def test_known_classifications():
+    assert is_entanglement_breaking(amplitude_damping(1.0))
     assert is_entanglement_breaking(DepolarizingChannel(0.3))
     assert is_entanglement_breaking(DepolarizingChannel(1 / 3))
     assert not is_entanglement_breaking(DepolarizingChannel(0.4))
     assert not is_entanglement_breaking(DepolarizingChannel(1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel=_CHANNELS)
+def test_entanglement_breaking_classification(channel):
+    # a qubit channel is EB iff its Choi state is separable (Horodecki-Shor-Ruskai)
+    assert is_entanglement_breaking(channel) == is_separable(choi(channel))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=_DAMPING)
+def test_amplitude_damping_is_never_entanglement_breaking(gamma):
+    assert not is_entanglement_breaking(amplitude_damping(gamma))
 
 
 def test_classification_flips_once_on_grid():

@@ -14,7 +14,8 @@ from ebcommit.linalg import (
     sqrtm_psd,
     trace_distance,
 )
-from ebcommit.states import bell_psi_plus, isotropic
+from ebcommit.channels import KrausChannel
+from ebcommit.states import CheatStrategy, DensityMatrix, bell_psi_plus, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -174,9 +175,9 @@ def test_fidelity_dim_mismatch():
 
 
 def test_is_psd():
-    assert is_psd(I4, 1e-10)
-    assert not is_psd(PAULI_Z, 1e-10)
-    assert is_psd(partial_transpose(isotropic(1 / 3).mat), 1e-10)
+    assert is_psd(I4)
+    assert not is_psd(PAULI_Z)
+    assert is_psd(partial_transpose(isotropic(1 / 3).mat))
 
 
 def test_fuchs_van_de_graaf_sandwich(rng):
@@ -188,3 +189,22 @@ def test_fuchs_van_de_graaf_sandwich(rng):
             f = fidelity(a, b)
             assert 1 - f <= d + 1e-9
             assert d <= np.sqrt(max(0.0, 1 - f * f)) + 1e-9
+
+
+# A NaN fails every comparison, so each check must be written to fail closed.
+_NON_FINITE_INPUTS = {
+    "DensityMatrix": lambda x: DensityMatrix(np.full((2, 2), x)),
+    "DensityMatrix.from_pure": lambda x: DensityMatrix.from_pure([x, 0.0]),
+    "KrausChannel": lambda x: KrausChannel((np.diag([x, x]),)),
+    "CheatStrategy": lambda x: CheatStrategy([x, 0.0], [0.0, 1.0]),
+    "cheat_state": lambda x: cheat_state([x, 0.0], [0.0, 1.0]),
+    "eig_hermitian": lambda x: eig_hermitian(np.full((2, 2), x)),
+    "trace_distance": lambda x: trace_distance(np.full((2, 2), x), I2 / 2),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_INPUTS))
+def test_non_finite_input_is_rejected(call, value):
+    with pytest.raises(ValueError):
+        _NON_FINITE_INPUTS[call](value)

@@ -49,6 +49,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="accept_sigma"):
             ProtocolConfig(q=0.5, rounds=10, accept_sigma=sigma)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rounds", 2.5), ("rounds", True), ("rounds", "10"), ("seed", True), ("seed", 1.0)],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        kw = {"q": 0.5, "rounds": 10, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**kw)
+
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_monte_carlo_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=trials)
+
+    def test_accepts_numpy_integers(self):
+        config = ProtocolConfig(q=0.5, rounds=np.int64(10), seed=np.uint64(3))
+        assert monte_carlo(config, HonestAlice(bit=0), trials=np.int32(2)).trials == 2
+
     def test_zero_accept_sigma_puts_threshold_at_expectation(self):
         report = run_session(cfg(1.0, 100, seed=3, accept_sigma=0.0), HonestAlice(bit=0))[1]
         assert report.threshold == report.expected_fraction == 1.0
@@ -138,7 +156,7 @@ def test_cheating_noiseless_joint_is_bell():
 @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 1 / 3])
 def test_cheating_below_threshold_is_separable(q):
     t = commit_cheating(cfg(q, 50, seed=9), bell_strategy(), derive_rng(9, 0))
-    assert is_separable(t.joint, 1e-10)
+    assert is_separable(t.joint)
     assert concurrence(t.joint).value <= 1e-10
 
 

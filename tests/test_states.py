@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from ebcommit.linalg import kron, partial_trace
+from ebcommit.protocol import ProtocolConfig, commit_cheating, derive_rng
 from ebcommit.states import (
     DIAGONAL,
     RECTILINEAR,
     Bb84Symbol,
+    CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
     bb84_pair_mixture,
@@ -18,8 +20,6 @@ from ebcommit.states import (
     encoding_basis,
     isotropic,
     joint_outcome_decomposition,
-    measure,
-    measure_joint,
 )
 
 from conftest import random_density_matrix
@@ -154,35 +154,12 @@ def test_cheat_state_zero_norm():
         cheat_state([0, 0], [0, 0])
 
 
-def test_measure_eigenstate():
-    rho = DensityMatrix(np.diag([1.0, 0.0]))
-    for rand in (0.0, 0.3, 0.999999):
-        outcome, post = measure(rho, RECTILINEAR, rand)
-        assert outcome == 0
-        assert np.array_equal(post, [1, 0])
-
-
-def test_measure_maximally_mixed_is_fair():
-    rho = DensityMatrix(I2 / 2)
-    assert measure(rho, DIAGONAL, 0.49)[0] == 0
-    assert measure(rho, DIAGONAL, 0.51)[0] == 1
-
-
-def test_measure_plus_in_computational():
-    rho = DensityMatrix(bb84_projector(Bb84Symbol(1, 0)))
-    # P(0) = |<0|+>|^2 = 1/2
-    assert measure(rho, RECTILINEAR, 0.4999)[0] == 0
-    assert measure(rho, RECTILINEAR, 0.5001)[0] == 1
-
-
 def test_measure_joint_bell_correlations():
     bell = DensityMatrix.from_pure(bell_psi_plus(), (2, 2))
     (p0, cond0), (p1, cond1) = joint_outcome_decomposition(bell, "A", RECTILINEAR)
     assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
     assert np.abs(cond0.mat - np.diag([1.0, 0.0])).max() < 1e-12
     assert np.abs(cond1.mat - np.diag([0.0, 1.0])).max() < 1e-12
-    outcome, cond = measure_joint(bell, "A", RECTILINEAR, 0.2)
-    assert outcome == 0 and cond == cond0
 
 
 def test_measure_joint_product_state_no_steering(rng):
@@ -196,10 +173,15 @@ def test_measure_joint_product_state_no_steering(rng):
 
 def test_measure_joint_impossible_outcome_never_returned():
     joint = DensityMatrix(kron(np.diag([1.0, 0.0]), I2 / 2), (2, 2))
-    # outcome 1 on side A has probability exactly 0
-    for rand in (0.0, 0.5, 0.9999999):
-        outcome, _ = measure_joint(joint, "A", RECTILINEAR, rand)
-        assert outcome == 0
+    # outcome 1 on side A has probability exactly 0, so its branch is empty
+    (p0, cond0), (p1, cond1) = joint_outcome_decomposition(joint, "A", RECTILINEAR)
+    assert p0 == 1.0 and cond0 is not None
+    assert p1 == 0.0 and cond1 is None
+    # and the protocol's sampler never draws it: |0>|+> never reads |-> on B
+    config = ProtocolConfig(q=1.0, rounds=2000, seed=5)
+    t = commit_cheating(config, CheatStrategy([1, 0], [1, 0]), derive_rng(5))
+    assert (t.bob_basis == 1).any()
+    assert not t.bob_outcome[t.bob_basis == 1].any()
 
 
 def test_no_signalling_average_of_conditionals(rng):
