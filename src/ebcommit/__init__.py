@@ -3,7 +3,7 @@
 Layers, bottom up: ``linalg`` (dense two-qubit operator algebra),
 ``states`` and ``channels`` (the protocol's physics), ``entanglement``
 (concurrence, separability, the channel factorization law), ``protocol``
-(session state machines plus a seeded Monte Carlo harness), ``security``
+(prepared commitment sessions plus a seeded Monte Carlo harness), ``security``
 (hiding and binding bounds), ``cli`` (experiment runner).
 """
 
@@ -42,11 +42,8 @@ from .protocol import (
     ProtocolConfig,
     Transcript,
     VerificationReport,
-    commit_cheating,
-    commit_honest,
     derive_rng,
     monte_carlo,
-    open_and_steer,
     run_session,
     verify,
 )
@@ -105,8 +102,6 @@ __all__ = [
     "channel_apply",
     "cheat_state",
     "choi",
-    "commit_cheating",
-    "commit_honest",
     "concurrence",
     "depolarize_apply",
     "derive_rng",
@@ -122,7 +117,6 @@ __all__ = [
     "kron",
     "lift_apply",
     "monte_carlo",
-    "open_and_steer",
     "partial_trace",
     "partial_transpose",
     "run_session",

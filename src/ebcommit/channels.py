@@ -23,7 +23,7 @@ from .linalg import (
     kron,
     partial_transpose,
 )
-from .states import DensityMatrix, bell_psi_plus
+from .states import DensityMatrix, _check_q, bell_psi_plus
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +60,7 @@ class DepolarizingChannel:
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        _check_q(self.q)
 
 
 def depolarize_apply(c: DepolarizingChannel, x) -> np.ndarray:

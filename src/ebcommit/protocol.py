@@ -12,14 +12,15 @@ below the honest expectation (1+q)/2.
 A cheating sender commits halves of entangled pairs instead and delays
 her variant announcements until she has measured her retained halves.
 
-A transcript stores its rounds as columns: one read-only int8 array of
-length ``rounds`` per field (receiver basis and outcome, announced
-variant, the cheater's own outcome). Every round's state is one of a few
-(carrier, basis, outcome) classes, so each phase samples all rounds at
-once by looking up the Born probability of its class. Those tables
-depend only on q and the scenario: a session is prepared once (post-
-channel state and Born tables) and then sampled, and ``monte_carlo``
-prepares once for all of its trials.
+A transcript is the record of one opened session, stored as columns:
+one read-only int8 array of length ``rounds`` per field (receiver basis
+and outcome, announced variant, the cheater's own outcome). Every
+round's state is one of a few (carrier, basis, outcome) classes, so a
+session samples all rounds at once by looking up the Born probability
+of its class. Those tables depend only on q and the scenario: a session
+is prepared once (the post-channel state and its Born tables, which stay
+with the prepared session, not in the transcript) and then sampled, and
+``monte_carlo`` prepares once for all of its trials.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario)`` always reproduces the
@@ -33,10 +34,9 @@ identical to measuring each round's state individually.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,10 @@ from .states import (
     CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
+    _check_bit,
+    _check_int,
+    _check_q,
+    _check_real,
     bb84_state,
     cheat_state,
     encoding_basis,
@@ -64,10 +68,10 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        _check_q(self.q)
         _check_int("rounds", self.rounds)
         _check_int("seed", self.seed)
+        _check_real("accept_sigma", self.accept_sigma)
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not (math.isfinite(self.accept_sigma) and self.accept_sigma >= 0):
@@ -81,34 +85,28 @@ _COLUMNS = ("bob_basis", "bob_outcome", "announced_variant", "alice_outcome")
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """The rounds of one session, one read-only int8 column per field.
+    """The rounds of one opened session, one read-only int8 column per field.
 
-    ``bob_basis`` and ``bob_outcome`` are fixed at commit; basis b is
-    ``encoding_basis(b)``.
-    ``announced_variant`` is None until the transcript is opened, and
-    ``alice_outcome`` is set only for opened cheating sessions. A
-    cheating transcript keeps the post-channel ``joint`` state and
-    ``sender_conditionals[b][o]``, the sender's retained half given
-    receiver basis b and outcome o (None for an impossible outcome).
-    Equality compares every field by value.
+    ``bob_basis`` and ``bob_outcome`` are the receiver's; basis b is
+    ``encoding_basis(b)``. ``announced_variant`` is the sender's opening.
+    ``alice_outcome`` is a cheater's own steering outcome and None for an
+    honest sender. Equality compares every field by value.
     """
 
     config: ProtocolConfig
     committed_bit: int
-    opened_bit: int | None
+    opened_bit: int
     bob_basis: np.ndarray
     bob_outcome: np.ndarray
-    announced_variant: np.ndarray | None = None
+    announced_variant: np.ndarray
     alice_outcome: np.ndarray | None = None
-    joint: DensityMatrix | None = None
-    sender_conditionals: tuple[tuple[DensityMatrix | None, ...], ...] | None = None
 
     def __post_init__(self):
-        if (self.opened_bit is None) != (self.announced_variant is None):
-            raise ValueError("opened_bit and announced_variant must be set together")
+        _check_bit("committed_bit", self.committed_bit)
+        _check_bit("opened_bit", self.opened_bit)
         for name in _COLUMNS:
             col = getattr(self, name)
-            if col is None:
+            if col is None:  # an honest sender's alice_outcome
                 continue
             col = np.array(col, dtype=np.int8)
             if col.shape != (self.config.rounds,):
@@ -121,32 +119,21 @@ class Transcript:
     def __eq__(self, other):
         if not isinstance(other, Transcript):
             return NotImplemented
-        others = ("config", "committed_bit", "opened_bit", "joint", "sender_conditionals")
+        others = ("config", "committed_bit", "opened_bit")
+        # np.array_equal(None, None) holds, and None equals no array
         return all(getattr(self, f) == getattr(other, f) for f in others) and all(
-            _same_column(getattr(self, c), getattr(other, c)) for c in _COLUMNS
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS
         )
-
-    @property
-    def cheating(self) -> bool:
-        return self.joint is not None
 
     @property
     def sifted(self) -> np.ndarray:
         """Rounds measured in the opened bit's encoding basis."""
-        if self.opened_bit is None:
-            raise ValueError("transcript is not opened")
         return self.bob_basis == self.opened_bit
 
     @property
     def matched(self) -> np.ndarray:
         """Sifted rounds whose outcome equals the announced variant."""
         return self.sifted & (self.bob_outcome == self.announced_variant)
-
-
-def _same_column(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return np.array_equal(a, b)
 
 
 @dataclass(frozen=True)
@@ -179,17 +166,6 @@ def _outcome_prob0(state: np.ndarray, basis: ProjectiveBasis) -> float:
     return _effective_p0(float(np.real(b0.conj() @ state @ b0)))
 
 
-def _check_bit(name: str, value: int) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value}")
-
-
-def _check_int(name: str, value) -> None:
-    # bool is an Integral too, but True is no count and no seed
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _honest_p0(q: float, bit: int) -> np.ndarray:
     """Born table p0[variant, basis] of ``bit``'s carriers after the channel."""
     channel = DepolarizingChannel(q)
@@ -198,129 +174,19 @@ def _honest_p0(q: float, bit: int) -> np.ndarray:
     return np.array([[_outcome_prob0(noisy[v], encoding_basis(b)) for b in range(2)] for v in range(2)])
 
 
-def _draw_honest(
-    config: ProtocolConfig, bit: int, p0: np.ndarray, rng: np.random.Generator
-) -> Transcript:
-    n = config.rounds
-    variants = rng.integers(0, 2, size=n)
-    bob_bases = rng.integers(0, 2, size=n)
-    outcomes = rng.random(n) >= p0[variants, bob_bases]
-    return Transcript(
-        config,
-        committed_bit=bit,
-        opened_bit=bit,
-        bob_basis=bob_bases,
-        bob_outcome=outcomes,
-        announced_variant=variants,
-    )
+def _steer_p0(branches, steer_basis: ProjectiveBasis) -> np.ndarray:
+    """Born table p0[bob_basis, bob_outcome] of the sender's steering measurement.
 
-
-def commit_honest(config: ProtocolConfig, bit: int, rng: np.random.Generator) -> Transcript:
-    """Commit phase with an honest sender.
-
-    Each round draws a uniform variant of ``bit``'s encoding, pushes the
-    carrier through the depolarizing step, and has the receiver measure
-    in a uniformly random basis. An honest opening simply announces the
-    committed bit, so the returned transcript is already opened.
+    ``branches[b]`` is the ``joint_outcome_decomposition`` of the
+    post-channel pair under the receiver's basis b.
     """
-    _check_bit("bit", bit)
-    return _draw_honest(config, bit, _honest_p0(config.q, bit), rng)
-
-
-@dataclass(frozen=True)
-class _CheatSource:
-    """What every round of one (q, strategy) shares: the post-channel pair,
-    the sender's conditionals and the receiver's p0 per basis."""
-
-    joint: DensityMatrix
-    conditionals: tuple[tuple[DensityMatrix | None, ...], ...]
-    p0: np.ndarray
-
-
-def _cheat_source(q: float, strategy: CheatStrategy) -> _CheatSource:
-    joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-    branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in range(2)]
-    return _CheatSource(
-        joint,
-        tuple(tuple(cond for _, cond in branch) for branch in branches),
-        np.array([_effective_p0(branch[0][0]) for branch in branches]),
-    )
-
-
-def _draw_commit(
-    config: ProtocolConfig, source: _CheatSource, intent_bit: int, rng: np.random.Generator
-) -> Transcript:
-    n = config.rounds
-    bob_bases = rng.integers(0, 2, size=n)
-    outcomes = rng.random(n) >= source.p0[bob_bases]
-    return Transcript(
-        config,
-        committed_bit=intent_bit,
-        opened_bit=None,
-        bob_basis=bob_bases,
-        bob_outcome=outcomes,
-        joint=source.joint,
-        sender_conditionals=source.conditionals,
-    )
-
-
-def commit_cheating(
-    config: ProtocolConfig,
-    strategy: CheatStrategy,
-    rng: np.random.Generator,
-    intent_bit: int = 0,
-) -> Transcript:
-    """Commit phase with an entangling sender.
-
-    Every round carries the B half of the strategy's entangled pair; the
-    A half stays with the sender. The transcript keeps the post-channel
-    joint state and the sender's conditional state for each receiver
-    (basis, outcome), so the open phase can steer; measurements on the
-    two halves commute, so sampling the receiver's first leaves the
-    joint statistics unchanged. The transcript is not opened yet.
-    """
-    _check_bit("intent_bit", intent_bit)
-    return _draw_commit(config, _cheat_source(config.q, strategy), intent_bit, rng)
-
-
-def _steer_p0(conditionals, steer_basis: ProjectiveBasis) -> np.ndarray:
-    """Born table p0[bob_basis, bob_outcome] of the sender's steering measurement."""
     # An impossible receiver outcome never occurs, so its entry is never read.
     return np.array(
         [
-            [0.0 if cond is None else _outcome_prob0(cond.mat, steer_basis) for cond in row]
-            for row in conditionals
+            [0.0 if cond is None else _outcome_prob0(cond.mat, steer_basis) for _, cond in branch]
+            for branch in branches
         ]
     )
-
-
-def _draw_open(
-    transcript: Transcript, target_bit: int, p0: np.ndarray, rng: np.random.Generator
-) -> Transcript:
-    alice = rng.random(transcript.config.rounds) >= p0[transcript.bob_basis, transcript.bob_outcome]
-    return replace(
-        transcript, opened_bit=target_bit, announced_variant=alice, alice_outcome=alice
-    )
-
-
-def open_and_steer(
-    transcript: Transcript,
-    target_bit: int,
-    steer_basis: ProjectiveBasis,
-    rng: np.random.Generator,
-) -> Transcript:
-    """Open phase for a cheating sender.
-
-    The sender measures her retained half of every round in
-    ``steer_basis``, announces ``target_bit``, and announces as each
-    round's variant the index of her own outcome. The receiver's columns
-    are untouched; only the opened fields are filled in.
-    """
-    if not transcript.cheating:
-        raise ValueError("honest transcripts need no steering; the commit already announces")
-    _check_bit("target_bit", target_bit)
-    p0 = _steer_p0(transcript.sender_conditionals, steer_basis)
-    return _draw_open(transcript, target_bit, p0, rng)
 
 
 def verify(transcript: Transcript) -> VerificationReport:
@@ -361,9 +227,13 @@ def verify(transcript: Transcript) -> VerificationReport:
     )
 
 
+
 @dataclass(frozen=True)
 class HonestAlice:
     bit: int
+
+    def __post_init__(self):
+        _check_bit("bit", self.bit)
 
 
 @dataclass(frozen=True)
@@ -373,35 +243,61 @@ class EprAlice:
     steer_basis: ProjectiveBasis = RECTILINEAR
     intent_bit: int = 0
 
+    def __post_init__(self):
+        _check_bit("target_bit", self.target_bit)
+        _check_bit("intent_bit", self.intent_bit)
+
 
 Scenario = HonestAlice | EprAlice
 
 
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
-) -> Callable[[int], tuple[Transcript, VerificationReport]]:
-    """Build a scenario's Born tables for ``config.q`` once; return the session of a trial.
+) -> tuple[DensityMatrix | None, Callable[[int], tuple[Transcript, VerificationReport]]]:
+    """Build a scenario's post-channel state and Born tables for ``config.q`` once.
 
-    Each session makes the same draws, in the same order, as the public
-    commit and open functions, so a trial sharing the tables reproduces
-    the one that builds its own.
+    Returns the post-channel pair (None for an honest sender, whose
+    carriers are single qubits) and the session of a trial.
     """
+    n = config.rounds
     if isinstance(scenario, HonestAlice):
-        _check_bit("bit", scenario.bit)
-        p0 = _honest_p0(config.q, scenario.bit)
+        joint, p0 = None, _honest_p0(config.q, scenario.bit)
 
         def draw(rng: np.random.Generator) -> Transcript:
-            return _draw_honest(config, scenario.bit, p0, rng)
+            variants = rng.integers(0, 2, size=n)
+            bob_bases = rng.integers(0, 2, size=n)
+            outcomes = rng.random(n) >= p0[variants, bob_bases]
+            return Transcript(
+                config,
+                committed_bit=scenario.bit,
+                opened_bit=scenario.bit,
+                bob_basis=bob_bases,
+                bob_outcome=outcomes,
+                announced_variant=variants,
+            )
 
     elif isinstance(scenario, EprAlice):
-        _check_bit("intent_bit", scenario.intent_bit)
-        _check_bit("target_bit", scenario.target_bit)
-        source = _cheat_source(config.q, scenario.strategy)
-        steer_p0 = _steer_p0(source.conditionals, scenario.steer_basis)
+        strategy = scenario.strategy
+        joint = lift_apply(DepolarizingChannel(config.q), cheat_state(strategy.a0, strategy.a1))
+        branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in range(2)]
+        bob_p0 = np.array([_effective_p0(branch[0][0]) for branch in branches])
+        steer_p0 = _steer_p0(branches, scenario.steer_basis)
 
         def draw(rng: np.random.Generator) -> Transcript:
-            committed = _draw_commit(config, source, scenario.intent_bit, rng)
-            return _draw_open(committed, scenario.target_bit, steer_p0, rng)
+            # Measurements on the two halves commute, so the receiver's
+            # outcomes are drawn first and the sender steers on them.
+            bob_bases = rng.integers(0, 2, size=n)
+            outcomes = rng.random(n) >= bob_p0[bob_bases]
+            alice = rng.random(n) >= steer_p0[bob_bases, outcomes.astype(np.intp)]
+            return Transcript(
+                config,
+                committed_bit=scenario.intent_bit,
+                opened_bit=scenario.target_bit,
+                bob_basis=bob_bases,
+                bob_outcome=outcomes,
+                announced_variant=alice,
+                alice_outcome=alice,
+            )
 
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
@@ -410,14 +306,14 @@ def _prepare(
         transcript = draw(derive_rng(config.seed, trial))
         return transcript, verify(transcript)
 
-    return session
+    return joint, session
 
 
 def run_session(
     config: ProtocolConfig, scenario: Scenario, trial: int = 0
 ) -> tuple[Transcript, VerificationReport]:
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial)."""
-    return _prepare(config, scenario)(trial)
+    return _prepare(config, scenario)[1](trial)
 
 
 @dataclass(frozen=True)
@@ -447,25 +343,23 @@ def monte_carlo(
     """Repeat a session over trial-indexed seed streams and summarize.
 
     Trial t uses the stream (config.seed, t), so results do not depend on
-    execution order or on ``workers``. The scenario's Born tables are
-    built once per call and shared by every trial.
+    execution order or on ``workers``. The scenario's post-channel state
+    and Born tables are built once per call and shared by every trial.
     """
-    _check_int("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    session = _prepare(config, scenario)
+    for name, count in (("trials", trials), ("workers", workers)):
+        _check_int(name, count)
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    joint, session = _prepare(config, scenario)
 
-    def trial(t: int) -> tuple[VerificationReport, DensityMatrix | None]:
-        transcript, report = session(t)
-        return report, transcript.joint
+    def report(t: int) -> VerificationReport:
+        return session(t)[1]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, range(trials)))
+            reports = tuple(pool.map(report, range(trials)))
     else:
-        results = [trial(t) for t in range(trials)]
-    reports = tuple(r for r, _ in results)
-    joint = results[0][1]
+        reports = tuple(report(t) for t in range(trials))
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
     return MonteCarloSummary(
         trials=trials,

@@ -13,6 +13,7 @@ the Born probabilities computed here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,30 @@ from .linalg import TOL, as_operator, eig_hermitian, is_psd, kron, partial_trace
 # Probability below which a measurement outcome is treated as impossible
 # and never sampled.
 OUTCOME_EPS = 1e-12
+
+
+# Scalar inputs are type-checked here, once each. bool is an Integral and a
+# Real too, but True is no count, bit or probability.
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_bit(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+
+
+def _check_q(q) -> None:
+    """The noise parameter q of the depolarizing channel and the isotropic family."""
+    _check_real("q", q)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +105,8 @@ class Bb84Symbol:
     variant: int
 
     def __post_init__(self):
-        if self.bit not in (0, 1) or self.variant not in (0, 1):
-            raise ValueError(f"bit and variant must be 0 or 1, got {self}")
+        _check_bit("bit", self.bit)
+        _check_bit("variant", self.variant)
 
 
 @dataclass(frozen=True)
@@ -145,16 +170,13 @@ def bb84_projector(symbol: Bb84Symbol) -> np.ndarray:
 
 def bb84_pair_mixture(bit: int) -> DensityMatrix:
     """Uniform mixture of the two variants of a bit; equals I/2 for both bits."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
     mix = (bb84_projector(Bb84Symbol(bit, 0)) + bb84_projector(Bb84Symbol(bit, 1))) / 2
     return DensityMatrix(mix, (2,))
 
 
 def encoding_basis(bit: int) -> ProjectiveBasis:
     """Measurement basis that resolves the two variants of a bit."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    _check_bit("bit", bit)
     return RECTILINEAR if bit == 0 else DIAGONAL
 
 
@@ -174,8 +196,7 @@ del _i, _j
 
 def isotropic(q: float) -> DensityMatrix:
     """Mixture q |psi+><psi+| + (1-q)/4 I of the Bell pair with white noise."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    _check_q(q)
     return DensityMatrix(q * _BELL_PROJ + (1.0 - q) / 4.0 * np.eye(4), (2, 2))
 
 

@@ -9,24 +9,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebcommit import protocol
-from ebcommit.channels import lift_apply
+from ebcommit.channels import DepolarizingChannel, lift_apply
 from ebcommit.cli import main
-from ebcommit.entanglement import concurrence, is_separable
+from ebcommit.entanglement import concurrence
 from ebcommit.protocol import (
     EprAlice,
     HonestAlice,
     ProtocolConfig,
     Transcript,
-    commit_cheating,
-    commit_honest,
     derive_rng,
     monte_carlo,
-    open_and_steer,
     run_session,
     verify,
 )
 from ebcommit.security import CheatStrategy, bell_strategy
-from ebcommit.states import DIAGONAL, RECTILINEAR, ProjectiveBasis, joint_outcome_decomposition
+from ebcommit.states import (
+    DIAGONAL,
+    RECTILINEAR,
+    Bb84Symbol,
+    ProjectiveBasis,
+    bb84_pair_mixture,
+    cheat_state,
+    encoding_basis,
+    isotropic,
+)
 
 
 def cfg(q, rounds, seed=0, **kw):
@@ -44,7 +50,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(q=0.5, rounds=10, seed=2**64)
 
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -50.0, -1e-12])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -50.0, -1e-12, True])
     def test_rejects_bad_accept_sigma(self, sigma):
         with pytest.raises(ValueError, match="accept_sigma"):
             ProtocolConfig(q=0.5, rounds=10, accept_sigma=sigma)
@@ -58,14 +64,60 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ProtocolConfig(**kw)
 
+    @pytest.mark.parametrize("q", [True, "0.5", None, 0.5j])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda q: ProtocolConfig(q=q, rounds=10), DepolarizingChannel, isotropic],
+        ids=["config", "channel", "isotropic"],
+    )
+    def test_rejects_mistyped_q(self, build, q):
+        with pytest.raises(ValueError, match="q must be a real number"):
+            build(q)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: run_session(cfg(0.5, 10), HonestAlice(bit=v)),
+            lambda v: run_session(cfg(0.5, 10), EprAlice(bell_strategy(), target_bit=v)),
+            lambda v: run_session(cfg(0.5, 10), EprAlice(bell_strategy(), intent_bit=v)),
+            lambda v: Bb84Symbol(v, 0),
+            lambda v: Bb84Symbol(0, v),
+            encoding_basis,
+            bb84_pair_mixture,
+            lambda v: Transcript(cfg(0.5, 1), v, 1, [1], [0], [0]),
+            lambda v: Transcript(cfg(0.5, 1), 1, v, [1], [0], [0]),
+        ],
+        ids=["honest", "target", "intent", "symbol-bit", "symbol-variant", "encoding-basis",
+             "pair-mixture", "committed", "opened"],
+    )
+    def test_rejects_non_bits(self, build, value):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            build(value)
+
     @pytest.mark.parametrize("trials", [2.5, True])
     def test_monte_carlo_rejects_non_integer_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
             monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=trials)
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_monte_carlo_rejects_bad_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=2, workers=workers)
+
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(q=0.5, rounds=np.int64(10), seed=np.uint64(3))
         assert monte_carlo(config, HonestAlice(bit=0), trials=np.int32(2)).trials == 2
+
+    def test_accepts_numpy_scalars(self):
+        config = ProtocolConfig(q=np.float64(0.5), rounds=10, accept_sigma=np.float32(2.0))
+        scenario = EprAlice(bell_strategy(), target_bit=np.int64(1), intent_bit=np.uint8(0))
+        assert monte_carlo(config, scenario, trials=2, workers=np.int64(1)).trials == 2
+        assert run_session(config, HonestAlice(bit=np.int8(1)))[0].opened_bit == 1
+        assert DepolarizingChannel(np.float32(0.25)).q == 0.25
+        assert isotropic(np.int64(1)) == isotropic(1.0)
+        assert encoding_basis(np.int16(1)) == DIAGONAL
+        assert Bb84Symbol(np.int64(1), np.int32(0)).bit == 1
 
     def test_zero_accept_sigma_puts_threshold_at_expectation(self):
         report = run_session(cfg(1.0, 100, seed=3, accept_sigma=0.0), HonestAlice(bit=0))[1]
@@ -97,11 +149,16 @@ def test_different_seeds_differ():
 
 
 def test_transcript_equality_covers_opened_columns():
-    t = commit_cheating(cfg(0.5, 100, seed=4), bell_strategy(), derive_rng(4, 0))
-    opened = open_and_steer(t, 0, RECTILINEAR, derive_rng(4, 1))
-    assert t == commit_cheating(cfg(0.5, 100, seed=4), bell_strategy(), derive_rng(4, 0))
-    assert t != opened and opened != t
-    assert opened != open_and_steer(t, 0, DIAGONAL, derive_rng(4, 1))
+    c = cfg(0.5, 100, seed=4)
+    rect = run_session(c, EprAlice(bell_strategy(), 0, RECTILINEAR))[0]
+    assert rect == run_session(c, EprAlice(bell_strategy(), 0, RECTILINEAR))[0]
+    # the same receiver columns, other steering outcomes
+    diag = run_session(c, EprAlice(bell_strategy(), 0, DIAGONAL))[0]
+    assert np.array_equal(rect.bob_outcome, diag.bob_outcome)
+    assert rect != diag and diag != rect
+    # the same opening without the sender's own outcomes
+    honest = Transcript(c, 0, 0, rect.bob_basis, rect.bob_outcome, rect.announced_variant)
+    assert honest != rect and rect != honest
 
 
 def test_honest_noiseless_all_sifted_match():
@@ -124,8 +181,8 @@ def test_honest_match_fraction_concentrates(q):
 
 def test_honest_transcript_columns():
     bit = 1
-    t = commit_honest(cfg(0.7, 200, seed=5), bit, derive_rng(5, 0))
-    assert t.committed_bit == t.opened_bit == bit and not t.cheating
+    t, _ = run_session(cfg(0.7, 200, seed=5), HonestAlice(bit=bit))
+    assert t.committed_bit == t.opened_bit == bit
     for col in (t.bob_basis, t.bob_outcome, t.announced_variant):
         assert col.shape == (200,) and col.dtype == np.int8
         assert not col.flags.writeable
@@ -133,43 +190,34 @@ def test_honest_transcript_columns():
     assert np.array_equal(t.announced_variant, derive_rng(5, 0).integers(0, 2, size=200))
     assert np.array_equal(t.sifted, t.bob_basis == bit)
     assert not t.matched[~t.sifted].any()
-    assert t.alice_outcome is None and t.joint is None and t.sender_conditionals is None
+    assert t.alice_outcome is None
 
 
-def test_commit_honest_validates_bit():
+def test_honest_alice_validates_bit():
     with pytest.raises(ValueError):
-        commit_honest(cfg(0.5, 10), 2, derive_rng(0, 0))
+        HonestAlice(bit=2)
+
+
+def _bell_summary(q, rounds):
+    return monte_carlo(cfg(q, rounds, seed=9), EprAlice(strategy=bell_strategy()), trials=1)
 
 
 def test_cheating_noiseless_joint_is_bell():
-    t = commit_cheating(cfg(1.0, 50, seed=9), bell_strategy(), derive_rng(9, 0))
-    assert t.cheating and t.opened_bit is None
-    assert t.announced_variant is None and t.alice_outcome is None
-    assert abs(concurrence(t.joint).value - 1.0) < 1e-12
-    # one entangled source per session: every round steers from the same joint
-    assert t.sender_conditionals == tuple(
-        tuple(cond for _, cond in joint_outcome_decomposition(t.joint, "B", basis))
-        for basis in (RECTILINEAR, DIAGONAL)
-    )
+    summary = _bell_summary(1.0, 50)
+    assert summary.separable_fraction == 0.0
+    assert abs(summary.mean_concurrence - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 1 / 3])
 def test_cheating_below_threshold_is_separable(q):
-    t = commit_cheating(cfg(q, 50, seed=9), bell_strategy(), derive_rng(9, 0))
-    assert is_separable(t.joint)
-    assert concurrence(t.joint).value <= 1e-10
+    summary = _bell_summary(q, 50)
+    assert summary.separable_fraction == 1.0
+    assert summary.mean_concurrence <= 1e-10
 
 
 @pytest.mark.parametrize("q", [0.4, 0.7, 1.0])
 def test_cheating_above_threshold_keeps_entanglement(q):
-    t = commit_cheating(cfg(q, 20, seed=9), bell_strategy(), derive_rng(9, 0))
-    assert abs(concurrence(t.joint).value - (3 * q - 1) / 2) < 1e-9
-
-
-def test_open_and_steer_rejects_honest_transcript():
-    t = commit_honest(cfg(0.5, 10, seed=1), 0, derive_rng(1, 0))
-    with pytest.raises(ValueError, match="honest"):
-        open_and_steer(t, 0, RECTILINEAR, derive_rng(1, 0))
+    assert abs(_bell_summary(q, 20).mean_concurrence - (3 * q - 1) / 2) < 1e-9
 
 
 def test_steering_perfect_at_q1():
@@ -182,29 +230,28 @@ def test_steering_perfect_at_q1():
 
 
 def test_steering_cannot_touch_bob_outcomes():
-    # the receiver's columns are fixed at commit time; steering later in any
-    # basis leaves them bit-for-bit identical (the no-signalling statement)
+    # the no-signalling statement, end to end: whichever basis the sender
+    # steers in and whichever bit she opens, the receiver's columns of the
+    # session are bit-for-bit identical
     c = cfg(0.3, 3000, seed=13)
-    t = commit_cheating(c, bell_strategy(), derive_rng(13, 0))
-    outcomes = t.bob_outcome.copy()
-    for theta, phi in ((0.0, 0.0), (math.pi / 2, 0.0), (1.1, 2.2)):
-        opened = open_and_steer(t, 0, ProjectiveBasis(theta, phi), derive_rng(13, 1))
-        assert np.array_equal(opened.bob_outcome, outcomes)
+    sessions = [
+        run_session(c, EprAlice(bell_strategy(), target, basis, intent_bit=1))[0]
+        for basis in (RECTILINEAR, DIAGONAL, ProjectiveBasis(1.1, 2.2))
+        for target in (0, 1)
+    ]
+    first = sessions[0]
+    for t in sessions:
+        assert np.array_equal(t.bob_basis, first.bob_basis)
+        assert np.array_equal(t.bob_outcome, first.bob_outcome)
+    # while what she announces does depend on her steering basis
+    assert not np.array_equal(sessions[0].announced_variant, sessions[2].announced_variant)
 
 
 def test_steered_announcements_follow_alice_outcomes():
-    c = cfg(0.6, 500, seed=21)
-    t = commit_cheating(c, bell_strategy(), derive_rng(21, 0))
-    opened = open_and_steer(t, 1, DIAGONAL, derive_rng(21, 1))
-    assert opened.opened_bit == 1
-    assert np.array_equal(opened.announced_variant, opened.alice_outcome)
-    assert np.array_equal(opened.sifted, opened.bob_basis == 1)
-
-
-def test_verify_requires_opened_transcript():
-    t = commit_cheating(cfg(0.5, 10, seed=1), bell_strategy(), derive_rng(1, 0))
-    with pytest.raises(ValueError, match="not opened"):
-        verify(t)
+    t, _ = run_session(cfg(0.6, 500, seed=21), EprAlice(bell_strategy(), 1, DIAGONAL))
+    assert t.opened_bit == 1 and t.committed_bit == 0
+    assert np.array_equal(t.announced_variant, t.alice_outcome)
+    assert np.array_equal(t.sifted, t.bob_basis == 1)
 
 
 def test_verify_threshold_formula():
@@ -238,17 +285,6 @@ def test_transcript_length_invariant():
         Transcript(
             c, committed_bit=0, opened_bit=0, bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0],
             announced_variant=[0, 0, 1], alice_outcome=[0, 1],
-        )
-
-
-def test_opened_bit_and_announcements_go_together():
-    c = cfg(0.5, 2)
-    with pytest.raises(ValueError, match="together"):
-        Transcript(c, committed_bit=0, opened_bit=0, bob_basis=[0, 1], bob_outcome=[1, 1])
-    with pytest.raises(ValueError, match="together"):
-        Transcript(
-            c, committed_bit=0, opened_bit=None, bob_basis=[0, 1], bob_outcome=[1, 1],
-            announced_variant=[0, 1],
         )
 
 
@@ -346,7 +382,7 @@ def test_monte_carlo_cheating_summary_fields():
     high = monte_carlo(cfg(0.8, 300, seed=3), sc, trials=4)
     assert high.separable_fraction == 0.0
     assert abs(high.mean_concurrence - (3 * 0.8 - 1) / 2) < 1e-9
-    joint = run_session(cfg(0.8, 300, seed=3), sc)[0].joint
+    joint = lift_apply(DepolarizingChannel(0.8), cheat_state(sc.strategy.a0, sc.strategy.a1))
     assert high.mean_concurrence == concurrence(joint).value
 
 
@@ -358,10 +394,9 @@ def test_monte_carlo_validates_trials():
 def test_custom_cheat_strategy_flows_through():
     a1 = np.array([1.0, 1.0]) / math.sqrt(2)
     strategy = CheatStrategy(a0=np.array([1.0, 0.0]), a1=a1)
-    c = cfg(0.5, 200, seed=19)
-    t = commit_cheating(c, strategy, derive_rng(19, 0))
+    summary = monte_carlo(cfg(0.5, 200, seed=19), EprAlice(strategy=strategy), trials=1)
     # C(cheat) = sin(pi/4) pre-channel, scaled by (3q-1)/2 after the lift
-    assert abs(concurrence(t.joint).value - math.sin(math.pi / 4) * 0.25) < 1e-9
+    assert abs(summary.mean_concurrence - math.sin(math.pi / 4) * 0.25) < 1e-9
 
 
 _angle_theta = st.floats(0.0, math.pi)
@@ -459,10 +494,3 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
     # the cheater announces her own outcomes
     assert np.array_equal(transcript.announced_variant, transcript.alice_outcome)
     assert [r["alice_outcome"] for r in records] == transcript.alice_outcome.tolist()
-    # steering in any basis leaves the receiver's columns bit-for-bit unchanged
-    committed = commit_cheating(config, strategy, derive_rng(seed, 0), bit)
-    for basis in (ProjectiveBasis(*steer), RECTILINEAR, DIAGONAL):
-        opened = open_and_steer(committed, target_bit, basis, derive_rng(seed, 1))
-        assert np.array_equal(opened.bob_basis, committed.bob_basis)
-        assert np.array_equal(opened.bob_outcome, committed.bob_outcome)
-        assert np.array_equal(opened.announced_variant, opened.alice_outcome)

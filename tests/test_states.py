@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ebcommit.linalg import kron, partial_trace
-from ebcommit.protocol import ProtocolConfig, commit_cheating, derive_rng
+from ebcommit.protocol import EprAlice, ProtocolConfig, run_session
 from ebcommit.states import (
     DIAGONAL,
     RECTILINEAR,
@@ -179,7 +179,7 @@ def test_measure_joint_impossible_outcome_never_returned():
     assert p1 == 0.0 and cond1 is None
     # and the protocol's sampler never draws it: |0>|+> never reads |-> on B
     config = ProtocolConfig(q=1.0, rounds=2000, seed=5)
-    t = commit_cheating(config, CheatStrategy([1, 0], [1, 0]), derive_rng(5))
+    t, _ = run_session(config, EprAlice(strategy=CheatStrategy([1, 0], [1, 0])))
     assert (t.bob_basis == 1).any()
     assert not t.bob_outcome[t.bob_basis == 1].any()
 
