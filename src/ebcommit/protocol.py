@@ -13,14 +13,18 @@ A cheating sender commits halves of entangled pairs instead and delays
 her variant announcements until she has measured her retained halves.
 
 A transcript is the record of one opened session, stored as columns:
-one read-only int8 array of length ``rounds`` per field (receiver basis
-and outcome, announced variant, the cheater's own outcome). Every
-round's state is one of a few (carrier, basis, outcome) classes, so a
-session samples all rounds at once by looking up the Born probability
-of its class. Those tables depend only on q and the scenario: a session
-is prepared once (the post-channel state and its Born tables, which stay
-with the prepared session, not in the transcript) and then sampled, and
-``monte_carlo`` prepares once for all of its trials.
+one array of length ``rounds`` per field (receiver basis and outcome,
+announced variant, the cheater's own outcome), each read-only int8 and
+holding only 0 and 1. Every round's state is one of a few (carrier,
+basis, outcome) classes, so a session samples all rounds at once by
+looking up the Born probability of its class. Those tables depend only
+on q and the scenario: a session is prepared once (the post-channel
+state and its Born tables, which stay with the prepared session, not in
+the transcript) and then sampled in blocks of whole trials, one row per
+trial. ``run_session`` wraps a one-trial block in a ``Transcript`` and
+verifies it; ``monte_carlo`` prepares once for all of its trials and
+turns each row's sifted and matched counts into a report directly,
+building no transcript.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario)`` always reproduces the
@@ -37,6 +41,8 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,11 +114,14 @@ class Transcript:
             col = getattr(self, name)
             if col is None:  # an honest sender's alice_outcome
                 continue
-            col = np.array(col, dtype=np.int8)
+            col = np.asarray(col)
             if col.shape != (self.config.rounds,):
                 raise ValueError(
                     f"{name} has shape {col.shape} for {self.config.rounds} rounds"
                 )
+            if col.dtype.kind not in "biu" or np.any((col < 0) | (col > 1)):
+                raise ValueError(f"{name} must hold 0/1 integers or bools")
+            col = col.astype(np.int8)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 
@@ -199,10 +208,16 @@ def verify(transcript: Transcript) -> VerificationReport:
     standard deviations below it. With no sifted rounds the receiver has
     no evidence and rejects.
     """
-    sifted_count = int(np.count_nonzero(transcript.sifted))
-    match_count = int(np.count_nonzero(transcript.matched))
-    cfg = transcript.config
-    expected = (1.0 + cfg.q) / 2.0
+    return _counts_report(
+        transcript.config,
+        int(np.count_nonzero(transcript.sifted)),
+        int(np.count_nonzero(transcript.matched)),
+    )
+
+
+def _counts_report(config: ProtocolConfig, sifted_count: int, match_count: int) -> VerificationReport:
+    """``verify``'s decision from a session's sifted and matched round counts."""
+    expected = (1.0 + config.q) / 2.0
     if sifted_count == 0:
         return VerificationReport(
             sifted_count=0,
@@ -214,7 +229,7 @@ def verify(transcript: Transcript) -> VerificationReport:
             no_sifted_rounds=True,
         )
     match_fraction = match_count / sifted_count
-    threshold = expected - cfg.accept_sigma * math.sqrt(
+    threshold = expected - config.accept_sigma * math.sqrt(
         expected * (1.0 - expected) / sifted_count
     )
     return VerificationReport(
@@ -225,7 +240,6 @@ def verify(transcript: Transcript) -> VerificationReport:
         threshold=threshold,
         accepted=match_fraction >= threshold,
     )
-
 
 
 @dataclass(frozen=True)
@@ -251,69 +265,97 @@ class EprAlice:
 Scenario = HonestAlice | EprAlice
 
 
+#: Rounds per block of trials that a prepared session samples at once. A
+#: block holds whole trials, at least one, and stays small enough for its
+#: arrays to fit in cache: a 1e4-round trial is a block of its own, and
+#: short trials are batched.
+_BLOCK_ROUNDS = 1 << 14
+
+
+class _Block(NamedTuple):
+    """Consecutive trials of one prepared session: row i of each column is trial i's."""
+
+    committed_bit: int
+    opened_bit: int
+    bob_basis: np.ndarray
+    bob_outcome: np.ndarray
+    announced_variant: np.ndarray
+    alice_outcome: np.ndarray | None
+
+    def counts(self) -> tuple[list[int], list[int]]:
+        """Each row's sifted and matched round counts (``Transcript.sifted``/``matched``)."""
+        sifted = self.bob_basis == self.opened_bit
+        matched = sifted & (self.bob_outcome == self.announced_variant)
+        return (np.count_nonzero(sifted, axis=1).tolist(),
+                np.count_nonzero(matched, axis=1).tolist())
+
+
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
-) -> tuple[DensityMatrix | None, Callable[[int], tuple[Transcript, VerificationReport]]]:
+) -> tuple[DensityMatrix | None, Callable[[range], _Block]]:
     """Build a scenario's post-channel state and Born tables for ``config.q`` once.
 
     Returns the post-channel pair (None for an honest sender, whose
-    carriers are single qubits) and the session of a trial.
+    carriers are single qubits) and the sampler of a block of trials.
+    Trial t draws from its own stream ``derive_rng(config.seed, t)`` into
+    its row of the block; the Born-table lookups then run once over the
+    whole block, so a row does not depend on the block it is drawn in.
     """
     n = config.rounds
     if isinstance(scenario, HonestAlice):
-        joint, p0 = None, _honest_p0(config.q, scenario.bit)
+        joint, p0 = None, _honest_p0(config.q, scenario.bit).ravel()
 
-        def draw(rng: np.random.Generator) -> Transcript:
-            variants = rng.integers(0, 2, size=n)
-            bob_bases = rng.integers(0, 2, size=n)
-            outcomes = rng.random(n) >= p0[variants, bob_bases]
-            return Transcript(
-                config,
-                committed_bit=scenario.bit,
-                opened_bit=scenario.bit,
-                bob_basis=bob_bases,
-                bob_outcome=outcomes,
-                announced_variant=variants,
-            )
+        def sample(trials: range) -> _Block:
+            variants, bases = np.empty((2, len(trials), n), dtype=np.int64)
+            uniform = np.empty((len(trials), n))
+            for row, t in enumerate(trials):
+                rng = derive_rng(config.seed, t)
+                variants[row] = rng.integers(0, 2, size=n)
+                bases[row] = rng.integers(0, 2, size=n)
+                rng.random(out=uniform[row])
+            outcomes = uniform >= p0.take(2 * variants + bases)  # p0[variant, basis]
+            return _Block(scenario.bit, scenario.bit, bases, outcomes, variants, None)
 
     elif isinstance(scenario, EprAlice):
         strategy = scenario.strategy
         joint = lift_apply(DepolarizingChannel(config.q), cheat_state(strategy.a0, strategy.a1))
         branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in range(2)]
         bob_p0 = np.array([_effective_p0(branch[0][0]) for branch in branches])
-        steer_p0 = _steer_p0(branches, scenario.steer_basis)
+        steer_p0 = _steer_p0(branches, scenario.steer_basis).ravel()
 
-        def draw(rng: np.random.Generator) -> Transcript:
+        def sample(trials: range) -> _Block:
+            bases = np.empty((len(trials), n), dtype=np.int64)
+            uniform = np.empty((2, len(trials), n))
             # Measurements on the two halves commute, so the receiver's
             # outcomes are drawn first and the sender steers on them.
-            bob_bases = rng.integers(0, 2, size=n)
-            outcomes = rng.random(n) >= bob_p0[bob_bases]
-            alice = rng.random(n) >= steer_p0[bob_bases, outcomes.astype(np.intp)]
-            return Transcript(
-                config,
-                committed_bit=scenario.intent_bit,
-                opened_bit=scenario.target_bit,
-                bob_basis=bob_bases,
-                bob_outcome=outcomes,
-                announced_variant=alice,
-                alice_outcome=alice,
+            for row, t in enumerate(trials):
+                rng = derive_rng(config.seed, t)
+                bases[row] = rng.integers(0, 2, size=n)
+                rng.random(out=uniform[0, row])
+                rng.random(out=uniform[1, row])
+            outcomes = uniform[0] >= bob_p0.take(bases)
+            alice = uniform[1] >= steer_p0.take(2 * bases + outcomes)  # steer_p0[basis, outcome]
+            return _Block(
+                scenario.intent_bit, scenario.target_bit, bases, outcomes, alice, alice
             )
 
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
 
-    def session(trial: int) -> tuple[Transcript, VerificationReport]:
-        transcript = draw(derive_rng(config.seed, trial))
-        return transcript, verify(transcript)
-
-    return joint, session
+    return joint, sample
 
 
 def run_session(
     config: ProtocolConfig, scenario: Scenario, trial: int = 0
 ) -> tuple[Transcript, VerificationReport]:
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial)."""
-    return _prepare(config, scenario)[1](trial)
+    _check_int("trial", trial)
+    if trial < 0:
+        raise ValueError(f"trial must be >= 0, got {trial}")
+    block = _prepare(config, scenario)[1](range(trial, trial + 1))
+    columns = (None if col is None else col[0] for col in block[2:])  # in _COLUMNS order
+    transcript = Transcript(config, block.committed_bit, block.opened_bit, *columns)
+    return transcript, verify(transcript)
 
 
 @dataclass(frozen=True)
@@ -345,21 +387,28 @@ def monte_carlo(
     Trial t uses the stream (config.seed, t), so results do not depend on
     execution order or on ``workers``. The scenario's post-channel state
     and Born tables are built once per call and shared by every trial.
+    Trials are sampled in blocks of about ``_BLOCK_ROUNDS`` rounds (whole
+    trials, at least one per block), and ``workers`` threads run over the
+    blocks. Each report equals ``verify`` of the trial's transcript, as
+    ``run_session(config, scenario, t)`` returns it.
     """
     for name, count in (("trials", trials), ("workers", workers)):
         _check_int(name, count)
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    joint, session = _prepare(config, scenario)
+    joint, sample = _prepare(config, scenario)
 
-    def report(t: int) -> VerificationReport:
-        return session(t)[1]
+    def block_reports(block: range) -> list[VerificationReport]:
+        sifted, matched = sample(block).counts()
+        return [_counts_report(config, s, m) for s, m in zip(sifted, matched)]
 
+    per_block = max(1, _BLOCK_ROUNDS // config.rounds)
+    blocks = [range(trials)[t : t + per_block] for t in range(0, trials, per_block)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(pool.map(report, range(trials)))
+            reports = tuple(chain.from_iterable(pool.map(block_reports, blocks)))
     else:
-        reports = tuple(report(t) for t in range(trials))
+        reports = tuple(chain.from_iterable(map(block_reports, blocks)))
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
     return MonteCarloSummary(
         trials=trials,

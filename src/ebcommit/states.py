@@ -122,6 +122,8 @@ class ProjectiveBasis:
     phi: float
 
     def __post_init__(self):
+        _check_real("theta", self.theta)
+        _check_real("phi", self.phi)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2 * math.pi:

@@ -288,6 +288,38 @@ def test_transcript_length_invariant():
         )
 
 
+@pytest.mark.parametrize(
+    "column, values",
+    [
+        ("bob_basis", [0, 0.7, 3]),  # int8 would truncate 0.7 to 0
+        ("bob_basis", [0, 1.0, 1]),
+        ("bob_outcome", [5, 5, 0]),  # would match a variant of 5
+        ("bob_outcome", [300, 0, 0]),  # overflows int8
+        ("bob_outcome", np.array([256, 0, 1])),  # wraps to 0 in int8
+        ("announced_variant", [5, 5, 0]),
+        ("announced_variant", [-1, 0, 1]),
+        ("alice_outcome", [0, 2, 1]),
+        ("alice_outcome", ["0", "1", "0"]),
+        ("alice_outcome", [None, 0, 1]),
+    ],
+)
+def test_transcript_columns_hold_bits(column, values):
+    columns = dict(bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0], announced_variant=[0, 0, 1])
+    columns[column] = values
+    with pytest.raises(ValueError, match=f"{column} must hold 0/1 integers or bools"):
+        Transcript(cfg(0.5, 3), committed_bit=0, opened_bit=0, **columns)
+
+
+def test_transcript_accepts_bool_and_integer_columns():
+    t = Transcript(
+        cfg(0.5, 3), 0, 0, bob_basis=np.array([0, 1, 0], dtype=np.uint8),
+        bob_outcome=[True, False, True], announced_variant=np.array([1, 1, 0]),
+        alice_outcome=np.array([1, 1, 0], dtype=np.int8),
+    )
+    assert t.bob_outcome.dtype == np.int8 and t.bob_outcome.tolist() == [1, 0, 1]
+    assert verify(t).match_count == 1
+
+
 def test_monte_carlo_single_trial_matches_run_session():
     c = cfg(0.5, 500, seed=31)
     summary = monte_carlo(c, HonestAlice(bit=0), trials=1)
@@ -305,11 +337,41 @@ def test_monte_carlo_single_trial_matches_run_session():
     ],
     ids=["honest", "epr"],
 )
-@pytest.mark.parametrize("workers", [1, 2])
-def test_monte_carlo_trials_match_run_session(scenario, workers):
-    c = cfg(0.6, 150, seed=23)
-    summary = monte_carlo(c, scenario, trials=6, workers=workers)
-    assert summary.reports == tuple(run_session(c, scenario, t)[1] for t in range(6))
+@pytest.mark.parametrize(
+    "workers, rounds, trials",
+    [
+        pytest.param(w, rounds, trials, id=f"{w}{label}")
+        for label, (rounds, trials) in {
+            "": (150, 6),  # one block
+            "-1x40": (1, 40),  # one round per trial
+            # one trial more than a block holds
+            "-above-block": (100, protocol._BLOCK_ROUNDS // 100 + 1),
+            # every trial longer than a block
+            "-long-trials": (protocol._BLOCK_ROUNDS + 1, 2),
+        }.items()
+        for w in (1, 2, 3)
+    ],
+)
+def test_monte_carlo_trials_match_run_session(scenario, workers, rounds, trials):
+    c = cfg(0.6, rounds, seed=23)
+    summary = monte_carlo(c, scenario, trials=trials, workers=workers)
+    assert summary.reports == tuple(run_session(c, scenario, t)[1] for t in range(trials))
+
+
+@pytest.mark.parametrize("trial", [True, 2.5, "1", None, -1])
+def test_run_session_rejects_bad_trial(trial):
+    with pytest.raises(ValueError, match="trial must be"):
+        run_session(cfg(0.5, 10), HonestAlice(bit=0), trial=trial)
+
+
+def test_monte_carlo_builds_no_transcripts(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("monte_carlo built or verified a transcript")
+
+    monkeypatch.setattr(protocol, "Transcript", unexpected)
+    monkeypatch.setattr(protocol, "verify", unexpected)
+    sc = EprAlice(strategy=bell_strategy(), target_bit=1, steer_basis=DIAGONAL)
+    assert len(monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).reports) == 300
 
 
 def test_monte_carlo_builds_the_joint_state_once(monkeypatch):
@@ -350,10 +412,12 @@ def test_monte_carlo_without_any_sifted_rounds_reports_zero():
 
 
 def test_monte_carlo_parallel_equals_sequential():
+    # three blocks of trials: two full ones and a partial one
     c = cfg(0.5, 300, seed=8)
+    trials = 2 * (protocol._BLOCK_ROUNDS // 300) + 5
     sc = EprAlice(strategy=bell_strategy(), target_bit=0, steer_basis=RECTILINEAR)
-    seq = monte_carlo(c, sc, trials=8, workers=1)
-    par = monte_carlo(c, sc, trials=8, workers=4)
+    seq = monte_carlo(c, sc, trials=trials, workers=1)
+    par = monte_carlo(c, sc, trials=trials, workers=4)
     assert seq == par
 
 

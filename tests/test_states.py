@@ -110,6 +110,21 @@ def test_projective_basis_range_validation():
         ProjectiveBasis(0.0, 2 * math.pi)
 
 
+@pytest.mark.parametrize(
+    "theta, phi, name",
+    [(True, 0.0, "theta"), ("1", 0.0, "theta"), (None, 0.0, "theta"), (1j, 0.0, "theta"),
+     (0.0, True, "phi"), (0.0, "0", "phi")],
+)
+def test_projective_basis_rejects_non_real_angles(theta, phi, name):
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        ProjectiveBasis(theta, phi)
+
+
+def test_projective_basis_accepts_integer_and_numpy_angles():
+    assert ProjectiveBasis(0, 0) == RECTILINEAR
+    assert ProjectiveBasis(np.float32(0.0), np.int64(0)) == RECTILINEAR
+
+
 def test_rectilinear_and_diagonal_projectors():
     p0, p1 = RECTILINEAR.projectors()
     assert np.array_equal(p0, np.diag([1.0, 0.0]))
