@@ -53,7 +53,6 @@ from .security import (
     HidingReport,
     alice_binding_attack,
     bell_strategy,
-    binding_curve,
     bob_cheat_probability,
 )
 from .states import (
@@ -64,7 +63,6 @@ from .states import (
     ProjectiveBasis,
     bb84_pair_mixture,
     bb84_projector,
-    bb84_state,
     bell_psi_plus,
     cheat_state,
     encoding_basis,
@@ -94,10 +92,8 @@ __all__ = [
     "as_kraus",
     "bb84_pair_mixture",
     "bb84_projector",
-    "bb84_state",
     "bell_psi_plus",
     "bell_strategy",
-    "binding_curve",
     "bob_cheat_probability",
     "channel_apply",
     "cheat_state",

@@ -116,7 +116,7 @@ def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> Den
     for k in _kraus_of(c).kraus_ops:
         lifted = kron(eye, k)
         out += lifted @ m @ lifted.conj().T
-    return DensityMatrix(out, (2, 2))
+    return DensityMatrix(out)
 
 
 def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:
@@ -125,7 +125,7 @@ def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:
     This single state determines how the channel degrades any entangled
     input, which is what makes the separability test below decisive.
     """
-    bell = DensityMatrix.from_pure(bell_psi_plus(), (2, 2))
+    bell = DensityMatrix.from_pure(bell_psi_plus())
     return lift_apply(c, bell)
 
 

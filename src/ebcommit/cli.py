@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -83,7 +84,7 @@ def _parse_state(spec: str, flag: str) -> DensityMatrix:
         return bb84_pair_mixture(0)
     if spec == "bb84-1":
         return bb84_pair_mixture(1)
-    return DensityMatrix.from_pure(_parse_vector(spec, flag), (2,))
+    return DensityMatrix.from_pure(_parse_vector(spec, flag))
 
 
 def _fmt(value) -> str:
@@ -164,7 +165,7 @@ def _build_parser() -> _Parser:
     _add_session_flags(p_sweep)
     p_sweep.add_argument("--trials", type=int, default=10)
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="concurrent trials; results are worker-count independent")
+                         help="accepted and echoed in meta; trials run in one thread")
     _add_output_flags(p_sweep)
 
     p_thr = sub.add_parser("threshold", help="locate the entanglement-breaking boundary")
@@ -225,7 +226,7 @@ def _build_scenario(args) -> HonestAlice | EprAlice:
     if args.alice == "honest":
         return HonestAlice(bit=args.bit)
     target = args.bit if args.target_bit is None else args.target_bit
-    return EprAlice(strategy=strategy, target_bit=target, steer_basis=steer, intent_bit=args.bit)
+    return EprAlice(strategy=strategy, target_bit=target, steer_basis=steer)
 
 
 def _build_strategy(a0_spec: str, a1_spec: str) -> CheatStrategy:
@@ -235,18 +236,6 @@ def _build_strategy(a0_spec: str, a1_spec: str) -> CheatStrategy:
         return CheatStrategy(a0=a0, a1=a1)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _report_row(report) -> dict:
-    return {
-        "sifted_count": report.sifted_count,
-        "match_count": report.match_count,
-        "match_fraction": report.match_fraction,
-        "expected_fraction": report.expected_fraction,
-        "threshold": report.threshold,
-        "accepted": report.accepted,
-        "no_sifted_rounds": report.no_sifted_rounds,
-    }
 
 
 # Every field of a transcript record after ``round`` takes one of these
@@ -329,7 +318,7 @@ def _cmd_run(args) -> int:
     scenario = _build_scenario(args)
     transcript, report = run_session(config, scenario)
     meta = _meta(args)
-    rows = [_report_row(report)]
+    rows = [dataclasses.asdict(report)]
     if args.dump_transcript:
         with _open_output(args.output) as fh:
             _write_transcript_doc(fh, meta, rows, transcript)
@@ -356,7 +345,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for q in qs:
         config = _build_config(args, float(q))
-        summary = monte_carlo(config, scenario, args.trials, workers=args.workers)
+        summary = monte_carlo(config, scenario, args.trials)
         rows.append(
             {
                 "q": float(q),
@@ -388,14 +377,7 @@ def _cmd_hiding(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = bob_cheat_probability(sigma0, sigma1, channel)
-    rows = [
-        {
-            "delta_raw": report.delta_raw,
-            "delta_channel": report.delta_channel,
-            "p_bcheat": report.p_bcheat,
-        }
-    ]
-    _emit(_meta(args), rows, args.format, args.output)
+    _emit(_meta(args), [dataclasses.asdict(report)], args.format, args.output)
     return EXIT_OK
 
 

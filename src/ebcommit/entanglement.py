@@ -73,7 +73,7 @@ def factorization_residual(x, c: KrausChannel | DepolarizingChannel) -> float:
     through the lifted channel, the right from the input and the Choi
     state alone.
     """
-    rho = DensityMatrix.from_pure(x, (2, 2))
+    rho = DensityMatrix.from_pure(x)
     left = concurrence(lift_apply(c, rho)).value
     right = concurrence(rho).value * concurrence(choi(c)).value
     return abs(left - right)

@@ -11,9 +11,10 @@ below the honest expectation (1+q)/2.
 
 A cheating sender commits halves of entangled pairs instead and delays
 her variant announcements until she has measured her retained halves.
+She is committed to no bit, so her scenario names only the bit she opens.
 
-A transcript is the record of one opened session, stored as columns:
-one array of length ``rounds`` per field (receiver basis and outcome,
+A transcript is the record of one opened session: the opened bit and
+one column of length ``rounds`` per field (receiver basis and outcome,
 announced variant, the cheater's own outcome), each read-only int8 and
 holding only 0 and 1. Every round's state is one of a few (carrier,
 basis, outcome) classes, so a session samples all rounds at once by
@@ -24,7 +25,7 @@ the transcript) and then sampled in blocks of whole trials, one row per
 trial. ``run_session`` wraps a one-trial block in a ``Transcript`` and
 verifies it; ``monte_carlo`` prepares once for all of its trials and
 turns each row's sifted and matched counts into a report directly,
-building no transcript.
+building no transcript. Trials run in one thread.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario)`` always reproduces the
@@ -39,9 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +58,7 @@ from .states import (
     _check_int,
     _check_q,
     _check_real,
-    bb84_state,
+    bb84_projector,
     cheat_state,
     encoding_basis,
     joint_outcome_decomposition,
@@ -100,7 +99,6 @@ class Transcript:
     """
 
     config: ProtocolConfig
-    committed_bit: int
     opened_bit: int
     bob_basis: np.ndarray
     bob_outcome: np.ndarray
@@ -108,7 +106,6 @@ class Transcript:
     alice_outcome: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_bit("committed_bit", self.committed_bit)
         _check_bit("opened_bit", self.opened_bit)
         for name in _COLUMNS:
             col = getattr(self, name)
@@ -128,9 +125,8 @@ class Transcript:
     def __eq__(self, other):
         if not isinstance(other, Transcript):
             return NotImplemented
-        others = ("config", "committed_bit", "opened_bit")
         # np.array_equal(None, None) holds, and None equals no array
-        return all(getattr(self, f) == getattr(other, f) for f in others) and all(
+        return self.config == other.config and self.opened_bit == other.opened_bit and all(
             np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS
         )
 
@@ -178,8 +174,7 @@ def _outcome_prob0(state: np.ndarray, basis: ProjectiveBasis) -> float:
 def _honest_p0(q: float, bit: int) -> np.ndarray:
     """Born table p0[variant, basis] of ``bit``'s carriers after the channel."""
     channel = DepolarizingChannel(q)
-    sent = (DensityMatrix.from_pure(bb84_state(Bb84Symbol(bit, v)), (2,)) for v in (0, 1))
-    noisy = tuple(channel_apply(channel, d.mat) for d in sent)
+    noisy = tuple(channel_apply(channel, bb84_projector(Bb84Symbol(bit, v))) for v in (0, 1))
     return np.array([[_outcome_prob0(noisy[v], encoding_basis(b)) for b in range(2)] for v in range(2)])
 
 
@@ -255,11 +250,9 @@ class EprAlice:
     strategy: CheatStrategy
     target_bit: int = 0
     steer_basis: ProjectiveBasis = RECTILINEAR
-    intent_bit: int = 0
 
     def __post_init__(self):
         _check_bit("target_bit", self.target_bit)
-        _check_bit("intent_bit", self.intent_bit)
 
 
 Scenario = HonestAlice | EprAlice
@@ -275,7 +268,6 @@ _BLOCK_ROUNDS = 1 << 14
 class _Block(NamedTuple):
     """Consecutive trials of one prepared session: row i of each column is trial i's."""
 
-    committed_bit: int
     opened_bit: int
     bob_basis: np.ndarray
     bob_outcome: np.ndarray
@@ -314,7 +306,7 @@ def _prepare(
                 bases[row] = rng.integers(0, 2, size=n)
                 rng.random(out=uniform[row])
             outcomes = uniform >= p0.take(2 * variants + bases)  # p0[variant, basis]
-            return _Block(scenario.bit, scenario.bit, bases, outcomes, variants, None)
+            return _Block(scenario.bit, bases, outcomes, variants, None)
 
     elif isinstance(scenario, EprAlice):
         strategy = scenario.strategy
@@ -335,9 +327,7 @@ def _prepare(
                 rng.random(out=uniform[1, row])
             outcomes = uniform[0] >= bob_p0.take(bases)
             alice = uniform[1] >= steer_p0.take(2 * bases + outcomes)  # steer_p0[basis, outcome]
-            return _Block(
-                scenario.intent_bit, scenario.target_bit, bases, outcomes, alice, alice
-            )
+            return _Block(scenario.target_bit, bases, outcomes, alice, alice)
 
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
@@ -353,8 +343,8 @@ def run_session(
     if trial < 0:
         raise ValueError(f"trial must be >= 0, got {trial}")
     block = _prepare(config, scenario)[1](range(trial, trial + 1))
-    columns = (None if col is None else col[0] for col in block[2:])  # in _COLUMNS order
-    transcript = Transcript(config, block.committed_bit, block.opened_bit, *columns)
+    columns = (None if col is None else col[0] for col in block[1:])  # in _COLUMNS order
+    transcript = Transcript(config, block.opened_bit, *columns)
     return transcript, verify(transcript)
 
 
@@ -379,36 +369,25 @@ class MonteCarloSummary:
     reports: tuple[VerificationReport, ...]
 
 
-def monte_carlo(
-    config: ProtocolConfig, scenario: Scenario, trials: int, workers: int = 1
-) -> MonteCarloSummary:
+def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> MonteCarloSummary:
     """Repeat a session over trial-indexed seed streams and summarize.
 
     Trial t uses the stream (config.seed, t), so results do not depend on
-    execution order or on ``workers``. The scenario's post-channel state
-    and Born tables are built once per call and shared by every trial.
-    Trials are sampled in blocks of about ``_BLOCK_ROUNDS`` rounds (whole
-    trials, at least one per block), and ``workers`` threads run over the
-    blocks. Each report equals ``verify`` of the trial's transcript, as
-    ``run_session(config, scenario, t)`` returns it.
+    execution order. The scenario's post-channel state and Born tables are
+    built once per call and shared by every trial. Trials are sampled in
+    one thread, in blocks of about ``_BLOCK_ROUNDS`` rounds (whole trials,
+    at least one per block). Each report equals ``verify`` of the trial's
+    transcript, as ``run_session(config, scenario, t)`` returns it.
     """
-    for name, count in (("trials", trials), ("workers", workers)):
-        _check_int(name, count)
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    _check_int("trials", trials)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     joint, sample = _prepare(config, scenario)
-
-    def block_reports(block: range) -> list[VerificationReport]:
-        sifted, matched = sample(block).counts()
-        return [_counts_report(config, s, m) for s, m in zip(sifted, matched)]
-
     per_block = max(1, _BLOCK_ROUNDS // config.rounds)
-    blocks = [range(trials)[t : t + per_block] for t in range(0, trials, per_block)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(chain.from_iterable(pool.map(block_reports, blocks)))
-    else:
-        reports = tuple(chain.from_iterable(map(block_reports, blocks)))
+    reports = []
+    for start in range(0, trials, per_block):
+        sifted, matched = sample(range(trials)[start : start + per_block]).counts()
+        reports += [_counts_report(config, s, m) for s, m in zip(sifted, matched)]
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
     return MonteCarloSummary(
         trials=trials,
@@ -418,5 +397,5 @@ def monte_carlo(
         separable_fraction=1.0 if joint is None or is_separable(joint) else 0.0,
         mean_concurrence=0.0 if joint is None else concurrence(joint).value,
         no_sifted_trials=trials - fractions.size,
-        reports=reports,
+        reports=tuple(reports),
     )

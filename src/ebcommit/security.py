@@ -107,14 +107,3 @@ def alice_binding_attack(
     if phi >= 2.0 * math.pi:  # a tiny negative angle rounds up to 2 pi
         phi = 0.0
     return BindingReport(best_basis=ProjectiveBasis(theta, phi), best_fidelity_sq=best)
-
-
-def binding_curve(
-    strategy: CheatStrategy, q_grid, target: DensityMatrix
-) -> list[tuple[float, float]]:
-    """Best steering objective as a function of the channel parameter."""
-    out = []
-    for q in q_grid:
-        report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
-        out.append((float(q), report.best_fidelity_sq))
-    return out

@@ -51,30 +51,26 @@ def _check_q(q) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator with subsystem structure.
+    """Hermitian, PSD, unit-trace operator of a qubit or an A|B qubit pair.
 
-    ``subsystems`` lists the local dimensions, e.g. ``(2,)`` for a qubit
-    or ``(2, 2)`` for an A|B pair. Validation happens on construction;
-    the stored matrix is an immutable copy. Equality is exact entrywise
+    The dimension is 2 or 4. Validation happens on construction; the
+    stored matrix is an immutable copy. Equality is exact entrywise
     equality of the matrices.
     """
 
     mat: np.ndarray
-    subsystems: tuple[int, ...] = (2,)
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
             return NotImplemented
-        return self.subsystems == other.subsystems and np.array_equal(self.mat, other.mat)
+        return np.array_equal(self.mat, other.mat)
 
     def __post_init__(self):
         m = np.array(as_operator(self.mat), dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
-        subs = tuple(int(d) for d in self.subsystems)
-        object.__setattr__(self, "subsystems", subs)
-        if math.prod(subs) != m.shape[0]:
-            raise ValueError(f"subsystems {subs} do not multiply to dim {m.shape[0]}")
+        if m.shape[0] not in (2, 4):
+            raise ValueError(f"dimension must be 2 or 4, got {m.shape[0]}")
         # is_psd rejects non-finite and non-Hermitian matrices first
         if not is_psd(m):
             raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(m)[-1]:.3e})")
@@ -87,14 +83,14 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def from_pure(cls, vec, subsystems: tuple[int, ...] = (2,)) -> "DensityMatrix":
+    def from_pure(cls, vec) -> "DensityMatrix":
         """Projector |v><v| of a normalized state vector."""
         v = np.asarray(vec, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
         if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails this too
             raise ValueError(f"state vector norm {n!r} is not 1")
         v = v / n
-        return cls(np.outer(v, v.conj()), subsystems)
+        return cls(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,6 @@ DIAGONAL = ProjectiveBasis(math.pi / 2, 0.0)
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def bb84_state(symbol: Bb84Symbol) -> np.ndarray:
-    """State vector sent for a symbol: bit 0 -> {|0>, |1>}, bit 1 -> {|+>, |->}."""
-    if symbol.bit == 0:
-        return np.array([1, 0], dtype=complex) if symbol.variant == 0 else np.array([0, 1], dtype=complex)
-    sign = 1.0 if symbol.variant == 0 else -1.0
-    return np.array([_SQRT_HALF, sign * _SQRT_HALF], dtype=complex)
-
-
 def bb84_projector(symbol: Bb84Symbol) -> np.ndarray:
     """Projector of a symbol state with exact entries.
 
@@ -173,7 +161,7 @@ def bb84_projector(symbol: Bb84Symbol) -> np.ndarray:
 def bb84_pair_mixture(bit: int) -> DensityMatrix:
     """Uniform mixture of the two variants of a bit; equals I/2 for both bits."""
     mix = (bb84_projector(Bb84Symbol(bit, 0)) + bb84_projector(Bb84Symbol(bit, 1))) / 2
-    return DensityMatrix(mix, (2,))
+    return DensityMatrix(mix)
 
 
 def encoding_basis(bit: int) -> ProjectiveBasis:
@@ -199,7 +187,7 @@ del _i, _j
 def isotropic(q: float) -> DensityMatrix:
     """Mixture q |psi+><psi+| + (1-q)/4 I of the Bell pair with white noise."""
     _check_q(q)
-    return DensityMatrix(q * _BELL_PROJ + (1.0 - q) / 4.0 * np.eye(4), (2, 2))
+    return DensityMatrix(q * _BELL_PROJ + (1.0 - q) / 4.0 * np.eye(4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +228,7 @@ def cheat_state(a0, a1) -> DensityMatrix:
     if not 1e-12 <= n < math.inf:
         raise ValueError(f"joint vector has zero norm or non-finite entries (norm {n!r})")
     joint = joint / n
-    return DensityMatrix(np.outer(joint, joint.conj()), (2, 2))
+    return DensityMatrix(np.outer(joint, joint.conj()))
 
 
 def joint_outcome_decomposition(
@@ -266,5 +254,5 @@ def joint_outcome_decomposition(
             branches.append((p, None))
             continue
         cond = partial_trace(full @ m @ full, keep=other) / p
-        branches.append((p, DensityMatrix(cond, (2,))))
+        branches.append((p, DensityMatrix(cond)))
     return tuple(branches)

@@ -105,14 +105,14 @@ def test_as_kraus_matches_closed_form(rng):
 
 
 def test_lift_on_bell_gives_isotropic():
-    bell = DensityMatrix.from_pure(bell_psi_plus(), (2, 2))
+    bell = DensityMatrix.from_pure(bell_psi_plus())
     for q in np.linspace(0.0, 1.0, 11):
         out = lift_apply(DepolarizingChannel(q), bell)
         assert np.abs(out.mat - isotropic(q).mat).max() < 1e-12
 
 
 def test_lift_identity_channel():
-    bell = DensityMatrix.from_pure(bell_psi_plus(), (2, 2))
+    bell = DensityMatrix.from_pure(bell_psi_plus())
     assert np.abs(lift_apply(DepolarizingChannel(1.0), bell).mat - bell.mat).max() < 1e-15
 
 
@@ -120,7 +120,7 @@ def test_lift_product_factorizes(rng):
     c = DepolarizingChannel(0.42)
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    joint = DensityMatrix(kron(rho_a, rho_b), (2, 2))
+    joint = DensityMatrix(kron(rho_a, rho_b))
     expected = kron(rho_a, depolarize_apply(c, rho_b))
     assert np.abs(lift_apply(c, joint).mat - expected).max() < 1e-12
 
@@ -128,7 +128,7 @@ def test_lift_product_factorizes(rng):
 @settings(max_examples=60, deadline=None)
 @given(channel=_CHANNELS, seed=st.integers(0, 2**32 - 1))
 def test_lift_preserves_sender_marginal(channel, seed):
-    rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4), (2, 2))
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4))
     out = lift_apply(channel, rho)
     assert np.abs(partial_trace(out.mat, "A") - partial_trace(rho.mat, "A")).max() < 1e-10
 
@@ -140,7 +140,7 @@ def test_lift_rejects_single_qubit():
 
 def test_choi_identity_and_depolarizing():
     ident = KrausChannel((PAULI_I,))
-    bell = DensityMatrix.from_pure(bell_psi_plus(), (2, 2))
+    bell = DensityMatrix.from_pure(bell_psi_plus())
     assert np.abs(choi(ident).mat - bell.mat).max() < 1e-15
     for q in (0.0, 0.3, 0.8):
         assert np.abs(choi(DepolarizingChannel(q)).mat - isotropic(q).mat).max() < 1e-12

@@ -183,6 +183,25 @@ def test_sweep_empty_grid_fails(capsys):
     assert code == EXIT_USAGE
 
 
+def test_sweep_workers_is_validated_and_echoed(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--workers", "0")
+    assert (code, out, err) == (EXIT_USAGE, "", "ebcommit: error: --workers must be >= 1\n")
+    code, out, _ = run_cli(capsys, "sweep", "--q-steps", "1", "--rounds", "10", "--workers", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["meta"]["workers"] == 3
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # trials run in one thread, so the package needs no executor
+    src = os.path.dirname(os.path.dirname(ebcommit.__file__))
+    code = "import sys, ebcommit.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == "False\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--q-min", "--q-max"])
 @pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])

@@ -17,7 +17,7 @@ from conftest import random_density_matrix, random_pure_state
 
 
 def test_concurrence_bell_is_one():
-    res = concurrence(DensityMatrix.from_pure(bell_psi_plus(), (2, 2)))
+    res = concurrence(DensityMatrix.from_pure(bell_psi_plus()))
     assert abs(res.value - 1.0) < 1e-12
     assert np.allclose(res.lambdas, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -25,7 +25,7 @@ def test_concurrence_bell_is_one():
 def test_concurrence_product_states_vanish(rng):
     for _ in range(20):
         joint = DensityMatrix(
-            kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)), (2, 2)
+            kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         )
         assert concurrence(joint).value == 0.0
 
@@ -59,7 +59,7 @@ def test_concurrence_result_invariant(rng):
     for _ in range(10):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
-        res = concurrence(DensityMatrix(m / m.trace().real, (2, 2)))
+        res = concurrence(DensityMatrix(m / m.trace().real))
         l1, l2, l3, l4 = res.lambdas
         assert abs(res.value - max(0.0, l1 - l2 - l3 - l4)) < 1e-12
         assert 0.0 <= res.value <= 1.0 + 1e-12
@@ -79,14 +79,14 @@ def test_separability_isotropic_family():
 def test_separability_products(rng):
     for _ in range(10):
         joint = DensityMatrix(
-            kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)), (2, 2)
+            kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         )
         assert is_separable(joint)
 
 
 def test_concurrence_and_ppt_agree_on_pure_and_isotropic(rng):
     for _ in range(20):
-        rho = DensityMatrix.from_pure(random_pure_state(rng, 4), (2, 2))
+        rho = DensityMatrix.from_pure(random_pure_state(rng, 4))
         assert (concurrence(rho).value < 1e-10) == is_separable(rho)
     for q in np.linspace(0, 1, 21):
         rho = isotropic(q)

@@ -80,16 +80,14 @@ class TestConfig:
         [
             lambda v: run_session(cfg(0.5, 10), HonestAlice(bit=v)),
             lambda v: run_session(cfg(0.5, 10), EprAlice(bell_strategy(), target_bit=v)),
-            lambda v: run_session(cfg(0.5, 10), EprAlice(bell_strategy(), intent_bit=v)),
             lambda v: Bb84Symbol(v, 0),
             lambda v: Bb84Symbol(0, v),
             encoding_basis,
             bb84_pair_mixture,
-            lambda v: Transcript(cfg(0.5, 1), v, 1, [1], [0], [0]),
-            lambda v: Transcript(cfg(0.5, 1), 1, v, [1], [0], [0]),
+            lambda v: Transcript(cfg(0.5, 1), v, [1], [0], [0]),
         ],
-        ids=["honest", "target", "intent", "symbol-bit", "symbol-variant", "encoding-basis",
-             "pair-mixture", "committed", "opened"],
+        ids=["honest", "target", "symbol-bit", "symbol-variant", "encoding-basis",
+             "pair-mixture", "opened"],
     )
     def test_rejects_non_bits(self, build, value):
         with pytest.raises(ValueError, match="must be 0 or 1"):
@@ -100,19 +98,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=trials)
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
-    def test_monte_carlo_rejects_bad_workers(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=2, workers=workers)
-
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(q=0.5, rounds=np.int64(10), seed=np.uint64(3))
         assert monte_carlo(config, HonestAlice(bit=0), trials=np.int32(2)).trials == 2
 
     def test_accepts_numpy_scalars(self):
         config = ProtocolConfig(q=np.float64(0.5), rounds=10, accept_sigma=np.float32(2.0))
-        scenario = EprAlice(bell_strategy(), target_bit=np.int64(1), intent_bit=np.uint8(0))
-        assert monte_carlo(config, scenario, trials=2, workers=np.int64(1)).trials == 2
+        scenario = EprAlice(bell_strategy(), target_bit=np.int64(1))
+        assert monte_carlo(config, scenario, trials=2).trials == 2
         assert run_session(config, HonestAlice(bit=np.int8(1)))[0].opened_bit == 1
         assert DepolarizingChannel(np.float32(0.25)).q == 0.25
         assert isotropic(np.int64(1)) == isotropic(1.0)
@@ -157,7 +150,7 @@ def test_transcript_equality_covers_opened_columns():
     assert np.array_equal(rect.bob_outcome, diag.bob_outcome)
     assert rect != diag and diag != rect
     # the same opening without the sender's own outcomes
-    honest = Transcript(c, 0, 0, rect.bob_basis, rect.bob_outcome, rect.announced_variant)
+    honest = Transcript(c, 0, rect.bob_basis, rect.bob_outcome, rect.announced_variant)
     assert honest != rect and rect != honest
 
 
@@ -182,7 +175,7 @@ def test_honest_match_fraction_concentrates(q):
 def test_honest_transcript_columns():
     bit = 1
     t, _ = run_session(cfg(0.7, 200, seed=5), HonestAlice(bit=bit))
-    assert t.committed_bit == t.opened_bit == bit
+    assert t.opened_bit == bit
     for col in (t.bob_basis, t.bob_outcome, t.announced_variant):
         assert col.shape == (200,) and col.dtype == np.int8
         assert not col.flags.writeable
@@ -235,7 +228,7 @@ def test_steering_cannot_touch_bob_outcomes():
     # session are bit-for-bit identical
     c = cfg(0.3, 3000, seed=13)
     sessions = [
-        run_session(c, EprAlice(bell_strategy(), target, basis, intent_bit=1))[0]
+        run_session(c, EprAlice(bell_strategy(), target, basis))[0]
         for basis in (RECTILINEAR, DIAGONAL, ProjectiveBasis(1.1, 2.2))
         for target in (0, 1)
     ]
@@ -249,7 +242,7 @@ def test_steering_cannot_touch_bob_outcomes():
 
 def test_steered_announcements_follow_alice_outcomes():
     t, _ = run_session(cfg(0.6, 500, seed=21), EprAlice(bell_strategy(), 1, DIAGONAL))
-    assert t.opened_bit == 1 and t.committed_bit == 0
+    assert t.opened_bit == 1
     assert np.array_equal(t.announced_variant, t.alice_outcome)
     assert np.array_equal(t.sifted, t.bob_basis == 1)
 
@@ -266,9 +259,7 @@ def test_verify_threshold_formula():
 def test_verify_zero_sifted_rounds_flagged():
     c = cfg(0.5, 1)
     # announced bit 0 encodes rectilinear, so a diagonal measurement is never sifted
-    t = Transcript(
-        c, committed_bit=0, opened_bit=0, bob_basis=[1], bob_outcome=[0], announced_variant=[0]
-    )
+    t = Transcript(c, opened_bit=0, bob_basis=[1], bob_outcome=[0], announced_variant=[0])
     report = verify(t)
     assert report.no_sifted_rounds
     assert not report.accepted
@@ -278,12 +269,10 @@ def test_verify_zero_sifted_rounds_flagged():
 def test_transcript_length_invariant():
     c = cfg(0.5, 3)
     with pytest.raises(ValueError, match="rounds"):
-        Transcript(
-            c, committed_bit=0, opened_bit=0, bob_basis=[], bob_outcome=[], announced_variant=[]
-        )
+        Transcript(c, opened_bit=0, bob_basis=[], bob_outcome=[], announced_variant=[])
     with pytest.raises(ValueError, match="alice_outcome"):
         Transcript(
-            c, committed_bit=0, opened_bit=0, bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0],
+            c, opened_bit=0, bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0],
             announced_variant=[0, 0, 1], alice_outcome=[0, 1],
         )
 
@@ -307,12 +296,12 @@ def test_transcript_columns_hold_bits(column, values):
     columns = dict(bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0], announced_variant=[0, 0, 1])
     columns[column] = values
     with pytest.raises(ValueError, match=f"{column} must hold 0/1 integers or bools"):
-        Transcript(cfg(0.5, 3), committed_bit=0, opened_bit=0, **columns)
+        Transcript(cfg(0.5, 3), opened_bit=0, **columns)
 
 
 def test_transcript_accepts_bool_and_integer_columns():
     t = Transcript(
-        cfg(0.5, 3), 0, 0, bob_basis=np.array([0, 1, 0], dtype=np.uint8),
+        cfg(0.5, 3), 0, bob_basis=np.array([0, 1, 0], dtype=np.uint8),
         bob_outcome=[True, False, True], announced_variant=np.array([1, 1, 0]),
         alice_outcome=np.array([1, 1, 0], dtype=np.int8),
     )
@@ -338,9 +327,9 @@ def test_monte_carlo_single_trial_matches_run_session():
     ids=["honest", "epr"],
 )
 @pytest.mark.parametrize(
-    "workers, rounds, trials",
+    "seed, rounds, trials",
     [
-        pytest.param(w, rounds, trials, id=f"{w}{label}")
+        pytest.param(seed, rounds, trials, id=f"{seed}{label}")
         for label, (rounds, trials) in {
             "": (150, 6),  # one block
             "-1x40": (1, 40),  # one round per trial
@@ -348,13 +337,15 @@ def test_monte_carlo_single_trial_matches_run_session():
             "-above-block": (100, protocol._BLOCK_ROUNDS // 100 + 1),
             # every trial longer than a block
             "-long-trials": (protocol._BLOCK_ROUNDS + 1, 2),
+            # two full blocks and a partial one
+            "-3-blocks": (300, 2 * (protocol._BLOCK_ROUNDS // 300) + 5),
         }.items()
-        for w in (1, 2, 3)
+        for seed in (1, 2, 3)
     ],
 )
-def test_monte_carlo_trials_match_run_session(scenario, workers, rounds, trials):
-    c = cfg(0.6, rounds, seed=23)
-    summary = monte_carlo(c, scenario, trials=trials, workers=workers)
+def test_monte_carlo_trials_match_run_session(scenario, seed, rounds, trials):
+    c = cfg(0.6, rounds, seed=seed)
+    summary = monte_carlo(c, scenario, trials=trials)
     assert summary.reports == tuple(run_session(c, scenario, t)[1] for t in range(trials))
 
 
@@ -409,16 +400,6 @@ def test_monte_carlo_without_any_sifted_rounds_reports_zero():
     assert summary.no_sifted_trials == 1
     assert summary.match_fraction_mean == summary.match_fraction_std == 0.0
     assert summary.acceptance_rate == 0.0
-
-
-def test_monte_carlo_parallel_equals_sequential():
-    # three blocks of trials: two full ones and a partial one
-    c = cfg(0.5, 300, seed=8)
-    trials = 2 * (protocol._BLOCK_ROUNDS // 300) + 5
-    sc = EprAlice(strategy=bell_strategy(), target_bit=0, steer_basis=RECTILINEAR)
-    seq = monte_carlo(c, sc, trials=trials, workers=1)
-    par = monte_carlo(c, sc, trials=trials, workers=4)
-    assert seq == par
 
 
 @pytest.mark.parametrize("q", [0.1, 0.4, 0.7, 1.0])
@@ -527,7 +508,7 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
                  "--target-bit", str(target_bit), "--steer-theta", repr(steer[0]),
                  "--steer-phi", repr(steer[1])]
         strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
-        scenario = EprAlice(strategy, target_bit, ProjectiveBasis(*steer), intent_bit=bit)
+        scenario = EprAlice(strategy, target_bit, ProjectiveBasis(*steer))
     else:
         scenario = HonestAlice(bit=bit)
     transcript, report = run_session(config, scenario)

@@ -11,7 +11,6 @@ from ebcommit.security import (
     CheatStrategy,
     alice_binding_attack,
     bell_strategy,
-    binding_curve,
     bob_cheat_probability,
 )
 from ebcommit.states import (
@@ -150,8 +149,10 @@ class TestBinding:
         assert abs(report.best_fidelity_sq - grid.max()) <= 1e-12
 
     def test_curve_endpoints_and_monotonicity(self):
-        curve = binding_curve(bell_strategy(), np.linspace(0, 1, 11), ZERO)
-        values = [v for _, v in curve]
+        values = [
+            alice_binding_attack(bell_strategy(), DepolarizingChannel(q), ZERO).best_fidelity_sq
+            for q in np.linspace(0, 1, 11)
+        ]
         assert abs(values[0] - 0.5) <= 1e-9
         assert abs(values[-1] - 1.0) <= 1e-9
         assert all(b - a >= -1e-10 for a, b in zip(values, values[1:]))

@@ -14,7 +14,6 @@ from ebcommit.states import (
     ProjectiveBasis,
     bb84_pair_mixture,
     bb84_projector,
-    bb84_state,
     bell_psi_plus,
     cheat_state,
     encoding_basis,
@@ -29,29 +28,34 @@ I2 = np.eye(2)
 
 class TestDensityMatrix:
     def test_valid_construction(self):
-        dm = DensityMatrix(I2 / 2, (2,))
+        dm = DensityMatrix(I2 / 2)
         assert dm.dim == 2
         assert not dm.mat.flags.writeable
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]), (2,))
+            DensityMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(I2, (2,))
+            DensityMatrix(I2)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="PSD"):
-            DensityMatrix(np.diag([1.5, -0.5]), (2,))
+            DensityMatrix(np.diag([1.5, -0.5]))
 
-    def test_rejects_subsystem_mismatch(self):
-        with pytest.raises(ValueError, match="subsystems"):
-            DensityMatrix(np.eye(4) / 4, (2,))
+    def test_pair_needs_no_subsystem_tuple(self):
+        assert DensityMatrix(np.eye(4) / 4).dim == 4
+        assert DensityMatrix.from_pure([1, 0, 0, 0]).dim == 4
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_rejects_dimension_other_than_2_or_4(self, dim):
+        with pytest.raises(ValueError, match=f"dimension must be 2 or 4, got {dim}"):
+            DensityMatrix(np.eye(dim) / dim)
 
     def test_from_pure_requires_normalization(self):
         with pytest.raises(ValueError, match="norm"):
-            DensityMatrix.from_pure([1.0, 1.0], (2,))
+            DensityMatrix.from_pure([1.0, 1.0])
 
     def test_equality_is_exact(self):
         assert DensityMatrix(I2 / 2) == DensityMatrix(I2 / 2)
@@ -66,19 +70,19 @@ def test_bb84_symbol_validation():
 
 
 def test_bb84_states_paper_mapping():
-    assert np.array_equal(bb84_state(Bb84Symbol(0, 0)), [1, 0])
-    assert np.array_equal(bb84_state(Bb84Symbol(0, 1)), [0, 1])
-    s = math.sqrt(0.5)
-    assert np.allclose(bb84_state(Bb84Symbol(1, 0)), [s, s], atol=0)
-    assert np.allclose(bb84_state(Bb84Symbol(1, 1)), [s, -s], atol=0)
+    # bit 0 -> {|0>, |1>}, bit 1 -> {|+>, |->}, with exact entries
+    assert np.array_equal(bb84_projector(Bb84Symbol(0, 0)), [[1, 0], [0, 0]])
+    assert np.array_equal(bb84_projector(Bb84Symbol(0, 1)), [[0, 0], [0, 1]])
+    assert np.array_equal(bb84_projector(Bb84Symbol(1, 0)), [[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(bb84_projector(Bb84Symbol(1, 1)), [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_bb84_projectors_match_states():
-    for bit in (0, 1):
-        for variant in (0, 1):
-            sym = Bb84Symbol(bit, variant)
-            v = bb84_state(sym)
-            assert np.abs(bb84_projector(sym) - np.outer(v, v.conj())).max() < 1e-15
+    s = math.sqrt(0.5)
+    states = {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [s, s], (1, 1): [s, -s]}
+    for (bit, variant), v in states.items():
+        v = np.array(v, dtype=complex)
+        assert np.abs(bb84_projector(Bb84Symbol(bit, variant)) - np.outer(v, v.conj())).max() < 1e-15
 
 
 def test_bb84_pair_mixtures_are_exactly_maximally_mixed():
@@ -138,7 +142,7 @@ def test_bell_psi_plus():
     v = bell_psi_plus()
     s = math.sqrt(0.5)
     assert np.array_equal(v, [s, 0, 0, s])
-    rho = DensityMatrix.from_pure(v, (2, 2))
+    rho = DensityMatrix.from_pure(v)
     assert np.abs(partial_trace(rho.mat, "B") - I2 / 2).max() < 1e-15
 
 
@@ -153,7 +157,7 @@ def test_isotropic_endpoints_and_range():
 
 def test_cheat_state_bell_case():
     rho = cheat_state([1, 0], [0, 1])
-    assert np.abs(rho.mat - DensityMatrix.from_pure(bell_psi_plus(), (2, 2)).mat).max() < 1e-15
+    assert np.abs(rho.mat - DensityMatrix.from_pure(bell_psi_plus()).mat).max() < 1e-15
 
 
 def test_cheat_state_product_case():
@@ -170,7 +174,7 @@ def test_cheat_state_zero_norm():
 
 
 def test_measure_joint_bell_correlations():
-    bell = DensityMatrix.from_pure(bell_psi_plus(), (2, 2))
+    bell = DensityMatrix.from_pure(bell_psi_plus())
     (p0, cond0), (p1, cond1) = joint_outcome_decomposition(bell, "A", RECTILINEAR)
     assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
     assert np.abs(cond0.mat - np.diag([1.0, 0.0])).max() < 1e-12
@@ -180,14 +184,14 @@ def test_measure_joint_bell_correlations():
 def test_measure_joint_product_state_no_steering(rng):
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    joint = DensityMatrix(kron(rho_a, rho_b), (2, 2))
+    joint = DensityMatrix(kron(rho_a, rho_b))
     for theta, phi in [(0.0, 0.0), (1.0, 2.0), (2.5, 4.0)]:
         for p, cond in joint_outcome_decomposition(joint, "A", ProjectiveBasis(theta, phi)):
             assert np.abs(cond.mat - rho_b).max() < 1e-10
 
 
 def test_measure_joint_impossible_outcome_never_returned():
-    joint = DensityMatrix(kron(np.diag([1.0, 0.0]), I2 / 2), (2, 2))
+    joint = DensityMatrix(kron(np.diag([1.0, 0.0]), I2 / 2))
     # outcome 1 on side A has probability exactly 0, so its branch is empty
     (p0, cond0), (p1, cond1) = joint_outcome_decomposition(joint, "A", RECTILINEAR)
     assert p0 == 1.0 and cond0 is not None
@@ -203,7 +207,7 @@ def test_no_signalling_average_of_conditionals(rng):
     for _ in range(20):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
-        rho = DensityMatrix(m / m.trace().real, (2, 2))
+        rho = DensityMatrix(m / m.trace().real)
         basis = ProjectiveBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         marginal = partial_trace(rho.mat, "B")
         avg = np.zeros((2, 2), dtype=complex)
