@@ -15,7 +15,6 @@ from .channels import (
     as_kraus,
     channel_apply,
     choi,
-    depolarize_apply,
     is_entanglement_breaking,
     lift_apply,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "cheat_state",
     "choi",
     "concurrence",
-    "depolarize_apply",
     "derive_rng",
     "eb_threshold",
     "eig_hermitian",

@@ -3,7 +3,9 @@
 The depolarizing channel eps(X) = q X + (1-q) tr[X] I/2 keeps a state
 with probability q and replaces it with the maximally mixed state
 otherwise. Lifted to half of a two-qubit state it is the noise applied
-to incoming commitment qubits.
+to incoming commitment qubits. Both apply functions use this closed form
+for a :class:`DepolarizingChannel` and the Kraus sum for a
+:class:`KrausChannel`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .linalg import (
     as_operator,
     is_psd,
     kron,
+    partial_trace,
     partial_transpose,
 )
-from .states import DensityMatrix, _check_q, bell_psi_plus
+from .states import _BELL_PROJ, DensityMatrix, _check_q
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +51,6 @@ class KrausChannel:
         if defect > TOL:
             raise ValueError(f"Kraus completeness violated (defect {defect:.3e})")
 
-    @property
-    def dim(self) -> int:
-        return 2
-
 
 @dataclass(frozen=True)
 class DepolarizingChannel:
@@ -63,17 +62,11 @@ class DepolarizingChannel:
         _check_q(self.q)
 
 
-def depolarize_apply(c: DepolarizingChannel, x) -> np.ndarray:
-    """Apply the closed-form depolarizing map to any 2x2 operator."""
-    x = as_operator(x, 2)
-    return c.q * x + (1.0 - c.q) * x.trace() * np.eye(2) / 2
-
-
 def as_kraus(c: DepolarizingChannel) -> KrausChannel:
     """Pauli-twirl Kraus form of the depolarizing channel.
 
     {sqrt(q + (1-q)/4) I, sqrt((1-q)/4) X, sqrt((1-q)/4) Y,
-    sqrt((1-q)/4) Z}; agreement with :func:`depolarize_apply` is a tested
+    sqrt((1-q)/4) Z}; agreement with the closed form is a tested
     contract, not an assumption.
     """
     p = (1.0 - c.q) / 4.0
@@ -86,47 +79,44 @@ def as_kraus(c: DepolarizingChannel) -> KrausChannel:
     return KrausChannel(tuple(w * op for w, op in weighted if w > 0.0))
 
 
-def _kraus_of(c: KrausChannel | DepolarizingChannel) -> KrausChannel:
-    if isinstance(c, KrausChannel):
-        return c
-    if isinstance(c, DepolarizingChannel):
-        return as_kraus(c)
-    raise TypeError(f"not a channel: {c!r}")
+def _check_channel(c) -> None:
+    if not isinstance(c, (KrausChannel, DepolarizingChannel)):
+        raise TypeError(f"not a channel: {c!r}")
 
 
 def channel_apply(c: KrausChannel | DepolarizingChannel, x) -> np.ndarray:
-    """Apply a qubit channel to a 2x2 operator."""
-    if isinstance(c, DepolarizingChannel):
-        return depolarize_apply(c, x)
+    """Apply a qubit channel to any 2x2 operator."""
+    _check_channel(c)
     x = as_operator(x, 2)
+    if isinstance(c, DepolarizingChannel):
+        return c.q * x + (1.0 - c.q) * x.trace() * np.eye(2) / 2
     return sum(k @ x @ k.conj().T for k in c.kraus_ops)
 
 
 def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply (I x c) to a two-qubit state: noise on the B half only.
 
-    The A marginal is untouched, which is the channel-level statement
-    that the noise cannot signal to the sender.
+    The depolarizing lift is q rho + (1-q) tr_B[rho] x I/2. The A marginal
+    is untouched, which is the channel-level statement that the noise
+    cannot signal to the sender.
     """
-    m = as_operator(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit state, got shape {m.shape}")
-    eye = np.eye(2)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in _kraus_of(c).kraus_ops:
-        lifted = kron(eye, k)
-        out += lifted @ m @ lifted.conj().T
-    return DensityMatrix(out)
+    _check_channel(c)
+    m = as_operator(rho, 4)
+    if isinstance(c, DepolarizingChannel):
+        return DensityMatrix(c.q * m + (1.0 - c.q) * kron(partial_trace(m, "A"), np.eye(2) / 2))
+    lifted = [kron(np.eye(2), k) for k in c.kraus_ops]
+    return DensityMatrix(sum(k @ m @ k.conj().T for k in lifted))
 
 
 def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:
     """Channel output on half of the Bell pair, (I x c)[|psi+><psi+|].
 
     This single state determines how the channel degrades any entangled
-    input, which is what makes the separability test below decisive.
+    input, which is what makes the separability test below decisive. The
+    Bell projector is exact (entries 0 and 1/2), so the Choi state of the
+    depolarizing channel is ``isotropic(q)`` bit for bit.
     """
-    bell = DensityMatrix.from_pure(bell_psi_plus())
-    return lift_apply(c, bell)
+    return lift_apply(c, _BELL_PROJ)
 
 
 def is_entanglement_breaking(c: KrausChannel | DepolarizingChannel) -> bool:

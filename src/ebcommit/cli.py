@@ -191,11 +191,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _meta(args, skip=("format", "output")) -> dict:
-    """Full resolved flag set plus the artifact version, in definition order."""
+def _meta(args) -> dict:
+    """Resolved flags but --format/--output, plus the version, in definition order."""
     meta = {"command": args.command, "version": __version__}
     for key, value in vars(args).items():
-        if key != "command" and key not in skip:
+        if key not in ("command", "format", "output"):
             meta[key] = value
     return meta
 
@@ -385,6 +385,11 @@ def _cmd_binding(args) -> int:
     strategy = _build_strategy(args.a0, args.a1)
     target = _parse_state(args.target, "--target")
     if args.q_grid is not None:
+        # --q-grid overrides --q, but meta still echoes --q, so it must be a q
+        try:
+            DepolarizingChannel(args.q)
+        except ValueError as exc:
+            raise UsageError(f"--q: {exc}") from None
         try:
             qs = [float(tok) for tok in args.q_grid.split(",") if tok.strip()]
         except ValueError:

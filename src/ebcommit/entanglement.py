@@ -48,7 +48,9 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     form sqrt(rho) (Y x Y) conj(rho) (Y x Y) sqrt(rho) so every
     eigensolve stays Hermitian. Eigenvalues indistinguishable from zero
     at roundoff scale (including tiny negatives, checked >= -1e-12) are
-    clamped to 0 before the square root.
+    clamped to 0 before the square root. The value is exactly 0.0 on
+    every state that :func:`is_separable` accepts, so no state the PPT
+    test calls separable gets a roundoff residue as its concurrence.
     """
     m = as_operator(rho, 4)
     s = sqrtm_psd(m)
@@ -57,7 +59,7 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     if w[-1] < -1e-12:
         raise ValueError(f"spin-flipped product has eigenvalue {w[-1]:.3e} < -1e-12")
     lams = np.sqrt(clip_spectrum(w))
-    value = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    value = 0.0 if is_separable(m) else max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
     return ConcurrenceResult(value, tuple(float(x) for x in lams))
 
 

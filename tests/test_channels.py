@@ -11,7 +11,6 @@ from ebcommit.channels import (
     as_kraus,
     channel_apply,
     choi,
-    depolarize_apply,
     is_entanglement_breaking,
     lift_apply,
 )
@@ -57,13 +56,13 @@ def test_depolarizing_channel_validation():
 
 def test_depolarize_identity_and_full_noise(rng):
     rho = random_density_matrix(rng, 2)
-    assert np.abs(depolarize_apply(DepolarizingChannel(1.0), rho) - rho).max() < 1e-15
-    assert np.abs(depolarize_apply(DepolarizingChannel(0.0), rho) - I2 / 2).max() < 1e-15
+    assert np.abs(channel_apply(DepolarizingChannel(1.0), rho) - rho).max() < 1e-15
+    assert np.abs(channel_apply(DepolarizingChannel(0.0), rho) - I2 / 2).max() < 1e-15
 
 
 @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 0.9])
 def test_depolarize_zero_projector(q):
-    out = depolarize_apply(DepolarizingChannel(q), np.diag([1.0, 0.0]))
+    out = channel_apply(DepolarizingChannel(q), np.diag([1.0, 0.0]))
     assert np.abs(out - np.diag([(1 + q) / 2, (1 - q) / 2])).max() < 1e-15
 
 
@@ -71,12 +70,12 @@ def test_depolarize_preserves_trace_of_operators(rng):
     c = DepolarizingChannel(0.37)
     for _ in range(10):
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert abs(depolarize_apply(c, x).trace() - x.trace()) < 1e-12
+        assert abs(channel_apply(c, x).trace() - x.trace()) < 1e-12
 
 
 def test_depolarize_rejects_wrong_dim():
     with pytest.raises(ValueError):
-        depolarize_apply(DepolarizingChannel(0.5), np.eye(4))
+        channel_apply(DepolarizingChannel(0.5), np.eye(4))
 
 
 def test_kraus_completeness_enforced():
@@ -101,7 +100,7 @@ def test_as_kraus_matches_closed_form(rng):
         k = as_kraus(c)
         for _ in range(20):
             rho = random_density_matrix(rng, 2)
-            assert np.abs(channel_apply(k, rho) - depolarize_apply(c, rho)).max() < 1e-12
+            assert np.abs(channel_apply(k, rho) - channel_apply(c, rho)).max() < 1e-12
 
 
 def test_lift_on_bell_gives_isotropic():
@@ -121,7 +120,7 @@ def test_lift_product_factorizes(rng):
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
     joint = DensityMatrix(kron(rho_a, rho_b))
-    expected = kron(rho_a, depolarize_apply(c, rho_b))
+    expected = kron(rho_a, channel_apply(c, rho_b))
     assert np.abs(lift_apply(c, joint).mat - expected).max() < 1e-12
 
 
@@ -142,8 +141,25 @@ def test_choi_identity_and_depolarizing():
     ident = KrausChannel((PAULI_I,))
     bell = DensityMatrix.from_pure(bell_psi_plus())
     assert np.abs(choi(ident).mat - bell.mat).max() < 1e-15
-    for q in (0.0, 0.3, 0.8):
-        assert np.abs(choi(DepolarizingChannel(q)).mat - isotropic(q).mat).max() < 1e-12
+    # the closed-form lift of the exact Bell projector is the isotropic state
+    for q in (*np.linspace(0.0, 1.0, 11), 1 / 3, 0.8):
+        assert np.array_equal(choi(DepolarizingChannel(q)).mat, isotropic(q).mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_lift_matches_kraus_sum(q, seed):
+    c = DepolarizingChannel(q)
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4))
+    assert np.abs(lift_apply(c, rho).mat - lift_apply(as_kraus(c), rho).mat).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [None, 0.5, "depolarizing", (PAULI_I,)])
+def test_apply_rejects_non_channel(bad):
+    with pytest.raises(TypeError, match="not a channel"):
+        channel_apply(bad, I2 / 2)
+    with pytest.raises(TypeError, match="not a channel"):
+        lift_apply(bad, DensityMatrix(np.eye(4) / 4))
 
 
 def test_known_classifications():

@@ -326,6 +326,14 @@ def test_binding_malformed_q_grid(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("q", ["nan", "inf", "7"])
+def test_binding_checks_q_under_q_grid(capsys, q):
+    code, out, err = run_cli(capsys, "binding", "--q", q, "--q-grid", "0.5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("ebcommit: error: --q: ")
+
+
 def test_output_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -397,7 +405,7 @@ _PINNED_SWEEPS = {
         ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "6"],
-        "2bf2aa37554fe92161072732df68288dd2a4eb338beb07a058660755129e30cd",
+        "a1e01bde06913d8784ac38ea2c21589b85b57e0ae41c9d8a181db88ea02c4fa2",
     ),
 }
 
@@ -426,3 +434,13 @@ def test_sweep_csv_bytes_pinned(capsys, name):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == EXIT_OK
     assert _sha256(out) == digest
+
+
+def test_pinned_epr_sweep_concurrence_zero_exactly_on_separable_rows(capsys):
+    argv, _ = _PINNED_SWEEPS["epr"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert any(row["separable_fraction"] == 1 for row in rows)
+    for row in rows:
+        assert (row["separable_fraction"] == 1) == (row["mean_concurrence_post_channel"] == 0)

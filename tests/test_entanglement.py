@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
 from ebcommit.entanglement import (
@@ -91,6 +93,19 @@ def test_concurrence_and_ppt_agree_on_pure_and_isotropic(rng):
     for q in np.linspace(0, 1, 21):
         rho = isotropic(q)
         assert (concurrence(rho).value < 1e-10) == is_separable(rho)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.one_of(st.just(1 / 3), st.floats(0.0, 1.0)), seed=st.integers(0, 2**32 - 1))
+@example(q=1 / 3, seed=1)
+def test_concurrence_is_zero_exactly_on_ppt_states(q, seed):
+    # At q = 1/3 the lifted cheat state sits on the separability boundary,
+    # where the Wootters difference is 0 up to roundoff of either sign.
+    rng = np.random.default_rng(seed)
+    rho = lift_apply(
+        DepolarizingChannel(q), cheat_state(random_pure_state(rng, 2), random_pure_state(rng, 2))
+    )
+    assert is_separable(rho) == (concurrence(rho).value == 0.0)
 
 
 def test_factorization_trivial_cases():
