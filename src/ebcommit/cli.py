@@ -37,7 +37,7 @@ from .protocol import (
     run_session,
 )
 from .security import alice_binding_attack, bob_cheat_probability
-from .states import CheatStrategy, DensityMatrix, ProjectiveBasis, bb84_pair_mixture
+from .states import CheatStrategy, DensityMatrix, ProjectiveBasis, _check_q, bb84_pair_mixture
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,6 +76,15 @@ def _parse_vector(spec: str, flag: str) -> np.ndarray:
         return ProjectiveBasis(theta, phi).vectors()[0]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _q_arg(flag: str, q: float) -> float:
+    """``q`` if it is a noise parameter in [0, 1], else a usage error naming ``flag``."""
+    try:
+        _check_q(q)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+    return q
 
 
 def _parse_state(spec: str, flag: str) -> DensityMatrix:
@@ -171,7 +180,6 @@ def _build_parser() -> _Parser:
     p_thr = sub.add_parser("threshold", help="locate the entanglement-breaking boundary")
     p_thr.add_argument("--lo", type=float, default=0.0)
     p_thr.add_argument("--hi", type=float, default=1.0)
-    p_thr.add_argument("--tol", type=float, default=1e-9, help="bisection width")
 
     p_hide = sub.add_parser("hiding", help="receiver's distinguishing bound")
     p_hide.add_argument("--sigma0", default="bb84-0")
@@ -314,7 +322,7 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
 def _cmd_run(args) -> int:
     if args.dump_transcript and args.format != "json":
         raise UsageError("--dump-transcript requires --format json")
-    config = _build_config(args, args.q)
+    config = _build_config(args, _q_arg("--q", args.q))
     scenario = _build_scenario(args)
     transcript, report = run_session(config, scenario)
     meta = _meta(args)
@@ -334,9 +342,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    for flag, q in (("--q-min", args.q_min), ("--q-max", args.q_max)):
-        if not (math.isfinite(q) and 0.0 <= q <= 1.0):
-            raise UsageError(f"{flag} must be finite and lie in [0, 1], got {q}")
+    _q_arg("--q-min", args.q_min)
+    _q_arg("--q-max", args.q_max)
     if args.q_steps == 1:
         qs = [args.q_min]
     else:
@@ -362,7 +369,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_threshold(args) -> int:
     try:
-        q_star = eb_threshold(DepolarizingChannel, args.lo, args.hi, width=args.tol)
+        q_star = eb_threshold(_q_arg("--lo", args.lo), _q_arg("--hi", args.hi))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sys.stdout.write(f"{q_star:.9f}\n")
@@ -372,10 +379,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_hiding(args) -> int:
     sigma0 = _parse_state(args.sigma0, "--sigma0")
     sigma1 = _parse_state(args.sigma1, "--sigma1")
-    try:
-        channel = DepolarizingChannel(args.q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    channel = DepolarizingChannel(_q_arg("--q", args.q))
     report = bob_cheat_probability(sigma0, sigma1, channel)
     _emit(_meta(args), [dataclasses.asdict(report)], args.format, args.output)
     return EXIT_OK
@@ -386,22 +390,21 @@ def _cmd_binding(args) -> int:
     target = _parse_state(args.target, "--target")
     if args.q_grid is not None:
         # --q-grid overrides --q, but meta still echoes --q, so it must be a q
-        try:
-            DepolarizingChannel(args.q)
-        except ValueError as exc:
-            raise UsageError(f"--q: {exc}") from None
+        _q_arg("--q", args.q)
         try:
             qs = [float(tok) for tok in args.q_grid.split(",") if tok.strip()]
         except ValueError:
             raise UsageError(f"--q-grid: could not parse {args.q_grid!r}") from None
         if not qs:
             raise UsageError("--q-grid is empty")
+        flag = "--q-grid"
     else:
-        qs = [args.q]
+        qs, flag = [args.q], "--q"
     rows = []
     for q in qs:
+        channel = DepolarizingChannel(_q_arg(flag, q))
         try:
-            report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
+            report = alice_binding_attack(strategy, channel, target)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         rows.append(

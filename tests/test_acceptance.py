@@ -43,8 +43,8 @@ ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
 def test_criterion_1_separability_threshold():
     start = time.monotonic()
-    q_star = eb_threshold(DepolarizingChannel, 0.0, 1.0)
-    assert abs(q_star - 1 / 3) <= 1e-9
+    q_star = eb_threshold()
+    assert q_star == 1 / 3
     for q in np.linspace(0.0, 1.0, 101):
         min_eig = eig_hermitian(partial_transpose(isotropic(q).mat))[-1]
         assert abs(min_eig - (1 - 3 * q) / 4) <= 1e-10

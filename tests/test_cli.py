@@ -9,6 +9,7 @@ import pytest
 import ebcommit
 from ebcommit import cli
 from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
+from ebcommit.states import ProjectiveBasis
 
 
 def run_cli(capsys, *argv):
@@ -131,17 +132,17 @@ def test_threshold_prints_one_third(capsys):
     assert out == "0.333333333\n"
 
 
-def test_threshold_coarse_tolerance(capsys):
-    code, out, _ = run_cli(capsys, "threshold", "--tol", "1e-6")
+def test_threshold_bracket_from_one_third(capsys):
+    code, out, _ = run_cli(capsys, "threshold", "--lo", repr(1 / 3), "--hi", "1")
     assert code == EXIT_OK
-    assert abs(float(out) - 1 / 3) <= 1e-6
+    assert out == "0.333333333\n"
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_threshold_rejects_bad_tolerance(capsys, tol):
-    code, _, err = run_cli(capsys, "threshold", "--tol", tol)
+def test_threshold_has_no_tolerance(capsys):
+    code, out, err = run_cli(capsys, "threshold", "--tol", "1e-6")
     assert code == EXIT_USAGE
-    assert "width" in err
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
 
 
 def test_threshold_without_sign_change_fails(capsys):
@@ -211,7 +212,22 @@ def test_sweep_rejects_q_bounds_outside_unit_interval(capsys, flag, value):
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith(f"ebcommit: error: {flag} ")
+    assert err.startswith(f"ebcommit: error: {flag}: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--q", "1.5"], "--q"),
+    (["hiding", "--q", "2"], "--q"),
+    (["binding", "--q", "-0.1"], "--q"),
+    (["binding", "--q-grid", "0,2"], "--q-grid"),
+    (["threshold", "--lo", "-1"], "--lo"),
+    (["threshold", "--hi", "1.5"], "--hi"),
+])
+def test_q_error_names_its_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"ebcommit: error: {flag}: q must lie in [0, 1], got ")
 
 
 @pytest.mark.parametrize("command", [
@@ -434,6 +450,22 @@ def test_sweep_csv_bytes_pinned(capsys, name):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == EXIT_OK
     assert _sha256(out) == digest
+
+
+def test_pinned_epr_sweep_follows_factorization_law(capsys):
+    # C(eps_q x I [psi]) = C(psi) C(choi(eps_q)), and C(choi(eps_q)) = max(0, (3q - 1)/2);
+    argv, _ = _PINNED_SWEEPS["epr"]
+    a0, a1 = (
+        ProjectiveBasis(*map(float, argv[argv.index(flag) + 1].split(","))).vectors()[0]
+        for flag in ("--a0", "--a1")
+    )
+    # the pure cheat state a0|0> + a1|1> has C = 2|det[a0 a1]| / (|a0|^2 + |a1|^2)
+    c_psi = abs(a0[0] * a1[1] - a0[1] * a1[0])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    for row in json.loads(out)["rows"]:
+        expected = c_psi * max(0.0, (3 * row["q"] - 1) / 2)
+        assert abs(row["mean_concurrence_post_channel"] - expected) <= 1e-12
 
 
 def test_pinned_epr_sweep_concurrence_zero_exactly_on_separable_rows(capsys):

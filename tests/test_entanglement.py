@@ -1,18 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
+from ebcommit.channels import DepolarizingChannel, KrausChannel, channel_apply, lift_apply
 from ebcommit.entanglement import (
     concurrence,
     eb_threshold,
     factorization_residual,
     is_separable,
 )
-from ebcommit.linalg import PAULI_I, kron
+from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
 from ebcommit.states import DensityMatrix, bell_psi_plus, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_pure_state
@@ -55,6 +53,14 @@ def test_concurrence_continuous_near_product():
         a1 = np.array([1.0, eps]) / np.sqrt(1 + eps * eps)
         value = concurrence(cheat_state([1, 0], a1)).value
         assert value < 2 * eps
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7])
+def test_concurrence_resolves_small_values(eps):
+    # |0>|0> + (|0> + eps|1>)|1> has concurrence 2 eps / (2 + eps^2); its
+    # largest Wootters value squared, about eps^2, is below SPECTRUM_FLOOR
+    exact = 2 * eps / (2 + eps * eps)
+    assert abs(concurrence(cheat_state([1, 0], [1, eps])).value - exact) <= 1e-6 * exact
 
 
 def test_concurrence_result_invariant(rng):
@@ -129,32 +135,39 @@ def test_factorization_holds_for_generic_kraus_channel(rng):
 
 
 def test_eb_threshold_locates_one_third():
-    q_star = eb_threshold(DepolarizingChannel, 0.0, 1.0)
-    assert abs(q_star - 1 / 3) <= 1e-9
+    assert eb_threshold() == 1 / 3
 
 
-def test_eb_threshold_coarser_width():
-    q_star = eb_threshold(DepolarizingChannel, 0.0, 1.0, width=1e-6)
-    assert abs(q_star - 1 / 3) <= 1e-6
+def _bloch_weight(q):
+    """Sum of |lambda_i| over the Bloch contraction factors tr[s_i eps_q(s_i)]/2.
+
+    Ruskai's criterion (Rev. Math. Phys. 15, 643 (2003)): a unital qubit
+    channel is entanglement breaking iff this sum is at most 1.
+    """
+    c = DepolarizingChannel(q)
+    return sum(abs(np.trace(s @ channel_apply(c, s)).real) / 2 for s in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
-@pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
-def test_eb_threshold_rejects_bad_width(width):
-    with pytest.raises(ValueError, match="width"):
-        eb_threshold(DepolarizingChannel, 0.0, 1.0, width=width)
+# hi starts 1e-9 above 1/3: the endpoint test works at TOL, so an hi within
+# 4 TOL / 3 of the boundary is classified entanglement breaking too
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(0.0, 1 / 3, exclude_max=True), hi=st.floats(1 / 3 + 1e-9, 1.0))
+def test_eb_threshold_matches_ruskai_criterion(lo, hi):
+    assert _bloch_weight(lo) <= 1 < _bloch_weight(hi)
+    # the weight is linear in q and 0 at q = 0, so it reaches 1 at 1 / weight(1)
+    assert eb_threshold(lo, hi) == 1 / _bloch_weight(1.0)
 
 
-def test_eb_threshold_stops_at_float_resolution():
-    # a width below the spacing of floats near 1/3 cannot be reached
-    q_star = eb_threshold(DepolarizingChannel, 0.0, 1.0, width=5e-324)
-    assert abs(q_star - 1 / 3) <= 1e-9
+def test_eb_threshold_clamps_into_bracket():
+    # lo is within TOL of the boundary, so it classifies as EB although lo > 1/3
+    assert eb_threshold(0.3333333334, 1.0) == 0.3333333334
 
 
 def test_eb_threshold_requires_sign_change():
     with pytest.raises(ValueError, match="no classification change"):
-        eb_threshold(DepolarizingChannel, 0.0, 0.2)
+        eb_threshold(0.0, 0.2)
     with pytest.raises(ValueError, match="no classification change"):
-        eb_threshold(DepolarizingChannel, 0.34, 1.0)
+        eb_threshold(0.34, 1.0)
 
 
 def test_disentangling_below_threshold(rng):

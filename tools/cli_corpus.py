@@ -17,7 +17,9 @@ outputs differ.
 The corpus covers honest and EPR ``run`` with and without
 ``--dump-transcript``, CSV and JSON sweeps (one round per trial, two
 workers, the EPR sweep through q = 1/3), ``binding``, ``hiding``,
-``threshold`` and usage errors.
+``threshold`` (the default bracket, a bracket that starts at 1/3 and one
+whose lower end is classified entanglement breaking above the boundary)
+and usage errors.
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ def _security_commands() -> list[list[str]]:
                              "--format", fmt])
     cmds += [
         ["threshold"],
-        ["threshold", "--tol", "1e-6"],
+        ["threshold", "--lo", THIRD, "--hi", "1"],
         ["threshold", "--lo", "0.2", "--hi", "0.5"],
-        ["threshold", "--lo", "0.3", "--hi", "0.4", "--tol", "1e-12"],
+        ["threshold", "--lo", "0.3333333334"],
     ]
     return cmds
 
@@ -141,8 +143,8 @@ def _usage_errors() -> list[list[str]]:
         ["sweep", "--q-min", "nan"],
         ["sweep", "--q-max", "1.5"],
         ["sweep", "--rounds", "0", "--q-steps", "2"],
-        ["threshold", "--tol", "0"],
-        ["threshold", "--tol", "nan"],
+        ["threshold", "--lo", "-1"],
+        ["threshold", "--tol", "1e-6"],
         ["threshold", "--lo", "0.5", "--hi", "0.4"],
         ["hiding", "--sigma0", "bogus"],
         ["hiding", "--q", "2"],
