@@ -57,7 +57,6 @@ from .security import (
 from .states import (
     DIAGONAL,
     RECTILINEAR,
-    Bb84Symbol,
     DensityMatrix,
     ProjectiveBasis,
     bb84_pair_mixture,
@@ -70,7 +69,6 @@ from .states import (
 
 __all__ = [
     "__version__",
-    "Bb84Symbol",
     "BindingReport",
     "CheatStrategy",
     "ConcurrenceResult",

@@ -110,16 +110,19 @@ def _fmt(value) -> str:
 
 @contextlib.contextmanager
 def _open_output(path: str):
-    """The stream ``--output`` names: stdout for '-', else the file, closed on exit."""
+    """The stream ``--output`` names: stdout for '-', else the file, closed on exit.
+
+    A file that cannot be opened, written or closed is a usage error naming
+    ``--output``; errors writing to stdout are left to :func:`run_main`.
+    """
     if path == "-":
         yield sys.stdout
         return
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise UsageError(f"--output: {exc}") from None
-    with fh:
-        yield fh
 
 
 def _emit(meta: dict, rows: list[dict], fmt: str, path: str) -> None:
@@ -177,9 +180,7 @@ def _build_parser() -> _Parser:
                          help="accepted and echoed in meta; trials run in one thread")
     _add_output_flags(p_sweep)
 
-    p_thr = sub.add_parser("threshold", help="locate the entanglement-breaking boundary")
-    p_thr.add_argument("--lo", type=float, default=0.0)
-    p_thr.add_argument("--hi", type=float, default=1.0)
+    sub.add_parser("threshold", help="print the entanglement-breaking boundary")
 
     p_hide = sub.add_parser("hiding", help="receiver's distinguishing bound")
     p_hide.add_argument("--sigma0", default="bb84-0")
@@ -368,11 +369,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    try:
-        q_star = eb_threshold(_q_arg("--lo", args.lo), _q_arg("--hi", args.hi))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    sys.stdout.write(f"{q_star:.9f}\n")
+    sys.stdout.write(f"{eb_threshold():.9f}\n")
     return EXIT_OK
 
 
@@ -442,10 +439,13 @@ def run_main() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader of stdout left early (say, `| head`): the report has
-        # nowhere to go, so stop quietly with the output-error code. Point
-        # stdout at devnull so the interpreter's final flush does not fail.
+    except OSError as exc:
+        # Stdout cannot take the report. A reader that left early (say,
+        # `| head`) needs no message; any other failure, such as a full
+        # disk, gets one. Point stdout at devnull so the interpreter's final
+        # flush of what is still buffered does not fail.
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"ebcommit: error: stdout: {exc}\n")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_USAGE
     sys.exit(code)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DepolarizingChannel, KrausChannel, choi, is_entanglement_breaking, lift_apply
+from .channels import DepolarizingChannel, KrausChannel, choi, lift_apply
 from .linalg import PAULI_Y, as_operator, eig_hermitian, is_psd, kron, partial_transpose
 from .states import DensityMatrix
 
@@ -70,25 +70,13 @@ def factorization_residual(x, c: KrausChannel | DepolarizingChannel) -> float:
     return abs(left - right)
 
 
-def eb_threshold(lo: float = 0.0, hi: float = 1.0) -> float:
-    """Entanglement-breaking boundary q* of the depolarizing channel in [lo, hi].
+def eb_threshold() -> float:
+    """Entanglement-breaking boundary q* of the depolarizing channel.
 
-    ``lo`` and ``hi`` are q values that must classify differently. The
-    partial transpose of the Choi state is linear in q,
+    The partial transpose of the Choi state is linear in q,
     PT(choi(eps_q)) = q PT(choi(eps_1)) + (1-q) I/4, so its smallest
     eigenvalue crosses 0 at q* = 1/(1 - 4 lambda), lambda the smallest
-    eigenvalue of PT(choi(eps_1)); that gives 1/3 exactly. The endpoints
-    are classified at ``TOL``, so an ``lo`` just above q* can count as
-    entanglement breaking; the result is clamped into [lo, hi].
+    eigenvalue of PT(choi(eps_1)); that gives 1/3 exactly.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    eb_lo = is_entanglement_breaking(DepolarizingChannel(lo))
-    eb_hi = is_entanglement_breaking(DepolarizingChannel(hi))
-    if eb_lo == eb_hi:
-        raise ValueError(
-            f"no classification change on [{lo}, {hi}]: both are "
-            f"{'EB' if eb_lo else 'non-EB'}"
-        )
     lam = float(eig_hermitian(partial_transpose(choi(DepolarizingChannel(1.0))))[-1])
-    return min(max(1.0 / (1.0 - 4.0 * lam), lo), hi)
+    return 1.0 / (1.0 - 4.0 * lam)

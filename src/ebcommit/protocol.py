@@ -50,7 +50,6 @@ from .entanglement import concurrence, is_separable
 from .states import (
     OUTCOME_EPS,
     RECTILINEAR,
-    Bb84Symbol,
     CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
@@ -174,7 +173,7 @@ def _outcome_prob0(state: np.ndarray, basis: ProjectiveBasis) -> float:
 def _honest_p0(q: float, bit: int) -> np.ndarray:
     """Born table p0[variant, basis] of ``bit``'s carriers after the channel."""
     channel = DepolarizingChannel(q)
-    noisy = tuple(channel_apply(channel, bb84_projector(Bb84Symbol(bit, v))) for v in (0, 1))
+    noisy = tuple(channel_apply(channel, bb84_projector(bit, v)) for v in (0, 1))
     return np.array([[_outcome_prob0(noisy[v], encoding_basis(b)) for b in range(2)] for v in range(2)])
 
 

@@ -94,18 +94,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class Bb84Symbol:
-    """One committed symbol: the bit plus which of its two carrier states."""
-
-    bit: int
-    variant: int
-
-    def __post_init__(self):
-        _check_bit("bit", self.bit)
-        _check_bit("variant", self.variant)
-
-
-@dataclass(frozen=True)
 class ProjectiveBasis:
     """Orthonormal qubit basis from the Bloch angles of its first vector.
 
@@ -143,24 +131,26 @@ DIAGONAL = ProjectiveBasis(math.pi / 2, 0.0)
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def bb84_projector(symbol: Bb84Symbol) -> np.ndarray:
-    """Projector of a symbol state with exact entries.
+def bb84_projector(bit: int, variant: int) -> np.ndarray:
+    """Projector of the carrier state ``variant`` of ``bit``, with exact entries.
 
     The diagonal-pair projectors are built as (I +- X)/2 rather than an
     outer product of sqrt(1/2) amplitudes, so that mixing the two
     variants of either bit gives I/2 with no floating-point residue.
     """
-    if symbol.bit == 0:
+    _check_bit("bit", bit)
+    _check_bit("variant", variant)
+    if bit == 0:
         p = np.zeros((2, 2), dtype=complex)
-        p[symbol.variant, symbol.variant] = 1.0
+        p[variant, variant] = 1.0
         return p
-    sign = 1.0 if symbol.variant == 0 else -1.0
+    sign = 1.0 if variant == 0 else -1.0
     return np.array([[0.5, sign * 0.5], [sign * 0.5, 0.5]], dtype=complex)
 
 
 def bb84_pair_mixture(bit: int) -> DensityMatrix:
     """Uniform mixture of the two variants of a bit; equals I/2 for both bits."""
-    mix = (bb84_projector(Bb84Symbol(bit, 0)) + bb84_projector(Bb84Symbol(bit, 1))) / 2
+    mix = (bb84_projector(bit, 0) + bb84_projector(bit, 1)) / 2
     return DensityMatrix(mix)
 
 

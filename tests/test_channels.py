@@ -16,7 +16,15 @@ from ebcommit.channels import (
 )
 from ebcommit.entanglement import is_separable
 from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
-from ebcommit.states import DensityMatrix, bell_psi_plus, isotropic
+from ebcommit.states import (
+    DensityMatrix,
+    bb84_projector,
+    bell_psi_plus,
+    cheat_state,
+    encoding_basis,
+    isotropic,
+    joint_outcome_decomposition,
+)
 
 from conftest import random_density_matrix
 
@@ -187,3 +195,23 @@ def test_classification_flips_once_on_grid():
     flags = [is_entanglement_breaking(DepolarizingChannel(q)) for q in np.linspace(0, 1, 101)]
     flips = sum(a != b for a, b in zip(flags, flags[1:]))
     assert flips == 1
+
+
+# The Bell cheater measures her half in the opened bit's basis and announces
+# her outcome as the variant. That measurement commutes with any channel on
+# the receiver's half, so it prepares the honest carrier at a distance: per
+# round she matches exactly as often as an honest sender, whatever the
+# channel. Born values are compared before the OUTCOME_EPS clamp, which is a
+# sampling rule, not physics.
+@settings(max_examples=60, deadline=None)
+@given(channel=_CHANNELS, target=st.sampled_from((0, 1)))
+def test_bell_cheater_matches_like_honest_sender(channel, target):
+    basis = encoding_basis(target)
+    e = basis.vectors()
+    joint = lift_apply(channel, cheat_state([1, 0], [0, 1]))
+    branches = joint_outcome_decomposition(joint, "B", basis)
+    cheater = sum(p * (e[j].conj() @ cond.mat @ e[j]).real for j, (p, cond) in enumerate(branches))
+    p0 = [(e[0].conj() @ channel_apply(channel, bb84_projector(target, v)) @ e[0]).real
+          for v in (0, 1)]
+    honest = (p0[0] + 1 - p0[1]) / 2
+    assert abs(cheater - honest) <= 1e-12

@@ -132,23 +132,13 @@ def test_threshold_prints_one_third(capsys):
     assert out == "0.333333333\n"
 
 
-def test_threshold_bracket_from_one_third(capsys):
-    code, out, _ = run_cli(capsys, "threshold", "--lo", repr(1 / 3), "--hi", "1")
-    assert code == EXIT_OK
-    assert out == "0.333333333\n"
-
-
 def test_threshold_has_no_tolerance(capsys):
-    code, out, err = run_cli(capsys, "threshold", "--tol", "1e-6")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "unrecognized arguments: --tol" in err
-
-
-def test_threshold_without_sign_change_fails(capsys):
-    code, _, err = run_cli(capsys, "threshold", "--lo", "0.34", "--hi", "1.0")
-    assert code == EXIT_USAGE
-    assert "no classification change" in err
+    # q* is exact, so neither a tolerance nor a bracket is accepted
+    for flag, value in (("--tol", "1e-6"), ("--lo", "0"), ("--hi", "1")):
+        code, out, err = run_cli(capsys, "threshold", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_sweep_csv_schema_and_determinism(capsys):
@@ -220,8 +210,6 @@ def test_sweep_rejects_q_bounds_outside_unit_interval(capsys, flag, value):
     (["hiding", "--q", "2"], "--q"),
     (["binding", "--q", "-0.1"], "--q"),
     (["binding", "--q-grid", "0,2"], "--q-grid"),
-    (["threshold", "--lo", "-1"], "--lo"),
-    (["threshold", "--hi", "1.5"], "--hi"),
 ])
 def test_q_error_names_its_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -361,18 +349,47 @@ def test_output_to_file(tmp_path, capsys):
     assert doc["meta"]["command"] == "run"
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--q", "0.5", "--rounds", "20"],
-    ["run", "--q", "0.5", "--rounds", "20", "--dump-transcript"],
-    ["sweep", "--q-steps", "2", "--rounds", "10", "--trials", "1"],
-], ids=["run", "run-dump", "sweep"])
-def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
-    target = tmp_path / "missing" / "report.json"
-    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+_TO_FILE = {
+    "run": ["run", "--q", "0.5", "--rounds", "20"],
+    "run-dump": ["run", "--q", "0.5", "--rounds", "20", "--dump-transcript"],
+    "sweep": ["sweep", "--q-steps", "2", "--rounds", "10", "--trials", "1"],
+}
+
+
+# a path in a missing directory fails on open; /dev/full opens, but every
+# write to it fails with ENOSPC
+@pytest.mark.parametrize("argv, full", [
+    *(pytest.param(argv, False, id=name) for name, argv in _TO_FILE.items()),
+    *(pytest.param(argv, True, id=f"{name}-dev-full", marks=_NEEDS_DEV_FULL)
+      for name, argv in _TO_FILE.items()),
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, full):
+    target = "/dev/full" if full else str(tmp_path / "missing" / "report.json")
+    code, out, err = run_cli(capsys, *argv, "--output", target)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("ebcommit: error: --output: ")
-    assert str(target) in err
+    assert ("No space left on device" if full else target) in err
+    assert err.count("\n") == 1
+
+
+@_NEEDS_DEV_FULL
+@pytest.mark.parametrize("argv", [
+    ["hiding"],
+    ["run", "--q", "0.5", "--rounds", "100000", "--dump-transcript"],
+], ids=["buffered", "streamed"])
+def test_full_stdout_is_usage_error(argv):
+    # the short report fails only at the final flush, the dump while it is written
+    src = os.path.dirname(os.path.dirname(ebcommit.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ebcommit", *argv], stdout=full, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+    assert proc.returncode == EXIT_USAGE
+    # one line: no traceback, and no "Exception ignored" at interpreter exit
+    assert proc.stderr == b"ebcommit: error: stdout: [Errno 28] No space left on device\n"
 
 
 def test_closed_stdout_pipe_exits_quietly():

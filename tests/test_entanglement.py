@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebcommit.channels import DepolarizingChannel, KrausChannel, channel_apply, lift_apply
+from ebcommit.channels import (
+    DepolarizingChannel,
+    KrausChannel,
+    channel_apply,
+    is_entanglement_breaking,
+    lift_apply,
+)
 from ebcommit.entanglement import (
     concurrence,
     eb_threshold,
@@ -148,26 +154,16 @@ def _bloch_weight(q):
     return sum(abs(np.trace(s @ channel_apply(c, s)).real) / 2 for s in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
-# hi starts 1e-9 above 1/3: the endpoint test works at TOL, so an hi within
-# 4 TOL / 3 of the boundary is classified entanglement breaking too
+# the PPT test works at TOL, so a q up to 4 TOL / 3 above 1/3 is still
+# classified entanglement breaking; a 1e-9 gap keeps the draws clear of that
 @settings(max_examples=60, deadline=None)
-@given(lo=st.floats(0.0, 1 / 3, exclude_max=True), hi=st.floats(1 / 3 + 1e-9, 1.0))
-def test_eb_threshold_matches_ruskai_criterion(lo, hi):
-    assert _bloch_weight(lo) <= 1 < _bloch_weight(hi)
+@given(q=st.floats(0.0, 1.0).filter(lambda q: abs(q - 1 / 3) > 1e-9))
+def test_eb_threshold_matches_ruskai_criterion(q):
+    eb = _bloch_weight(q) <= 1
+    assert is_entanglement_breaking(DepolarizingChannel(q)) == eb
+    assert (q <= eb_threshold()) == eb
     # the weight is linear in q and 0 at q = 0, so it reaches 1 at 1 / weight(1)
-    assert eb_threshold(lo, hi) == 1 / _bloch_weight(1.0)
-
-
-def test_eb_threshold_clamps_into_bracket():
-    # lo is within TOL of the boundary, so it classifies as EB although lo > 1/3
-    assert eb_threshold(0.3333333334, 1.0) == 0.3333333334
-
-
-def test_eb_threshold_requires_sign_change():
-    with pytest.raises(ValueError, match="no classification change"):
-        eb_threshold(0.0, 0.2)
-    with pytest.raises(ValueError, match="no classification change"):
-        eb_threshold(0.34, 1.0)
+    assert eb_threshold() == 1 / _bloch_weight(1.0)
 
 
 def test_disentangling_below_threshold(rng):

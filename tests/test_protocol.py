@@ -26,9 +26,9 @@ from ebcommit.security import CheatStrategy, bell_strategy
 from ebcommit.states import (
     DIAGONAL,
     RECTILINEAR,
-    Bb84Symbol,
     ProjectiveBasis,
     bb84_pair_mixture,
+    bb84_projector,
     cheat_state,
     encoding_basis,
     isotropic,
@@ -80,8 +80,8 @@ class TestConfig:
         [
             lambda v: run_session(cfg(0.5, 10), HonestAlice(bit=v)),
             lambda v: run_session(cfg(0.5, 10), EprAlice(bell_strategy(), target_bit=v)),
-            lambda v: Bb84Symbol(v, 0),
-            lambda v: Bb84Symbol(0, v),
+            lambda v: bb84_projector(v, 0),
+            lambda v: bb84_projector(0, v),
             encoding_basis,
             bb84_pair_mixture,
             lambda v: Transcript(cfg(0.5, 1), v, [1], [0], [0]),
@@ -110,7 +110,7 @@ class TestConfig:
         assert DepolarizingChannel(np.float32(0.25)).q == 0.25
         assert isotropic(np.int64(1)) == isotropic(1.0)
         assert encoding_basis(np.int16(1)) == DIAGONAL
-        assert Bb84Symbol(np.int64(1), np.int32(0)).bit == 1
+        assert np.array_equal(bb84_projector(np.int64(1), np.int32(0)), bb84_projector(1, 0))
 
     def test_zero_accept_sigma_puts_threshold_at_expectation(self):
         report = run_session(cfg(1.0, 100, seed=3, accept_sigma=0.0), HonestAlice(bit=0))[1]

@@ -8,7 +8,6 @@ from ebcommit.protocol import EprAlice, ProtocolConfig, run_session
 from ebcommit.states import (
     DIAGONAL,
     RECTILINEAR,
-    Bb84Symbol,
     CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
@@ -63,18 +62,18 @@ class TestDensityMatrix:
 
 
 def test_bb84_symbol_validation():
-    with pytest.raises(ValueError):
-        Bb84Symbol(2, 0)
-    with pytest.raises(ValueError):
-        Bb84Symbol(0, -1)
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        bb84_projector(2, 0)
+    with pytest.raises(ValueError, match="variant must be 0 or 1"):
+        bb84_projector(0, -1)
 
 
 def test_bb84_states_paper_mapping():
     # bit 0 -> {|0>, |1>}, bit 1 -> {|+>, |->}, with exact entries
-    assert np.array_equal(bb84_projector(Bb84Symbol(0, 0)), [[1, 0], [0, 0]])
-    assert np.array_equal(bb84_projector(Bb84Symbol(0, 1)), [[0, 0], [0, 1]])
-    assert np.array_equal(bb84_projector(Bb84Symbol(1, 0)), [[0.5, 0.5], [0.5, 0.5]])
-    assert np.array_equal(bb84_projector(Bb84Symbol(1, 1)), [[0.5, -0.5], [-0.5, 0.5]])
+    assert np.array_equal(bb84_projector(0, 0), [[1, 0], [0, 0]])
+    assert np.array_equal(bb84_projector(0, 1), [[0, 0], [0, 1]])
+    assert np.array_equal(bb84_projector(1, 0), [[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(bb84_projector(1, 1), [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_bb84_projectors_match_states():
@@ -82,7 +81,7 @@ def test_bb84_projectors_match_states():
     states = {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [s, s], (1, 1): [s, -s]}
     for (bit, variant), v in states.items():
         v = np.array(v, dtype=complex)
-        assert np.abs(bb84_projector(Bb84Symbol(bit, variant)) - np.outer(v, v.conj())).max() < 1e-15
+        assert np.abs(bb84_projector(bit, variant) - np.outer(v, v.conj())).max() < 1e-15
 
 
 def test_bb84_pair_mixtures_are_exactly_maximally_mixed():
@@ -134,8 +133,8 @@ def test_rectilinear_and_diagonal_projectors():
     assert np.array_equal(p0, np.diag([1.0, 0.0]))
     assert np.array_equal(p1, np.diag([0.0, 1.0]))
     d0, d1 = DIAGONAL.projectors()
-    assert np.abs(d0 - bb84_projector(Bb84Symbol(1, 0))).max() < 1e-15
-    assert np.abs(d1 - bb84_projector(Bb84Symbol(1, 1))).max() < 1e-15
+    assert np.abs(d0 - bb84_projector(1, 0)).max() < 1e-15
+    assert np.abs(d1 - bb84_projector(1, 1)).max() < 1e-15
 
 
 def test_bell_psi_plus():

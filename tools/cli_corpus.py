@@ -17,9 +17,8 @@ outputs differ.
 The corpus covers honest and EPR ``run`` with and without
 ``--dump-transcript``, CSV and JSON sweeps (one round per trial, two
 workers, the EPR sweep through q = 1/3), ``binding``, ``hiding``,
-``threshold`` (the default bracket, a bracket that starts at 1/3 and one
-whose lower end is classified entanglement breaking above the boundary)
-and usage errors.
+``threshold`` and usage errors, among them the flags ``threshold`` no
+longer takes.
 """
 
 from __future__ import annotations
@@ -105,12 +104,7 @@ def _security_commands() -> list[list[str]]:
             for fmt in ("json", "csv"):
                 cmds.append(["hiding", "--sigma0", sigma0, "--sigma1", sigma1, "--q", q,
                              "--format", fmt])
-    cmds += [
-        ["threshold"],
-        ["threshold", "--lo", THIRD, "--hi", "1"],
-        ["threshold", "--lo", "0.2", "--hi", "0.5"],
-        ["threshold", "--lo", "0.3333333334"],
-    ]
+    cmds.append(["threshold"])
     return cmds
 
 
@@ -143,9 +137,9 @@ def _usage_errors() -> list[list[str]]:
         ["sweep", "--q-min", "nan"],
         ["sweep", "--q-max", "1.5"],
         ["sweep", "--rounds", "0", "--q-steps", "2"],
-        ["threshold", "--lo", "-1"],
         ["threshold", "--tol", "1e-6"],
-        ["threshold", "--lo", "0.5", "--hi", "0.4"],
+        ["threshold", "--lo", "0"],
+        ["threshold", "--hi", "1"],
         ["hiding", "--sigma0", "bogus"],
         ["hiding", "--q", "2"],
         ["binding", "--target", "bb84-0"],
