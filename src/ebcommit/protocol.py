@@ -28,12 +28,17 @@ turns each row's sifted and matched counts into a report directly,
 building no transcript. Trials run in one thread.
 
 All randomness flows from the session seed through a counter-based
-generator (Philox); a given ``(config, scenario)`` always reproduces the
-same transcript. Within a session, draws happen in a fixed order
-(variants, receiver bases, receiver outcomes, then steering outcomes at
-opening); round outcomes are sampled from the Born probabilities of the
-finitely many (carrier, basis) combinations, which is distribution-
-identical to measuring each round's state individually.
+generator (Philox); a given ``(config, scenario, trial)`` always
+reproduces the same transcript. Trial t's stream is
+``derive_rng(config.seed, t)``. A Philox stream is fixed by its 128-bit
+key, so a prepared session hashes the keys of all its trials at once
+(numpy's SeedSequence hash, replayed on uint32 columns) and re-keys one
+generator per trial instead of building one. Within a session, draws
+happen in a fixed order (variants, receiver bases, receiver outcomes,
+then steering outcomes at opening); round outcomes are sampled from the
+Born probabilities of the finitely many (carrier, basis) combinations,
+which is distribution-identical to measuring each round's state
+individually.
 """
 
 from __future__ import annotations
@@ -152,8 +157,65 @@ class VerificationReport:
 
 
 def derive_rng(*ids: int) -> np.random.Generator:
-    """Counter-based generator for a stream id tuple, e.g. (seed, trial)."""
+    """Counter-based generator for a stream id tuple, e.g. (seed, trial).
+
+    Trial t of a session draws ``derive_rng(config.seed, t)``; sessions
+    re-key one generator to that stream (``_trial_keys``) instead of
+    calling this.
+    """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(ids))))
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The running multipliers init * mult**k mod 2**32 of a SeedSequence hash, as a column."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence constants: a 4-word pool mixes with 16 hashes and
+# yields 4 output words, i.e. 2 uint64 (a Philox key).
+_MIX_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
+_OUT_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 5)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix: row k of ``value`` is xored with ``consts[k]``, multiplied by ``consts[k+1]``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of word ``y`` into word ``x``."""
+    result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return result ^ (result >> 16)
+
+
+def _trial_keys(seed: int, trials: range) -> np.ndarray:
+    """Row i is ``SeedSequence([seed, t]).generate_state(2, np.uint64)`` for the i-th t of ``trials``.
+
+    The hash runs on uint32 columns, one per trial, whose arithmetic wraps
+    mod 2**32 as numpy's does. The pool is the seed's one or two words,
+    then t's low and high words, zero-padded to 4; a zero-padded pool
+    hashes exactly like the unpadded entropy. Seed and trials are < 2**64.
+    """
+    seed, t = int(seed), np.array(trials, dtype=np.uint64)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((4, len(t)), dtype=np.uint32)
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = t & np.uint64(_MASK32)
+    pool[len(seed_words) + 1] = t >> np.uint64(32)
+    mixer = _hashmix(pool, _MIX_CONSTS[:5])
+    for src in range(4):
+        # word src's hashes into the other three are independent, so they run together
+        dst = [i for i in range(4) if i != src]
+        mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], _MIX_CONSTS[4 + 3 * src : 8 + 3 * src]))
+    words = _hashmix(mixer, _OUT_CONSTS).astype(np.uint64)
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T  # little-endian word pairs
 
 
 def _effective_p0(p0: float) -> float:
@@ -283,27 +345,39 @@ class _Block(NamedTuple):
 
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
-) -> tuple[DensityMatrix | None, Callable[[range], _Block]]:
+) -> tuple[DensityMatrix | None, Callable[[np.ndarray], _Block]]:
     """Build a scenario's post-channel state and Born tables for ``config.q`` once.
 
     Returns the post-channel pair (None for an honest sender, whose
-    carriers are single qubits) and the sampler of a block of trials.
-    Trial t draws from its own stream ``derive_rng(config.seed, t)`` into
-    its row of the block; the Born-table lookups then run once over the
-    whole block, so a row does not depend on the block it is drawn in.
+    carriers are single qubits) and the sampler of a block of trials,
+    given their rows of ``_trial_keys(config.seed, ...)``. The session
+    holds one Philox generator; before each row it is re-keyed to the
+    trial's key, counter 0 and an empty buffer, which is the state
+    ``derive_rng(config.seed, t)`` starts in, so row t draws trial t's
+    stream. The Born-table lookups then run once over the whole block,
+    so a row does not depend on the block it is drawn in.
     """
     n = config.rounds
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+
+    def rekeyed(keys: np.ndarray):
+        """Each row index, once ``rng`` is re-keyed to that row's trial stream."""
+        for row, key in enumerate(keys.tolist()):
+            bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            yield row
+
     if isinstance(scenario, HonestAlice):
         joint, p0 = None, _honest_p0(config.q, scenario.bit).ravel()
 
-        def sample(trials: range) -> _Block:
-            variants, bases = np.empty((2, len(trials), n), dtype=np.int64)
-            uniform = np.empty((len(trials), n))
-            for row, t in enumerate(trials):
-                rng = derive_rng(config.seed, t)
-                variants[row] = rng.integers(0, 2, size=n)
-                bases[row] = rng.integers(0, 2, size=n)
+        def sample(keys: np.ndarray) -> _Block:
+            draws = np.empty((len(keys), 2 * n), dtype=np.int8)  # variants, then bases
+            uniform = np.empty((len(keys), n))
+            for row in rekeyed(keys):
+                draws[row] = rng.integers(0, 2, size=2 * n)
                 rng.random(out=uniform[row])
+            variants, bases = draws[:, :n], draws[:, n:]
             outcomes = uniform >= p0.take(2 * variants + bases)  # p0[variant, basis]
             return _Block(scenario.bit, bases, outcomes, variants, None)
 
@@ -314,18 +388,16 @@ def _prepare(
         bob_p0 = np.array([_effective_p0(branch[0][0]) for branch in branches])
         steer_p0 = _steer_p0(branches, scenario.steer_basis).ravel()
 
-        def sample(trials: range) -> _Block:
-            bases = np.empty((len(trials), n), dtype=np.int64)
-            uniform = np.empty((2, len(trials), n))
+        def sample(keys: np.ndarray) -> _Block:
+            bases = np.empty((len(keys), n), dtype=np.int8)
+            uniform = np.empty((len(keys), 2 * n))  # receiver's, then sender's
             # Measurements on the two halves commute, so the receiver's
             # outcomes are drawn first and the sender steers on them.
-            for row, t in enumerate(trials):
-                rng = derive_rng(config.seed, t)
+            for row in rekeyed(keys):
                 bases[row] = rng.integers(0, 2, size=n)
-                rng.random(out=uniform[0, row])
-                rng.random(out=uniform[1, row])
-            outcomes = uniform[0] >= bob_p0.take(bases)
-            alice = uniform[1] >= steer_p0.take(2 * bases + outcomes)  # steer_p0[basis, outcome]
+                rng.random(out=uniform[row])
+            outcomes = uniform[:, :n] >= bob_p0.take(bases)
+            alice = uniform[:, n:] >= steer_p0.take(2 * bases + outcomes)  # steer_p0[basis, outcome]
             return _Block(scenario.target_bit, bases, outcomes, alice, alice)
 
     else:
@@ -339,9 +411,9 @@ def run_session(
 ) -> tuple[Transcript, VerificationReport]:
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial)."""
     _check_int("trial", trial)
-    if trial < 0:
-        raise ValueError(f"trial must be >= 0, got {trial}")
-    block = _prepare(config, scenario)[1](range(trial, trial + 1))
+    if not 0 <= trial < 2**64:
+        raise ValueError(f"trial must be a 64-bit unsigned integer, got {trial}")
+    block = _prepare(config, scenario)[1](_trial_keys(config.seed, range(trial, trial + 1)))
     columns = (None if col is None else col[0] for col in block[1:])  # in _COLUMNS order
     transcript = Transcript(config, block.opened_bit, *columns)
     return transcript, verify(transcript)
@@ -371,21 +443,23 @@ class MonteCarloSummary:
 def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> MonteCarloSummary:
     """Repeat a session over trial-indexed seed streams and summarize.
 
-    Trial t uses the stream (config.seed, t), so results do not depend on
-    execution order. The scenario's post-channel state and Born tables are
-    built once per call and shared by every trial. Trials are sampled in
-    one thread, in blocks of about ``_BLOCK_ROUNDS`` rounds (whole trials,
-    at least one per block). Each report equals ``verify`` of the trial's
-    transcript, as ``run_session(config, scenario, t)`` returns it.
+    Trial t uses the stream ``derive_rng(config.seed, t)``, so results do
+    not depend on execution order. The scenario's post-channel state and
+    Born tables are built once per call and shared by every trial, and the
+    Philox keys of all trials are hashed in one pass. Trials are sampled
+    in one thread, in blocks of about ``_BLOCK_ROUNDS`` rounds (whole
+    trials, at least one per block). Each report equals ``verify`` of the
+    trial's transcript, as ``run_session(config, scenario, t)`` returns it.
     """
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     joint, sample = _prepare(config, scenario)
+    keys = _trial_keys(config.seed, range(trials))
     per_block = max(1, _BLOCK_ROUNDS // config.rounds)
     reports = []
     for start in range(0, trials, per_block):
-        sifted, matched = sample(range(trials)[start : start + per_block]).counts()
+        sifted, matched = sample(keys[start : start + per_block]).counts()
         reports += [_counts_report(config, s, m) for s, m in zip(sifted, matched)]
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
     return MonteCarloSummary(

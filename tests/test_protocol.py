@@ -32,6 +32,7 @@ from ebcommit.states import (
     cheat_state,
     encoding_basis,
     isotropic,
+    joint_outcome_decomposition,
 )
 
 
@@ -349,10 +350,35 @@ def test_monte_carlo_trials_match_run_session(scenario, seed, rounds, trials):
     assert summary.reports == tuple(run_session(c, scenario, t)[1] for t in range(trials))
 
 
-@pytest.mark.parametrize("trial", [True, 2.5, "1", None, -1])
+@pytest.mark.parametrize("trial", [True, 2.5, "1", None, -1, 2**64])
 def test_run_session_rejects_bad_trial(trial):
     with pytest.raises(ValueError, match="trial must be"):
         run_session(cfg(0.5, 10), HonestAlice(bit=0), trial=trial)
+
+
+def test_run_session_takes_the_largest_trial():
+    c = cfg(0.5, 10, seed=2**64 - 1)
+    t, _ = run_session(c, HonestAlice(bit=0), trial=2**64 - 1)
+    rng = derive_rng(2**64 - 1, 2**64 - 1)
+    assert np.array_equal(t.announced_variant, rng.integers(0, 2, size=10))
+    assert np.array_equal(t.bob_basis, rng.integers(0, 2, size=10))
+
+
+_WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", _WORD_EDGES)
+def test_trial_keys_replay_seed_sequence(seed):
+    def reference(t):
+        return np.random.SeedSequence([seed, t]).generate_state(2, np.uint64).tolist()
+
+    for t in _WORD_EDGES:
+        keys = protocol._trial_keys(seed, range(t, t + 1))
+        assert keys.dtype == np.uint64 and keys.shape == (1, 2)
+        assert keys.tolist() == [reference(t)]
+    # one batch across the boundary of t's low word: row i is the i-th trial's key
+    trials = range(2**32 - 2, 2**32 + 2)
+    assert protocol._trial_keys(seed, trials).tolist() == [reference(t) for t in trials]
 
 
 def test_monte_carlo_builds_no_transcripts(monkeypatch):
@@ -363,6 +389,30 @@ def test_monte_carlo_builds_no_transcripts(monkeypatch):
     monkeypatch.setattr(protocol, "verify", unexpected)
     sc = EprAlice(strategy=bell_strategy(), target_bit=1, steer_basis=DIAGONAL)
     assert len(monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).reports) == 300
+
+
+def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
+    def unexpected(*ids):
+        raise AssertionError("a session called derive_rng")
+
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(protocol, "derive_rng", unexpected)
+    monkeypatch.setattr(np.random, "Philox", counting(np.random.Philox))
+    monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
+    for sc in (HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)):
+        built.clear()
+        assert len(monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).reports) == 300
+        assert built == ["Philox", "Generator"]
+        built.clear()
+        run_session(cfg(0.7, 100, seed=2), sc, trial=5)
+        assert built == ["Philox", "Generator"]
 
 
 def test_monte_carlo_builds_the_joint_state_once(monkeypatch):
@@ -539,3 +589,44 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
     # the cheater announces her own outcomes
     assert np.array_equal(transcript.announced_variant, transcript.alice_outcome)
     assert [r["alice_outcome"] for r in records] == transcript.alice_outcome.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**64 - 4),
+    trials=st.integers(1, 3),
+    rounds=st.integers(1, 5),
+    bit=st.integers(0, 1),
+    epr=st.booleans(),
+    steer=st.tuples(_angle_theta, _angle_phi),
+)
+def test_block_rows_draw_each_trials_derive_rng_stream(q, seed, first, trials, rounds, bit, epr, steer):
+    config = cfg(q, rounds, seed=seed)
+    if epr:
+        scenario = EprAlice(bell_strategy(), bit, ProjectiveBasis(*steer))
+        strategy = scenario.strategy
+        joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+        branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in range(2)]
+        bob_p0 = np.array([protocol._effective_p0(branch[0][0]) for branch in branches])
+        steer_p0 = protocol._steer_p0(branches, scenario.steer_basis)
+    else:
+        scenario = HonestAlice(bit=bit)
+        p0 = protocol._honest_p0(q, bit)
+    ts = range(first, first + trials)
+    block = protocol._prepare(config, scenario)[1](protocol._trial_keys(seed, ts))
+    for row, t in enumerate(ts):
+        rng = derive_rng(seed, t)  # the reference definition of trial t's stream
+        if epr:
+            bases = rng.integers(0, 2, size=rounds)
+            outcomes = (rng.random(rounds) >= bob_p0[bases]).astype(int)
+            variants = rng.random(rounds) >= steer_p0[bases, outcomes]
+            assert block.alice_outcome[row].tolist() == variants.tolist()
+        else:
+            variants = rng.integers(0, 2, size=rounds)
+            bases = rng.integers(0, 2, size=rounds)
+            outcomes = rng.random(rounds) >= p0[variants, bases]
+        assert block.bob_basis[row].tolist() == bases.tolist()
+        assert block.bob_outcome[row].tolist() == outcomes.tolist()
+        assert block.announced_variant[row].tolist() == variants.tolist()
