@@ -18,14 +18,18 @@ one column of length ``rounds`` per field (receiver basis and outcome,
 announced variant, the cheater's own outcome), each read-only int8 and
 holding only 0 and 1. Every round's state is one of a few (carrier,
 basis, outcome) classes, so a session samples all rounds at once by
-looking up the Born probability of its class. Those tables depend only
-on q and the scenario: a session is prepared once (the post-channel
-state and its Born tables, which stay with the prepared session, not in
-the transcript) and then sampled in blocks of whole trials, one row per
-trial. ``run_session`` wraps a one-trial block in a ``Transcript`` and
-verifies it; ``monte_carlo`` prepares once for all of its trials and
-turns each row's sifted and matched counts into a report directly,
-building no transcript. Trials run in one thread.
+looking up the Born probability of its class: tr(E eps(P)) for an honest
+carrier P and receiver projector E; for a cheater, tr(x) and
+<s0|x|s0>/tr(x) of her operator x = tr_B[rho (I x E)]
+(``states._sender_operator``, as in ``security``), so no conditional
+state is built. Those tables depend only on q and the scenario: a
+session is prepared once (the post-channel state and its Born tables,
+which stay with the prepared session, not in the transcript) and then
+sampled in blocks of whole trials, one row per trial. ``run_session``
+wraps a one-trial block in a ``Transcript`` and verifies it;
+``monte_carlo`` prepares once for all of its trials and turns each row's
+sifted and matched counts into a report directly, building no
+transcript. Trials run in one thread.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
@@ -35,9 +39,8 @@ key, so a prepared session hashes the keys of all its trials at once
 (numpy's SeedSequence hash, replayed on uint32 columns) and re-keys one
 generator per trial instead of building one. Within a session, draws
 happen in a fixed order (variants, receiver bases, receiver outcomes,
-then steering outcomes at opening); round outcomes are sampled from the
-Born probabilities of the finitely many (carrier, basis) combinations,
-which is distribution-identical to measuring each round's state
+then steering outcomes at opening); sampling each class's Born
+probability is distribution-identical to measuring each round's state
 individually.
 """
 
@@ -62,10 +65,9 @@ from .states import (
     _check_int,
     _check_q,
     _check_real,
+    _sender_operator,
     bb84_projector,
     cheat_state,
-    encoding_basis,
-    joint_outcome_decomposition,
 )
 
 
@@ -218,40 +220,13 @@ def _trial_keys(seed: int, trials: range) -> np.ndarray:
     return (words[0::2] | (words[1::2] << np.uint64(32))).T  # little-endian word pairs
 
 
-def _effective_p0(p0: float) -> float:
-    """Clamp a Born probability so impossible outcomes are never sampled."""
-    if p0 < OUTCOME_EPS:
-        return 0.0
-    if p0 > 1.0 - OUTCOME_EPS:
-        return 1.0
-    return p0
+#: The receiver's effects: E[b, o] projects on outcome o of basis b.
+_EFFECTS = np.array([[bb84_projector(b, o) for o in (0, 1)] for b in (0, 1)])
 
 
-def _outcome_prob0(state: np.ndarray, basis: ProjectiveBasis) -> float:
-    b0 = basis.vectors()[0]
-    return _effective_p0(float(np.real(b0.conj() @ state @ b0)))
-
-
-def _honest_p0(q: float, bit: int) -> np.ndarray:
-    """Born table p0[variant, basis] of ``bit``'s carriers after the channel."""
-    channel = DepolarizingChannel(q)
-    noisy = tuple(channel_apply(channel, bb84_projector(bit, v)) for v in (0, 1))
-    return np.array([[_outcome_prob0(noisy[v], encoding_basis(b)) for b in range(2)] for v in range(2)])
-
-
-def _steer_p0(branches, steer_basis: ProjectiveBasis) -> np.ndarray:
-    """Born table p0[bob_basis, bob_outcome] of the sender's steering measurement.
-
-    ``branches[b]`` is the ``joint_outcome_decomposition`` of the
-    post-channel pair under the receiver's basis b.
-    """
-    # An impossible receiver outcome never occurs, so its entry is never read.
-    return np.array(
-        [
-            [0.0 if cond is None else _outcome_prob0(cond.mat, steer_basis) for _, cond in branch]
-            for branch in branches
-        ]
-    )
+def _clamp(p0: np.ndarray) -> np.ndarray:
+    """Born probabilities snapped to 0 or 1 within ``OUTCOME_EPS``, so impossible outcomes are never drawn."""
+    return np.where(p0 < OUTCOME_EPS, 0.0, np.where(p0 > 1.0 - OUTCOME_EPS, 1.0, p0))
 
 
 def verify(transcript: Transcript) -> VerificationReport:
@@ -313,6 +288,9 @@ class EprAlice:
     steer_basis: ProjectiveBasis = RECTILINEAR
 
     def __post_init__(self):
+        for name, kind in (("strategy", CheatStrategy), ("steer_basis", ProjectiveBasis)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         _check_bit("target_bit", self.target_bit)
 
 
@@ -369,7 +347,10 @@ def _prepare(
             yield row
 
     if isinstance(scenario, HonestAlice):
-        joint, p0 = None, _honest_p0(config.q, scenario.bit).ravel()
+        channel = DepolarizingChannel(config.q)
+        noisy = [channel_apply(channel, bb84_projector(scenario.bit, v)) for v in (0, 1)]
+        # p0[variant, basis] = tr(E[basis, 0] eps(P_variant))
+        joint, p0 = None, _clamp(np.einsum("bij,vji->vb", _EFFECTS[:, 0], noisy).real).ravel()
 
         def sample(keys: np.ndarray) -> _Block:
             draws = np.empty((len(keys), 2 * n), dtype=np.int8)  # variants, then bases
@@ -384,9 +365,14 @@ def _prepare(
     elif isinstance(scenario, EprAlice):
         strategy = scenario.strategy
         joint = lift_apply(DepolarizingChannel(config.q), cheat_state(strategy.a0, strategy.a1))
-        branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in range(2)]
-        bob_p0 = np.array([_effective_p0(branch[0][0]) for branch in branches])
-        steer_p0 = _steer_p0(branches, scenario.steer_basis).ravel()
+        x = np.array([[_sender_operator(joint, e) for e in row] for row in _EFFECTS])  # x[b, o]
+        born = np.trace(x, axis1=2, axis2=3).real
+        s0 = scenario.steer_basis.vectors()[0]
+        # steer_p0[b, o] = <s0|x[b, o]|s0> / tr x[b, o]; an impossible
+        # receiver outcome is never drawn, so its entry is never read.
+        steer = np.divide((s0.conj() @ x @ s0).real, born,
+                          out=np.zeros_like(born), where=born >= OUTCOME_EPS)
+        bob_p0, steer_p0 = _clamp(born[:, 0]), _clamp(steer).ravel()
 
         def sample(keys: np.ndarray) -> _Block:
             bases = np.empty((len(keys), n), dtype=np.int8)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, channel_apply, lift_apply
-from .linalg import PAULI_I, eig_hermitian, kron, partial_trace, trace_distance
-from .states import RECTILINEAR, CheatStrategy, DensityMatrix, ProjectiveBasis, cheat_state
+from .linalg import PAULI_I, eig_hermitian, trace_distance
+from .states import RECTILINEAR, CheatStrategy, DensityMatrix, ProjectiveBasis, _sender_operator, cheat_state
 
 #: A target with tr(t^2) below 1 - PURITY_TOL is rejected as mixed.
 PURITY_TOL = 1e-9
@@ -97,7 +97,7 @@ def alice_binding_attack(
         raise ValueError(f"target must be a pure state, got tr(t^2) = {purity:.9g}")
     rho_out = lift_apply(channel, cheat_state(strategy.a0, strategy.a1))
     diff = 2.0 * target.mat - PAULI_I  # t - t'
-    w, v = eig_hermitian(partial_trace(rho_out.mat @ kron(PAULI_I, diff), keep="A"), vectors=True)
+    w, v = eig_hermitian(_sender_operator(rho_out, diff), vectors=True)
     best = (1.0 + float(np.abs(w).sum())) / 2.0
     if not (w[0] > SIGN_TOL and w[1] < -SIGN_TOL):
         return BindingReport(best_basis=RECTILINEAR, best_fidelity_sq=best)

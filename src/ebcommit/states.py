@@ -1,4 +1,4 @@
-"""State constructors and the conditional states of a local measurement.
+"""State constructors, the sender's operator of a receiver outcome, and conditional states.
 
 Encoding convention for the commitment scheme: bit 0 is carried by the
 computational pair {|0>, |1>} (rectilinear), bit 1 by the diagonal pair
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_operator, eig_hermitian, is_psd, kron, partial_trace
+from .linalg import PAULI_I, TOL, as_operator, eig_hermitian, is_psd, kron, partial_trace
 
 # Probability below which a measurement outcome is treated as impossible
 # and never sampled.
@@ -221,6 +221,15 @@ def cheat_state(a0, a1) -> DensityMatrix:
     return DensityMatrix(np.outer(joint, joint.conj()))
 
 
+def _sender_operator(rho, effect) -> np.ndarray:
+    """x_E = tr_B[rho (I x E)]: the sender's half of a pair given a receiver effect E, unnormalized.
+
+    For a projector E, tr x_E is the Born probability of the outcome and
+    x_E / tr x_E the sender's conditional state. x_E is linear in E.
+    """
+    return partial_trace(as_operator(rho, 4) @ kron(PAULI_I, effect), keep="A")
+
+
 def joint_outcome_decomposition(
     rho: DensityMatrix, side: str, basis: ProjectiveBasis
 ) -> tuple[tuple[float, DensityMatrix | None], ...]:
@@ -229,7 +238,11 @@ def joint_outcome_decomposition(
     Returns ``((p0, cond0), (p1, cond1))`` where ``p_j`` is the Born
     probability of outcome ``j`` on ``side`` and ``cond_j`` is the
     normalized state left on the other side. Branches with probability
-    below ``OUTCOME_EPS`` carry ``None``.
+    below ``OUTCOME_EPS`` carry ``None``. Each conditional state is
+    validated, so a branch of probability just above ``OUTCOME_EPS`` can
+    raise ValueError (not PSD) once the division amplifies roundoff; this
+    is seen up to p ~ 5e-7. Sessions read their Born tables off
+    ``_sender_operator`` instead, and the tests use this as the reference.
     """
     m = as_operator(rho, 4)
     if side not in ("A", "B"):

@@ -58,6 +58,28 @@ def test_run_product_strategy_cheater_is_rejected(capsys):
     assert json.loads(out)["rows"][0]["accepted"] is False
 
 
+def test_sweep_with_a_receiver_outcome_of_tiny_probability(capsys):
+    # a1 = (0.001, 0) is nearly a0 = |0>: on the q = 1 row the receiver's
+    # diagonal outcome 1 has probability about 6.2e-8, a branch whose
+    # normalized conditional state fails validation
+    code, out, err = run_cli(
+        capsys, "sweep", "--alice", "epr", "--a0", "zero", "--a1", "0.001,0", "--bit", "1",
+        "--rounds", "10", "--trials", "2", "--format", "csv",
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert len(out.splitlines()) == 1 + 11  # the header, then the default q grid
+
+
+def test_run_with_a_receiver_outcome_of_tiny_probability(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--alice", "epr", "--q", "1", "--a0", "zero", "--a1", "1e-5,0",
+        "--target-bit", "1", "--steer-theta", "1.5", "--rounds", "10",
+    )
+    assert code in (EXIT_OK, EXIT_REJECT)
+    assert err == ""
+
+
 def test_run_epr_bell_passes_verification(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--q", "0.5", "--rounds", "2000", "--alice", "epr",

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ebcommit import protocol
-from ebcommit.channels import DepolarizingChannel, lift_apply
+from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence
 from ebcommit.protocol import (
@@ -25,7 +25,9 @@ from ebcommit.protocol import (
 from ebcommit.security import CheatStrategy, bell_strategy
 from ebcommit.states import (
     DIAGONAL,
+    OUTCOME_EPS,
     RECTILINEAR,
+    DensityMatrix,
     ProjectiveBasis,
     bb84_pair_mixture,
     bb84_projector,
@@ -98,6 +100,14 @@ class TestConfig:
     def test_monte_carlo_rejects_non_integer_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
             monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=trials)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"strategy": None}, "strategy"),
+        ({"strategy": bell_strategy(), "target_bit": 0, "steer_basis": "diag"}, "steer_basis"),
+    ])
+    def test_epr_alice_rejects_mistyped_fields(self, kwargs, field):
+        with pytest.raises(TypeError, match=f"^{field} must be a "):
+            EprAlice(**kwargs)
 
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(q=0.5, rounds=np.int64(10), seed=np.uint64(3))
@@ -591,7 +601,39 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
     assert [r["alice_outcome"] for r in records] == transcript.alice_outcome.tolist()
 
 
+def _reference_tables(q, scenario):
+    """A scenario's Born tables from the public per-branch API, clamped at OUTCOME_EPS.
+
+    Honest: p0[variant, basis]. Cheater: bob_p0[basis] and
+    steer_p0[basis, outcome], 0 for an impossible receiver outcome.
+    Raises ValueError where ``joint_outcome_decomposition`` rejects a
+    conditional state of tiny probability.
+    """
+    def clamp(p):
+        return 0.0 if p < OUTCOME_EPS else 1.0 if p > 1.0 - OUTCOME_EPS else p
+
+    def prob0(state, basis):
+        b0 = basis.vectors()[0]
+        return clamp(float(np.real(b0.conj() @ state @ b0)))
+
+    if isinstance(scenario, HonestAlice):
+        channel = DepolarizingChannel(q)
+        noisy = [channel_apply(channel, bb84_projector(scenario.bit, v)) for v in (0, 1)]
+        return np.array([[prob0(noisy[v], encoding_basis(b)) for b in (0, 1)] for v in (0, 1)])
+    strategy = scenario.strategy
+    joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+    branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in (0, 1)]
+    bob_p0 = np.array([clamp(branch[0][0]) for branch in branches])
+    steer_p0 = np.array([
+        [0.0 if cond is None else prob0(cond.mat, scenario.steer_basis) for _, cond in branch]
+        for branch in branches
+    ])
+    return bob_p0, steer_p0
+
+
 @settings(max_examples=60, deadline=None)
+@example(q=1.0, seed=0, first=0, trials=1, rounds=5, bit=1, epr=True,
+         a0=_no_angles, a1=(math.pi, 0.0), steer=_no_angles)
 @given(
     q=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64 - 1),
@@ -600,25 +642,29 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
     rounds=st.integers(1, 5),
     bit=st.integers(0, 1),
     epr=st.booleans(),
+    a0=st.tuples(_angle_theta, _angle_phi),
+    a1=st.tuples(_angle_theta, _angle_phi),
     steer=st.tuples(_angle_theta, _angle_phi),
 )
-def test_block_rows_draw_each_trials_derive_rng_stream(q, seed, first, trials, rounds, bit, epr, steer):
+def test_block_rows_draw_each_trials_derive_rng_stream(
+    q, seed, first, trials, rounds, bit, epr, a0, a1, steer
+):
     config = cfg(q, rounds, seed=seed)
     if epr:
-        scenario = EprAlice(bell_strategy(), bit, ProjectiveBasis(*steer))
-        strategy = scenario.strategy
-        joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-        branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in range(2)]
-        bob_p0 = np.array([protocol._effective_p0(branch[0][0]) for branch in branches])
-        steer_p0 = protocol._steer_p0(branches, scenario.steer_basis)
+        strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+        scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
     else:
         scenario = HonestAlice(bit=bit)
-        p0 = protocol._honest_p0(q, bit)
+    try:
+        tables = _reference_tables(q, scenario)
+    except ValueError:
+        assume(False)  # the reference's validation, not the session, rejected a tiny branch
     ts = range(first, first + trials)
     block = protocol._prepare(config, scenario)[1](protocol._trial_keys(seed, ts))
     for row, t in enumerate(ts):
         rng = derive_rng(seed, t)  # the reference definition of trial t's stream
         if epr:
+            bob_p0, steer_p0 = tables
             bases = rng.integers(0, 2, size=rounds)
             outcomes = (rng.random(rounds) >= bob_p0[bases]).astype(int)
             variants = rng.random(rounds) >= steer_p0[bases, outcomes]
@@ -626,7 +672,35 @@ def test_block_rows_draw_each_trials_derive_rng_stream(q, seed, first, trials, r
         else:
             variants = rng.integers(0, 2, size=rounds)
             bases = rng.integers(0, 2, size=rounds)
-            outcomes = rng.random(rounds) >= p0[variants, bases]
+            outcomes = rng.random(rounds) >= tables[variants, bases]
         assert block.bob_basis[row].tolist() == bases.tolist()
         assert block.bob_outcome[row].tolist() == outcomes.tolist()
         assert block.announced_variant[row].tolist() == variants.tolist()
+
+
+def test_epr_prepare_validates_two_density_matrices(monkeypatch):
+    # the committed pair and its lift; the Born tables are read off the
+    # sender's operators, with no normalized conditional state
+    validated = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    protocol._prepare(cfg(0.7, 10), EprAlice(bell_strategy(), 1, DIAGONAL))
+    assert len(validated) == 2
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])
+def test_monte_carlo_runs_with_a_receiver_outcome_of_tiny_probability(theta):
+    # a1 close to a0 = |0>: at q = 1 the receiver's diagonal outcome 1 has
+    # probability about theta**2 / 16, whose normalized conditional state
+    # fails validation (joint_outcome_decomposition raises on it)
+    strategy = CheatStrategy(np.array([1.0, 0.0]), ProjectiveBasis(theta, 0.0).vectors()[0])
+    scenario = EprAlice(strategy, 1, ProjectiveBasis(1.5, 0.0))
+    summary = monte_carlo(cfg(1.0, 200, seed=4), scenario, trials=3)
+    assert len(summary.reports) == 3
+    assert all(r.sifted_count > 0 for r in summary.reports)
+
