@@ -34,9 +34,9 @@ transcript. Trials run in one thread.
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
 reproduces the same transcript. Trial t's stream is
-``derive_rng(config.seed, t)``. A Philox stream is fixed by its 128-bit
-key, so a prepared session hashes the keys of all its trials at once
-(numpy's SeedSequence hash, replayed on uint32 columns) and re-keys one
+``derive_rng(config.seed, t)``: the Philox stream of the 128-bit key
+(seed, t), from counter 0. Philox keeps streams of distinct keys
+independent, so no key is hashed, and a prepared session re-keys one
 generator per trial instead of building one. Within a session, draws
 happen in a fixed order (variants, receiver bases, receiver outcomes,
 then steering outcomes at opening); sampling each class's Born
@@ -65,6 +65,7 @@ from .states import (
     _check_int,
     _check_q,
     _check_real,
+    _check_word,
     _sender_operator,
     bb84_projector,
     cheat_state,
@@ -81,14 +82,12 @@ class ProtocolConfig:
     def __post_init__(self):
         _check_q(self.q)
         _check_int("rounds", self.rounds)
-        _check_int("seed", self.seed)
+        _check_word("seed", self.seed)
         _check_real("accept_sigma", self.accept_sigma)
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not (math.isfinite(self.accept_sigma) and self.accept_sigma >= 0):
             raise ValueError(f"accept_sigma must be finite and >= 0, got {self.accept_sigma}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 _COLUMNS = ("bob_basis", "bob_outcome", "announced_variant", "alice_outcome")
@@ -158,66 +157,18 @@ class VerificationReport:
     no_sifted_rounds: bool = False
 
 
-def derive_rng(*ids: int) -> np.random.Generator:
-    """Counter-based generator for a stream id tuple, e.g. (seed, trial).
+def derive_rng(seed: int, trial: int) -> np.random.Generator:
+    """Trial ``trial``'s generator: Philox keyed by the 128-bit key (seed, trial), counter 0.
 
-    Trial t of a session draws ``derive_rng(config.seed, t)``; sessions
-    re-key one generator to that stream (``_trial_keys``) instead of
-    calling this.
+    Key word 0 is the seed and word 1 the trial, so every (seed, trial)
+    pair is its own Philox stream. Trial t of a session draws
+    ``derive_rng(config.seed, t)``; sessions re-key one generator to that
+    key instead of calling this. The key is a uint64 array: a list of
+    Python ints would convert through float64 once a word is >= 2**63.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(ids))))
-
-
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The running multipliers init * mult**k mod 2**32 of a SeedSequence hash, as a column."""
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-# numpy's SeedSequence constants: a 4-word pool mixes with 16 hashes and
-# yields 4 output words, i.e. 2 uint64 (a Philox key).
-_MIX_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
-_OUT_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 5)
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix: row k of ``value`` is xored with ``consts[k]``, multiplied by ``consts[k+1]``."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of word ``y`` into word ``x``."""
-    result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return result ^ (result >> 16)
-
-
-def _trial_keys(seed: int, trials: range) -> np.ndarray:
-    """Row i is ``SeedSequence([seed, t]).generate_state(2, np.uint64)`` for the i-th t of ``trials``.
-
-    The hash runs on uint32 columns, one per trial, whose arithmetic wraps
-    mod 2**32 as numpy's does. The pool is the seed's one or two words,
-    then t's low and high words, zero-padded to 4; a zero-padded pool
-    hashes exactly like the unpadded entropy. Seed and trials are < 2**64.
-    """
-    seed, t = int(seed), np.array(trials, dtype=np.uint64)
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    pool = np.zeros((4, len(t)), dtype=np.uint32)
-    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    pool[len(seed_words)] = t & np.uint64(_MASK32)
-    pool[len(seed_words) + 1] = t >> np.uint64(32)
-    mixer = _hashmix(pool, _MIX_CONSTS[:5])
-    for src in range(4):
-        # word src's hashes into the other three are independent, so they run together
-        dst = [i for i in range(4) if i != src]
-        mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], _MIX_CONSTS[4 + 3 * src : 8 + 3 * src]))
-    words = _hashmix(mixer, _OUT_CONSTS).astype(np.uint64)
-    return (words[0::2] | (words[1::2] << np.uint64(32))).T  # little-endian word pairs
+    _check_word("seed", seed)
+    _check_word("trial", trial)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 #: The receiver's effects: E[b, o] projects on outcome o of basis b.
@@ -323,26 +274,27 @@ class _Block(NamedTuple):
 
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
-) -> tuple[DensityMatrix | None, Callable[[np.ndarray], _Block]]:
+) -> tuple[DensityMatrix | None, Callable[[range], _Block]]:
     """Build a scenario's post-channel state and Born tables for ``config.q`` once.
 
     Returns the post-channel pair (None for an honest sender, whose
     carriers are single qubits) and the sampler of a block of trials,
-    given their rows of ``_trial_keys(config.seed, ...)``. The session
-    holds one Philox generator; before each row it is re-keyed to the
-    trial's key, counter 0 and an empty buffer, which is the state
-    ``derive_rng(config.seed, t)`` starts in, so row t draws trial t's
-    stream. The Born-table lookups then run once over the whole block,
-    so a row does not depend on the block it is drawn in.
+    given a ``range`` of their indices. The session holds one Philox
+    generator; before each row it is re-keyed to the key (config.seed, t),
+    counter 0 and an empty buffer, which is the state
+    ``derive_rng(config.seed, t)`` starts in, so the row of trial t draws
+    trial t's stream. The Born-table lookups then run once over the whole
+    block, so a row does not depend on the block it is drawn in.
     """
     n = config.rounds
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
 
-    def rekeyed(keys: np.ndarray):
+    def rekeyed(trials: range):
         """Each row index, once ``rng`` is re-keyed to that row's trial stream."""
-        for row, key in enumerate(keys.tolist()):
-            bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+        for row, t in enumerate(trials):
+            bitgen.state = {"bit_generator": "Philox",
+                            "state": {"counter": (0, 0, 0, 0), "key": (config.seed, t)},
                             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
             yield row
 
@@ -352,10 +304,10 @@ def _prepare(
         # p0[variant, basis] = tr(E[basis, 0] eps(P_variant))
         joint, p0 = None, _clamp(np.einsum("bij,vji->vb", _EFFECTS[:, 0], noisy).real).ravel()
 
-        def sample(keys: np.ndarray) -> _Block:
-            draws = np.empty((len(keys), 2 * n), dtype=np.int8)  # variants, then bases
-            uniform = np.empty((len(keys), n))
-            for row in rekeyed(keys):
+        def sample(trials: range) -> _Block:
+            draws = np.empty((len(trials), 2 * n), dtype=np.int8)  # variants, then bases
+            uniform = np.empty((len(trials), n))
+            for row in rekeyed(trials):
                 draws[row] = rng.integers(0, 2, size=2 * n)
                 rng.random(out=uniform[row])
             variants, bases = draws[:, :n], draws[:, n:]
@@ -374,12 +326,12 @@ def _prepare(
                           out=np.zeros_like(born), where=born >= OUTCOME_EPS)
         bob_p0, steer_p0 = _clamp(born[:, 0]), _clamp(steer).ravel()
 
-        def sample(keys: np.ndarray) -> _Block:
-            bases = np.empty((len(keys), n), dtype=np.int8)
-            uniform = np.empty((len(keys), 2 * n))  # receiver's, then sender's
+        def sample(trials: range) -> _Block:
+            bases = np.empty((len(trials), n), dtype=np.int8)
+            uniform = np.empty((len(trials), 2 * n))  # receiver's, then sender's
             # Measurements on the two halves commute, so the receiver's
             # outcomes are drawn first and the sender steers on them.
-            for row in rekeyed(keys):
+            for row in rekeyed(trials):
                 bases[row] = rng.integers(0, 2, size=n)
                 rng.random(out=uniform[row])
             outcomes = uniform[:, :n] >= bob_p0.take(bases)
@@ -396,10 +348,8 @@ def run_session(
     config: ProtocolConfig, scenario: Scenario, trial: int = 0
 ) -> tuple[Transcript, VerificationReport]:
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial)."""
-    _check_int("trial", trial)
-    if not 0 <= trial < 2**64:
-        raise ValueError(f"trial must be a 64-bit unsigned integer, got {trial}")
-    block = _prepare(config, scenario)[1](_trial_keys(config.seed, range(trial, trial + 1)))
+    _check_word("trial", trial)
+    block = _prepare(config, scenario)[1](range(trial, trial + 1))
     columns = (None if col is None else col[0] for col in block[1:])  # in _COLUMNS order
     transcript = Transcript(config, block.opened_bit, *columns)
     return transcript, verify(transcript)
@@ -431,21 +381,20 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
 
     Trial t uses the stream ``derive_rng(config.seed, t)``, so results do
     not depend on execution order. The scenario's post-channel state and
-    Born tables are built once per call and shared by every trial, and the
-    Philox keys of all trials are hashed in one pass. Trials are sampled
-    in one thread, in blocks of about ``_BLOCK_ROUNDS`` rounds (whole
-    trials, at least one per block). Each report equals ``verify`` of the
-    trial's transcript, as ``run_session(config, scenario, t)`` returns it.
+    Born tables are built once per call and shared by every trial. Trials
+    are sampled in one thread, in blocks of about ``_BLOCK_ROUNDS`` rounds
+    (whole trials, at least one per block). Each report equals ``verify``
+    of the trial's transcript, as ``run_session(config, scenario, t)``
+    returns it.
     """
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     joint, sample = _prepare(config, scenario)
-    keys = _trial_keys(config.seed, range(trials))
     per_block = max(1, _BLOCK_ROUNDS // config.rounds)
     reports = []
     for start in range(0, trials, per_block):
-        sifted, matched = sample(keys[start : start + per_block]).counts()
+        sifted, matched = sample(range(trials)[start : start + per_block]).counts()
         reports += [_counts_report(config, s, m) for s, m in zip(sifted, matched)]
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
     return MonteCarloSummary(

@@ -42,6 +42,12 @@ def _check_bit(name: str, value) -> None:
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
 
+def _check_word(name: str, value) -> None:
+    """A 64-bit unsigned word: a seed or a trial, one half of a Philox key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+
+
 def _check_q(q) -> None:
     """The noise parameter q of the depolarizing channel and the isotropic family."""
     _check_real("q", q)
@@ -238,11 +244,11 @@ def joint_outcome_decomposition(
     Returns ``((p0, cond0), (p1, cond1))`` where ``p_j`` is the Born
     probability of outcome ``j`` on ``side`` and ``cond_j`` is the
     normalized state left on the other side. Branches with probability
-    below ``OUTCOME_EPS`` carry ``None``. Each conditional state is
-    validated, so a branch of probability just above ``OUTCOME_EPS`` can
-    raise ValueError (not PSD) once the division amplifies roundoff; this
-    is seen up to p ~ 5e-7. Sessions read their Born tables off
-    ``_sender_operator`` instead, and the tests use this as the reference.
+    below ``OUTCOME_EPS`` carry ``None``. The unnormalized branch is
+    validated at ``TOL``; dividing it by a small p would amplify its
+    roundoff past ``TOL``, so it is normalized with its spectrum clipped
+    at 0. Sessions read their Born tables off ``_sender_operator``
+    instead, and the tests use this as the reference.
     """
     m = as_operator(rho, 4)
     if side not in ("A", "B"):
@@ -256,6 +262,10 @@ def joint_outcome_decomposition(
         if p < OUTCOME_EPS:
             branches.append((p, None))
             continue
-        cond = partial_trace(full @ m @ full, keep=other) / p
-        branches.append((p, DensityMatrix(cond)))
+        branch = partial_trace(full @ m @ full, keep=other)
+        if not is_psd(branch):
+            raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(branch)[-1]:.3e})")
+        w, v = eig_hermitian(branch, vectors=True)
+        w = np.clip(w, 0.0, None)
+        branches.append((p, DensityMatrix((v * (w / w.sum())) @ v.conj().T)))
     return tuple(branches)

@@ -9,6 +9,7 @@ import pytest
 import ebcommit
 from ebcommit import cli
 from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
+from ebcommit.protocol import HonestAlice, ProtocolConfig, monte_carlo
 from ebcommit.states import ProjectiveBasis
 
 
@@ -182,13 +183,17 @@ def test_sweep_csv_schema_and_determinism(capsys):
 
 def test_sweep_mean_skips_trials_without_sifted_rounds(capsys):
     # one round per trial: the trials measured off the encoding basis have
-    # no evidence and stay out of the mean; the noiseless ones all match
+    # no evidence, stay out of the mean and are rejected; the noiseless
+    # ones all match and are accepted
     code, out, _ = run_cli(
         capsys, "sweep", "--rounds", "1", "--trials", "20", "--q-steps", "3", "--format", "csv",
     )
     assert code == EXIT_OK
-    last = out.strip().split("\n")[-1].split(",")
-    assert last[:4] == ["1", "1", "0", "0.25"]
+    no_sifted = monte_carlo(ProtocolConfig(q=1.0, rounds=1), HonestAlice(bit=0), 20).no_sifted_trials
+    assert 0 < no_sifted < 20
+    q, mean, std, rate = out.strip().split("\n")[-1].split(",")[:4]
+    assert (q, mean, std) == ("1", "1", "0")
+    assert float(rate) == (20 - no_sifted) / 20
 
 
 def test_sweep_empty_grid_fails(capsys):
@@ -438,15 +443,15 @@ def test_closed_stdout_pipe_exits_quietly():
 _PINNED_DUMPS = {
     "honest": (
         ["run", "--q", "0.6", "--rounds", "300", "--bit", "1", "--seed", "11"],
-        "314712f3067eb58270c3f4611268078913eafc1cf7851a1743b6a17b92b3ab25",
-        "3c4bbda6cda7f3d846163f91500e8f32c2dae4a262571b93b72e3afcf5506c5d",
+        "2539141af0e82ccecba6e2fdb9fc0e598019d4b65691c299ab3fe10117476817",
+        "9bfd040f9b0fb1db0bf02f64a533cd6d38b71750bb35dd7c43e24e843893f365",
     ),
     "epr": (
         ["run", "--alice", "epr", "--q", "0.7", "--rounds", "300", "--bit", "0",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "5"],
-        "9f345b0ab94a2505b5eb83d6e133c76c8c5fc11c4cf42cbb6f93051c746fef9b",
-        "ac2174af6dc422a945c0cd6d7e7f96f876054e65f805975bfda399ffbbeafadb",
+        "b211760c8d42aa82196e36d7a7ea19fec1d251b3911e51d1f330ac96b7e90d66",
+        "33226e96af1b06c1299ac050e307484c62c150885d468e430c2b436ac89d2e11",
     ),
 }
 
@@ -454,13 +459,13 @@ _PINNED_SWEEPS = {
     "honest": (
         ["sweep", "--q-steps", "4", "--rounds", "200", "--trials", "3", "--bit", "1",
          "--seed", "4"],
-        "4bf40219b866c1655c35e334b2a9ff5548e51b4b327ac70fe7738dec30eefb8d",
+        "b46e89e6ed609116406ab9af2ca14f6fdd322c87cd098405cd22f7736420cfa1",
     ),
     "epr": (
         ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "6"],
-        "a1e01bde06913d8784ac38ea2c21589b85b57e0ae41c9d8a181db88ea02c4fa2",
+        "e413222212f32d37032c0249ca0aefe561adce683ca588cfdbda8c4f993948fe",
     ),
 }
 

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from ebcommit.channels import DepolarizingChannel, lift_apply
 from ebcommit.linalg import kron, partial_trace
 from ebcommit.protocol import EprAlice, ProtocolConfig, run_session
 from ebcommit.states import (
     DIAGONAL,
+    OUTCOME_EPS,
     RECTILINEAR,
     CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
+    _sender_operator,
     bb84_pair_mixture,
     bb84_projector,
     bell_psi_plus,
@@ -200,6 +203,32 @@ def test_measure_joint_impossible_outcome_never_returned():
     t, _ = run_session(config, EprAlice(strategy=CheatStrategy([1, 0], [1, 0])))
     assert (t.bob_basis == 1).any()
     assert not t.bob_outcome[t.bob_basis == 1].any()
+
+
+def test_measure_joint_constructs_every_branch_of_small_probability():
+    # a1 close to a0 = |0> leaves branches of probability down to ~1e-11;
+    # dividing such a branch by p amplified its roundoff past TOL
+    for q in (0.5, 0.9, 1.0):
+        for theta in np.geomspace(1e-5, 2e-2, 60):
+            a1 = ProjectiveBasis(theta, 0.0).vectors()[0]
+            joint = lift_apply(DepolarizingChannel(q), cheat_state([1, 0], a1))
+            for side in ("A", "B"):
+                for bit in (0, 1):
+                    basis = encoding_basis(bit)
+                    branches = joint_outcome_decomposition(joint, side, basis)
+                    for (p, cond), proj in zip(branches, basis.projectors()):
+                        assert (cond is None) == (p < OUTCOME_EPS)
+                        if side == "B" and cond is not None:
+                            # both carry roundoff of about 1e-16 per entry,
+                            # so they are compared before dividing it by p
+                            x = _sender_operator(joint, proj)
+                            assert np.abs(p * cond.mat - x).max() <= 1e-15
+
+
+def test_measure_joint_rejects_a_branch_that_is_not_psd():
+    # Hermitian and unit trace, but outcome 0 on A leaves diag(1.5, -0.5) on B
+    with pytest.raises(ValueError, match="not PSD"):
+        joint_outcome_decomposition(np.diag([1.5, -0.5, 0.0, 0.0]), "A", RECTILINEAR)
 
 
 def test_no_signalling_average_of_conditionals(rng):
