@@ -61,7 +61,6 @@ from .states import (
     ProjectiveBasis,
     bb84_pair_mixture,
     bb84_projector,
-    bell_psi_plus,
     cheat_state,
     encoding_basis,
     isotropic,
@@ -89,7 +88,6 @@ __all__ = [
     "as_kraus",
     "bb84_pair_mixture",
     "bb84_projector",
-    "bell_psi_plus",
     "bell_strategy",
     "bob_cheat_probability",
     "channel_apply",

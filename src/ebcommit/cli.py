@@ -248,12 +248,11 @@ def _build_strategy(a0_spec: str, a1_spec: str) -> CheatStrategy:
 
 
 # Every field of a transcript record after ``round`` takes one of these
-# values, so a record is its round number plus one of 144 field classes.
+# values, so a record is its round number plus one of 48 field classes.
 _RECORD_FIELDS = (
     ("bob_basis", (0, 1)),
     ("bob_outcome", (0, 1)),
     ("announced_variant", (0, 1)),
-    ("alice_outcome", (None, 0, 1)),
     ("sifted", (False, True)),
     ("matched", (None, False, True)),
 )
@@ -286,12 +285,10 @@ def _record_texts() -> tuple[str, str, tuple[str, ...]]:
 def _record_classes(transcript) -> np.ndarray:
     """Class code of each round's record; ``matched`` is null on unsifted rounds."""
     sifted = transcript.sifted
-    alice = 0 if transcript.alice_outcome is None else transcript.alice_outcome + 1
     digits = (
         transcript.bob_basis,
         transcript.bob_outcome,
         transcript.announced_variant,
-        alice,
         sifted,
         np.where(sifted, transcript.matched + 1, 0),
     )

@@ -12,18 +12,20 @@ below the honest expectation (1+q)/2.
 A cheating sender commits halves of entangled pairs instead and delays
 her variant announcements until she has measured her retained halves.
 She is committed to no bit, so her scenario names only the bit she opens.
+An honest sender is a pair too: sending carrier v is holding a register
+|v> beside it and reading the register after the receiver has measured
+(remote state preparation), so both senders run one session path.
 
 A transcript is the record of one opened session: the opened bit and
 one column of length ``rounds`` per field (receiver basis and outcome,
-announced variant, the cheater's own outcome), each read-only int8 and
-holding only 0 and 1. Every round's state is one of a few (carrier,
-basis, outcome) classes, so a session samples all rounds at once by
-looking up the Born probability of its class: tr(E eps(P)) for an honest
-carrier P and receiver projector E; for a cheater, tr(x) and
-<s0|x|s0>/tr(x) of her operator x = tr_B[rho (I x E)]
+announced variant), each read-only int8 and holding only 0 and 1. Every
+round's state is one of a few (basis, outcome) classes, so a session
+samples all rounds at once by looking up the Born probabilities of its
+class, tr(x) and <s0|x|s0>/tr(x) of the sender's operator
+x = tr_B[rho (I x E)] for receiver projector E
 (``states._sender_operator``, as in ``security``), so no conditional
 state is built. Those tables depend only on q and the scenario: a
-session is prepared once (the post-channel state and its Born tables,
+session is prepared once (the post-channel pair and its Born tables,
 which stay with the prepared session, not in the transcript) and then
 sampled in blocks of whole trials, one row per trial. ``run_session``
 wraps a one-trial block in a ``Transcript`` and verifies it;
@@ -37,11 +39,12 @@ reproduces the same transcript. Trial t's stream is
 ``derive_rng(config.seed, t)``: the Philox stream of the 128-bit key
 (seed, t), from counter 0. Philox keeps streams of distinct keys
 independent, so no key is hashed, and a prepared session re-keys one
-generator per trial instead of building one. Within a session, draws
-happen in a fixed order (variants, receiver bases, receiver outcomes,
-then steering outcomes at opening); sampling each class's Born
-probability is distribution-identical to measuring each round's state
-individually.
+generator per trial instead of building one. Within a session, both
+senders draw in one fixed order: ``rounds`` receiver bases, then
+``rounds`` uniforms for the receiver's outcomes and ``rounds`` for the
+sender's steering outcomes, which she announces as variants; sampling
+each class's Born probability is distribution-identical to measuring
+each round's state individually.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import DepolarizingChannel, channel_apply, lift_apply
+from .channels import DepolarizingChannel, lift_apply
 from .entanglement import concurrence, is_separable
 from .states import (
     OUTCOME_EPS,
@@ -90,7 +93,7 @@ class ProtocolConfig:
             raise ValueError(f"accept_sigma must be finite and >= 0, got {self.accept_sigma}")
 
 
-_COLUMNS = ("bob_basis", "bob_outcome", "announced_variant", "alice_outcome")
+_COLUMNS = ("bob_basis", "bob_outcome", "announced_variant")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +101,9 @@ class Transcript:
     """The rounds of one opened session, one read-only int8 column per field.
 
     ``bob_basis`` and ``bob_outcome`` are the receiver's; basis b is
-    ``encoding_basis(b)``. ``announced_variant`` is the sender's opening.
-    ``alice_outcome`` is a cheater's own steering outcome and None for an
-    honest sender. Equality compares every field by value.
+    ``encoding_basis(b)``. ``announced_variant`` is the sender's opening:
+    her steering outcomes, which for an honest sender are the carriers she
+    sent. Equality compares every field by value.
     """
 
     config: ProtocolConfig
@@ -108,15 +111,11 @@ class Transcript:
     bob_basis: np.ndarray
     bob_outcome: np.ndarray
     announced_variant: np.ndarray
-    alice_outcome: np.ndarray | None = None
 
     def __post_init__(self):
         _check_bit("opened_bit", self.opened_bit)
         for name in _COLUMNS:
-            col = getattr(self, name)
-            if col is None:  # an honest sender's alice_outcome
-                continue
-            col = np.asarray(col)
+            col = np.asarray(getattr(self, name))
             if col.shape != (self.config.rounds,):
                 raise ValueError(
                     f"{name} has shape {col.shape} for {self.config.rounds} rounds"
@@ -130,7 +129,6 @@ class Transcript:
     def __eq__(self, other):
         if not isinstance(other, Transcript):
             return NotImplemented
-        # np.array_equal(None, None) holds, and None equals no array
         return self.config == other.config and self.opened_bit == other.opened_bit and all(
             np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS
         )
@@ -262,7 +260,6 @@ class _Block(NamedTuple):
     bob_basis: np.ndarray
     bob_outcome: np.ndarray
     announced_variant: np.ndarray
-    alice_outcome: np.ndarray | None
 
     def counts(self) -> tuple[list[int], list[int]]:
         """Each row's sifted and matched round counts (``Transcript.sifted``/``matched``)."""
@@ -274,72 +271,57 @@ class _Block(NamedTuple):
 
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
-) -> tuple[DensityMatrix | None, Callable[[range], _Block]]:
-    """Build a scenario's post-channel state and Born tables for ``config.q`` once.
+) -> tuple[DensityMatrix, Callable[[range], _Block]]:
+    """Build a scenario's post-channel pair and Born tables for ``config.q`` once.
 
-    Returns the post-channel pair (None for an honest sender, whose
-    carriers are single qubits) and the sampler of a block of trials,
-    given a ``range`` of their indices. The session holds one Philox
-    generator; before each row it is re-keyed to the key (config.seed, t),
-    counter 0 and an empty buffer, which is the state
-    ``derive_rng(config.seed, t)`` starts in, so the row of trial t draws
-    trial t's stream. The Born-table lookups then run once over the whole
-    block, so a row does not depend on the block it is drawn in.
+    Both senders are pairs steered at opening. An honest sender of carrier
+    v holds a register |v> beside it and reads the register once the
+    receiver has measured, so her pair is the classical-quantum state
+    1/2 sum_v |v><v| x P_v, steered in ``RECTILINEAR``. Returns the
+    post-channel pair and the sampler of a block of trials, given a
+    ``range`` of their indices. The session holds one Philox generator;
+    before each row it is re-keyed to the key (config.seed, t), counter 0
+    and an empty buffer, which is the state ``derive_rng(config.seed, t)``
+    starts in, so the row of trial t draws trial t's stream. The
+    Born-table lookups then run once over the whole block, so a row does
+    not depend on the block it is drawn in.
     """
+    if isinstance(scenario, HonestAlice):
+        pair = DensityMatrix(sum(np.kron(bb84_projector(0, v), bb84_projector(scenario.bit, v))
+                                 for v in (0, 1)) / 2)
+        opened_bit, steer_basis = scenario.bit, RECTILINEAR
+    elif isinstance(scenario, EprAlice):
+        pair = cheat_state(scenario.strategy.a0, scenario.strategy.a1)
+        opened_bit, steer_basis = scenario.target_bit, scenario.steer_basis
+    else:
+        raise TypeError(f"not a scenario: {scenario!r}")
+    joint = lift_apply(DepolarizingChannel(config.q), pair)
+    x = np.array([[_sender_operator(joint, e) for e in row] for row in _EFFECTS])  # x[b, o]
+    born = np.trace(x, axis1=2, axis2=3).real
+    s0 = steer_basis.vectors()[0]
+    # steer_p0[b, o] = <s0|x[b, o]|s0> / tr x[b, o]; an impossible
+    # receiver outcome is never drawn, so its entry is never read.
+    steer = np.divide((s0.conj() @ x @ s0).real, born,
+                      out=np.zeros_like(born), where=born >= OUTCOME_EPS)
+    bob_p0, steer_p0 = _clamp(born[:, 0]), _clamp(steer).ravel()
     n = config.rounds
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
 
-    def rekeyed(trials: range):
-        """Each row index, once ``rng`` is re-keyed to that row's trial stream."""
+    def sample(trials: range) -> _Block:
+        bases = np.empty((len(trials), n), dtype=np.int8)
+        uniform = np.empty((len(trials), 2 * n))  # receiver's, then sender's
         for row, t in enumerate(trials):
             bitgen.state = {"bit_generator": "Philox",
                             "state": {"counter": (0, 0, 0, 0), "key": (config.seed, t)},
                             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            yield row
-
-    if isinstance(scenario, HonestAlice):
-        channel = DepolarizingChannel(config.q)
-        noisy = [channel_apply(channel, bb84_projector(scenario.bit, v)) for v in (0, 1)]
-        # p0[variant, basis] = tr(E[basis, 0] eps(P_variant))
-        joint, p0 = None, _clamp(np.einsum("bij,vji->vb", _EFFECTS[:, 0], noisy).real).ravel()
-
-        def sample(trials: range) -> _Block:
-            draws = np.empty((len(trials), 2 * n), dtype=np.int8)  # variants, then bases
-            uniform = np.empty((len(trials), n))
-            for row in rekeyed(trials):
-                draws[row] = rng.integers(0, 2, size=2 * n)
-                rng.random(out=uniform[row])
-            variants, bases = draws[:, :n], draws[:, n:]
-            outcomes = uniform >= p0.take(2 * variants + bases)  # p0[variant, basis]
-            return _Block(scenario.bit, bases, outcomes, variants, None)
-
-    elif isinstance(scenario, EprAlice):
-        strategy = scenario.strategy
-        joint = lift_apply(DepolarizingChannel(config.q), cheat_state(strategy.a0, strategy.a1))
-        x = np.array([[_sender_operator(joint, e) for e in row] for row in _EFFECTS])  # x[b, o]
-        born = np.trace(x, axis1=2, axis2=3).real
-        s0 = scenario.steer_basis.vectors()[0]
-        # steer_p0[b, o] = <s0|x[b, o]|s0> / tr x[b, o]; an impossible
-        # receiver outcome is never drawn, so its entry is never read.
-        steer = np.divide((s0.conj() @ x @ s0).real, born,
-                          out=np.zeros_like(born), where=born >= OUTCOME_EPS)
-        bob_p0, steer_p0 = _clamp(born[:, 0]), _clamp(steer).ravel()
-
-        def sample(trials: range) -> _Block:
-            bases = np.empty((len(trials), n), dtype=np.int8)
-            uniform = np.empty((len(trials), 2 * n))  # receiver's, then sender's
-            # Measurements on the two halves commute, so the receiver's
-            # outcomes are drawn first and the sender steers on them.
-            for row in rekeyed(trials):
-                bases[row] = rng.integers(0, 2, size=n)
-                rng.random(out=uniform[row])
-            outcomes = uniform[:, :n] >= bob_p0.take(bases)
-            alice = uniform[:, n:] >= steer_p0.take(2 * bases + outcomes)  # steer_p0[basis, outcome]
-            return _Block(scenario.target_bit, bases, outcomes, alice, alice)
-
-    else:
-        raise TypeError(f"not a scenario: {scenario!r}")
+            bases[row] = rng.integers(0, 2, size=n)
+            rng.random(out=uniform[row])
+        # Measurements on the two halves commute, so the receiver's
+        # outcomes are drawn first and the sender steers on them.
+        outcomes = uniform[:, :n] >= bob_p0.take(bases)
+        variants = uniform[:, n:] >= steer_p0.take(2 * bases + outcomes)  # steer_p0[basis, outcome]
+        return _Block(opened_bit, bases, outcomes, variants)
 
     return joint, sample
 
@@ -350,8 +332,7 @@ def run_session(
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial)."""
     _check_word("trial", trial)
     block = _prepare(config, scenario)[1](range(trial, trial + 1))
-    columns = (None if col is None else col[0] for col in block[1:])  # in _COLUMNS order
-    transcript = Transcript(config, block.opened_bit, *columns)
+    transcript = Transcript(config, block.opened_bit, *(col[0] for col in block[1:]))
     return transcript, verify(transcript)
 
 
@@ -362,8 +343,8 @@ class MonteCarloSummary:
     The match-fraction mean and std run over the trials that had sifted
     rounds; ``no_sifted_trials`` counts the others, and with none left
     both are 0.0. Separability (0 or 1) and concurrence are those of the
-    post-channel joint state, which is the same in every trial; an
-    honest sender reports 1 and 0.
+    post-channel pair, which is the same in every trial; an honest
+    sender's classical-quantum pair is separable, so it reports 1 and 0.
     """
 
     trials: int
@@ -402,8 +383,8 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
         match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
         match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
         acceptance_rate=sum(r.accepted for r in reports) / trials,
-        separable_fraction=1.0 if joint is None or is_separable(joint) else 0.0,
-        mean_concurrence=0.0 if joint is None else concurrence(joint).value,
+        separable_fraction=1.0 if is_separable(joint) else 0.0,
+        mean_concurrence=concurrence(joint).value,
         no_sifted_trials=trials - fractions.size,
         reports=tuple(reports),
     )

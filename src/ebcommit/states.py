@@ -1,4 +1,4 @@
-"""State constructors, the sender's operator of a receiver outcome, and conditional states.
+"""State constructors and the sender's operator of a receiver outcome.
 
 Encoding convention for the commitment scheme: bit 0 is carried by the
 computational pair {|0>, |1>} (rectilinear), bit 1 by the diagonal pair
@@ -126,15 +126,9 @@ class ProjectiveBasis:
         b1 = np.array([-s / ph, c], dtype=complex)
         return b0, b1
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        b0, b1 = self.vectors()
-        return np.outer(b0, b0.conj()), np.outer(b1, b1.conj())
-
 
 RECTILINEAR = ProjectiveBasis(0.0, 0.0)
 DIAGONAL = ProjectiveBasis(math.pi / 2, 0.0)
-
-_SQRT_HALF = math.sqrt(0.5)
 
 
 def bb84_projector(bit: int, variant: int) -> np.ndarray:
@@ -164,11 +158,6 @@ def encoding_basis(bit: int) -> ProjectiveBasis:
     """Measurement basis that resolves the two variants of a bit."""
     _check_bit("bit", bit)
     return RECTILINEAR if bit == 0 else DIAGONAL
-
-
-def bell_psi_plus() -> np.ndarray:
-    """Maximally entangled pair (|00> + |11>)/sqrt(2)."""
-    return np.array([_SQRT_HALF, 0, 0, _SQRT_HALF], dtype=complex)
 
 
 # Exact projector of the Bell pair; entries are 0 or 1/2.
@@ -234,38 +223,3 @@ def _sender_operator(rho, effect) -> np.ndarray:
     x_E / tr x_E the sender's conditional state. x_E is linear in E.
     """
     return partial_trace(as_operator(rho, 4) @ kron(PAULI_I, effect), keep="A")
-
-
-def joint_outcome_decomposition(
-    rho: DensityMatrix, side: str, basis: ProjectiveBasis
-) -> tuple[tuple[float, DensityMatrix | None], ...]:
-    """Both branches of a local measurement on half of a two-qubit state.
-
-    Returns ``((p0, cond0), (p1, cond1))`` where ``p_j`` is the Born
-    probability of outcome ``j`` on ``side`` and ``cond_j`` is the
-    normalized state left on the other side. Branches with probability
-    below ``OUTCOME_EPS`` carry ``None``. The unnormalized branch is
-    validated at ``TOL``; dividing it by a small p would amplify its
-    roundoff past ``TOL``, so it is normalized with its spectrum clipped
-    at 0. Sessions read their Born tables off ``_sender_operator``
-    instead, and the tests use this as the reference.
-    """
-    m = as_operator(rho, 4)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    other = "B" if side == "A" else "A"
-    eye = np.eye(2)
-    branches = []
-    for proj in basis.projectors():
-        full = kron(proj, eye) if side == "A" else kron(eye, proj)
-        p = float(np.real(np.trace(full @ m)))
-        if p < OUTCOME_EPS:
-            branches.append((p, None))
-            continue
-        branch = partial_trace(full @ m @ full, keep=other)
-        if not is_psd(branch):
-            raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(branch)[-1]:.3e})")
-        w, v = eig_hermitian(branch, vectors=True)
-        w = np.clip(w, 0.0, None)
-        branches.append((p, DensityMatrix((v * (w / w.sum())) @ v.conj().T)))
-    return tuple(branches)

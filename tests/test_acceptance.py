@@ -33,10 +33,10 @@ from ebcommit.states import (
     bb84_pair_mixture,
     cheat_state,
     isotropic,
-    joint_outcome_decomposition,
 )
 
 from conftest import random_density_matrix, random_hermitian, random_pure_state
+from reference import joint_outcome_decomposition
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 

@@ -19,14 +19,13 @@ from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_tr
 from ebcommit.states import (
     DensityMatrix,
     bb84_projector,
-    bell_psi_plus,
     cheat_state,
     encoding_basis,
     isotropic,
-    joint_outcome_decomposition,
 )
 
 from conftest import random_density_matrix
+from reference import bell_psi_plus, joint_outcome_decomposition
 
 I2 = np.eye(2)
 

@@ -443,15 +443,15 @@ def test_closed_stdout_pipe_exits_quietly():
 _PINNED_DUMPS = {
     "honest": (
         ["run", "--q", "0.6", "--rounds", "300", "--bit", "1", "--seed", "11"],
-        "2539141af0e82ccecba6e2fdb9fc0e598019d4b65691c299ab3fe10117476817",
-        "9bfd040f9b0fb1db0bf02f64a533cd6d38b71750bb35dd7c43e24e843893f365",
+        "8a37d17a3f51d49a867aa1a6f357e6d0996bd7561276865099615dfafe2f4200",
+        "ae7cc5bbee72a99445b7ac0c7619f06acae0997a00a57dfa4a1e011c632d57a3",
     ),
     "epr": (
         ["run", "--alice", "epr", "--q", "0.7", "--rounds", "300", "--bit", "0",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "5"],
         "b211760c8d42aa82196e36d7a7ea19fec1d251b3911e51d1f330ac96b7e90d66",
-        "33226e96af1b06c1299ac050e307484c62c150885d468e430c2b436ac89d2e11",
+        "d5a05f8bea5dca435b2ddf64076459028c8491045fd33d1a9820211c2e02f47d",
     ),
 }
 
@@ -459,7 +459,7 @@ _PINNED_SWEEPS = {
     "honest": (
         ["sweep", "--q-steps", "4", "--rounds", "200", "--trials", "3", "--bit", "1",
          "--seed", "4"],
-        "b46e89e6ed609116406ab9af2ca14f6fdd322c87cd098405cd22f7736420cfa1",
+        "abe8268f76212787a221ded60a7e40eefba9733aaa7d879fc591decd85497dd9",
     ),
     "epr": (
         ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",

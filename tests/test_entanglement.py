@@ -17,9 +17,10 @@ from ebcommit.entanglement import (
     is_separable,
 )
 from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
-from ebcommit.states import DensityMatrix, bell_psi_plus, cheat_state, isotropic
+from ebcommit.states import DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_pure_state
+from reference import bell_psi_plus
 
 
 def test_concurrence_bell_is_one():

@@ -15,9 +15,10 @@ from ebcommit.linalg import (
     trace_distance,
 )
 from ebcommit.channels import KrausChannel
-from ebcommit.states import CheatStrategy, DensityMatrix, bell_psi_plus, cheat_state, isotropic
+from ebcommit.states import CheatStrategy, DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_hermitian
+from reference import bell_psi_plus
 
 I2 = np.eye(2)
 I4 = np.eye(4)

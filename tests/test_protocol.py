@@ -34,8 +34,9 @@ from ebcommit.states import (
     cheat_state,
     encoding_basis,
     isotropic,
-    joint_outcome_decomposition,
 )
+
+from reference import joint_outcome_decomposition
 
 
 def cfg(q, rounds, seed=0, **kw):
@@ -160,9 +161,9 @@ def test_transcript_equality_covers_opened_columns():
     diag = run_session(c, EprAlice(bell_strategy(), 0, DIAGONAL))[0]
     assert np.array_equal(rect.bob_outcome, diag.bob_outcome)
     assert rect != diag and diag != rect
-    # the same opening without the sender's own outcomes
-    honest = Transcript(c, 0, rect.bob_basis, rect.bob_outcome, rect.announced_variant)
-    assert honest != rect and rect != honest
+    # the same columns opened as the other bit
+    other = Transcript(c, 1, rect.bob_basis, rect.bob_outcome, rect.announced_variant)
+    assert other != rect and rect != other
 
 
 def test_honest_noiseless_all_sifted_match():
@@ -190,11 +191,13 @@ def test_honest_transcript_columns():
     for col in (t.bob_basis, t.bob_outcome, t.announced_variant):
         assert col.shape == (200,) and col.dtype == np.int8
         assert not col.flags.writeable
-    # the announced variants are the first draw of the session stream
-    assert np.array_equal(t.announced_variant, derive_rng(5, 0).integers(0, 2, size=200))
+    # trial 0 draws in the one order both senders share
+    bases, outcomes, variants = _replay(0.7, HonestAlice(bit=bit), 5, 0, 200)
+    assert np.array_equal(t.bob_basis, bases)
+    assert np.array_equal(t.bob_outcome, outcomes)
+    assert np.array_equal(t.announced_variant, variants)
     assert np.array_equal(t.sifted, t.bob_basis == bit)
     assert not t.matched[~t.sifted].any()
-    assert t.alice_outcome is None
 
 
 def test_honest_alice_validates_bit():
@@ -251,13 +254,6 @@ def test_steering_cannot_touch_bob_outcomes():
     assert not np.array_equal(sessions[0].announced_variant, sessions[2].announced_variant)
 
 
-def test_steered_announcements_follow_alice_outcomes():
-    t, _ = run_session(cfg(0.6, 500, seed=21), EprAlice(bell_strategy(), 1, DIAGONAL))
-    assert t.opened_bit == 1
-    assert np.array_equal(t.announced_variant, t.alice_outcome)
-    assert np.array_equal(t.sifted, t.bob_basis == 1)
-
-
 def test_verify_threshold_formula():
     c = cfg(0.8, 10000, seed=2)
     _, report = run_session(c, HonestAlice(bit=0))
@@ -281,10 +277,10 @@ def test_transcript_length_invariant():
     c = cfg(0.5, 3)
     with pytest.raises(ValueError, match="rounds"):
         Transcript(c, opened_bit=0, bob_basis=[], bob_outcome=[], announced_variant=[])
-    with pytest.raises(ValueError, match="alice_outcome"):
+    with pytest.raises(ValueError, match="announced_variant"):
         Transcript(
             c, opened_bit=0, bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0],
-            announced_variant=[0, 0, 1], alice_outcome=[0, 1],
+            announced_variant=[0, 1],
         )
 
 
@@ -298,9 +294,9 @@ def test_transcript_length_invariant():
         ("bob_outcome", np.array([256, 0, 1])),  # wraps to 0 in int8
         ("announced_variant", [5, 5, 0]),
         ("announced_variant", [-1, 0, 1]),
-        ("alice_outcome", [0, 2, 1]),
-        ("alice_outcome", ["0", "1", "0"]),
-        ("alice_outcome", [None, 0, 1]),
+        ("announced_variant", [0, 2, 1]),
+        ("announced_variant", ["0", "1", "0"]),
+        ("announced_variant", [None, 0, 1]),
     ],
 )
 def test_transcript_columns_hold_bits(column, values):
@@ -314,7 +310,6 @@ def test_transcript_accepts_bool_and_integer_columns():
     t = Transcript(
         cfg(0.5, 3), 0, bob_basis=np.array([0, 1, 0], dtype=np.uint8),
         bob_outcome=[True, False, True], announced_variant=np.array([1, 1, 0]),
-        alice_outcome=np.array([1, 1, 0], dtype=np.int8),
     )
     assert t.bob_outcome.dtype == np.int8 and t.bob_outcome.tolist() == [1, 0, 1]
     assert verify(t).match_count == 1
@@ -369,9 +364,10 @@ def test_run_session_rejects_bad_trial(trial):
 def test_run_session_takes_the_largest_trial():
     c = cfg(0.5, 10, seed=2**64 - 1)
     t, _ = run_session(c, HonestAlice(bit=0), trial=2**64 - 1)
-    rng = derive_rng(2**64 - 1, 2**64 - 1)
-    assert np.array_equal(t.announced_variant, rng.integers(0, 2, size=10))
-    assert np.array_equal(t.bob_basis, rng.integers(0, 2, size=10))
+    bases, outcomes, variants = _replay(0.5, HonestAlice(bit=0), 2**64 - 1, 2**64 - 1, 10)
+    assert np.array_equal(t.bob_basis, bases)
+    assert np.array_equal(t.bob_outcome, outcomes)
+    assert np.array_equal(t.announced_variant, variants)
 
 
 _WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -475,6 +471,15 @@ def test_monte_carlo_honest_sweep_tracks_expectation(q):
     assert summary.mean_concurrence == 0.0
 
 
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("q", [0.0, 1 / 3, 0.5, 1.0])
+def test_monte_carlo_honest_pair_is_separable(q, bit):
+    # the honest sender's classical-quantum pair stays separable through any channel
+    summary = monte_carlo(cfg(q, 20, seed=8), HonestAlice(bit=bit), trials=2)
+    assert summary.separable_fraction == 1.0
+    assert summary.mean_concurrence == 0.0
+
+
 def test_monte_carlo_honest_acceptance_rate():
     c = cfg(0.8, 10000, seed=0)
     summary = monte_carlo(c, HonestAlice(bit=1), trials=100)
@@ -519,13 +524,10 @@ def _dump(argv: list[str]) -> str:
 
 def _reference_records(transcript: Transcript) -> list[dict]:
     """One dict per round, built directly from the columns."""
-    n = transcript.config.rounds
-    alice = [None] * n if transcript.alice_outcome is None else transcript.alice_outcome.tolist()
     columns = zip(
         transcript.bob_basis.tolist(),
         transcript.bob_outcome.tolist(),
         transcript.announced_variant.tolist(),
-        alice,
         transcript.sifted.tolist(),
         transcript.matched.tolist(),
     )
@@ -535,11 +537,10 @@ def _reference_records(transcript: Transcript) -> list[dict]:
             "bob_basis": basis,
             "bob_outcome": outcome,
             "announced_variant": variant,
-            "alice_outcome": a,
             "sifted": sifted,
             "matched": matched if sifted else None,
         }
-        for i, (basis, outcome, variant, a, sifted, matched) in enumerate(columns)
+        for i, (basis, outcome, variant, sifted, matched) in enumerate(columns)
     ]
 
 
@@ -595,40 +596,56 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
     assert [r["bob_outcome"] for r in records] == transcript.bob_outcome.tolist()
     assert [r["announced_variant"] for r in records] == transcript.announced_variant.tolist()
 
-    if not epr:
-        assert all(r["alice_outcome"] is None for r in records)
-        return
-    # the cheater announces her own outcomes
-    assert np.array_equal(transcript.announced_variant, transcript.alice_outcome)
-    assert [r["alice_outcome"] for r in records] == transcript.alice_outcome.tolist()
-
 
 def _reference_tables(q, scenario):
     """A scenario's Born tables from the public per-branch API, clamped at OUTCOME_EPS.
 
-    Honest: p0[variant, basis]. Cheater: bob_p0[basis] and
-    steer_p0[basis, outcome], 0 for an impossible receiver outcome.
+    Returns bob_p0[basis] and steer_p0[basis, outcome], the probability
+    that the sender's steering outcome is 0, 0 for an impossible receiver
+    outcome. An honest sender's tables come from her per-variant Born rule
+    p0[variant, basis] by Bayes' rule: she sends either variant with
+    probability 1/2 and her outcome is the variant she sent.
     """
     def clamp(p):
         return 0.0 if p < OUTCOME_EPS else 1.0 if p > 1.0 - OUTCOME_EPS else p
 
     def prob0(state, basis):
         b0 = basis.vectors()[0]
-        return clamp(float(np.real(b0.conj() @ state @ b0)))
+        return float(np.real(b0.conj() @ state @ b0))
 
     if isinstance(scenario, HonestAlice):
         channel = DepolarizingChannel(q)
         noisy = [channel_apply(channel, bb84_projector(scenario.bit, v)) for v in (0, 1)]
-        return np.array([[prob0(noisy[v], encoding_basis(b)) for b in (0, 1)] for v in (0, 1)])
+        p0 = np.array([[prob0(noisy[v], encoding_basis(b)) for b in (0, 1)] for v in (0, 1)])
+        bob_p0 = (p0[0] + p0[1]) / 2
+        steer_p0 = np.array([
+            [p0[0, b] / 2 / bob_p0[b], (1 - p0[0, b]) / 2 / (1 - bob_p0[b])] for b in (0, 1)
+        ])
+        return np.vectorize(clamp)(bob_p0), np.vectorize(clamp)(steer_p0)
     strategy = scenario.strategy
     joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
     branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in (0, 1)]
     bob_p0 = np.array([clamp(branch[0][0]) for branch in branches])
     steer_p0 = np.array([
-        [0.0 if cond is None else prob0(cond.mat, scenario.steer_basis) for _, cond in branch]
+        [0.0 if cond is None else clamp(prob0(cond.mat, scenario.steer_basis))
+         for _, cond in branch]
         for branch in branches
     ])
     return bob_p0, steer_p0
+
+
+def _replay(q, scenario, seed, trial, rounds):
+    """Trial ``trial``'s receiver bases and outcomes and announced variants, drawn afresh.
+
+    Both senders draw ``rounds`` bases, then ``rounds`` uniforms for the
+    receiver's outcomes and ``rounds`` for the sender's steering outcomes.
+    """
+    bob_p0, steer_p0 = _reference_tables(q, scenario)
+    rng = derive_rng(seed, trial)  # the reference definition of trial t's stream
+    bases = rng.integers(0, 2, size=rounds)
+    outcomes = (rng.random(rounds) >= bob_p0[bases]).astype(int)
+    variants = (rng.random(rounds) >= steer_p0[bases, outcomes]).astype(int)
+    return bases, outcomes, variants
 
 
 @settings(max_examples=60, deadline=None)
@@ -659,27 +676,19 @@ def test_block_rows_draw_each_trials_derive_rng_stream(
         scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
     else:
         scenario = HonestAlice(bit=bit)
-    tables = _reference_tables(q, scenario)
     ts = range(first, first + trials)
     block = protocol._prepare(config, scenario)[1](ts)
     for row, t in enumerate(ts):
-        rng = derive_rng(seed, t)  # the reference definition of trial t's stream
-        if epr:
-            bob_p0, steer_p0 = tables
-            bases = rng.integers(0, 2, size=rounds)
-            outcomes = (rng.random(rounds) >= bob_p0[bases]).astype(int)
-            variants = rng.random(rounds) >= steer_p0[bases, outcomes]
-            assert block.alice_outcome[row].tolist() == variants.tolist()
-        else:
-            variants = rng.integers(0, 2, size=rounds)
-            bases = rng.integers(0, 2, size=rounds)
-            outcomes = rng.random(rounds) >= tables[variants, bases]
+        bases, outcomes, variants = _replay(q, scenario, seed, t, rounds)
         assert block.bob_basis[row].tolist() == bases.tolist()
         assert block.bob_outcome[row].tolist() == outcomes.tolist()
         assert block.announced_variant[row].tolist() == variants.tolist()
 
 
-def test_epr_prepare_validates_two_density_matrices(monkeypatch):
+@pytest.mark.parametrize(
+    "scenario", [HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)], ids=["honest", "epr"]
+)
+def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario):
     # the committed pair and its lift; the Born tables are read off the
     # sender's operators, with no normalized conditional state
     validated = []
@@ -690,7 +699,7 @@ def test_epr_prepare_validates_two_density_matrices(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
-    protocol._prepare(cfg(0.7, 10), EprAlice(bell_strategy(), 1, DIAGONAL))
+    protocol._prepare(cfg(0.7, 10), scenario)
     assert len(validated) == 2
 
 

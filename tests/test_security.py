@@ -19,10 +19,10 @@ from ebcommit.states import (
     ProjectiveBasis,
     bb84_pair_mixture,
     cheat_state,
-    joint_outcome_decomposition,
 )
 
 from conftest import random_density_matrix
+from reference import joint_outcome_decomposition
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 ONE = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))

@@ -16,14 +16,13 @@ from ebcommit.states import (
     _sender_operator,
     bb84_pair_mixture,
     bb84_projector,
-    bell_psi_plus,
     cheat_state,
     encoding_basis,
     isotropic,
-    joint_outcome_decomposition,
 )
 
 from conftest import random_density_matrix
+from reference import bell_psi_plus, joint_outcome_decomposition, projectors
 
 I2 = np.eye(2)
 
@@ -132,10 +131,10 @@ def test_projective_basis_accepts_integer_and_numpy_angles():
 
 
 def test_rectilinear_and_diagonal_projectors():
-    p0, p1 = RECTILINEAR.projectors()
+    p0, p1 = projectors(RECTILINEAR)
     assert np.array_equal(p0, np.diag([1.0, 0.0]))
     assert np.array_equal(p1, np.diag([0.0, 1.0]))
-    d0, d1 = DIAGONAL.projectors()
+    d0, d1 = projectors(DIAGONAL)
     assert np.abs(d0 - bb84_projector(1, 0)).max() < 1e-15
     assert np.abs(d1 - bb84_projector(1, 1)).max() < 1e-15
 
@@ -216,7 +215,7 @@ def test_measure_joint_constructs_every_branch_of_small_probability():
                 for bit in (0, 1):
                     basis = encoding_basis(bit)
                     branches = joint_outcome_decomposition(joint, side, basis)
-                    for (p, cond), proj in zip(branches, basis.projectors()):
+                    for (p, cond), proj in zip(branches, projectors(basis)):
                         assert (cond is None) == (p < OUTCOME_EPS)
                         if side == "B" and cond is not None:
                             # both carry roundoff of about 1e-16 per entry,

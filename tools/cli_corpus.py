@@ -15,7 +15,9 @@ also prints one line per command (its own digest and argv), to find which
 outputs differ.
 
 The corpus covers honest and EPR ``run`` with and without
-``--dump-transcript``, CSV and JSON sweeps (one round per trial, two
+``--dump-transcript`` (honest dumps of bit 1 at q = 0.6 and of bit 0 at
+q = 0 and q = 1, where the honest sender's steering table holds exact 0s
+and 1s), CSV and JSON sweeps (one round per trial, two
 workers, the EPR sweep through q = 1/3), ``binding``, ``hiding``,
 ``threshold`` and usage errors, among them the flags ``threshold`` no
 longer takes.
@@ -63,6 +65,9 @@ def _run_commands() -> list[list[str]]:
                          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
                          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", seed,
                          "--dump-transcript"])
+    # honest bit 0 at the noise extremes: at q = 1 the steering table holds exact 0s and 1s
+    for q in ("0.0", "1.0"):
+        cmds.append(["run", "--q", q, "--rounds", "40", "--bit", "0", "--dump-transcript"])
     return cmds
 
 
