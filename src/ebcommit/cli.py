@@ -247,55 +247,32 @@ def _build_strategy(a0_spec: str, a1_spec: str) -> CheatStrategy:
         raise UsageError(str(exc)) from None
 
 
-# Every field of a transcript record after ``round`` takes one of these
-# values, so a record is its round number plus one of 48 field classes.
-_RECORD_FIELDS = (
-    ("bob_basis", (0, 1)),
-    ("bob_outcome", (0, 1)),
-    ("announced_variant", (0, 1)),
-    ("sifted", (False, True)),
-    ("matched", (None, False, True)),
-)
-
 # Records per write: bounds the dump's memory whatever the round count.
 _RECORDS_PER_WRITE = 4096
 
 
 @functools.cache
-def _record_texts() -> tuple[str, str, tuple[str, ...]]:
+def _record_texts(opened_bit: int) -> tuple[str, str, tuple[str, ...]]:
     """json.dumps(indent=2) of a record in the transcript list, split at its round number.
 
     Returns the text before the number of the first record, the same text
     for every later record (item separator included), and the text after
-    the number for each class code: the mixed-radix index of the record's
-    values in ``_RECORD_FIELDS``.
+    the number for each round class 4 bob_basis + 2 bob_outcome +
+    announced_variant of a session opened as ``opened_bit``; ``matched``
+    is null on unsifted rounds.
     """
     # the list's opener, item separator and closer at the transcript's depth
     opener, sep, closer = json.dumps({"transcript": [0, 0]}, indent=2).split("0")
-    names = [name for name, _ in _RECORD_FIELDS]
     tails = []
-    for values in itertools.product(*(choices for _, choices in _RECORD_FIELDS)):
-        record = {"round": 0, **dict(zip(names, values))}
+    for basis, outcome, variant in itertools.product((0, 1), repeat=3):
+        sifted = basis == opened_bit
+        record = {"round": 0, "bob_basis": basis, "bob_outcome": outcome,
+                  "announced_variant": variant, "sifted": sifted,
+                  "matched": outcome == variant if sifted else None}
         text = json.dumps({"transcript": [record]}, indent=2)
         pre, tail = text.removeprefix(opener).removesuffix(closer).split("0", 1)
         tails.append(tail)
     return pre, sep + pre, tuple(tails)
-
-
-def _record_classes(transcript) -> np.ndarray:
-    """Class code of each round's record; ``matched`` is null on unsifted rounds."""
-    sifted = transcript.sifted
-    digits = (
-        transcript.bob_basis,
-        transcript.bob_outcome,
-        transcript.announced_variant,
-        sifted,
-        np.where(sifted, transcript.matched + 1, 0),
-    )
-    codes = np.zeros(transcript.config.rounds, dtype=np.intp)
-    for (_, choices), digit in zip(_RECORD_FIELDS, digits):
-        codes = codes * len(choices) + digit
-    return codes
 
 
 def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
@@ -307,8 +284,8 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
     """
     doc = json.dumps({"meta": meta, "rows": rows, "transcript": [0]}, indent=2)
     head, foot = doc.rsplit("0", 1)
-    first, later, tails = _record_texts()
-    codes = _record_classes(transcript)
+    first, later, tails = _record_texts(transcript.opened_bit)
+    codes = 4 * transcript.bob_basis + 2 * transcript.bob_outcome + transcript.announced_variant
     fh.write(head + first)
     for start in range(0, len(codes), _RECORDS_PER_WRITE):
         chunk = codes[start:start + _RECORDS_PER_WRITE].tolist()
