@@ -18,16 +18,16 @@ An honest sender is a pair too: sending carrier v is holding a register
 
 A transcript is the record of one opened session: the opened bit and
 one column of length ``rounds`` per field (receiver basis and outcome,
-announced variant), each read-only int8 and holding only 0 and 1. Every
-round's state is one of a few (basis, outcome) classes, so a session
-samples all rounds at once by looking up the Born probabilities of its
-class, tr(x) and <s0|x|s0>/tr(x) of the sender's operator
-x = tr_B[rho (I x E)] for receiver projector E
-(``states._sender_operator``, as in ``security``), so no conditional
-state is built. Those tables depend only on q and the scenario: a
-session is prepared once (the post-channel pair and its Born tables,
-which stay with the prepared session, not in the transcript) and then
-sampled in blocks of whole trials, one row per trial. ``run_session``
+announced variant), each read-only int8 and holding only 0 and 1. A
+round is one of 8 classes 4b + 2o + v (receiver basis b and outcome o,
+announced variant v), drawn from one law: 1/2 <s_v|x|s_v> of the
+sender's operator x = tr_B[rho (I x E)] for receiver projector E
+(``states._sender_operator``, as in ``security``) and steering vector
+s_v, so no conditional state or probability is formed. That law
+depends only on q and the scenario: a session is prepared once (the
+post-channel pair and the law's cumulative table, which stay with the
+prepared session, not in the transcript) and then sampled in blocks of
+whole trials, one row per trial. ``run_session``
 wraps a one-trial block in a ``Transcript`` and verifies it;
 ``monte_carlo`` prepares once for all of its trials and turns each row's
 sifted and matched counts into a report directly, building no
@@ -39,12 +39,12 @@ reproduces the same transcript. Trial t's stream is
 ``derive_rng(config.seed, t)``: the Philox stream of the 128-bit key
 (seed, t), from counter 0. Philox keeps streams of distinct keys
 independent, so no key is hashed, and a prepared session re-keys one
-generator per trial instead of building one. Within a session, both
-senders draw in one fixed order: ``rounds`` receiver bases, then
-``rounds`` uniforms for the receiver's outcomes and ``rounds`` for the
-sender's steering outcomes, which she announces as variants; sampling
-each class's Born probability is distribution-identical to measuring
-each round's state individually.
+generator per trial instead of building one. Both senders draw one
+uniform per round and invert the law's cumulative table at it, which
+is distribution-identical to measuring each round's state individually:
+the receiver's basis choice is a fair coin, and measurements on the two
+halves commute, so the sender's steering outcome, which she announces
+as her variant, can be drawn jointly with his.
 """
 
 from __future__ import annotations
@@ -173,9 +173,13 @@ def derive_rng(seed: int, trial: int) -> np.random.Generator:
 _EFFECTS = np.array([[bb84_projector(b, o) for o in (0, 1)] for b in (0, 1)])
 
 
-def _clamp(p0: np.ndarray) -> np.ndarray:
-    """Born probabilities snapped to 0 or 1 within ``OUTCOME_EPS``, so impossible outcomes are never drawn."""
-    return np.where(p0 < OUTCOME_EPS, 0.0, np.where(p0 > 1.0 - OUTCOME_EPS, 1.0, p0))
+def _round_law(joint: DensityMatrix, steer_basis: ProjectiveBasis) -> np.ndarray:
+    """law[4b + 2o + v] = 1/2 <s_v|x[b, o]|s_v>, s_v steering vectors; 0 below ``OUTCOME_EPS``."""
+    x = np.array([[_sender_operator(joint, e) for e in row] for row in _EFFECTS])  # x[b, o]
+    s = np.array(steer_basis.vectors())
+    law = np.einsum("vi,boij,vj->bov", s.conj(), x, s).real.ravel() / 2
+    law[law < OUTCOME_EPS] = 0.0
+    return law
 
 
 def verify(transcript: Transcript) -> VerificationReport:
@@ -272,7 +276,7 @@ class _Block(NamedTuple):
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
 ) -> tuple[DensityMatrix, Callable[[range], _Block]]:
-    """Build a scenario's post-channel pair and Born tables for ``config.q`` once.
+    """Build a scenario's post-channel pair and round law for ``config.q`` once.
 
     Both senders are pairs steered at opening. An honest sender of carrier
     v holds a register |v> beside it and reads the register once the
@@ -282,9 +286,10 @@ def _prepare(
     ``range`` of their indices. The session holds one Philox generator;
     before each row it is re-keyed to the key (config.seed, t), counter 0
     and an empty buffer, which is the state ``derive_rng(config.seed, t)``
-    starts in, so the row of trial t draws trial t's stream. The
-    Born-table lookups then run once over the whole block, so a row does
-    not depend on the block it is drawn in.
+    starts in, so the row of trial t draws trial t's stream: one uniform
+    per round. Each uniform is then mapped to its round's class code
+    4b + 2o + v through the law's cumulative table, once over the whole
+    block, so a row does not depend on the block it is drawn in.
     """
     if isinstance(scenario, HonestAlice):
         pair = DensityMatrix(sum(np.kron(bb84_projector(0, v), bb84_projector(scenario.bit, v))
@@ -296,32 +301,24 @@ def _prepare(
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
     joint = lift_apply(DepolarizingChannel(config.q), pair)
-    x = np.array([[_sender_operator(joint, e) for e in row] for row in _EFFECTS])  # x[b, o]
-    born = np.trace(x, axis1=2, axis2=3).real
-    s0 = steer_basis.vectors()[0]
-    # steer_p0[b, o] = <s0|x[b, o]|s0> / tr x[b, o]; an impossible
-    # receiver outcome is never drawn, so its entry is never read.
-    steer = np.divide((s0.conj() @ x @ s0).real, born,
-                      out=np.zeros_like(born), where=born >= OUTCOME_EPS)
-    bob_p0, steer_p0 = _clamp(born[:, 0]), _clamp(steer).ravel()
+    cdf = np.cumsum(_round_law(joint, steer_basis))
+    cdf /= cdf[-1]  # its last entry is exactly 1, so a class of law 0 is never drawn
     n = config.rounds
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
 
     def sample(trials: range) -> _Block:
-        bases = np.empty((len(trials), n), dtype=np.int8)
-        uniform = np.empty((len(trials), 2 * n))  # receiver's, then sender's
+        uniform = np.empty((len(trials), n))
         for row, t in enumerate(trials):
             bitgen.state = {"bit_generator": "Philox",
                             "state": {"counter": (0, 0, 0, 0), "key": (config.seed, t)},
                             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            bases[row] = rng.integers(0, 2, size=n)
             rng.random(out=uniform[row])
-        # Measurements on the two halves commute, so the receiver's
-        # outcomes are drawn first and the sender steers on them.
-        outcomes = uniform[:, :n] >= bob_p0.take(bases)
-        variants = uniform[:, n:] >= steer_p0.take(2 * bases + outcomes)  # steer_p0[basis, outcome]
-        return _Block(opened_bit, bases, outcomes, variants)
+        # class code k = #{i < 7 : u >= cdf[i]}; compare-adds beat searchsorted here
+        k = np.zeros(uniform.shape, dtype=np.int8)
+        for c in cdf[:-1]:
+            k += uniform >= c
+        return _Block(opened_bit, k >> 2, (k >> 1) & 1, k & 1)
 
     return joint, sample
 
@@ -362,7 +359,7 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
 
     Trial t uses the stream ``derive_rng(config.seed, t)``, so results do
     not depend on execution order. The scenario's post-channel state and
-    Born tables are built once per call and shared by every trial. Trials
+    round law are built once per call and shared by every trial. Trials
     are sampled in one thread, in blocks of about ``_BLOCK_ROUNDS`` rounds
     (whole trials, at least one per block). Each report equals ``verify``
     of the trial's transcript, as ``run_session(config, scenario, t)``

@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import PAULI_I, TOL, as_operator, eig_hermitian, is_psd, kron, partial_trace
 
-# Probability below which a measurement outcome is treated as impossible
-# and never sampled.
+# Probability below which a measurement outcome is treated as impossible:
+# a session's round class of lower probability is never drawn.
 OUTCOME_EPS = 1e-12
 
 

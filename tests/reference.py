@@ -1,6 +1,6 @@
 """Test-only physics: independent references that the package does not use.
 
-Sessions and the binding attack read their Born tables off the sender's
+Sessions and the binding attack read their Born probabilities off the sender's
 operator ``states._sender_operator``. The tests check them against the
 textbook route here: project one half of the pair, then normalize the
 state left on the other half.

@@ -443,15 +443,15 @@ def test_closed_stdout_pipe_exits_quietly():
 _PINNED_DUMPS = {
     "honest": (
         ["run", "--q", "0.6", "--rounds", "300", "--bit", "1", "--seed", "11"],
-        "8a37d17a3f51d49a867aa1a6f357e6d0996bd7561276865099615dfafe2f4200",
-        "ae7cc5bbee72a99445b7ac0c7619f06acae0997a00a57dfa4a1e011c632d57a3",
+        "73f57f74003e8d7d28f6c46608ca4a959979c03de9f0e37881323e2ae04be69e",
+        "55cbe1f2c3647a51a378962cf3406bb8f25940ded5244b9375e4dfc19ecfb49e",
     ),
     "epr": (
         ["run", "--alice", "epr", "--q", "0.7", "--rounds", "300", "--bit", "0",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "5"],
-        "b211760c8d42aa82196e36d7a7ea19fec1d251b3911e51d1f330ac96b7e90d66",
-        "d5a05f8bea5dca435b2ddf64076459028c8491045fd33d1a9820211c2e02f47d",
+        "672f5ac7465e6b15bb3a6434b7dc23dce1603832e7bb0085c9216edc58fb641b",
+        "ac7329fd6b4c694ba17f126e404e914e6c9e831b529c8cd66090379b415aa2da",
     ),
 }
 
@@ -459,13 +459,13 @@ _PINNED_SWEEPS = {
     "honest": (
         ["sweep", "--q-steps", "4", "--rounds", "200", "--trials", "3", "--bit", "1",
          "--seed", "4"],
-        "abe8268f76212787a221ded60a7e40eefba9733aaa7d879fc591decd85497dd9",
+        "61df6486b18e16208dea4831fc017d04f557732dbc0e6372b3a777197dd3876a",
     ),
     "epr": (
         ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "6"],
-        "e413222212f32d37032c0249ca0aefe561adce683ca588cfdbda8c4f993948fe",
+        "aecb8b7d9d56a25c6d7d9958823e2e728e3d07a4045abc3f6eb6ce617dc9b908",
     ),
 }
 

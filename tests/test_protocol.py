@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebcommit import protocol
+from ebcommit import cli, protocol
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence
@@ -191,7 +191,7 @@ def test_honest_transcript_columns():
     for col in (t.bob_basis, t.bob_outcome, t.announced_variant):
         assert col.shape == (200,) and col.dtype == np.int8
         assert not col.flags.writeable
-    # trial 0 draws in the one order both senders share
+    # trial 0 draws one uniform per round, inverted through the round law
     bases, outcomes, variants = _replay(0.7, HonestAlice(bit=bit), 5, 0, 200)
     assert np.array_equal(t.bob_basis, bases)
     assert np.array_equal(t.bob_outcome, outcomes)
@@ -597,55 +597,62 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
     assert [r["announced_variant"] for r in records] == transcript.announced_variant.tolist()
 
 
-def _reference_tables(q, scenario):
-    """A scenario's Born tables from the public per-branch API, clamped at OUTCOME_EPS.
+@pytest.mark.parametrize("per_write", [1, 7, 50, 1024])
+def test_dump_written_in_slices_is_one_document(monkeypatch, per_write):
+    # 50 rounds in slices of 1, of 7 (the last one short), in one exact slice and in one short one
+    monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", per_write)
+    transcript, _ = run_session(cfg(0.6, 50, seed=3), EprAlice(bell_strategy(), 1, DIAGONAL))
+    text = _dump(["run", "--alice", "epr", "--q", "0.6", "--rounds", "50", "--seed", "3",
+                  "--target-bit", "1", "--steer-theta", repr(math.pi / 2)])
+    doc = json.loads(text)
+    reference = {"meta": doc["meta"], "rows": doc["rows"],
+                 "transcript": _reference_records(transcript)}
+    assert text == json.dumps(reference, indent=2) + "\n"
 
-    Returns bob_p0[basis] and steer_p0[basis, outcome], the probability
-    that the sender's steering outcome is 0, 0 for an impossible receiver
-    outcome. An honest sender's tables come from her per-variant Born rule
-    p0[variant, basis] by Bayes' rule: she sends either variant with
-    probability 1/2 and her outcome is the variant she sent.
+
+def _reference_law(q, scenario):
+    """A scenario's round law law[b, o, v] from the public per-branch API, 0 below OUTCOME_EPS.
+
+    The receiver measures in basis b with probability 1/2 and sees outcome
+    o; the sender announces variant v. An honest sender sends either
+    variant with probability 1/2 and announces the one she sent, so
+    law[b, o, v] = 1/4 <e_bo|eps_q(P_v)|e_bo>. A cheater announces her
+    steering outcome on the branch the receiver's outcome leaves her, so
+    law[b, o, v] = 1/2 p_o <s_v|cond_o|s_v>.
     """
-    def clamp(p):
-        return 0.0 if p < OUTCOME_EPS else 1.0 if p > 1.0 - OUTCOME_EPS else p
+    def prob(state, vector):
+        return float(np.real(vector.conj() @ state @ vector))
 
-    def prob0(state, basis):
-        b0 = basis.vectors()[0]
-        return float(np.real(b0.conj() @ state @ b0))
-
+    law = np.zeros((2, 2, 2))
     if isinstance(scenario, HonestAlice):
         channel = DepolarizingChannel(q)
-        noisy = [channel_apply(channel, bb84_projector(scenario.bit, v)) for v in (0, 1)]
-        p0 = np.array([[prob0(noisy[v], encoding_basis(b)) for b in (0, 1)] for v in (0, 1)])
-        bob_p0 = (p0[0] + p0[1]) / 2
-        steer_p0 = np.array([
-            [p0[0, b] / 2 / bob_p0[b], (1 - p0[0, b]) / 2 / (1 - bob_p0[b])] for b in (0, 1)
-        ])
-        return np.vectorize(clamp)(bob_p0), np.vectorize(clamp)(steer_p0)
-    strategy = scenario.strategy
-    joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-    branches = [joint_outcome_decomposition(joint, "B", encoding_basis(b)) for b in (0, 1)]
-    bob_p0 = np.array([clamp(branch[0][0]) for branch in branches])
-    steer_p0 = np.array([
-        [0.0 if cond is None else clamp(prob0(cond.mat, scenario.steer_basis))
-         for _, cond in branch]
-        for branch in branches
-    ])
-    return bob_p0, steer_p0
+        for v in (0, 1):
+            noisy = channel_apply(channel, bb84_projector(scenario.bit, v))
+            for b in (0, 1):
+                for o, e in enumerate(encoding_basis(b).vectors()):
+                    law[b, o, v] = prob(noisy, e) / 4
+    else:
+        strategy = scenario.strategy
+        joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+        for b in (0, 1):
+            branches = joint_outcome_decomposition(joint, "B", encoding_basis(b))
+            for o, (p, cond) in enumerate(branches):
+                for v, s in enumerate(scenario.steer_basis.vectors()):
+                    law[b, o, v] = 0.0 if cond is None else p * prob(cond.mat, s) / 2
+    return np.where(law < OUTCOME_EPS, 0.0, law)
 
 
 def _replay(q, scenario, seed, trial, rounds):
     """Trial ``trial``'s receiver bases and outcomes and announced variants, drawn afresh.
 
-    Both senders draw ``rounds`` bases, then ``rounds`` uniforms for the
-    receiver's outcomes and ``rounds`` for the sender's steering outcomes.
+    Every round draws one uniform from ``derive_rng(seed, trial)`` and
+    takes the class 4b + 2o + v at which the reference law's normalized
+    cumulative sum first exceeds it.
     """
-    bob_p0, steer_p0 = _reference_tables(q, scenario)
-    rng = derive_rng(seed, trial)  # the reference definition of trial t's stream
-    bases = rng.integers(0, 2, size=rounds)
-    outcomes = (rng.random(rounds) >= bob_p0[bases]).astype(int)
-    variants = (rng.random(rounds) >= steer_p0[bases, outcomes]).astype(int)
-    return bases, outcomes, variants
+    cdf = np.cumsum(_reference_law(q, scenario).ravel())
+    u = derive_rng(seed, trial).random(rounds)  # the reference definition of trial t's stream
+    k = np.searchsorted(cdf / cdf[-1], u, side="right")
+    return k >> 2, (k >> 1) & 1, k & 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -689,7 +696,7 @@ def test_block_rows_draw_each_trials_derive_rng_stream(
     "scenario", [HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)], ids=["honest", "epr"]
 )
 def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario):
-    # the committed pair and its lift; the Born tables are read off the
+    # the committed pair and its lift; the round law is read off the
     # sender's operators, with no normalized conditional state
     validated = []
     post_init = DensityMatrix.__post_init__
@@ -714,3 +721,97 @@ def test_monte_carlo_runs_with_a_receiver_outcome_of_tiny_probability(theta):
     assert len(summary.reports) == 3
     assert all(r.sifted_count > 0 for r in summary.reports)
 
+
+def test_round_law_of_a_receiver_outcome_of_tiny_probability():
+    # at q = 1 the pair is |a0>|0> + |a1>|1> over sqrt(2), so the receiver's
+    # diagonal outcome 1 leaves the sender (a0 - a1) / 2 and
+    # law[1, 1, v] = |<s_v|a0 - a1>|^2 / 8, about 1.5e-12 here
+    a0, a1 = np.array([1.0, 0.0]), ProjectiveBasis(1e-5, 0.0).vectors()[0]
+    steer = ProjectiveBasis(1.5, 0.0)
+    joint = lift_apply(DepolarizingChannel(1.0), cheat_state(a0, a1))
+    law = protocol._round_law(joint, steer).reshape(2, 2, 2)
+    for v, s in enumerate(steer.vectors()):
+        assert abs(law[1, 1, v] - abs(s.conj() @ (a0 - a1)) ** 2 / 8) <= 1e-16
+    assert law[1, 1].min() > OUTCOME_EPS
+    # at a1 = (1e-7, 0) the closed form is about 1.5e-16: impossible, so exactly 0
+    a1 = ProjectiveBasis(1e-7, 0.0).vectors()[0]
+    joint = lift_apply(DepolarizingChannel(1.0), cheat_state(a0, a1))
+    assert not protocol._round_law(joint, steer).reshape(2, 2, 2)[1, 1].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0),
+    bit=st.integers(0, 1),
+    epr=st.booleans(),
+    a0=st.tuples(_angle_theta, _angle_phi),
+    a1=st.tuples(_angle_theta, _angle_phi),
+    steer=st.tuples(_angle_theta, _angle_phi),
+)
+def test_round_law_matches_the_reference_law(q, bit, epr, a0, a1, steer):
+    steer_basis = ProjectiveBasis(*steer) if epr else RECTILINEAR
+    if epr:
+        strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+        scenario = EprAlice(strategy, bit, steer_basis)
+    else:
+        scenario = HonestAlice(bit=bit)
+    joint = protocol._prepare(cfg(q, 1), scenario)[0]
+    # an entry within roundoff of OUTCOME_EPS may be zeroed on one side only
+    assert np.allclose(protocol._round_law(joint, steer_basis), _reference_law(q, scenario).ravel(),
+                       rtol=0, atol=2 * OUTCOME_EPS)
+
+
+def _class_counts(config, scenario):
+    t, _ = run_session(config, scenario)
+    return np.bincount(4 * t.bob_basis + 2 * t.bob_outcome + t.announced_variant, minlength=8)
+
+
+@pytest.mark.parametrize(
+    "q, scenario",
+    [(0.6, EprAlice(bell_strategy(), 1, DIAGONAL)), (0.6, HonestAlice(bit=1))],
+    ids=["bell-diagonal", "honest-1"],
+)
+def test_class_frequencies_follow_the_round_law(q, scenario):
+    n = 200_000
+    law = _reference_law(q, scenario).ravel()
+    counts = _class_counts(cfg(q, n, seed=21), scenario)
+    assert np.all(np.abs(counts - n * law) <= 5 * np.sqrt(n * law * (1 - law)))
+
+
+@pytest.mark.parametrize(
+    "a, q, zero",
+    [
+        ("one", 0.0, [0, 2, 4, 6]),
+        ("one", 0.5, [0, 2, 4, 6]),
+        ("one", 1.0, [0, 2, 4, 6, 7]),
+        ("zero", 1.0, [1, 3, 5, 6, 7]),
+    ],
+    ids=["leading-q0", "leading-q0.5", "leading-q1", "trailing"],
+)
+def test_a_class_of_law_zero_is_never_drawn(monkeypatch, a, q, zero):
+    # a0 = a1 leaves the sender a pure |a> whatever the receiver sees, so
+    # steering in RECTILINEAR announces a alone; at q = 1 the receiver's
+    # |+> never gives the diagonal outcome 1 (classes 6 and 7)
+    vector = np.eye(2)[{"zero": 0, "one": 1}[a]]
+    scenario = EprAlice(CheatStrategy(vector, vector), 0, RECTILINEAR)
+    joint = lift_apply(DepolarizingChannel(q), cheat_state(vector, vector))
+    law = protocol._round_law(joint, RECTILINEAR)
+    assert np.flatnonzero(law == 0).tolist() == zero
+    assert not _class_counts(cfg(q, 200_000, seed=22), scenario)[zero].any()
+    # uniforms in [0, 1) on and just below every edge of the cumulative table
+    cdf = np.cumsum(law)
+    cdf /= cdf[-1]
+    edges = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0)])
+    edges = edges[edges < 1.0]
+
+    class Edges:
+        def __init__(self, bitgen):
+            pass
+
+        def random(self, out):
+            out[:] = edges
+
+    monkeypatch.setattr(np.random, "Generator", Edges)
+    block = protocol._prepare(cfg(q, edges.size), scenario)[1](range(1))
+    codes = 4 * block.bob_basis + 2 * block.bob_outcome + block.announced_variant
+    assert not np.isin(codes, zero).any()

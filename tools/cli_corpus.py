@@ -16,8 +16,10 @@ outputs differ.
 
 The corpus covers honest and EPR ``run`` with and without
 ``--dump-transcript`` (honest dumps of bit 1 at q = 0.6 and of bit 0 at
-q = 0 and q = 1, where the honest sender's steering table holds exact 0s
-and 1s), CSV and JSON sweeps (one round per trial, two
+q = 0 and q = 1, where the honest sender's round law holds exact 0s),
+EPR runs whose round law is 0 on its leading class (``--a0 one --a1
+one``) and on its trailing classes (``--a0 zero --a1 zero`` at q = 1),
+CSV and JSON sweeps (one round per trial, two
 workers, the EPR sweep through q = 1/3), ``binding``, ``hiding``,
 ``threshold`` and usage errors, among them the flags ``threshold`` no
 longer takes.
@@ -65,9 +67,12 @@ def _run_commands() -> list[list[str]]:
                          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
                          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", seed,
                          "--dump-transcript"])
-    # honest bit 0 at the noise extremes: at q = 1 the steering table holds exact 0s and 1s
+    # honest bit 0 at the noise extremes: at q = 1 the round law holds exact 0s
     for q in ("0.0", "1.0"):
         cmds.append(["run", "--q", q, "--rounds", "40", "--bit", "0", "--dump-transcript"])
+    # round laws that are 0 on classes 0, 2, 4, 6 and on classes 1, 3, 5, 6, 7
+    for a, q in (("one", "0.5"), ("zero", "1.0")):
+        cmds.append(["run", "--alice", "epr", "--q", q, "--rounds", "300", "--a0", a, "--a1", a])
     return cmds
 
 
