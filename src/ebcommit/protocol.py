@@ -25,13 +25,12 @@ sender's operator x = tr_B[rho (I x E)] for receiver projector E
 (``states._sender_operator``, as in ``security``) and steering vector
 s_v, so no conditional state or probability is formed. That law
 depends only on q and the scenario: a session is prepared once (the
-post-channel pair and the law's cumulative table, which stay with the
-prepared session, not in the transcript) and then sampled in blocks of
-whole trials, one row per trial. ``run_session``
-wraps a one-trial block in a ``Transcript`` and verifies it;
-``monte_carlo`` prepares once for all of its trials and turns each row's
-sifted and matched counts into a report directly, building no
-transcript. Trials run in one thread.
+post-channel pair and the law, which stay with the prepared session, not
+in the transcript) and then sampled trial by trial. ``run_session``
+samples one trial's transcript and verifies it; ``monte_carlo`` prepares
+once for all of its trials and turns each trial's sifted and matched
+counts into a report directly, building no transcript. Trials run in one
+thread.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
@@ -39,20 +38,22 @@ reproduces the same transcript. Trial t's stream is
 ``derive_rng(config.seed, t)``: the Philox stream of the 128-bit key
 (seed, t), from counter 0. Philox keeps streams of distinct keys
 independent, so no key is hashed, and a prepared session re-keys one
-generator per trial instead of building one. Both senders draw one
-uniform per round and invert the law's cumulative table at it, which
-is distribution-identical to measuring each round's state individually:
-the receiver's basis choice is a fair coin, and measurements on the two
-halves commute, so the sender's steering outcome, which she announces
-as her variant, can be drawn jointly with his.
+generator per trial instead of building one. A trial draws how many of
+its rounds fall in each class, and a transcript then puts the rounds in
+one uniformly random order (``_prepare`` gives the draws). The rounds
+are independent and identically distributed, so this is
+distribution-identical to measuring each round's state individually.
+The receiver's basis choice is a fair coin, and measurements on the two
+halves commute, so the sender's steering outcome, which she announces as
+her variant, can be drawn jointly with his.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +90,8 @@ class ProtocolConfig:
         _check_real("accept_sigma", self.accept_sigma)
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.rounds >= 2**63:  # numpy draws a count as an int64
+            raise ValueError(f"rounds must be < 2**63, got {self.rounds}")
         if not (math.isfinite(self.accept_sigma) and self.accept_sigma >= 0):
             raise ValueError(f"accept_sigma must be finite and >= 0, got {self.accept_sigma}")
 
@@ -173,13 +176,24 @@ def derive_rng(seed: int, trial: int) -> np.random.Generator:
 _EFFECTS = np.array([[bb84_projector(b, o) for o in (0, 1)] for b in (0, 1)])
 
 
-def _round_law(joint: DensityMatrix, steer_basis: ProjectiveBasis) -> np.ndarray:
-    """law[4b + 2o + v] = 1/2 <s_v|x[b, o]|s_v>, s_v steering vectors; 0 below ``OUTCOME_EPS``."""
+def _round_law(
+    joint: DensityMatrix, steer_basis: ProjectiveBasis
+) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver's law r[2b + o] and the round law law[4b + 2o + v] of a post-channel pair.
+
+    With x[b, o] the sender's operators and s_v her steering vectors,
+    law[4b + 2o + v] = 1/2 <s_v|x[b, o]|s_v>, 0 below ``OUTCOME_EPS``, and
+    r[2b + o] = 1/2 tr x[b, o], 0 where both of its classes have law 0.
+    r is read off the traces, not summed from the law: those sums differ
+    by ulps from one steering basis to another.
+    """
     x = np.array([[_sender_operator(joint, e) for e in row] for row in _EFFECTS])  # x[b, o]
     s = np.array(steer_basis.vectors())
     law = np.einsum("vi,boij,vj->bov", s.conj(), x, s).real.ravel() / 2
     law[law < OUTCOME_EPS] = 0.0
-    return law
+    receiver = np.einsum("boii->bo", x).real.ravel() / 2
+    receiver[~law.reshape(4, 2).any(axis=1)] = 0.0
+    return receiver, law
 
 
 def verify(transcript: Transcript) -> VerificationReport:
@@ -216,14 +230,9 @@ def _counts_report(config: ProtocolConfig, sifted_count: int, match_count: int) 
     threshold = expected - config.accept_sigma * math.sqrt(
         expected * (1.0 - expected) / sifted_count
     )
-    return VerificationReport(
-        sifted_count=sifted_count,
-        match_count=match_count,
-        match_fraction=match_fraction,
-        expected_fraction=expected,
-        threshold=threshold,
-        accepted=match_fraction >= threshold,
-    )
+    # positional: a sweep builds one report per trial
+    return VerificationReport(sifted_count, match_count, match_fraction, expected, threshold,
+                              match_fraction >= threshold)
 
 
 @dataclass(frozen=True)
@@ -250,46 +259,44 @@ class EprAlice:
 Scenario = HonestAlice | EprAlice
 
 
-#: Rounds per block of trials that a prepared session samples at once. A
-#: block holds whole trials, at least one, and stays small enough for its
-#: arrays to fit in cache: a 1e4-round trial is a block of its own, and
-#: short trials are batched.
-_BLOCK_ROUNDS = 1 << 14
+#: Sessions draw from the laws rounded to this grid, which is below ``OUTCOME_EPS``.
+#: A draw can turn on the last bit of its probability (numpy's binomial branches
+#: at p = 1/2), so roundoff in the laws must not reach it.
+_LAW_GRID = 2.0**-40
 
-
-class _Block(NamedTuple):
-    """Consecutive trials of one prepared session: row i of each column is trial i's."""
-
-    opened_bit: int
-    bob_basis: np.ndarray
-    bob_outcome: np.ndarray
-    announced_variant: np.ndarray
-
-    def counts(self) -> tuple[list[int], list[int]]:
-        """Each row's sifted and matched round counts (``Transcript.sifted``/``matched``)."""
-        sifted = self.bob_basis == self.opened_bit
-        matched = sifted & (self.bob_outcome == self.announced_variant)
-        return (np.count_nonzero(sifted, axis=1).tolist(),
-                np.count_nonzero(matched, axis=1).tolist())
+#: Philox counters of a trial's two substreams, both under the key (seed, t):
+#: its class counts, then the arrangement of its rounds.
+_COUNTS = (0, 0, 0, 0)
+_ARRANGEMENT = (0, 0, 0, 1)
 
 
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
-) -> tuple[DensityMatrix, Callable[[range], _Block]]:
+) -> tuple[DensityMatrix, Callable[[int], tuple[int, int]], Callable[[int], Transcript]]:
     """Build a scenario's post-channel pair and round law for ``config.q`` once.
 
     Both senders are pairs steered at opening. An honest sender of carrier
     v holds a register |v> beside it and reads the register once the
     receiver has measured, so her pair is the classical-quantum state
     1/2 sum_v |v><v| x P_v, steered in ``RECTILINEAR``. Returns the
-    post-channel pair and the sampler of a block of trials, given a
-    ``range`` of their indices. The session holds one Philox generator;
-    before each row it is re-keyed to the key (config.seed, t), counter 0
-    and an empty buffer, which is the state ``derive_rng(config.seed, t)``
-    starts in, so the row of trial t draws trial t's stream: one uniform
-    per round. Each uniform is then mapped to its round's class code
-    4b + 2o + v through the law's cumulative table, once over the whole
-    block, so a row does not depend on the block it is drawn in.
+    post-channel pair and two samplers of trial t, given t: its sifted and
+    matched counts, and its transcript.
+
+    A trial draws class counts, not rounds, so its cost does not grow with
+    ``config.rounds`` until a transcript lays the rounds out. The session
+    holds one Philox generator; a trial re-keys it to the key
+    (config.seed, t) at counter 0 with an empty buffer, the state
+    ``derive_rng(config.seed, t)`` starts in, and draws: the receiver's
+    count of each (b, o), one multinomial over the outcomes of positive
+    receiver law r; then the count of variant 1 in each (b, o) group, one
+    binomial with P(v = 1 | b, o) per group, the sifted groups (b the
+    opened bit) first, o = 0 before o = 1. The counts sampler stops
+    there. The transcript sampler splits the other two groups likewise,
+    lays the class codes 4b + 2o + v out in sorted order, re-keys to the
+    same key at counter (0, 0, 0, 1) and shuffles them: one uniform
+    permutation of the rounds. Neither the receiver's counts nor the
+    permutation depend on the steering basis or the opened bit, so
+    neither do his columns.
     """
     if isinstance(scenario, HonestAlice):
         pair = DensityMatrix(sum(np.kron(bb84_projector(0, v), bb84_projector(scenario.bit, v))
@@ -301,35 +308,61 @@ def _prepare(
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
     joint = lift_apply(DepolarizingChannel(config.q), pair)
-    cdf = np.cumsum(_round_law(joint, steer_basis))
-    cdf /= cdf[-1]  # its last entry is exactly 1, so a class of law 0 is never drawn
-    n = config.rounds
+    receiver, law = (np.rint(a / _LAW_GRID) * _LAW_GRID for a in _round_law(joint, steer_basis))
+    outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
+    pvals = receiver[outcomes] / receiver[outcomes].sum()
+    # where outcome g sits in a multinomial draw; a left-out one reads a 0 appended to it
+    at = [outcomes.tolist().index(g) if receiver[g] else outcomes.size for g in range(4)]
+    pairs = law.reshape(4, 2)
+    # P(v = 1 | b, o); exactly 0 or 1 where one class of the group has law 0
+    p_one = np.divide(pairs[:, 1], pairs.sum(axis=1), out=np.zeros(4), where=receiver > 0).tolist()
+    g0, g1 = 2 * opened_bit, 2 * opened_bit + 1  # the sifted groups
+    n, seed = config.rounds, config.seed
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
+    multinomial, binomial = rng.multinomial, rng.binomial
+    state = {"bit_generator": "Philox", "state": {"counter": _COUNTS, "key": (seed, 0)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keyed = state["state"]
 
-    def sample(trials: range) -> _Block:
-        uniform = np.empty((len(trials), n))
-        for row, t in enumerate(trials):
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": (0, 0, 0, 0), "key": (config.seed, t)},
-                            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            rng.random(out=uniform[row])
-        # class code k = #{i < 7 : u >= cdf[i]}; compare-adds beat searchsorted here
-        k = np.zeros(uniform.shape, dtype=np.int8)
-        for c in cdf[:-1]:
-            k += uniform >= c
-        return _Block(opened_bit, k >> 2, (k >> 1) & 1, k & 1)
+    def rekey(t: int, counter: tuple) -> None:
+        keyed["counter"], keyed["key"] = counter, (seed, t)
+        bitgen.state = state
 
-    return joint, sample
+    def receiver_counts(t: int) -> list[int]:
+        """Trial t's receiver counts: the count of outcome 2b + o is at index at[2b + o]."""
+        rekey(t, _COUNTS)
+        return multinomial(n, pvals).tolist() + [0]
+
+    def counts(t: int) -> tuple[int, int]:
+        drawn = receiver_counts(t)
+        c0, c1 = drawn[at[g0]], drawn[at[g1]]
+        return c0 + c1, c0 - binomial(c0, p_one[g0]) + binomial(c1, p_one[g1])  # g0's draw first
+
+    def transcript(t: int) -> Transcript:
+        drawn = receiver_counts(t)
+        c = [drawn[i] for i in at]
+        ones = {g: binomial(c[g], p_one[g]) for g in (g0, g1, 2 - g0, 3 - g0)}
+        classes = np.repeat(np.arange(8), [k for g in range(4) for k in (c[g] - ones[g], ones[g])])
+        rekey(t, _ARRANGEMENT)
+        rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
+        codes = classes.astype(np.int8)
+        return Transcript(config, opened_bit, codes >> 2, (codes >> 1) & 1, codes & 1)
+
+    return joint, counts, transcript
 
 
 def run_session(
     config: ProtocolConfig, scenario: Scenario, trial: int = 0
 ) -> tuple[Transcript, VerificationReport]:
-    """Full commit, open, verify pipeline; deterministic given (config, scenario, trial)."""
+    """Full commit, open, verify pipeline; deterministic given (config, scenario, trial).
+
+    The transcript holds the class counts that ``monte_carlo`` draws for
+    the same trial, its rounds in one uniformly random order; laying them
+    out makes its cost grow with ``config.rounds``.
+    """
     _check_word("trial", trial)
-    block = _prepare(config, scenario)[1](range(trial, trial + 1))
-    transcript = Transcript(config, block.opened_bit, *(col[0] for col in block[1:]))
+    transcript = _prepare(config, scenario)[2](trial)
     return transcript, verify(transcript)
 
 
@@ -360,20 +393,18 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
     Trial t uses the stream ``derive_rng(config.seed, t)``, so results do
     not depend on execution order. The scenario's post-channel state and
     round law are built once per call and shared by every trial. Trials
-    are sampled in one thread, in blocks of about ``_BLOCK_ROUNDS`` rounds
-    (whole trials, at least one per block). Each report equals ``verify``
-    of the trial's transcript, as ``run_session(config, scenario, t)``
-    returns it.
+    run in one thread, and each draws only its sifted groups' counts, so
+    its cost does not grow with ``config.rounds``. Each report equals
+    ``verify`` of the trial's transcript, as ``run_session(config,
+    scenario, t)`` returns it.
     """
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    joint, sample = _prepare(config, scenario)
-    per_block = max(1, _BLOCK_ROUNDS // config.rounds)
-    reports = []
-    for start in range(0, trials, per_block):
-        sifted, matched = sample(range(trials)[start : start + per_block]).counts()
-        reports += [_counts_report(config, s, m) for s, m in zip(sifted, matched)]
+    joint, counts, _ = _prepare(config, scenario)
+    # trials often repeat a (sifted, matched) pair, and reports are immutable
+    report = functools.cache(functools.partial(_counts_report, config))
+    reports = [report(*counts(t)) for t in range(trials)]
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
     return MonteCarloSummary(
         trials=trials,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,29 @@ def test_sweep_mean_skips_trials_without_sifted_rounds(capsys):
     q, mean, std, rate = out.strip().split("\n")[-1].split(",")[:4]
     assert (q, mean, std) == ("1", "1", "0")
     assert float(rate) == (20 - no_sifted) / 20
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_rounds_beyond_int64_is_usage_error(capsys, command):
+    argv = [command, "--rounds", "10000000000000000000"]
+    if command == "run":
+        argv += ["--q", "0.5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "ebcommit: error: rounds must be < 2**63, got 10000000000000000000\n"
+
+
+def test_sweep_of_a_trillion_rounds_per_trial(capsys):
+    # a trial draws its class counts, not its rounds, so this takes well under a second
+    trials, rounds = 3, 10**12
+    code, out, _ = run_cli(capsys, "sweep", "--q-steps", "2", "--trials", str(trials),
+                           "--rounds", str(rounds))
+    assert code == EXIT_OK
+    for row in json.loads(out)["rows"]:
+        # about half the rounds of each trial are sifted
+        expected = (1 + row["q"]) / 2
+        sigma = math.sqrt(expected * (1 - expected) / (trials * rounds / 2))
+        assert abs(row["match_fraction_mean"] - expected) <= 5 * sigma + 1e-12
 
 
 def test_sweep_empty_grid_fails(capsys):
@@ -443,15 +467,15 @@ def test_closed_stdout_pipe_exits_quietly():
 _PINNED_DUMPS = {
     "honest": (
         ["run", "--q", "0.6", "--rounds", "300", "--bit", "1", "--seed", "11"],
-        "73f57f74003e8d7d28f6c46608ca4a959979c03de9f0e37881323e2ae04be69e",
-        "55cbe1f2c3647a51a378962cf3406bb8f25940ded5244b9375e4dfc19ecfb49e",
+        "60344c6134fb27cf7cb1508a2ca165d05a189555d2727bcb9f4f612e3797d3f8",
+        "8ed6ffc150b7a03c614daecc421b574c6003ec8dcc0c0d8a64ab5b08b6512fe1",
     ),
     "epr": (
         ["run", "--alice", "epr", "--q", "0.7", "--rounds", "300", "--bit", "0",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "5"],
-        "672f5ac7465e6b15bb3a6434b7dc23dce1603832e7bb0085c9216edc58fb641b",
-        "ac7329fd6b4c694ba17f126e404e914e6c9e831b529c8cd66090379b415aa2da",
+        "1fcbc5d0853b67c50a85c7b1f3ef1449cc943b72499b4db488b358172ae8136f",
+        "f91e43bded86f9970b677b3f01b0837e06b683e11de0c286fbc8d43218890808",
     ),
 }
 
@@ -459,13 +483,13 @@ _PINNED_SWEEPS = {
     "honest": (
         ["sweep", "--q-steps", "4", "--rounds", "200", "--trials", "3", "--bit", "1",
          "--seed", "4"],
-        "61df6486b18e16208dea4831fc017d04f557732dbc0e6372b3a777197dd3876a",
+        "494e7fd714cb1197004ad6248c014959755d538c8abc495dcc47b057b34e3f0b",
     ),
     "epr": (
         ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "6"],
-        "aecb8b7d9d56a25c6d7d9958823e2e728e3d07a4045abc3f6eb6ce617dc9b908",
+        "b46477695452e2ba06a9c82674be8e3e67a9f4a2939d762dfeeae7986e48ce00",
     ),
 }
 

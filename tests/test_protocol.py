@@ -12,6 +12,7 @@ from ebcommit import cli, protocol
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence
+from ebcommit.linalg import partial_trace
 from ebcommit.protocol import (
     EprAlice,
     HonestAlice,
@@ -53,6 +54,12 @@ class TestConfig:
             ProtocolConfig(q=0.5, rounds=10, seed=-1)
         with pytest.raises(ValueError):
             ProtocolConfig(q=0.5, rounds=10, seed=2**64)
+
+    def test_rounds_fit_numpys_int64(self):
+        # numpy draws a count as an int64
+        assert ProtocolConfig(q=0.5, rounds=2**63 - 1).rounds == 2**63 - 1
+        with pytest.raises(ValueError, match=rf"^rounds must be < 2\*\*63, got {2**63}$"):
+            ProtocolConfig(q=0.5, rounds=2**63)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -50.0, -1e-12, True])
     def test_rejects_bad_accept_sigma(self, sigma):
@@ -191,7 +198,7 @@ def test_honest_transcript_columns():
     for col in (t.bob_basis, t.bob_outcome, t.announced_variant):
         assert col.shape == (200,) and col.dtype == np.int8
         assert not col.flags.writeable
-    # trial 0 draws one uniform per round, inverted through the round law
+    # trial 0's class counts, drawn from the round law, in their shuffled order
     bases, outcomes, variants = _replay(0.7, HonestAlice(bit=bit), 5, 0, 200)
     assert np.array_equal(t.bob_basis, bases)
     assert np.array_equal(t.bob_outcome, outcomes)
@@ -340,11 +347,11 @@ def test_monte_carlo_single_trial_matches_run_session():
             "": (150, 6),  # one block
             "-1x40": (1, 40),  # one round per trial
             # one trial more than a block holds
-            "-above-block": (100, protocol._BLOCK_ROUNDS // 100 + 1),
+            "-above-block": (100, 16384 // 100 + 1),
             # every trial longer than a block
-            "-long-trials": (protocol._BLOCK_ROUNDS + 1, 2),
+            "-long-trials": (16384 + 1, 2),
             # two full blocks and a partial one
-            "-3-blocks": (300, 2 * (protocol._BLOCK_ROUNDS // 300) + 5),
+            "-3-blocks": (300, 2 * (16384 // 300) + 5),
         }.items()
         for seed in (1, 2, 3)
     ],
@@ -642,16 +649,48 @@ def _reference_law(q, scenario):
     return np.where(law < OUTCOME_EPS, 0.0, law)
 
 
+def _reference_receiver_law(q, scenario):
+    """r[2b + o] = 1/2 <e_bo|rho_B|e_bo>, rho_B the receiver's state: his basis b and outcome o."""
+    if isinstance(scenario, HonestAlice):
+        state = channel_apply(DepolarizingChannel(q), bb84_pair_mixture(scenario.bit).mat)
+    else:
+        strategy = scenario.strategy
+        joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+        state = partial_trace(joint.mat, keep="B")
+    return np.array([np.real(e.conj() @ state @ e) / 2
+                     for b in (0, 1) for e in encoding_basis(b).vectors()])
+
+
 def _replay(q, scenario, seed, trial, rounds):
     """Trial ``trial``'s receiver bases and outcomes and announced variants, drawn afresh.
 
-    Every round draws one uniform from ``derive_rng(seed, trial)`` and
-    takes the class 4b + 2o + v at which the reference law's normalized
-    cumulative sum first exceeds it.
+    From the reference laws, each probability rounded to
+    ``protocol._LAW_GRID``, on the stream ``derive_rng(seed, trial)``: the
+    receiver's (b, o) counts in one multinomial draw over the outcomes of
+    positive law, then each (b, o) group's count of variant 1 in one
+    binomial draw, the opened bit's groups first and o = 0 before o = 1.
+    The class codes 4b + 2o + v, laid out in sorted order, are then
+    reordered by ``permutation(rounds)`` drawn from the same key at counter
+    (0, 0, 0, 1).
     """
-    cdf = np.cumsum(_reference_law(q, scenario).ravel())
-    u = derive_rng(seed, trial).random(rounds)  # the reference definition of trial t's stream
-    k = np.searchsorted(cdf / cdf[-1], u, side="right")
+    grid = protocol._LAW_GRID
+    law = np.rint(_reference_law(q, scenario).reshape(4, 2) / grid) * grid
+    # the receiver's outcome probabilities, not sums of the law: a sum of
+    # entries each on the grid can be a grid step off
+    receiver = np.where(law.any(axis=1), _reference_receiver_law(q, scenario), 0.0)
+    receiver = np.rint(receiver / grid) * grid
+    present = receiver > 0
+    rng = derive_rng(seed, trial)  # the reference definition of trial t's stream
+    c = np.zeros(4, dtype=np.int64)
+    c[present] = rng.multinomial(rounds, receiver[present] / receiver[present].sum())
+    bit = scenario.bit if isinstance(scenario, HonestAlice) else scenario.target_bit
+    ones = np.zeros(4, dtype=np.int64)
+    for g in (2 * bit, 2 * bit + 1, 2 - 2 * bit, 3 - 2 * bit):
+        ones[g] = rng.binomial(c[g], law[g, 1] / law[g].sum()) if present[g] else 0
+    classes = np.repeat(np.arange(8), np.stack([c - ones, ones], axis=1).ravel())
+    philox = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64),
+                              counter=np.array([0, 0, 0, 1], dtype=np.uint64))
+    k = classes[np.random.Generator(philox).permutation(rounds)]
     return k >> 2, (k >> 1) & 1, k & 1
 
 
@@ -667,14 +706,14 @@ def _replay(q, scenario, seed, trial, rounds):
     seed=st.integers(0, 2**64 - 1),
     first=st.integers(0, 2**64 - 3),
     trials=st.integers(1, 3),
-    rounds=st.integers(1, 5),
+    rounds=st.integers(1, 40),
     bit=st.integers(0, 1),
     epr=st.booleans(),
     a0=st.tuples(_angle_theta, _angle_phi),
     a1=st.tuples(_angle_theta, _angle_phi),
     steer=st.tuples(_angle_theta, _angle_phi),
 )
-def test_block_rows_draw_each_trials_derive_rng_stream(
+def test_each_trial_draws_its_derive_rng_stream(
     q, seed, first, trials, rounds, bit, epr, a0, a1, steer
 ):
     config = cfg(q, rounds, seed=seed)
@@ -683,13 +722,16 @@ def test_block_rows_draw_each_trials_derive_rng_stream(
         scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
     else:
         scenario = HonestAlice(bit=bit)
-    ts = range(first, first + trials)
-    block = protocol._prepare(config, scenario)[1](ts)
-    for row, t in enumerate(ts):
+    _, counts, transcript = protocol._prepare(config, scenario)
+    for t in range(first, first + trials):
         bases, outcomes, variants = _replay(q, scenario, seed, t, rounds)
-        assert block.bob_basis[row].tolist() == bases.tolist()
-        assert block.bob_outcome[row].tolist() == outcomes.tolist()
-        assert block.announced_variant[row].tolist() == variants.tolist()
+        drawn = transcript(t)
+        assert drawn.bob_basis.tolist() == bases.tolist()
+        assert drawn.bob_outcome.tolist() == outcomes.tolist()
+        assert drawn.announced_variant.tolist() == variants.tolist()
+        sifted = bases == bit
+        matched = sifted & (outcomes == variants)
+        assert counts(t) == (np.count_nonzero(sifted), np.count_nonzero(matched))
 
 
 @pytest.mark.parametrize(
@@ -729,14 +771,14 @@ def test_round_law_of_a_receiver_outcome_of_tiny_probability():
     a0, a1 = np.array([1.0, 0.0]), ProjectiveBasis(1e-5, 0.0).vectors()[0]
     steer = ProjectiveBasis(1.5, 0.0)
     joint = lift_apply(DepolarizingChannel(1.0), cheat_state(a0, a1))
-    law = protocol._round_law(joint, steer).reshape(2, 2, 2)
+    law = protocol._round_law(joint, steer)[1].reshape(2, 2, 2)
     for v, s in enumerate(steer.vectors()):
         assert abs(law[1, 1, v] - abs(s.conj() @ (a0 - a1)) ** 2 / 8) <= 1e-16
     assert law[1, 1].min() > OUTCOME_EPS
     # at a1 = (1e-7, 0) the closed form is about 1.5e-16: impossible, so exactly 0
     a1 = ProjectiveBasis(1e-7, 0.0).vectors()[0]
     joint = lift_apply(DepolarizingChannel(1.0), cheat_state(a0, a1))
-    assert not protocol._round_law(joint, steer).reshape(2, 2, 2)[1, 1].any()
+    assert not protocol._round_law(joint, steer)[1].reshape(2, 2, 2)[1, 1].any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -757,8 +799,30 @@ def test_round_law_matches_the_reference_law(q, bit, epr, a0, a1, steer):
         scenario = HonestAlice(bit=bit)
     joint = protocol._prepare(cfg(q, 1), scenario)[0]
     # an entry within roundoff of OUTCOME_EPS may be zeroed on one side only
-    assert np.allclose(protocol._round_law(joint, steer_basis), _reference_law(q, scenario).ravel(),
-                       rtol=0, atol=2 * OUTCOME_EPS)
+    law = protocol._round_law(joint, steer_basis)[1]
+    assert np.allclose(law, _reference_law(q, scenario).ravel(), rtol=0, atol=2 * OUTCOME_EPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0),
+    a0=st.tuples(_angle_theta, _angle_phi),
+    a1=st.tuples(_angle_theta, _angle_phi),
+    steer=st.tuples(_angle_theta, _angle_phi),
+)
+def test_receiver_law_does_not_depend_on_the_steering_basis(q, a0, a1, steer):
+    # bit for bit, so that no steering basis moves the receiver's counts; a
+    # sum of the steered law would differ by ulps from one basis to another
+    strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+    joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+    r1, law1 = protocol._round_law(joint, RECTILINEAR)
+    r2, law2 = protocol._round_law(joint, ProjectiveBasis(*steer))
+    # an outcome below 2 OUTCOME_EPS can have both of its classes zeroed in one basis only
+    kept = law1.reshape(4, 2).any(axis=1) & law2.reshape(4, 2).any(axis=1)
+    assert np.array_equal(r1[kept], r2[kept])
+    reference = _reference_receiver_law(q, EprAlice(strategy))
+    assert np.allclose(r1[kept], reference[kept], rtol=0, atol=1e-15)
+    assert not r1[~law1.reshape(4, 2).any(axis=1)].any()
 
 
 def _class_counts(config, scenario):
@@ -778,40 +842,92 @@ def test_class_frequencies_follow_the_round_law(q, scenario):
     assert np.all(np.abs(counts - n * law) <= 5 * np.sqrt(n * law * (1 - law)))
 
 
+_ZERO, _ONE = np.eye(2)
+
+
 @pytest.mark.parametrize(
-    "a, q, zero",
+    "a0, a1, steer, q, zero",
     [
-        ("one", 0.0, [0, 2, 4, 6]),
-        ("one", 0.5, [0, 2, 4, 6]),
-        ("one", 1.0, [0, 2, 4, 6, 7]),
-        ("zero", 1.0, [1, 3, 5, 6, 7]),
+        (_ONE, _ONE, RECTILINEAR, 0.0, [0, 2, 4, 6]),
+        (_ONE, _ONE, RECTILINEAR, 0.5, [0, 2, 4, 6]),
+        (_ONE, _ONE, RECTILINEAR, 1.0, [0, 2, 4, 6, 7]),
+        (_ZERO, _ZERO, RECTILINEAR, 1.0, [1, 3, 5, 6, 7]),
+        (_ZERO, ProjectiveBasis(8e-6, 0.0).vectors()[0], ProjectiveBasis(1.5, 0.0), 1.0, [6]),
+        (_ZERO, ProjectiveBasis(7.2e-6, 0.0).vectors()[0], DIAGONAL, 1.0, [6, 7]),
     ],
-    ids=["leading-q0", "leading-q0.5", "leading-q1", "trailing"],
+    ids=["leading-q0", "leading-q0.5", "leading-q1", "trailing", "zeroed-beside-kept",
+         "both-zeroed"],
 )
-def test_a_class_of_law_zero_is_never_drawn(monkeypatch, a, q, zero):
-    # a0 = a1 leaves the sender a pure |a> whatever the receiver sees, so
-    # steering in RECTILINEAR announces a alone; at q = 1 the receiver's
-    # |+> never gives the diagonal outcome 1 (classes 6 and 7)
-    vector = np.eye(2)[{"zero": 0, "one": 1}[a]]
-    scenario = EprAlice(CheatStrategy(vector, vector), 0, RECTILINEAR)
-    joint = lift_apply(DepolarizingChannel(q), cheat_state(vector, vector))
-    law = protocol._round_law(joint, RECTILINEAR)
+def test_a_class_of_law_zero_is_never_drawn(monkeypatch, a0, a1, steer, q, zero):
+    # a0 = a1 leaves the sender a pure |a0> whatever the receiver sees, so
+    # steering in RECTILINEAR announces a0 alone; at q = 1 the receiver's
+    # |+> never gives the diagonal outcome 1 (classes 6 and 7). With a1 near
+    # a0 = |0> that outcome has probability theta**2 / 32: at theta = 8e-6
+    # the steering splits its 2.0e-12 into classes of 9.3e-13 (law 0, below
+    # OUTCOME_EPS) and 1.07e-12, and at theta = 7.2e-6 its 1.6e-12 into two
+    # classes of 8.1e-13, so the outcome itself is impossible
+    scenario = EprAlice(CheatStrategy(a0, a1), 0, steer)
+    joint = lift_apply(DepolarizingChannel(q), cheat_state(a0, a1))
+    law = protocol._round_law(joint, steer)[1]
     assert np.flatnonzero(law == 0).tolist() == zero
     assert not _class_counts(cfg(q, 200_000, seed=22), scenario)[zero].any()
-    # uniforms in [0, 1) on and just below every edge of the cumulative table
-    cdf = np.cumsum(law)
-    cdf /= cdf[-1]
-    edges = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0)])
-    edges = edges[edges < 1.0]
-
+    # draws on every edge of each draw's support: all rounds on one receiver
+    # outcome in turn, and each group's variant-1 count at its least or its
+    # greatest possible value; a zero class is impossible only if no draw
+    # can reach it
     class Edges:
         def __init__(self, bitgen):
             pass
 
-        def random(self, out):
-            out[:] = edges
+        def multinomial(self, n, pvals):
+            return n * np.eye(len(pvals), dtype=np.int64)[corner % len(pvals)]
+
+        def binomial(self, n, p):
+            assert 0 <= p <= 1
+            return n if (p > 0 if high else p == 1) else 0
+
+        def shuffle(self, x):
+            pass
 
     monkeypatch.setattr(np.random, "Generator", Edges)
-    block = protocol._prepare(cfg(q, edges.size), scenario)[1](range(1))
-    codes = 4 * block.bob_basis + 2 * block.bob_outcome + block.announced_variant
-    assert not np.isin(codes, zero).any()
+    for corner in range(4):
+        for high in (False, True):
+            t = protocol._prepare(cfg(q, 10), scenario)[2](0)
+            codes = 4 * t.bob_basis + 2 * t.bob_outcome + t.announced_variant
+            assert not np.isin(codes, zero).any()
+
+
+@pytest.mark.parametrize(
+    "scenario", [HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)],
+    ids=["honest-1", "bell-diagonal"],
+)
+def test_monte_carlo_pooled_counts_follow_the_exact_law(scenario):
+    # a trial's sifted and matched counts are binomial in its rounds, so the
+    # totals over all trials are binomial in all of them
+    q, rounds, trials = 0.6, 50, 400
+    law = _reference_law(q, scenario)
+    summary = monte_carlo(cfg(q, rounds, seed=23), scenario, trials)
+    total = rounds * trials
+    bit = scenario.bit if isinstance(scenario, HonestAlice) else scenario.target_bit
+    for count, p in (
+        (sum(r.sifted_count for r in summary.reports), law[bit].sum()),
+        (sum(r.match_count for r in summary.reports), law[bit, 0, 0] + law[bit, 1, 1]),
+    ):
+        assert abs(count - total * p) <= 5 * math.sqrt(total * p * (1 - p))
+
+
+def test_first_and_last_rounds_follow_the_round_law():
+    # every order of a trial's rounds is equally likely, so its first and
+    # its last round are each one draw from the round law; laid out in
+    # class order, round 0 would hold the lowest class drawn
+    q, scenario, trials = 0.6, HonestAlice(bit=1), 2000
+    law = _reference_law(q, scenario).ravel()
+    first, last = np.zeros(8), np.zeros(8)
+    for t in range(trials):
+        transcript, _ = run_session(cfg(q, 20, seed=24), scenario, t)
+        codes = 4 * transcript.bob_basis + 2 * transcript.bob_outcome + transcript.announced_variant
+        first[codes[0]] += 1
+        last[codes[-1]] += 1
+    bound = 5 * np.sqrt(trials * law * (1 - law))
+    assert np.all(np.abs(first - trials * law) <= bound)
+    assert np.all(np.abs(last - trials * law) <= bound)
