@@ -259,9 +259,9 @@ def _record_texts(opened_bit: int) -> tuple[str, str, tuple[str, ...]]:
 
     Returns the text before the number of the first record, the same text
     for every later record (item separator included), and the text after
-    the number for each round class 4 bob_basis + 2 bob_outcome +
-    announced_variant of a session opened as ``opened_bit``; ``matched``
-    is null on unsifted rounds.
+    the number for each round class 4b + 2o + v (receiver basis b and
+    outcome o, announced variant v) of a session opened as
+    ``opened_bit``; ``matched`` is null on unsifted rounds.
     """
     # the list's opener, item separator and closer at the transcript's depth
     opener, sep, closer = json.dumps({"transcript": [0, 0]}, indent=2).split("0")
@@ -282,16 +282,15 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
 
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` of the document
     with one dict per round, but it is written in slices straight from the
-    columns, so memory stays bounded in the round count.
+    transcript's round classes, so memory stays bounded in the round count.
     """
     doc = json.dumps({"meta": meta, "rows": rows, "transcript": [0]}, indent=2)
     head, foot = doc.rsplit("0", 1)
     first, later, tails = _record_texts(transcript.opened_bit)
-    codes = 4 * transcript.bob_basis + 2 * transcript.bob_outcome + transcript.announced_variant
     fh.write(head + first)
-    for start in range(0, len(codes), _RECORDS_PER_WRITE):
-        chunk = codes[start:start + _RECORDS_PER_WRITE].tolist()
-        records = [f"{i}{tails[code]}" for i, code in enumerate(chunk, start)]
+    for start in range(0, transcript.config.rounds, _RECORDS_PER_WRITE):
+        chunk = transcript.classes[start:start + _RECORDS_PER_WRITE].tolist()
+        records = [f"{i}{tails[k]}" for i, k in enumerate(chunk, start)]
         fh.write((later if start else "") + later.join(records))
     fh.write(foot + "\n")
 

@@ -16,11 +16,10 @@ An honest sender is a pair too: sending carrier v is holding a register
 |v> beside it and reading the register after the receiver has measured
 (remote state preparation), so both senders run one session path.
 
-A transcript is the record of one opened session: the opened bit and
-one column of length ``rounds`` per field (receiver basis and outcome,
-announced variant), each read-only int8 and holding only 0 and 1. A
-round is one of 8 classes 4b + 2o + v (receiver basis b and outcome o,
-announced variant v), drawn from one law: 1/2 <s_v|x|s_v> of the
+A round is one of 8 classes 4b + 2o + v (receiver basis b and outcome
+o, announced variant v), and a transcript, the record of one opened
+session, is the opened bit and a read-only int8 column of each round's
+class. The classes are drawn from one law: 1/2 <s_v|x|s_v> of the
 sender's operator x = tr_B[rho (I x E)] for receiver projector E
 (``states._sender_operator``, as in ``security``) and steering vector
 s_v, so no conditional state or probability is formed. That law
@@ -96,55 +95,42 @@ class ProtocolConfig:
             raise ValueError(f"accept_sigma must be finite and >= 0, got {self.accept_sigma}")
 
 
-_COLUMNS = ("bob_basis", "bob_outcome", "announced_variant")
+def _check_type(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """The rounds of one opened session, one read-only int8 column per field.
+    """The rounds of one opened session: a read-only int8 column of round classes.
 
-    ``bob_basis`` and ``bob_outcome`` are the receiver's; basis b is
-    ``encoding_basis(b)``. ``announced_variant`` is the sender's opening:
-    her steering outcomes, which for an honest sender are the carriers she
-    sent. Equality compares every field by value.
+    Round i's class is ``classes[i]`` = 4b + 2o + v: the receiver measured
+    in basis ``encoding_basis(b)`` and saw outcome o, and the sender
+    announced variant v, her steering outcome, which for an honest sender
+    is the carrier she sent. Equality compares every field by value.
     """
 
     config: ProtocolConfig
     opened_bit: int
-    bob_basis: np.ndarray
-    bob_outcome: np.ndarray
-    announced_variant: np.ndarray
+    classes: np.ndarray
 
     def __post_init__(self):
+        _check_type("config", self.config, ProtocolConfig)
         _check_bit("opened_bit", self.opened_bit)
-        for name in _COLUMNS:
-            col = np.asarray(getattr(self, name))
-            if col.shape != (self.config.rounds,):
-                raise ValueError(
-                    f"{name} has shape {col.shape} for {self.config.rounds} rounds"
-                )
-            if col.dtype.kind not in "biu" or np.any((col < 0) | (col > 1)):
-                raise ValueError(f"{name} must hold 0/1 integers or bools")
-            col = col.astype(np.int8)
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
+        classes = np.asarray(self.classes)
+        if classes.shape != (self.config.rounds,):
+            raise ValueError(f"classes has shape {classes.shape} for {self.config.rounds} rounds")
+        if classes.dtype.kind not in "biu" or np.any((classes < 0) | (classes > 7)):
+            raise ValueError("classes must hold integers 0 to 7 or bools")
+        classes = classes.astype(np.int8)
+        classes.setflags(write=False)
+        object.__setattr__(self, "classes", classes)
 
     def __eq__(self, other):
         if not isinstance(other, Transcript):
             return NotImplemented
-        return self.config == other.config and self.opened_bit == other.opened_bit and all(
-            np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS
-        )
-
-    @property
-    def sifted(self) -> np.ndarray:
-        """Rounds measured in the opened bit's encoding basis."""
-        return self.bob_basis == self.opened_bit
-
-    @property
-    def matched(self) -> np.ndarray:
-        """Sifted rounds whose outcome equals the announced variant."""
-        return self.sifted & (self.bob_outcome == self.announced_variant)
+        return (self.config == other.config and self.opened_bit == other.opened_bit
+                and np.array_equal(self.classes, other.classes))
 
 
 @dataclass(frozen=True)
@@ -199,18 +185,17 @@ def _round_law(
 def verify(transcript: Transcript) -> VerificationReport:
     """Receiver's accept/reject decision over the sifted rounds.
 
-    Sifted rounds are those measured in the announced bit's encoding
-    basis. The honest expectation per sifted round is (1+q)/2 (the
-    carrier survives the channel with probability q, else the outcome is
-    a fair coin); the acceptance threshold sits ``accept_sigma`` binomial
-    standard deviations below it. With no sifted rounds the receiver has
-    no evidence and rejects.
+    Sifted rounds are those measured in the opened bit t's encoding basis,
+    classes 4t to 4t + 3, of which 4t and 4t + 3 match (o = v). The honest
+    expectation per sifted round is (1+q)/2 (the carrier survives the
+    channel with probability q, else the outcome is a fair coin); the
+    threshold sits ``accept_sigma`` binomial standard deviations below it.
+    With no sifted rounds the receiver has no evidence and rejects.
     """
-    return _counts_report(
-        transcript.config,
-        int(np.count_nonzero(transcript.sifted)),
-        int(np.count_nonzero(transcript.matched)),
-    )
+    _check_type("transcript", transcript, Transcript)
+    c = np.bincount(transcript.classes, minlength=8)
+    t = 4 * transcript.opened_bit
+    return _counts_report(transcript.config, int(c[t:t + 4].sum()), int(c[t] + c[t + 3]))
 
 
 def _counts_report(config: ProtocolConfig, sifted_count: int, match_count: int) -> VerificationReport:
@@ -250,9 +235,8 @@ class EprAlice:
     steer_basis: ProjectiveBasis = RECTILINEAR
 
     def __post_init__(self):
-        for name, kind in (("strategy", CheatStrategy), ("steer_basis", ProjectiveBasis)):
-            if not isinstance(getattr(self, name), kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        _check_type("strategy", self.strategy, CheatStrategy)
+        _check_type("steer_basis", self.steer_basis, ProjectiveBasis)
         _check_bit("target_bit", self.target_bit)
 
 
@@ -292,12 +276,13 @@ def _prepare(
     binomial with P(v = 1 | b, o) per group, the sifted groups (b the
     opened bit) first, o = 0 before o = 1. The counts sampler stops
     there. The transcript sampler splits the other two groups likewise,
-    lays the class codes 4b + 2o + v out in sorted order, re-keys to the
-    same key at counter (0, 0, 0, 1) and shuffles them: one uniform
-    permutation of the rounds. Neither the receiver's counts nor the
-    permutation depend on the steering basis or the opened bit, so
-    neither do his columns.
+    lays the classes 4b + 2o + v out in sorted order, re-keys to the same
+    key at counter (0, 0, 0, 1) and shuffles them: one uniform permutation
+    of the rounds, which is the transcript's column. Neither the
+    receiver's counts nor the permutation depend on the steering basis or
+    the opened bit, so neither does any round's receiver part 4b + 2o.
     """
+    _check_type("config", config, ProtocolConfig)
     if isinstance(scenario, HonestAlice):
         pair = DensityMatrix(sum(np.kron(bb84_projector(0, v), bb84_projector(scenario.bit, v))
                                  for v in (0, 1)) / 2)
@@ -346,8 +331,7 @@ def _prepare(
         classes = np.repeat(np.arange(8), [k for g in range(4) for k in (c[g] - ones[g], ones[g])])
         rekey(t, _ARRANGEMENT)
         rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
-        codes = classes.astype(np.int8)
-        return Transcript(config, opened_bit, codes >> 2, (codes >> 1) & 1, codes & 1)
+        return Transcript(config, opened_bit, classes)
 
     return joint, counts, transcript
 
@@ -357,9 +341,9 @@ def run_session(
 ) -> tuple[Transcript, VerificationReport]:
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial).
 
-    The transcript holds the class counts that ``monte_carlo`` draws for
-    the same trial, its rounds in one uniformly random order; laying them
-    out makes its cost grow with ``config.rounds``.
+    The transcript's column holds the class counts that ``monte_carlo``
+    draws for the same trial, one class per round in one uniformly random
+    order; laying them out makes its cost grow with ``config.rounds``.
     """
     _check_word("trial", trial)
     transcript = _prepare(config, scenario)[2](trial)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ebcommit.protocol import (
     run_session,
     verify,
 )
-from ebcommit.security import CheatStrategy, bell_strategy
+from ebcommit.security import CheatStrategy, alice_binding_attack, bell_strategy
 from ebcommit.states import (
     DIAGONAL,
     OUTCOME_EPS,
@@ -95,7 +96,7 @@ class TestConfig:
             lambda v: bb84_projector(0, v),
             encoding_basis,
             bb84_pair_mixture,
-            lambda v: Transcript(cfg(0.5, 1), v, [1], [0], [0]),
+            lambda v: Transcript(cfg(0.5, 1), v, [4]),
         ],
         ids=["honest", "target", "symbol-bit", "symbol-variant", "encoding-basis",
              "pair-mixture", "opened"],
@@ -116,6 +117,17 @@ class TestConfig:
     def test_epr_alice_rejects_mistyped_fields(self, kwargs, field):
         with pytest.raises(TypeError, match=f"^{field} must be a "):
             EprAlice(**kwargs)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Transcript(None, 0, [0]), "config must be a ProtocolConfig, got None"),
+        (lambda: run_session(None, HonestAlice(bit=0)), "config must be a ProtocolConfig, got None"),
+        (lambda: monte_carlo({"q": 0.5}, HonestAlice(bit=0), 1),
+         "config must be a ProtocolConfig, got {'q': 0.5}"),
+        (lambda: verify("x"), "transcript must be a Transcript, got 'x'"),
+    ], ids=["transcript", "run-session", "monte-carlo", "verify"])
+    def test_rejects_mistyped_config_and_transcript(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(q=0.5, rounds=np.int64(10), seed=np.uint64(3))
@@ -164,12 +176,12 @@ def test_transcript_equality_covers_opened_columns():
     c = cfg(0.5, 100, seed=4)
     rect = run_session(c, EprAlice(bell_strategy(), 0, RECTILINEAR))[0]
     assert rect == run_session(c, EprAlice(bell_strategy(), 0, RECTILINEAR))[0]
-    # the same receiver columns, other steering outcomes
+    # the same receiver parts 4b + 2o of every class, other steering outcomes
     diag = run_session(c, EprAlice(bell_strategy(), 0, DIAGONAL))[0]
-    assert np.array_equal(rect.bob_outcome, diag.bob_outcome)
+    assert np.array_equal(rect.classes >> 1, diag.classes >> 1)
     assert rect != diag and diag != rect
-    # the same columns opened as the other bit
-    other = Transcript(c, 1, rect.bob_basis, rect.bob_outcome, rect.announced_variant)
+    # the same classes opened as the other bit
+    other = Transcript(c, 1, rect.classes)
     assert other != rect and rect != other
 
 
@@ -177,7 +189,9 @@ def test_honest_noiseless_all_sifted_match():
     t, report = run_session(cfg(1.0, 2000, seed=3), HonestAlice(bit=0))
     assert report.match_fraction == 1.0
     assert report.accepted
-    assert np.array_equal(t.matched, t.sifted)
+    # every sifted round (basis 0) matches: its outcome is its variant
+    k = t.classes[t.classes >> 2 == 0]
+    assert k.size > 0 and np.array_equal((k >> 1) & 1, k & 1)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2, 0.5, 0.8])
@@ -195,16 +209,10 @@ def test_honest_transcript_columns():
     bit = 1
     t, _ = run_session(cfg(0.7, 200, seed=5), HonestAlice(bit=bit))
     assert t.opened_bit == bit
-    for col in (t.bob_basis, t.bob_outcome, t.announced_variant):
-        assert col.shape == (200,) and col.dtype == np.int8
-        assert not col.flags.writeable
+    assert t.classes.shape == (200,) and t.classes.dtype == np.int8
+    assert not t.classes.flags.writeable
     # trial 0's class counts, drawn from the round law, in their shuffled order
-    bases, outcomes, variants = _replay(0.7, HonestAlice(bit=bit), 5, 0, 200)
-    assert np.array_equal(t.bob_basis, bases)
-    assert np.array_equal(t.bob_outcome, outcomes)
-    assert np.array_equal(t.announced_variant, variants)
-    assert np.array_equal(t.sifted, t.bob_basis == bit)
-    assert not t.matched[~t.sifted].any()
+    assert np.array_equal(t.classes, _replay(0.7, HonestAlice(bit=bit), 5, 0, 200))
 
 
 def test_honest_alice_validates_bit():
@@ -245,8 +253,8 @@ def test_steering_perfect_at_q1():
 
 def test_steering_cannot_touch_bob_outcomes():
     # the no-signalling statement, end to end: whichever basis the sender
-    # steers in and whichever bit she opens, the receiver's columns of the
-    # session are bit-for-bit identical
+    # steers in and whichever bit she opens, the receiver's parts 4b + 2o
+    # of the session's classes are bit-for-bit identical
     c = cfg(0.3, 3000, seed=13)
     sessions = [
         run_session(c, EprAlice(bell_strategy(), target, basis))[0]
@@ -255,10 +263,9 @@ def test_steering_cannot_touch_bob_outcomes():
     ]
     first = sessions[0]
     for t in sessions:
-        assert np.array_equal(t.bob_basis, first.bob_basis)
-        assert np.array_equal(t.bob_outcome, first.bob_outcome)
+        assert np.array_equal(t.classes >> 1, first.classes >> 1)
     # while what she announces does depend on her steering basis
-    assert not np.array_equal(sessions[0].announced_variant, sessions[2].announced_variant)
+    assert not np.array_equal(sessions[0].classes & 1, sessions[2].classes & 1)
 
 
 def test_verify_threshold_formula():
@@ -272,8 +279,8 @@ def test_verify_threshold_formula():
 
 def test_verify_zero_sifted_rounds_flagged():
     c = cfg(0.5, 1)
-    # announced bit 0 encodes rectilinear, so a diagonal measurement is never sifted
-    t = Transcript(c, opened_bit=0, bob_basis=[1], bob_outcome=[0], announced_variant=[0])
+    # announced bit 0 encodes rectilinear, so a diagonal measurement (class 4) is never sifted
+    t = Transcript(c, opened_bit=0, classes=[4])
     report = verify(t)
     assert report.no_sifted_rounds
     assert not report.accepted
@@ -282,44 +289,72 @@ def test_verify_zero_sifted_rounds_flagged():
 
 def test_transcript_length_invariant():
     c = cfg(0.5, 3)
-    with pytest.raises(ValueError, match="rounds"):
-        Transcript(c, opened_bit=0, bob_basis=[], bob_outcome=[], announced_variant=[])
-    with pytest.raises(ValueError, match="announced_variant"):
-        Transcript(
-            c, opened_bit=0, bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0],
-            announced_variant=[0, 1],
-        )
+    for classes in ([], [0, 1]):
+        with pytest.raises(ValueError, match=r"^classes has shape \(\d,\) for 3 rounds$"):
+            Transcript(c, opened_bit=0, classes=classes)
+
+
+_NOT_CLASSES = "must hold integers 0 to 7 or bools"
 
 
 @pytest.mark.parametrize(
-    "column, values",
+    "classes, message",
     [
-        ("bob_basis", [0, 0.7, 3]),  # int8 would truncate 0.7 to 0
-        ("bob_basis", [0, 1.0, 1]),
-        ("bob_outcome", [5, 5, 0]),  # would match a variant of 5
-        ("bob_outcome", [300, 0, 0]),  # overflows int8
-        ("bob_outcome", np.array([256, 0, 1])),  # wraps to 0 in int8
-        ("announced_variant", [5, 5, 0]),
-        ("announced_variant", [-1, 0, 1]),
-        ("announced_variant", [0, 2, 1]),
-        ("announced_variant", ["0", "1", "0"]),
-        ("announced_variant", [None, 0, 1]),
+        ([0, 8, 3], _NOT_CLASSES),  # basis 2
+        ([-1, 0, 7], _NOT_CLASSES),
+        (np.array([256, 0, 1]), _NOT_CLASSES),  # wraps to 0 in int8
+        ([263, 0, 1], _NOT_CLASSES),  # wraps to 7 in int8
+        ([0, 0.7, 3], _NOT_CLASSES),  # int8 would truncate 0.7 to 0
+        ([0, 1.0, 1], _NOT_CLASSES),
+        (["0", "1", "0"], _NOT_CLASSES),
+        ([None, 0, 1], _NOT_CLASSES),
+        ([0, 1, 2, 3], r"has shape \(4,\) for 3 rounds"),
+        ([[0, 1, 2]], r"has shape \(1, 3\) for 3 rounds"),
     ],
+    ids=["8", "-1", "256", "263", "0.7", "1.0", "str", "None", "long", "2-D"],
 )
-def test_transcript_columns_hold_bits(column, values):
-    columns = dict(bob_basis=[0, 1, 0], bob_outcome=[1, 1, 0], announced_variant=[0, 0, 1])
-    columns[column] = values
-    with pytest.raises(ValueError, match=f"{column} must hold 0/1 integers or bools"):
-        Transcript(cfg(0.5, 3), opened_bit=0, **columns)
+def test_transcript_columns_hold_bits(classes, message):
+    with pytest.raises(ValueError, match=f"^classes {message}$"):
+        Transcript(cfg(0.5, 3), opened_bit=0, classes=classes)
 
 
 def test_transcript_accepts_bool_and_integer_columns():
-    t = Transcript(
-        cfg(0.5, 3), 0, bob_basis=np.array([0, 1, 0], dtype=np.uint8),
-        bob_outcome=[True, False, True], announced_variant=np.array([1, 1, 0]),
-    )
-    assert t.bob_outcome.dtype == np.int8 and t.bob_outcome.tolist() == [1, 0, 1]
-    assert verify(t).match_count == 1
+    # opened as bit 0: classes 0 to 3 are sifted, 0 and 3 matched
+    for classes, sifted, matched in (
+        (np.array([0, 5, 3], dtype=np.uint8), 2, 2),
+        ([True, False, True], 3, 1),
+        (np.array([3, 7, 1]), 2, 1),
+    ):
+        t = Transcript(cfg(0.5, 3), 0, classes)
+        assert t.classes.dtype == np.int8 and not t.classes.flags.writeable
+        assert t.classes.tolist() == np.asarray(classes, dtype=int).tolist()
+        assert (verify(t).sifted_count, verify(t).match_count) == (sifted, matched)
+
+
+def test_verify_counts_the_sifted_and_matched_classes():
+    # class k on 2**k rounds, so every sum of classes' counts is distinct:
+    # opened as bit t, verify counts classes 4t to 4t + 3 as sifted and
+    # 4t and 4t + 3 (o = v) as matched
+    classes = np.random.default_rng(0).permutation(np.repeat(np.arange(8), 2 ** np.arange(8)))
+    for bit, sifted, matched in ((0, 1 + 2 + 4 + 8, 1 + 8), (1, 16 + 32 + 64 + 128, 16 + 128)):
+        report = verify(Transcript(cfg(0.5, 255), bit, classes))
+        assert (report.sifted_count, report.match_count) == (sifted, matched)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("q", [0.0, 1 / 3, 0.5, 1.0])
+def test_matched_classes_carry_the_match_probability(q, bit):
+    # verify counts classes 4t and 4t + 3 as matched; per sifted round their
+    # law is (1+q)/2 for the honest sender, and for the Bell cheater steered
+    # in the encoding basis it is her best binding fidelity
+    t, basis = 4 * bit, encoding_basis(bit)
+    honest = protocol._round_law(protocol._prepare(cfg(q, 1), HonestAlice(bit))[0], RECTILINEAR)[1]
+    assert abs(2 * (honest[t] + honest[t + 3]) - (1 + q) / 2) <= 1e-15
+    bell = protocol._prepare(cfg(q, 1), EprAlice(bell_strategy(), bit, basis))[0]
+    law = protocol._round_law(bell, basis)[1]
+    target = DensityMatrix(bb84_projector(bit, 0))
+    best = alice_binding_attack(bell_strategy(), DepolarizingChannel(q), target).best_fidelity_sq
+    assert abs(2 * (law[t] + law[t + 3]) - best) <= 1e-12
 
 
 def test_monte_carlo_single_trial_matches_run_session():
@@ -371,10 +406,7 @@ def test_run_session_rejects_bad_trial(trial):
 def test_run_session_takes_the_largest_trial():
     c = cfg(0.5, 10, seed=2**64 - 1)
     t, _ = run_session(c, HonestAlice(bit=0), trial=2**64 - 1)
-    bases, outcomes, variants = _replay(0.5, HonestAlice(bit=0), 2**64 - 1, 2**64 - 1, 10)
-    assert np.array_equal(t.bob_basis, bases)
-    assert np.array_equal(t.bob_outcome, outcomes)
-    assert np.array_equal(t.announced_variant, variants)
+    assert np.array_equal(t.classes, _replay(0.5, HonestAlice(bit=0), 2**64 - 1, 2**64 - 1, 10))
 
 
 _WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -530,25 +562,20 @@ def _dump(argv: list[str]) -> str:
 
 
 def _reference_records(transcript: Transcript) -> list[dict]:
-    """One dict per round, built directly from the columns."""
-    columns = zip(
-        transcript.bob_basis.tolist(),
-        transcript.bob_outcome.tolist(),
-        transcript.announced_variant.tolist(),
-        transcript.sifted.tolist(),
-        transcript.matched.tolist(),
-    )
-    return [
-        {
+    """One dict per round, each field read off the round's class 4b + 2o + v."""
+    records = []
+    for i, k in enumerate(transcript.classes.tolist()):
+        basis, outcome, variant = k >> 2, (k >> 1) & 1, k & 1
+        sifted = basis == transcript.opened_bit
+        records.append({
             "round": i,
             "bob_basis": basis,
             "bob_outcome": outcome,
             "announced_variant": variant,
             "sifted": sifted,
-            "matched": matched if sifted else None,
-        }
-        for i, (basis, outcome, variant, sifted, matched) in enumerate(columns)
-    ]
+            "matched": outcome == variant if sifted else None,
+        })
+    return records
 
 
 _no_angles = (0.0, 0.0)
@@ -599,9 +626,9 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
         r["matched"] is True for r in records
     )
     assert all((r["matched"] is None) == (not r["sifted"]) for r in records)
-    assert [r["bob_basis"] for r in records] == transcript.bob_basis.tolist()
-    assert [r["bob_outcome"] for r in records] == transcript.bob_outcome.tolist()
-    assert [r["announced_variant"] for r in records] == transcript.announced_variant.tolist()
+    assert [(r["bob_basis"], r["bob_outcome"], r["announced_variant"]) for r in records] == [
+        (k >> 2, (k >> 1) & 1, k & 1) for k in transcript.classes.tolist()
+    ]
 
 
 @pytest.mark.parametrize("per_write", [1, 7, 50, 1024])
@@ -662,7 +689,7 @@ def _reference_receiver_law(q, scenario):
 
 
 def _replay(q, scenario, seed, trial, rounds):
-    """Trial ``trial``'s receiver bases and outcomes and announced variants, drawn afresh.
+    """Trial ``trial``'s round classes 4b + 2o + v, drawn afresh.
 
     From the reference laws, each probability rounded to
     ``protocol._LAW_GRID``, on the stream ``derive_rng(seed, trial)``: the
@@ -690,8 +717,7 @@ def _replay(q, scenario, seed, trial, rounds):
     classes = np.repeat(np.arange(8), np.stack([c - ones, ones], axis=1).ravel())
     philox = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64),
                               counter=np.array([0, 0, 0, 1], dtype=np.uint64))
-    k = classes[np.random.Generator(philox).permutation(rounds)]
-    return k >> 2, (k >> 1) & 1, k & 1
+    return classes[np.random.Generator(philox).permutation(rounds)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -724,13 +750,10 @@ def test_each_trial_draws_its_derive_rng_stream(
         scenario = HonestAlice(bit=bit)
     _, counts, transcript = protocol._prepare(config, scenario)
     for t in range(first, first + trials):
-        bases, outcomes, variants = _replay(q, scenario, seed, t, rounds)
-        drawn = transcript(t)
-        assert drawn.bob_basis.tolist() == bases.tolist()
-        assert drawn.bob_outcome.tolist() == outcomes.tolist()
-        assert drawn.announced_variant.tolist() == variants.tolist()
-        sifted = bases == bit
-        matched = sifted & (outcomes == variants)
+        classes = _replay(q, scenario, seed, t, rounds)
+        assert transcript(t).classes.tolist() == classes.tolist()
+        sifted = classes >> 2 == bit
+        matched = sifted & ((classes >> 1) & 1 == classes & 1)
         assert counts(t) == (np.count_nonzero(sifted), np.count_nonzero(matched))
 
 
@@ -827,7 +850,7 @@ def test_receiver_law_does_not_depend_on_the_steering_basis(q, a0, a1, steer):
 
 def _class_counts(config, scenario):
     t, _ = run_session(config, scenario)
-    return np.bincount(4 * t.bob_basis + 2 * t.bob_outcome + t.announced_variant, minlength=8)
+    return np.bincount(t.classes, minlength=8)
 
 
 @pytest.mark.parametrize(
@@ -893,8 +916,7 @@ def test_a_class_of_law_zero_is_never_drawn(monkeypatch, a0, a1, steer, q, zero)
     for corner in range(4):
         for high in (False, True):
             t = protocol._prepare(cfg(q, 10), scenario)[2](0)
-            codes = 4 * t.bob_basis + 2 * t.bob_outcome + t.announced_variant
-            assert not np.isin(codes, zero).any()
+            assert not np.isin(t.classes, zero).any()
 
 
 @pytest.mark.parametrize(
@@ -925,9 +947,8 @@ def test_first_and_last_rounds_follow_the_round_law():
     first, last = np.zeros(8), np.zeros(8)
     for t in range(trials):
         transcript, _ = run_session(cfg(q, 20, seed=24), scenario, t)
-        codes = 4 * transcript.bob_basis + 2 * transcript.bob_outcome + transcript.announced_variant
-        first[codes[0]] += 1
-        last[codes[-1]] += 1
+        first[transcript.classes[0]] += 1
+        last[transcript.classes[-1]] += 1
     bound = 5 * np.sqrt(trials * law * (1 - law))
     assert np.all(np.abs(first - trials * law) <= bound)
     assert np.all(np.abs(last - trials * law) <= bound)
