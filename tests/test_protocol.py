@@ -301,6 +301,8 @@ _NOT_CLASSES = "must hold integers 0 to 7 or bools"
     "classes, message",
     [
         ([0, 8, 3], _NOT_CLASSES),  # basis 2
+        ([9, 9, 0], _NOT_CLASSES),
+        ([0, 127, 1], _NOT_CLASSES),  # the largest int8
         ([-1, 0, 7], _NOT_CLASSES),
         (np.array([256, 0, 1]), _NOT_CLASSES),  # wraps to 0 in int8
         ([263, 0, 1], _NOT_CLASSES),  # wraps to 7 in int8
@@ -311,7 +313,7 @@ _NOT_CLASSES = "must hold integers 0 to 7 or bools"
         ([0, 1, 2, 3], r"has shape \(4,\) for 3 rounds"),
         ([[0, 1, 2]], r"has shape \(1, 3\) for 3 rounds"),
     ],
-    ids=["8", "-1", "256", "263", "0.7", "1.0", "str", "None", "long", "2-D"],
+    ids=["8", "9", "127", "-1", "256", "263", "0.7", "1.0", "str", "None", "long", "2-D"],
 )
 def test_transcript_columns_hold_bits(classes, message):
     with pytest.raises(ValueError, match=f"^classes {message}$"):
