@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebcommit import cli, protocol
+from ebcommit import protocol
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence
@@ -633,17 +633,31 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
     ]
 
 
-@pytest.mark.parametrize("per_write", [1, 7, 50, 1024])
-def test_dump_written_in_slices_is_one_document(monkeypatch, per_write):
-    # 50 rounds in slices of 1, of 7 (the last one short), in one exact slice and in one short one
-    monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", per_write)
-    transcript, _ = run_session(cfg(0.6, 50, seed=3), EprAlice(bell_strategy(), 1, DIAGONAL))
-    text = _dump(["run", "--alice", "epr", "--q", "0.6", "--rounds", "50", "--seed", "3",
-                  "--target-bit", "1", "--steer-theta", repr(math.pi / 2)])
+# round counts on each side of every slice boundary (a slice is 1000 records)
+# and of every digit boundary of the round numbers
+@pytest.mark.parametrize("rounds", [1, 9, 10, 11, 999, 1000, 1001, 1999, 2000, 2001,
+                                    10000, 10001, 12345])
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("alice", ["honest", "epr"])
+def test_dump_written_in_slices_is_one_document(alice, bit, rounds):
+    argv = ["run", "--alice", alice, "--q", "0.6", "--rounds", str(rounds), "--seed", "3"]
+    if alice == "epr":
+        argv += ["--target-bit", str(bit), "--steer-theta", repr(math.pi / 2)]
+        scenario = EprAlice(bell_strategy(), bit, DIAGONAL)
+    else:
+        argv += ["--bit", str(bit)]
+        scenario = HonestAlice(bit=bit)
+    transcript, _ = run_session(cfg(0.6, rounds, seed=3), scenario)
+    text = _dump(argv)
     doc = json.loads(text)
     reference = {"meta": doc["meta"], "rows": doc["rows"],
                  "transcript": _reference_records(transcript)}
-    assert text == json.dumps(reference, indent=2) + "\n"
+    expected = json.dumps(reference, indent=2) + "\n"
+    # line by line first, so that a failure shows its first wrong line, not
+    # a diff of megabytes
+    for number, (got, want) in enumerate(zip(text.splitlines(), expected.splitlines()), 1):
+        assert got == want, f"line {number}"
+    assert text == expected
 
 
 def _reference_law(q, scenario):

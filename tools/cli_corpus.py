@@ -16,7 +16,9 @@ outputs differ.
 
 The corpus covers honest and EPR ``run`` with and without
 ``--dump-transcript`` (honest dumps of bit 1 at q = 0.6 and of bit 0 at
-q = 0 and q = 1, where the honest sender's round law holds exact 0s),
+q = 0 and q = 1, where the honest sender's round law holds exact 0s;
+an honest dump of 2500 rounds and an EPR one of 10001, which run past
+the dump's first slice of 1000 records),
 EPR runs whose round law is 0 on its leading class (``--a0 one --a1
 one``) and on its trailing classes (``--a0 zero --a1 zero`` at q = 1),
 CSV and JSON sweeps (one round per trial, two
@@ -67,6 +69,11 @@ def _run_commands() -> list[list[str]]:
                          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
                          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", seed,
                          "--dump-transcript"])
+    # dumps past the first slice of 1000 records, whose round numbers have
+    # leading digits, ending in a short slice and one record into a slice
+    cmds.append(["run", "--q", "0.6", "--rounds", "2500", "--bit", "1", "--dump-transcript"])
+    cmds.append(["run", "--alice", "epr", "--q", "0.7", "--rounds", "10001", "--target-bit", "0",
+                 "--dump-transcript"])
     # honest bit 0 at the noise extremes: at q = 1 the round law holds exact 0s
     for q in ("0.0", "1.0"):
         cmds.append(["run", "--q", q, "--rounds", "40", "--bit", "0", "--dump-transcript"])
