@@ -12,14 +12,12 @@ __version__ = "0.1.0"
 from .channels import (
     DepolarizingChannel,
     KrausChannel,
-    as_kraus,
     channel_apply,
     choi,
     is_entanglement_breaking,
     lift_apply,
 )
 from .entanglement import (
-    ConcurrenceResult,
     concurrence,
     eb_threshold,
     factorization_residual,
@@ -27,7 +25,6 @@ from .entanglement import (
 )
 from .linalg import (
     eig_hermitian,
-    fidelity,
     is_psd,
     kron,
     partial_trace,
@@ -70,7 +67,6 @@ __all__ = [
     "__version__",
     "BindingReport",
     "CheatStrategy",
-    "ConcurrenceResult",
     "DIAGONAL",
     "DensityMatrix",
     "DepolarizingChannel",
@@ -85,7 +81,6 @@ __all__ = [
     "Transcript",
     "VerificationReport",
     "alice_binding_attack",
-    "as_kraus",
     "bb84_pair_mixture",
     "bb84_projector",
     "bell_strategy",
@@ -99,7 +94,6 @@ __all__ = [
     "eig_hermitian",
     "encoding_basis",
     "factorization_residual",
-    "fidelity",
     "is_entanglement_breaking",
     "is_psd",
     "is_separable",

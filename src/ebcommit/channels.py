@@ -14,18 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    TOL,
-    as_operator,
-    is_psd,
-    kron,
-    partial_trace,
-    partial_transpose,
-)
+from .linalg import TOL, as_operator, is_psd, kron, partial_trace, partial_transpose
 from .states import _BELL_PROJ, DensityMatrix, _check_q
 
 
@@ -60,23 +49,6 @@ class DepolarizingChannel:
 
     def __post_init__(self):
         _check_q(self.q)
-
-
-def as_kraus(c: DepolarizingChannel) -> KrausChannel:
-    """Pauli-twirl Kraus form of the depolarizing channel.
-
-    {sqrt(q + (1-q)/4) I, sqrt((1-q)/4) X, sqrt((1-q)/4) Y,
-    sqrt((1-q)/4) Z}; agreement with the closed form is a tested
-    contract, not an assumption.
-    """
-    p = (1.0 - c.q) / 4.0
-    weighted = (
-        (np.sqrt(c.q + p), PAULI_I),
-        (np.sqrt(p), PAULI_X),
-        (np.sqrt(p), PAULI_Y),
-        (np.sqrt(p), PAULI_Z),
-    )
-    return KrausChannel(tuple(w * op for w, op in weighted if w > 0.0))
 
 
 def _check_channel(c) -> None:

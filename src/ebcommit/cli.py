@@ -2,9 +2,10 @@
 
 Five subcommands: ``run`` (one protocol session), ``sweep`` (Monte Carlo
 over a q grid), ``threshold`` (entanglement-breaking boundary),
-``hiding`` and ``binding`` (security metrics). Tables come out as CSV or
-as a JSON object with ``meta`` and ``rows``; all numbers are formatted
-to 12 significant digits and every run is reproducible from --seed.
+``hiding`` and ``binding`` (security metrics). Tables come out as CSV,
+with floats formatted to 12 significant digits, or as a JSON object with
+``meta`` and ``rows``, with floats in Python's shortest round-trip form.
+Every run is reproducible from --seed.
 
 Exit codes: 0 success or accept, 2 protocol reject, 1 usage or
 configuration error.

@@ -13,8 +13,6 @@ pair disentangles everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, choi, lift_apply
@@ -24,32 +22,25 @@ from .states import DensityMatrix
 _YY = kron(PAULI_Y, PAULI_Y)
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    """Concurrence value plus the four sorted Wootters singular values."""
-
-    value: float
-    lambdas: tuple[float, float, float, float]
-
-
-def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
+def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state.
 
-    The lambdas are the square roots of the eigenvalues of
-    rho (Y x Y) conj(rho) (Y x Y). With rho = X X^dagger, X = V sqrt(w)
-    from the eigendecomposition of rho (tiny negative w taken as 0), they
-    are the singular values of the symmetric matrix X^T (Y x Y) X, so no
-    square is formed and no small value is floored away. The value is
-    exactly 0.0 on every state that :func:`is_separable` accepts, so no
-    state the PPT test calls separable gets a roundoff residue as its
-    concurrence.
+    C = max(0, l1 - l2 - l3 - l4), the l_i the square roots, in
+    descending order, of the eigenvalues of rho (Y x Y) conj(rho) (Y x Y).
+    With rho = X X^dagger, X = V sqrt(w) from the eigendecomposition of
+    rho (tiny negative w taken as 0), they are the singular values of the
+    symmetric matrix X^T (Y x Y) X, so no square is formed and no small
+    value is floored away. The value is exactly 0.0 on every state that
+    :func:`is_separable` accepts, so no state the PPT test calls
+    separable gets a roundoff residue as its concurrence.
     """
     m = as_operator(rho, 4)
+    if is_separable(m):
+        return 0.0
     w, v = eig_hermitian(m, vectors=True)
     x = v * np.sqrt(np.maximum(w, 0.0))
     lams = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
-    value = 0.0 if is_separable(m) else max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
-    return ConcurrenceResult(value, tuple(float(x) for x in lams))
+    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 
 def is_separable(rho: DensityMatrix) -> bool:
@@ -65,8 +56,8 @@ def factorization_residual(x, c: KrausChannel | DepolarizingChannel) -> float:
     state alone.
     """
     rho = DensityMatrix.from_pure(x)
-    left = concurrence(lift_apply(c, rho)).value
-    right = concurrence(rho).value * concurrence(choi(c)).value
+    left = concurrence(lift_apply(c, rho))
+    right = concurrence(rho) * concurrence(choi(c))
     return abs(left - right)
 
 

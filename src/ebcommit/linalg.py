@@ -76,29 +76,6 @@ def eig_hermitian(m, vectors: bool = False):
     return np.linalg.eigvalsh(h)[::-1].copy()
 
 
-SPECTRUM_FLOOR = 1e-14
-
-
-def clip_spectrum(w: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues indistinguishable from 0 at roundoff scale.
-
-    Square-rooting a spurious +1e-16 eigenvalue would inject a 1e-8
-    error, so anything below ``SPECTRUM_FLOOR * max(1, w_max)`` is
-    treated as an exact zero before a square root is taken.
-    """
-    w = np.clip(w, 0.0, None)
-    cutoff = SPECTRUM_FLOOR * max(1.0, float(w.max()))
-    w[w < cutoff] = 0.0
-    return w
-
-
-def sqrtm_psd(m) -> np.ndarray:
-    """Hermitian square root of a PSD matrix; tiny negative eigenvalues are clamped to 0."""
-    w, v = eig_hermitian(m, vectors=True)
-    w = clip_spectrum(w)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def is_psd(m) -> bool:
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -TOL.
 
@@ -135,28 +112,10 @@ def partial_transpose(m, on: str = "B") -> np.ndarray:
     raise ValueError(f"on must be 'A' or 'B', got {on!r}")
 
 
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def trace_distance(a, b) -> float:
     """Delta(a, b) = (1/2) sum_i |lambda_i(a - b)|, clipped to [0, 1] for states."""
     a, b = as_operator(a), as_operator(b)
-    _same_dim(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     w = eig_hermitian(a - b)
     return min(1.0, float(np.abs(w).sum() / 2))
-
-
-def fidelity(a, b) -> float:
-    """F(a, b) = tr sqrt(sqrt(a) b sqrt(a)).
-
-    For a pure state b, F^2 equals the overlap <b|a|b>. Note some texts
-    call F^2 the fidelity; this package squares explicitly at call sites
-    that need a probability.
-    """
-    a, b = as_operator(a), as_operator(b)
-    _same_dim(a, b)
-    s = sqrtm_psd(a)
-    w = clip_spectrum(eig_hermitian(s @ b @ s))
-    return min(1.0, float(np.sqrt(w).sum()))

@@ -68,6 +68,7 @@ from .states import (
     _check_int,
     _check_q,
     _check_real,
+    _check_type,
     _check_word,
     _sender_operator,
     bb84_projector,
@@ -93,11 +94,6 @@ class ProtocolConfig:
             raise ValueError(f"rounds must be < 2**63, got {self.rounds}")
         if not (math.isfinite(self.accept_sigma) and self.accept_sigma >= 0):
             raise ValueError(f"accept_sigma must be finite and >= 0, got {self.accept_sigma}")
-
-
-def _check_type(name: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,7 +392,7 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
         match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
         acceptance_rate=sum(r.accepted for r in reports) / trials,
         separable_fraction=1.0 if is_separable(joint) else 0.0,
-        mean_concurrence=concurrence(joint).value,
+        mean_concurrence=concurrence(joint),
         no_sifted_trials=trials - fractions.size,
         reports=tuple(reports),
     )

@@ -25,7 +25,15 @@ import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, channel_apply, lift_apply
 from .linalg import PAULI_I, eig_hermitian, trace_distance
-from .states import RECTILINEAR, CheatStrategy, DensityMatrix, ProjectiveBasis, _sender_operator, cheat_state
+from .states import (
+    RECTILINEAR,
+    CheatStrategy,
+    DensityMatrix,
+    ProjectiveBasis,
+    _check_type,
+    _sender_operator,
+    cheat_state,
+)
 
 #: A target with tr(t^2) below 1 - PURITY_TOL is rejected as mixed.
 PURITY_TOL = 1e-9
@@ -90,8 +98,14 @@ def alice_binding_attack(
 
     When the two eigenvalues do not have opposite signs, every basis
     attains the optimum and the computational basis (0, 0) is reported.
-    Raises ValueError for a mixed target.
+    Raises TypeError for a strategy that is not a CheatStrategy or a
+    target that is not a DensityMatrix, and ValueError for a target that
+    is not a pure qubit state.
     """
+    _check_type("strategy", strategy, CheatStrategy)
+    _check_type("target", target, DensityMatrix)
+    if target.dim != 2:
+        raise ValueError(f"target must be a qubit state, got dimension {target.dim}")
     purity = float(np.vdot(target.mat, target.mat).real)
     if purity < 1.0 - PURITY_TOL:
         raise ValueError(f"target must be a pure state, got tr(t^2) = {purity:.9g}")

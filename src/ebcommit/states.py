@@ -25,8 +25,8 @@ from .linalg import PAULI_I, TOL, as_operator, eig_hermitian, is_psd, kron, part
 OUTCOME_EPS = 1e-12
 
 
-# Scalar inputs are type-checked here, once each. bool is an Integral and a
-# Real too, but True is no count, bit or probability.
+# Inputs are type-checked here, once each. bool is an Integral and a Real
+# too, but True is no count, bit or probability.
 def _check_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -46,6 +46,11 @@ def _check_word(name: str, value) -> None:
     """A 64-bit unsigned word: a seed or a trial, one half of a Philox key."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _check_q(q) -> None:
@@ -187,7 +192,7 @@ class CheatStrategy:
 
     def __post_init__(self):
         for name in ("a0", "a1"):
-            v = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
+            v = np.array(np.reshape(getattr(self, name), -1), dtype=complex)
             if v.shape != (2,):
                 raise ValueError(f"{name} must be a single-qubit state vector")
             n = np.linalg.norm(v)

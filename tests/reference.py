@@ -3,7 +3,10 @@
 Sessions and the binding attack read their Born probabilities off the sender's
 operator ``states._sender_operator``. The tests check them against the
 textbook route here: project one half of the pair, then normalize the
-state left on the other half.
+state left on the other half. The fidelity, its matrix square root, the
+Pauli-twirl Kraus form of the depolarizing channel and the textbook
+Wootters formula are the brute-force routes that the closed forms of the
+package are checked against.
 """
 
 from __future__ import annotations
@@ -12,8 +15,87 @@ import math
 
 import numpy as np
 
-from ebcommit.linalg import as_operator, eig_hermitian, is_psd, kron, partial_trace
+from ebcommit.channels import DepolarizingChannel, KrausChannel
+from ebcommit.linalg import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    as_operator,
+    eig_hermitian,
+    is_psd,
+    kron,
+    partial_trace,
+)
 from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis
+
+SPECTRUM_FLOOR = 1e-14
+
+
+def clip_spectrum(w: np.ndarray) -> np.ndarray:
+    """Zero out eigenvalues indistinguishable from 0 at roundoff scale.
+
+    Square-rooting a spurious +1e-16 eigenvalue would inject a 1e-8
+    error, so anything below ``SPECTRUM_FLOOR * max(1, w_max)`` is
+    treated as an exact zero before a square root is taken.
+    """
+    w = np.clip(w, 0.0, None)
+    cutoff = SPECTRUM_FLOOR * max(1.0, float(w.max()))
+    w[w < cutoff] = 0.0
+    return w
+
+
+def sqrtm_psd(m) -> np.ndarray:
+    """Hermitian square root of a PSD matrix; tiny negative eigenvalues are clamped to 0."""
+    w, v = eig_hermitian(m, vectors=True)
+    w = clip_spectrum(w)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def fidelity(a, b) -> float:
+    """F(a, b) = tr sqrt(sqrt(a) b sqrt(a)).
+
+    For a pure state b, F^2 equals the overlap <b|a|b>. Note some texts
+    call F^2 the fidelity; the tests square explicitly where they need a
+    probability.
+    """
+    a, b = as_operator(a), as_operator(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    s = sqrtm_psd(a)
+    w = clip_spectrum(eig_hermitian(s @ b @ s))
+    return min(1.0, float(np.sqrt(w).sum()))
+
+
+def as_kraus(c: DepolarizingChannel) -> KrausChannel:
+    """Pauli-twirl Kraus form of the depolarizing channel.
+
+    {sqrt(q + (1-q)/4) I, sqrt((1-q)/4) X, sqrt((1-q)/4) Y,
+    sqrt((1-q)/4) Z}, checked against the closed form of the package.
+    """
+    p = (1.0 - c.q) / 4.0
+    weighted = (
+        (np.sqrt(c.q + p), PAULI_I),
+        (np.sqrt(p), PAULI_X),
+        (np.sqrt(p), PAULI_Y),
+        (np.sqrt(p), PAULI_Z),
+    )
+    return KrausChannel(tuple(w * op for w, op in weighted if w > 0.0))
+
+
+def wootters_concurrence(rho: DensityMatrix) -> float:
+    """Textbook concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state.
+
+    The l_i are the square roots, in descending order, of the eigenvalues
+    of the non-Hermitian R = rho (Y x Y) conj(rho) (Y x Y) (Wootters, PRL
+    80, 2245 (1998)). The eigenvalues of R are real and non-negative in
+    exact arithmetic; their roundoff residue is dropped before the root.
+    """
+    m = as_operator(rho, 4)
+    yy = kron(PAULI_Y, PAULI_Y)
+    r = np.linalg.eigvals(m @ yy @ m.conj() @ yy)
+    lams = np.sort(np.sqrt(np.clip(r.real, 0.0, None)))[::-1]
+    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 
 def bell_psi_plus() -> np.ndarray:

@@ -18,13 +18,7 @@ from ebcommit.entanglement import (
     factorization_residual,
     is_separable,
 )
-from ebcommit.linalg import (
-    eig_hermitian,
-    fidelity,
-    partial_trace,
-    partial_transpose,
-    trace_distance,
-)
+from ebcommit.linalg import eig_hermitian, partial_trace, partial_transpose, trace_distance
 from ebcommit.protocol import EprAlice, HonestAlice, ProtocolConfig, monte_carlo, run_session
 from ebcommit.security import alice_binding_attack, bell_strategy, bob_cheat_probability
 from ebcommit.states import (
@@ -36,7 +30,7 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix, random_hermitian, random_pure_state
-from reference import joint_outcome_decomposition
+from reference import fidelity, joint_outcome_decomposition
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
@@ -76,13 +70,13 @@ def test_criterion_3_disentangling_claim():
         rho = cheat_state(random_pure_state(rng, 2), random_pure_state(rng, 2))
         for q in (0.1, 0.2, 0.3, 1 / 3):
             out = lift_apply(DepolarizingChannel(q), rho)
-            c = concurrence(out).value
+            c = concurrence(out)
             worst_c = max(worst_c, c)
             assert c <= 1e-10
             assert is_separable(out)
     bell = cheat_state([1, 0], [0, 1])
     for q in (0.4, 0.7, 1.0):
-        c = concurrence(lift_apply(DepolarizingChannel(q), bell)).value
+        c = concurrence(lift_apply(DepolarizingChannel(q), bell))
         assert abs(c - (3 * q - 1) / 2) <= 1e-9
     print(f"\ncriterion 3: max concurrence below threshold {worst_c:.2e}, "
           f"Bell curve matches (3q-1)/2: PASS")

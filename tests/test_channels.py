@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ebcommit.channels import (
     DepolarizingChannel,
     KrausChannel,
-    as_kraus,
     channel_apply,
     choi,
     is_entanglement_breaking,
@@ -25,7 +24,7 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix
-from reference import bell_psi_plus, joint_outcome_decomposition
+from reference import as_kraus, bell_psi_plus, joint_outcome_decomposition
 
 I2 = np.eye(2)
 

@@ -20,13 +20,11 @@ from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
 from ebcommit.states import DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_pure_state
-from reference import bell_psi_plus
+from reference import bell_psi_plus, wootters_concurrence
 
 
 def test_concurrence_bell_is_one():
-    res = concurrence(DensityMatrix.from_pure(bell_psi_plus()))
-    assert abs(res.value - 1.0) < 1e-12
-    assert np.allclose(res.lambdas, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert abs(concurrence(DensityMatrix.from_pure(bell_psi_plus())) - 1.0) < 1e-12
 
 
 def test_concurrence_product_states_vanish(rng):
@@ -34,17 +32,17 @@ def test_concurrence_product_states_vanish(rng):
         joint = DensityMatrix(
             kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         )
-        assert concurrence(joint).value == 0.0
+        assert concurrence(joint) == 0.0
 
 
 @pytest.mark.parametrize("q", np.linspace(0.0, 1.0, 11))
 def test_concurrence_isotropic_closed_form(q):
     # oracle is the full 4x4 eigencomputation; closed form from the spectrum
-    assert abs(concurrence(isotropic(q)).value - max(0.0, (3 * q - 1) / 2)) < 1e-10
+    assert abs(concurrence(isotropic(q)) - max(0.0, (3 * q - 1) / 2)) < 1e-10
 
 
 def test_concurrence_isotropic_monotone():
-    values = [concurrence(isotropic(q)).value for q in np.linspace(0, 1, 101)]
+    values = [concurrence(isotropic(q)) for q in np.linspace(0, 1, 101)]
     assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -52,32 +50,30 @@ def test_concurrence_of_partially_entangled_cheat_state():
     # |0>|0> + (cos d |0> + sin d |1>)|1> has concurrence sin(d)
     for d in (0.0, 0.1, 0.5, 1.0, np.pi / 2):
         rho = cheat_state([1, 0], [np.cos(d), np.sin(d)])
-        assert abs(concurrence(rho).value - np.sin(d)) < 1e-12
+        assert abs(concurrence(rho) - np.sin(d)) < 1e-12
 
 
 def test_concurrence_continuous_near_product():
     for eps in (1e-3, 1e-5, 1e-7):
         a1 = np.array([1.0, eps]) / np.sqrt(1 + eps * eps)
-        value = concurrence(cheat_state([1, 0], a1)).value
+        value = concurrence(cheat_state([1, 0], a1))
         assert value < 2 * eps
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7])
 def test_concurrence_resolves_small_values(eps):
     # |0>|0> + (|0> + eps|1>)|1> has concurrence 2 eps / (2 + eps^2); its
-    # largest Wootters value squared, about eps^2, is below SPECTRUM_FLOOR
+    # largest Wootters value squared, about eps^2, is below reference.SPECTRUM_FLOOR
     exact = 2 * eps / (2 + eps * eps)
-    assert abs(concurrence(cheat_state([1, 0], [1, eps])).value - exact) <= 1e-6 * exact
+    assert abs(concurrence(cheat_state([1, 0], [1, eps])) - exact) <= 1e-6 * exact
 
 
-def test_concurrence_result_invariant(rng):
+def test_concurrence_matches_textbook_wootters(rng):
     for _ in range(10):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = g @ g.conj().T
-        res = concurrence(DensityMatrix(m / m.trace().real))
-        l1, l2, l3, l4 = res.lambdas
-        assert abs(res.value - max(0.0, l1 - l2 - l3 - l4)) < 1e-12
-        assert 0.0 <= res.value <= 1.0 + 1e-12
+        rho = DensityMatrix(random_density_matrix(rng, 4))
+        value = concurrence(rho)
+        assert abs(value - wootters_concurrence(rho)) < 1e-12
+        assert 0.0 <= value <= 1.0 + 1e-12
 
 
 def test_concurrence_rejects_single_qubit():
@@ -102,10 +98,10 @@ def test_separability_products(rng):
 def test_concurrence_and_ppt_agree_on_pure_and_isotropic(rng):
     for _ in range(20):
         rho = DensityMatrix.from_pure(random_pure_state(rng, 4))
-        assert (concurrence(rho).value < 1e-10) == is_separable(rho)
+        assert (concurrence(rho) < 1e-10) == is_separable(rho)
     for q in np.linspace(0, 1, 21):
         rho = isotropic(q)
-        assert (concurrence(rho).value < 1e-10) == is_separable(rho)
+        assert (concurrence(rho) < 1e-10) == is_separable(rho)
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,7 +114,7 @@ def test_concurrence_is_zero_exactly_on_ppt_states(q, seed):
     rho = lift_apply(
         DepolarizingChannel(q), cheat_state(random_pure_state(rng, 2), random_pure_state(rng, 2))
     )
-    assert is_separable(rho) == (concurrence(rho).value == 0.0)
+    assert is_separable(rho) == (concurrence(rho) == 0.0)
 
 
 def test_factorization_trivial_cases():
@@ -172,5 +168,5 @@ def test_disentangling_below_threshold(rng):
         rho = cheat_state(random_pure_state(rng, 2), random_pure_state(rng, 2))
         for q in (0.1, 0.25, 1 / 3):
             out = lift_apply(DepolarizingChannel(q), rho)
-            assert concurrence(out).value <= 1e-10
+            assert concurrence(out) <= 1e-10
             assert is_separable(out)

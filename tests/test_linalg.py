@@ -5,20 +5,18 @@ from ebcommit.linalg import (
     PAULI_X,
     PAULI_Z,
     eig_hermitian,
-    fidelity,
     hermiticity_defect,
     is_psd,
     kron,
     partial_trace,
     partial_transpose,
-    sqrtm_psd,
     trace_distance,
 )
 from ebcommit.channels import KrausChannel
 from ebcommit.states import CheatStrategy, DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_hermitian
-from reference import bell_psi_plus
+from reference import bell_psi_plus, fidelity, sqrtm_psd
 
 I2 = np.eye(2)
 I4 = np.eye(4)

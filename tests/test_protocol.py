@@ -536,7 +536,7 @@ def test_monte_carlo_cheating_summary_fields():
     assert high.separable_fraction == 0.0
     assert abs(high.mean_concurrence - (3 * 0.8 - 1) / 2) < 1e-9
     joint = lift_apply(DepolarizingChannel(0.8), cheat_state(sc.strategy.a0, sc.strategy.a1))
-    assert high.mean_concurrence == concurrence(joint).value
+    assert high.mean_concurrence == concurrence(joint)
 
 
 def test_monte_carlo_validates_trials():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebcommit.channels import DepolarizingChannel, lift_apply
-from ebcommit.linalg import fidelity, partial_trace
+from ebcommit.linalg import partial_trace
 from ebcommit.security import (
     CheatStrategy,
     alice_binding_attack,
@@ -22,7 +22,7 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix
-from reference import joint_outcome_decomposition
+from reference import fidelity, joint_outcome_decomposition
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 ONE = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
@@ -43,6 +43,15 @@ class TestCheatStrategy:
         s = bell_strategy()
         assert np.array_equal(s.a0, [1, 0])
         assert np.array_equal(s.a1, [0, 1])
+
+    def test_copies_its_inputs(self):
+        a0 = np.array([1, 0], dtype=complex)
+        a1 = np.array([0, 1], dtype=complex)
+        s = CheatStrategy(a0, a1)
+        a0[0], a1[1] = 5, 5  # the caller's arrays stay writable
+        assert np.array_equal(s.a0, [1, 0])
+        assert np.array_equal(s.a1, [0, 1])
+        assert not s.a0.flags.writeable and not s.a1.flags.writeable
 
 
 class TestHiding:
@@ -179,6 +188,15 @@ class TestBinding:
         weak = alice_binding_attack(strategy, DepolarizingChannel(1.0), ZERO)
         full = alice_binding_attack(bell_strategy(), DepolarizingChannel(1.0), ZERO)
         assert 0.5 < weak.best_fidelity_sq < full.best_fidelity_sq
+
+    @pytest.mark.parametrize("strategy, target, error, message", [
+        (bell_strategy().a0, ZERO, TypeError, "strategy must be a CheatStrategy"),
+        (bell_strategy(), ZERO.mat, TypeError, "target must be a DensityMatrix"),
+        (bell_strategy(), DensityMatrix.from_pure([1, 0, 0, 0]), ValueError, "target must be a qubit"),
+    ], ids=["strategy-array", "target-array", "target-pair"])
+    def test_mistyped_arguments_rejected(self, strategy, target, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            alice_binding_attack(strategy, DepolarizingChannel(0.5), target)
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_mixed_target_rejected(self, bit):
