@@ -26,7 +26,6 @@ from .entanglement import (
 from .linalg import (
     eig_hermitian,
     is_psd,
-    kron,
     partial_trace,
     partial_transpose,
     trace_distance,
@@ -98,7 +97,6 @@ __all__ = [
     "is_psd",
     "is_separable",
     "isotropic",
-    "kron",
     "lift_apply",
     "monte_carlo",
     "partial_trace",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_operator, is_psd, kron, partial_trace, partial_transpose
+from .linalg import TOL, as_operator, is_psd, partial_trace, partial_transpose
 from .states import _BELL_PROJ, DensityMatrix, _check_q
 
 
@@ -75,8 +75,8 @@ def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> Den
     _check_channel(c)
     m = as_operator(rho, 4)
     if isinstance(c, DepolarizingChannel):
-        return DensityMatrix(c.q * m + (1.0 - c.q) * kron(partial_trace(m, "A"), np.eye(2) / 2))
-    lifted = [kron(np.eye(2), k) for k in c.kraus_ops]
+        return DensityMatrix(c.q * m + (1.0 - c.q) * np.kron(partial_trace(m), np.eye(2) / 2))
+    lifted = [np.kron(np.eye(2), k) for k in c.kraus_ops]
     return DensityMatrix(sum(k @ m @ k.conj().T for k in lifted))
 
 

@@ -333,7 +333,11 @@ def _cmd_run(args) -> int:
         raise UsageError("--dump-transcript requires --format json")
     config = _build_config(args, _q_arg("--q", args.q))
     scenario = _build_scenario(args)
-    transcript, report = run_session(config, scenario)
+    try:
+        transcript, report = run_session(config, scenario)
+    except MemoryError as exc:
+        hint = "sweep --trials 1 reports a session of any size"
+        raise UsageError(f"--rounds: {exc}; {hint}") from None
     meta = _meta(args)
     rows = [dataclasses.asdict(report)]
     if args.dump_transcript:

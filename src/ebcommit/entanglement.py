@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, choi, lift_apply
-from .linalg import PAULI_Y, as_operator, eig_hermitian, is_psd, kron, partial_transpose
+from .linalg import PAULI_Y, as_operator, eig_hermitian, is_psd, partial_transpose
 from .states import DensityMatrix
 
-_YY = kron(PAULI_Y, PAULI_Y)
+_YY = np.kron(PAULI_Y, PAULI_Y)
 
 
 def concurrence(rho: DensityMatrix) -> float:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Operators are plain numpy arrays: square complex matrices of dimension 2
-or 4. Two-qubit matrices use the row-major tensor index ``2*a + b`` with
-subsystem A first and B second. Higher-level wrappers in this package
-expose the raw matrix as ``.mat``; every function here accepts either
-form.
+or 4. Two-qubit matrices use the row-major tensor index ``2*a + b`` of
+``np.kron(A, B)``, sender's half A first, receiver's half B second; as
+a (2, 2, 2, 2) tensor a pair's operator is indexed [a, b, a', b'].
+Higher-level wrappers in this package expose the raw matrix as
+``.mat``; every function here accepts either form.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ def as_operator(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator, got shape {m.shape}")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, subsystem A left, B right."""
-    return np.kron(as_operator(a), as_operator(b))
 
 
 def hermiticity_defect(m) -> float:
@@ -85,31 +81,18 @@ def is_psd(m) -> bool:
     return bool(eig_hermitian(m)[-1] >= -TOL)
 
 
-def partial_trace(m, keep: str) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator.
-
-    ``keep="A"`` returns Tr_B(M), ``keep="B"`` returns Tr_A(M).
-    """
-    t = as_operator(m, 4).reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("ijkj->ik", t)
-    if keep == "B":
-        return np.einsum("ijil->jl", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+def partial_trace(m) -> np.ndarray:
+    """Tr_B(M): the A marginal of a two-qubit operator."""
+    return np.einsum("ijkj->ik", as_operator(m, 4).reshape(2, 2, 2, 2))
 
 
-def partial_transpose(m, on: str = "B") -> np.ndarray:
-    """Transpose one tensor factor of a two-qubit operator.
+def partial_transpose(m) -> np.ndarray:
+    """Transpose the B factor of a two-qubit operator.
 
     Pure index permutation, so applying it twice restores the input
     exactly.
     """
-    t = as_operator(m, 4).reshape(2, 2, 2, 2)
-    if on == "B":
-        return t.transpose(0, 3, 2, 1).reshape(4, 4)
-    if on == "A":
-        return t.transpose(2, 1, 0, 3).reshape(4, 4)
-    raise ValueError(f"on must be 'A' or 'B', got {on!r}")
+    return as_operator(m, 4).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def trace_distance(a, b) -> float:

@@ -169,7 +169,7 @@ def _round_law(
     r is read off the traces, not summed from the law: those sums differ
     by ulps from one steering basis to another.
     """
-    x = np.array([[_sender_operator(joint, e) for e in row] for row in _EFFECTS])  # x[b, o]
+    x = _sender_operator(joint, _EFFECTS)  # x[b, o]
     s = np.array(steer_basis.vectors())
     law = np.einsum("vi,boij,vj->bov", s.conj(), x, s).real.ravel() / 2
     law[law < OUTCOME_EPS] = 0.0
@@ -324,7 +324,11 @@ def _prepare(
         drawn = receiver_counts(t)
         c = [drawn[i] for i in at]
         ones = {g: binomial(c[g], p_one[g]) for g in (g0, g1, 2 - g0, 3 - g0)}
-        classes = np.repeat(np.arange(8), [k for g in range(4) for k in (c[g] - ones[g], ones[g])])
+        sizes = [k for g in range(4) for k in (c[g] - ones[g], ones[g])]
+        try:
+            classes = np.repeat(np.arange(8), sizes)
+        except (MemoryError, ValueError):  # numpy refuses a size past its limit with a ValueError
+            raise MemoryError(f"{n} rounds are too many to lay out as a transcript") from None
         rekey(t, _ARRANGEMENT)
         rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
         return Transcript(config, opened_bit, classes)
@@ -339,7 +343,8 @@ def run_session(
 
     The transcript's column holds the class counts that ``monte_carlo``
     draws for the same trial, one class per round in one uniformly random
-    order; laying them out makes its cost grow with ``config.rounds``.
+    order; laying them out makes its cost grow with ``config.rounds``, and
+    raises MemoryError for more rounds than the host can hold.
     """
     _check_word("trial", trial)
     transcript = _prepare(config, scenario)[2](trial)

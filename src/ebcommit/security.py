@@ -70,7 +70,13 @@ def bob_cheat_probability(
 
     Both distances are computed as written even though the depolarizing
     family can only contract them (D' = q D), so the raw term decides.
+    Raises TypeError for an encoding that is not a DensityMatrix and
+    ValueError for one that is not a qubit state.
     """
+    for name, sigma in (("sigma0", sigma0), ("sigma1", sigma1)):
+        _check_type(name, sigma, DensityMatrix)
+        if sigma.dim != 2:
+            raise ValueError(f"{name} must be a qubit state, got dimension {sigma.dim}")
     delta_raw = trace_distance(sigma0, sigma1)
     delta_channel = trace_distance(
         channel_apply(channel, sigma0), channel_apply(channel, sigma1)

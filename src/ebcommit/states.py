@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_I, TOL, as_operator, eig_hermitian, is_psd, kron, partial_trace
+from .linalg import TOL, as_operator, eig_hermitian, is_psd
 
 # Probability below which a measurement outcome is treated as impossible:
 # a session's round class of lower probability is never drawn.
@@ -221,10 +221,12 @@ def cheat_state(a0, a1) -> DensityMatrix:
     return DensityMatrix(np.outer(joint, joint.conj()))
 
 
-def _sender_operator(rho, effect) -> np.ndarray:
+def _sender_operator(rho, effects) -> np.ndarray:
     """x_E = tr_B[rho (I x E)]: the sender's half of a pair given a receiver effect E, unnormalized.
 
-    For a projector E, tr x_E is the Born probability of the outcome and
-    x_E / tr x_E the sender's conditional state. x_E is linear in E.
+    One contraction x_E[a, a'] = sum_{b, b'} rho[a, b, a', b'] E[b', b]
+    serves one 2x2 effect or a stack of shape (..., 2, 2), x_E in its
+    place. For a projector E, tr x_E is the Born probability of the
+    outcome and x_E / tr x_E the sender's conditional state. x_E is linear in E.
     """
-    return partial_trace(as_operator(rho, 4) @ kron(PAULI_I, effect), keep="A")
+    return np.einsum("ijkl,...lj->...ik", as_operator(rho, 4).reshape(2, 2, 2, 2), effects)

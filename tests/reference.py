@@ -3,10 +3,11 @@
 Sessions and the binding attack read their Born probabilities off the sender's
 operator ``states._sender_operator``. The tests check them against the
 textbook route here: project one half of the pair, then normalize the
-state left on the other half. The fidelity, its matrix square root, the
-Pauli-twirl Kraus form of the depolarizing channel and the textbook
-Wootters formula are the brute-force routes that the closed forms of the
-package are checked against.
+state left on the other half; and the operator itself against I x E
+lifted to the pair, multiplied in and B traced out. The fidelity, its
+matrix square root, the Pauli-twirl Kraus form of the depolarizing
+channel and the textbook Wootters formula are the brute-force routes
+that the closed forms of the package are checked against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from ebcommit.linalg import (
     as_operator,
     eig_hermitian,
     is_psd,
-    kron,
     partial_trace,
 )
 from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis
@@ -92,7 +92,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     exact arithmetic; their roundoff residue is dropped before the root.
     """
     m = as_operator(rho, 4)
-    yy = kron(PAULI_Y, PAULI_Y)
+    yy = np.kron(PAULI_Y, PAULI_Y)
     r = np.linalg.eigvals(m @ yy @ m.conj() @ yy)
     lams = np.sort(np.sqrt(np.clip(r.real, 0.0, None)))[::-1]
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
@@ -107,6 +107,16 @@ def projectors(basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:
     """The rank-one projectors on the two vectors of ``basis``."""
     b0, b1 = basis.vectors()
     return np.outer(b0, b0.conj()), np.outer(b1, b1.conj())
+
+
+def receiver_marginal(m) -> np.ndarray:
+    """Tr_A(M): the B marginal of a two-qubit operator."""
+    return np.trace(as_operator(m, 4).reshape(2, 2, 2, 2), axis1=0, axis2=2)
+
+
+def sender_operator(rho, effect) -> np.ndarray:
+    """Textbook x_E = tr_B[rho (I x E)]: lift the effect to the pair, multiply, trace out B."""
+    return partial_trace(as_operator(rho, 4) @ np.kron(PAULI_I, effect))
 
 
 def joint_outcome_decomposition(
@@ -125,16 +135,16 @@ def joint_outcome_decomposition(
     m = as_operator(rho, 4)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    other = "B" if side == "A" else "A"
     eye = np.eye(2)
     branches = []
     for proj in projectors(basis):
-        full = kron(proj, eye) if side == "A" else kron(eye, proj)
+        full = np.kron(proj, eye) if side == "A" else np.kron(eye, proj)
         p = float(np.real(np.trace(full @ m)))
         if p < OUTCOME_EPS:
             branches.append((p, None))
             continue
-        branch = partial_trace(full @ m @ full, keep=other)
+        branch = full @ m @ full
+        branch = receiver_marginal(branch) if side == "A" else partial_trace(branch)
         if not is_psd(branch):
             raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(branch)[-1]:.3e})")
         w, v = eig_hermitian(branch, vectors=True)

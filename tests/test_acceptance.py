@@ -18,7 +18,7 @@ from ebcommit.entanglement import (
     factorization_residual,
     is_separable,
 )
-from ebcommit.linalg import eig_hermitian, partial_trace, partial_transpose, trace_distance
+from ebcommit.linalg import eig_hermitian, partial_transpose, trace_distance
 from ebcommit.protocol import EprAlice, HonestAlice, ProtocolConfig, monte_carlo, run_session
 from ebcommit.security import alice_binding_attack, bell_strategy, bob_cheat_probability
 from ebcommit.states import (
@@ -30,7 +30,7 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix, random_hermitian, random_pure_state
-from reference import fidelity, joint_outcome_decomposition
+from reference import fidelity, joint_outcome_decomposition, receiver_marginal
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
@@ -126,7 +126,7 @@ def test_criterion_6_binding_curve():
     phis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
     for q in (0.2, 1 / 3):
         rho = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-        marginal = partial_trace(rho.mat, "B")
+        marginal = receiver_marginal(rho.mat)
         for theta in thetas:
             for phi in phis:
                 basis = ProjectiveBasis(float(theta), float(phi))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ebcommit
@@ -205,6 +206,25 @@ def test_rounds_beyond_int64_is_usage_error(capsys, command):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "ebcommit: error: rounds must be < 2**63, got 10000000000000000000\n"
+
+
+_TOO_MANY_ROUNDS = ("ebcommit: error: --rounds: {} rounds are too many to lay out as a transcript;"
+                    " sweep --trials 1 reports a session of any size\n")
+
+
+def test_run_of_rounds_too_many_to_lay_out_is_usage_error(capsys):
+    # numpy refuses 2**62 rounds before it allocates anything
+    code, out, err = run_cli(capsys, "run", "--q", "0.5", "--rounds", str(2**62))
+    assert (code, out, err) == (EXIT_USAGE, "", _TOO_MANY_ROUNDS.format(2**62))
+
+
+def test_run_out_of_memory_is_usage_error(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    code, out, err = run_cli(capsys, "run", "--q", "0.5", "--rounds", "1000")
+    assert (code, out, err) == (EXIT_USAGE, "", _TOO_MANY_ROUNDS.format(1000))
 
 
 def test_sweep_of_a_trillion_rounds_per_trial(capsys):

@@ -16,7 +16,7 @@ from ebcommit.entanglement import (
     factorization_residual,
     is_separable,
 )
-from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
+from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from ebcommit.states import DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_pure_state
@@ -30,7 +30,7 @@ def test_concurrence_bell_is_one():
 def test_concurrence_product_states_vanish(rng):
     for _ in range(20):
         joint = DensityMatrix(
-            kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+            np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         )
         assert concurrence(joint) == 0.0
 
@@ -90,7 +90,7 @@ def test_separability_isotropic_family():
 def test_separability_products(rng):
     for _ in range(10):
         joint = DensityMatrix(
-            kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+            np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         )
         assert is_separable(joint)
 

@@ -7,7 +7,6 @@ from ebcommit.linalg import (
     eig_hermitian,
     hermiticity_defect,
     is_psd,
-    kron,
     partial_trace,
     partial_transpose,
     trace_distance,
@@ -26,59 +25,56 @@ BELL = np.outer(bell_psi_plus(), bell_psi_plus().conj())
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
+# np.kron puts A left and B right, the index order every two-qubit
+# einsum of the package assumes
 def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), I4)
-    assert np.array_equal(kron(P0, P0), np.diag([1.0, 0, 0, 0]))
+    assert np.array_equal(np.kron(I2, I2), I4)
+    assert np.array_equal(np.kron(P0, P0), np.diag([1.0, 0, 0, 0]))
+    assert np.array_equal(np.kron(P0, P1), np.diag([0.0, 1, 0, 0]))  # index 2a + b
 
 
 def test_kron_pauli_x():
     expected = np.zeros((4, 4))
     expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-    assert np.array_equal(kron(PAULI_X, PAULI_X), expected)
+    assert np.array_equal(np.kron(PAULI_X, PAULI_X), expected)
 
 
 def test_partial_trace_product_factorization(rng):
     for _ in range(20):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.abs(partial_trace(kron(a, b), "A") - a * b.trace()).max() < 1e-12
-        assert np.abs(partial_trace(kron(a, b), "B") - b * a.trace()).max() < 1e-12
+        assert np.abs(partial_trace(np.kron(a, b)) - a * b.trace()).max() < 1e-12
 
 
 def test_partial_trace_bell_is_maximally_mixed():
-    assert np.abs(partial_trace(BELL, "B") - I2 / 2).max() < 1e-15
-    assert np.abs(partial_trace(BELL, "A") - I2 / 2).max() < 1e-15
+    assert np.abs(partial_trace(BELL) - I2 / 2).max() < 1e-15
 
 
 def test_partial_trace_basis_projector():
-    assert np.array_equal(partial_trace(np.diag([1.0, 0, 0, 0]), "A"), P0)
+    assert np.array_equal(partial_trace(np.diag([1.0, 0, 0, 0])), P0)
 
 
 def test_partial_trace_preserves_trace_and_hermiticity(rng):
     for _ in range(20):
         m = random_hermitian(rng, 4)
-        for keep in ("A", "B"):
-            r = partial_trace(m, keep)
-            assert abs(r.trace() - m.trace()) < 1e-12
-            assert hermiticity_defect(r) < 1e-12
+        r = partial_trace(m)
+        assert abs(r.trace() - m.trace()) < 1e-12
+        assert hermiticity_defect(r) < 1e-12
 
 
 def test_partial_trace_errors():
     with pytest.raises(ValueError):
-        partial_trace(I2, "A")
-    with pytest.raises(ValueError):
-        partial_trace(I4, "C")
+        partial_trace(I2)
 
 
 def test_partial_transpose_product_case(rng):
     a = random_density_matrix(rng, 2)
     b = random_density_matrix(rng, 2)
-    assert np.abs(partial_transpose(kron(a, b), "B") - kron(a, b.T)).max() < 1e-15
-    assert np.abs(partial_transpose(kron(a, b), "A") - kron(a.T, b)).max() < 1e-15
+    assert np.abs(partial_transpose(np.kron(a, b)) - np.kron(a, b.T)).max() < 1e-15
 
 
 def test_partial_transpose_bell_spectrum():
-    w = eig_hermitian(partial_transpose(BELL, "B"))
+    w = eig_hermitian(partial_transpose(BELL))
     assert np.allclose(w, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
 
@@ -87,9 +83,8 @@ def test_partial_transpose_identity_invariant():
 
 
 def test_partial_transpose_is_exact_involution(rng):
-    for on in ("A", "B"):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.array_equal(partial_transpose(partial_transpose(m, on), on), m)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert np.array_equal(partial_transpose(partial_transpose(m)), m)
 
 
 def test_partial_transpose_errors():

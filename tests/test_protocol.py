@@ -13,7 +13,6 @@ from ebcommit import protocol
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence
-from ebcommit.linalg import partial_trace
 from ebcommit.protocol import (
     EprAlice,
     HonestAlice,
@@ -38,7 +37,7 @@ from ebcommit.states import (
     isotropic,
 )
 
-from reference import joint_outcome_decomposition
+from reference import joint_outcome_decomposition, receiver_marginal
 
 
 def cfg(q, rounds, seed=0, **kw):
@@ -380,15 +379,15 @@ def test_monte_carlo_single_trial_matches_run_session():
     "seed, rounds, trials",
     [
         pytest.param(seed, rounds, trials, id=f"{seed}{label}")
+        # the ids "-above-block", "-long-trials" and "-3-blocks" name the
+        # cases of a sampler that drew rounds in blocks of 2**14; they stay
+        # the suite's names for the same parameter values
         for label, (rounds, trials) in {
-            "": (150, 6),  # one block
+            "": (150, 6),  # a few short trials
             "-1x40": (1, 40),  # one round per trial
-            # one trial more than a block holds
-            "-above-block": (100, 16384 // 100 + 1),
-            # every trial longer than a block
-            "-long-trials": (16384 + 1, 2),
-            # two full blocks and a partial one
-            "-3-blocks": (300, 2 * (16384 // 300) + 5),
+            "-above-block": (100, 164),  # many trials of 100 rounds
+            "-long-trials": (2**14 + 1, 2),  # trials longer than 2**14 rounds
+            "-3-blocks": (300, 113),  # many trials of 300 rounds
         }.items()
         for seed in (1, 2, 3)
     ],
@@ -397,6 +396,12 @@ def test_monte_carlo_trials_match_run_session(scenario, seed, rounds, trials):
     c = cfg(0.6, rounds, seed=seed)
     summary = monte_carlo(c, scenario, trials=trials)
     assert summary.reports == tuple(run_session(c, scenario, t)[1] for t in range(trials))
+
+
+def test_run_session_names_rounds_too_many_to_lay_out():
+    # numpy refuses 2**62 rounds of int64 before it allocates anything
+    with pytest.raises(MemoryError, match=f"^{2**62} rounds are too many to lay out"):
+        run_session(cfg(0.5, 2**62), HonestAlice(bit=0))
 
 
 @pytest.mark.parametrize("trial", [True, 2.5, "1", None, -1, 2**64])
@@ -699,7 +704,7 @@ def _reference_receiver_law(q, scenario):
     else:
         strategy = scenario.strategy
         joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-        state = partial_trace(joint.mat, keep="B")
+        state = receiver_marginal(joint.mat)
     return np.array([np.real(e.conj() @ state @ e) / 2
                      for b in (0, 1) for e in encoding_basis(b).vectors()])
 

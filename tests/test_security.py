@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebcommit.channels import DepolarizingChannel, lift_apply
-from ebcommit.linalg import partial_trace
 from ebcommit.security import (
     CheatStrategy,
     alice_binding_attack,
@@ -19,10 +18,11 @@ from ebcommit.states import (
     ProjectiveBasis,
     bb84_pair_mixture,
     cheat_state,
+    isotropic,
 )
 
 from conftest import random_density_matrix
-from reference import fidelity, joint_outcome_decomposition
+from reference import fidelity, joint_outcome_decomposition, receiver_marginal
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 ONE = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
@@ -83,6 +83,17 @@ class TestHiding:
             assert report.delta_channel <= report.delta_raw + 1e-10
             assert abs(report.delta_channel - 0.6 * report.delta_raw) < 1e-10
             assert abs(report.p_bcheat - (0.5 + report.delta_raw / 2)) < 1e-12
+
+    # the trace distance of two non-states can reach 1 and bound nothing
+    @pytest.mark.parametrize("sigma0, sigma1, error, message", [
+        (np.eye(2), 5 * np.eye(2), TypeError, "sigma0 must be a DensityMatrix"),
+        (ZERO, np.diag([1, -1]), TypeError, "sigma1 must be a DensityMatrix"),
+        (isotropic(0.5), ZERO, ValueError, "sigma0 must be a qubit state"),
+        (ZERO, isotropic(0.5), ValueError, "sigma1 must be a qubit state"),
+    ], ids=["sigma0-array", "sigma1-array", "sigma0-pair", "sigma1-pair"])
+    def test_mistyped_encodings_rejected(self, sigma0, sigma1, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            bob_cheat_probability(sigma0, sigma1, DepolarizingChannel(0.5))
 
 
 SMALL_GRID = (17, 16)  # includes theta = 0, so the computational basis is on the grid
@@ -172,7 +183,7 @@ class TestBinding:
             rho = lift_apply(
                 DepolarizingChannel(q), cheat_state([1, 0], [0, 1])
             )
-            marginal = partial_trace(rho.mat, "B")
+            marginal = receiver_marginal(rho.mat)
             for theta in np.linspace(0, math.pi, 9):
                 for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False):
                     basis = ProjectiveBasis(float(theta), float(phi))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ebcommit.channels import DepolarizingChannel, lift_apply
-from ebcommit.linalg import kron, partial_trace
-from ebcommit.protocol import EprAlice, ProtocolConfig, run_session
+from ebcommit.protocol import _EFFECTS, EprAlice, ProtocolConfig, run_session
 from ebcommit.states import (
     DIAGONAL,
     OUTCOME_EPS,
@@ -22,7 +21,13 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix
-from reference import bell_psi_plus, joint_outcome_decomposition, projectors
+from reference import (
+    bell_psi_plus,
+    joint_outcome_decomposition,
+    projectors,
+    receiver_marginal,
+    sender_operator,
+)
 
 I2 = np.eye(2)
 
@@ -144,7 +149,7 @@ def test_bell_psi_plus():
     s = math.sqrt(0.5)
     assert np.array_equal(v, [s, 0, 0, s])
     rho = DensityMatrix.from_pure(v)
-    assert np.abs(partial_trace(rho.mat, "B") - I2 / 2).max() < 1e-15
+    assert np.abs(receiver_marginal(rho.mat) - I2 / 2).max() < 1e-15
 
 
 def test_isotropic_endpoints_and_range():
@@ -165,7 +170,7 @@ def test_cheat_state_product_case():
     # |0>_A |0>_B + |0>_A |1>_B normalizes to |0> x |+>
     rho = cheat_state([1, 0], [1, 0])
     plus = np.full((2, 2), 0.5)
-    expected = kron(np.diag([1.0, 0.0]), plus)
+    expected = np.kron(np.diag([1.0, 0.0]), plus)
     assert np.abs(rho.mat - expected).max() < 1e-15
 
 
@@ -185,14 +190,14 @@ def test_measure_joint_bell_correlations():
 def test_measure_joint_product_state_no_steering(rng):
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    joint = DensityMatrix(kron(rho_a, rho_b))
+    joint = DensityMatrix(np.kron(rho_a, rho_b))
     for theta, phi in [(0.0, 0.0), (1.0, 2.0), (2.5, 4.0)]:
         for p, cond in joint_outcome_decomposition(joint, "A", ProjectiveBasis(theta, phi)):
             assert np.abs(cond.mat - rho_b).max() < 1e-10
 
 
 def test_measure_joint_impossible_outcome_never_returned():
-    joint = DensityMatrix(kron(np.diag([1.0, 0.0]), I2 / 2))
+    joint = DensityMatrix(np.kron(np.diag([1.0, 0.0]), I2 / 2))
     # outcome 1 on side A has probability exactly 0, so its branch is empty
     (p0, cond0), (p1, cond1) = joint_outcome_decomposition(joint, "A", RECTILINEAR)
     assert p0 == 1.0 and cond0 is not None
@@ -225,6 +230,23 @@ def test_measure_joint_constructs_every_branch_of_small_probability():
                             assert np.abs(p * cond.mat - x).max() <= 1e-15
 
 
+def test_sender_operator_of_a_stack_of_effects(rng):
+    # the receiver's four effects in one contraction give each x[b, o] bit
+    # for bit as its own call does; any effect agrees with the textbook
+    # route (lift to I x E, multiply, trace out B) to roundoff
+    for _ in range(200):
+        joint = random_density_matrix(rng, 4)
+        x = _sender_operator(joint, _EFFECTS)
+        assert x.shape == (2, 2, 2, 2)
+        for b in (0, 1):
+            for o in (0, 1):
+                assert np.array_equal(x[b, o], _sender_operator(joint, _EFFECTS[b, o]))
+                assert np.abs(x[b, o] - sender_operator(joint, _EFFECTS[b, o])).max() <= 1e-15
+        effects = np.array([random_density_matrix(rng, 2) for _ in range(3)])
+        for e, x_e in zip(effects, _sender_operator(joint, effects)):
+            assert np.abs(x_e - sender_operator(joint, e)).max() <= 1e-15
+
+
 def test_measure_joint_rejects_a_branch_that_is_not_psd():
     # Hermitian and unit trace, but outcome 0 on A leaves diag(1.5, -0.5) on B
     with pytest.raises(ValueError, match="not PSD"):
@@ -237,7 +259,7 @@ def test_no_signalling_average_of_conditionals(rng):
         m = g @ g.conj().T
         rho = DensityMatrix(m / m.trace().real)
         basis = ProjectiveBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        marginal = partial_trace(rho.mat, "B")
+        marginal = receiver_marginal(rho.mat)
         avg = np.zeros((2, 2), dtype=complex)
         for p, cond in joint_outcome_decomposition(rho, "A", basis):
             if cond is not None:

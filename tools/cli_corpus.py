@@ -24,7 +24,7 @@ one``) and on its trailing classes (``--a0 zero --a1 zero`` at q = 1),
 CSV and JSON sweeps (one round per trial, two
 workers, the EPR sweep through q = 1/3), ``binding``, ``hiding``,
 ``threshold`` and usage errors, among them the flags ``threshold`` no
-longer takes.
+longer takes and a ``run`` of more rounds than numpy can lay out.
 """
 
 from __future__ import annotations
@@ -134,6 +134,7 @@ def _usage_errors() -> list[list[str]]:
         ["run", "--q", "nan"],
         ["run", "--q", "0.5", "--rounds", "0"],
         ["run", "--q", "0.5", "--rounds", "ten"],
+        ["run", "--q", "0.5", "--rounds", str(2**62)],  # more rounds than numpy lays out
         ["run", "--q", "0.5", "--bit", "2"],
         ["run", "--q", "0.5", "--seed", "-1"],
         ["run", "--q", "0.5", "--frobnicate"],
