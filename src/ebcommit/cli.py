@@ -437,10 +437,14 @@ _COMMANDS = {
 }
 
 
+# parse_args fills a fresh Namespace on every call, so one parser serves
+# every command of a process
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"ebcommit: error: {exc}\n")

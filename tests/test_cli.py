@@ -264,6 +264,38 @@ def test_cli_import_leaves_out_concurrent_futures():
     assert out == "False\n"
 
 
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    assert run_cli(capsys, "threshold") == (EXIT_OK, "0.333333333\n", "")
+    # the subparsers still report through _Parser.error (exit 1), not argparse's exit 2
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "run")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--q" in err
+
+
+def test_commands_in_one_process_share_no_state(capsys):
+    assert run_cli(capsys, "run")[0] == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    sweep = ("sweep", "--q-steps", "1", "--rounds", "10", "--trials", "1", "--workers", "2")
+    assert run_cli(capsys, *sweep)[0] == EXIT_OK
+    code, out, err = run_cli(capsys, "hiding")
+    assert (code, err) == (EXIT_OK, "")
+    src = os.path.dirname(os.path.dirname(ebcommit.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "ebcommit", "hiding"], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == fresh
+    assert list(json.loads(out)["meta"]) == ["command", "version", "sigma0", "sigma1", "q"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--q-min", "--q-max"])
 @pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])

@@ -7,12 +7,14 @@ Usage::
 SRC_DIR is the directory that holds the ``ebcommit`` package (``src`` in a
 checkout). Every command of the corpus runs through ``ebcommit.cli.main``
 with stdout and stderr captured, and the digest covers, command by command,
-its argv, exit code, stdout and stderr. Two source trees print the same
-digest exactly when every command behaves the same byte for byte, so a
-change that must keep the CLI's outputs is checked by running this script
-on the tree before and after it, with the same Python and numpy. ``--each``
-also prints one line per command (its own digest and argv), to find which
-outputs differ.
+its argv, exit code, stdout and stderr. A command that raises is recorded
+with the code ``"raised"`` and, as its stderr, the exception's type and
+message, and the run goes on with the next command. Two source trees
+print the same digest exactly when every command behaves the same byte
+for byte, so a change that must keep the CLI's outputs is checked by
+running this script on the tree before and after it, with the same Python
+and numpy. ``--each`` also prints one line per command (its own digest and
+argv), to find which outputs differ.
 
 The corpus covers honest and EPR ``run`` with and without
 ``--dump-transcript`` (honest dumps of bit 1 at q = 0.6 and of bit 0 at
@@ -174,13 +176,15 @@ def corpus() -> list[list[str]]:
     return _run_commands() + _sweep_commands() + _security_commands() + _usage_errors()
 
 
-def _run(main, argv: list[str]) -> tuple[int, str, str]:
+def _run(main, argv: list[str]) -> tuple[int | str, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse help or version, should any command reach it
             code = exc.code
+        except Exception as exc:  # recorded, so that one failing command ends no run
+            return "raised", out.getvalue(), f"{type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
 
 
