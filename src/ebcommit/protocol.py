@@ -25,11 +25,13 @@ sender's operator x = tr_B[rho (I x E)] for receiver projector E
 s_v, so no conditional state or probability is formed. That law
 depends only on q and the scenario: a session is prepared once (the
 post-channel pair and the law, which stay with the prepared session, not
-in the transcript) and then sampled trial by trial. ``run_session``
-samples one trial's transcript and verifies it; ``monte_carlo`` prepares
-once for all of its trials and turns each trial's sifted and matched
-counts into a report directly, building no transcript. Trials run in one
-thread.
+in the transcript) and then sampled trial by trial. The committed pair
+depends on the scenario alone, so a scenario builds it once (its
+``pair``) for every q it is run at. ``run_session`` samples one trial's
+transcript and verifies it; ``monte_carlo`` prepares once for all of its
+trials, draws their sifted and matched counts as two columns and decides
+every trial at once by ``verify``'s rule, building no transcript and no
+per-trial report. Trials run in one thread.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
@@ -52,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -182,38 +184,40 @@ def verify(transcript: Transcript) -> VerificationReport:
     """Receiver's accept/reject decision over the sifted rounds.
 
     Sifted rounds are those measured in the opened bit t's encoding basis,
-    classes 4t to 4t + 3, of which 4t and 4t + 3 match (o = v). The honest
-    expectation per sifted round is (1+q)/2 (the carrier survives the
-    channel with probability q, else the outcome is a fair coin); the
-    threshold sits ``accept_sigma`` binomial standard deviations below it.
-    With no sifted rounds the receiver has no evidence and rejects.
+    classes 4t to 4t + 3, of which 4t and 4t + 3 match (o = v). The
+    decision is ``_verdict``'s for the session's one pair of counts.
     """
     _check_type("transcript", transcript, Transcript)
     c = np.bincount(transcript.classes, minlength=8)
     t = 4 * transcript.opened_bit
-    return _counts_report(transcript.config, int(c[t:t + 4].sum()), int(c[t] + c[t + 3]))
+    sifted, matched = int(c[t:t + 4].sum()), int(c[t] + c[t + 3])
+    expected, (fraction,), (threshold,), (accepted,) = _verdict(
+        transcript.config, np.array([sifted]), np.array([matched]))
+    return VerificationReport(sifted, matched, float(fraction), expected, float(threshold),
+                              bool(accepted), no_sifted_rounds=sifted == 0)
 
 
-def _counts_report(config: ProtocolConfig, sifted_count: int, match_count: int) -> VerificationReport:
-    """``verify``'s decision from a session's sifted and matched round counts."""
+def _verdict(
+    config: ProtocolConfig, sifted: np.ndarray, matched: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The receiver's rule over int64 columns of trials' sifted and matched counts.
+
+    Returns the honest expectation (1+q)/2 per sifted round (the carrier
+    survives the channel with probability q, else the outcome is a fair
+    coin) and, per trial, the match fraction, the threshold, which sits
+    ``accept_sigma`` binomial standard deviations below the expectation,
+    and whether the fraction reaches it. A trial with no sifted rounds has
+    no evidence: its fraction is 0 and its threshold 1, so it is rejected.
+    """
     expected = (1.0 + config.q) / 2.0
-    if sifted_count == 0:
-        return VerificationReport(
-            sifted_count=0,
-            match_count=0,
-            match_fraction=0.0,
-            expected_fraction=expected,
-            threshold=1.0,
-            accepted=False,
-            no_sifted_rounds=True,
-        )
-    match_fraction = match_count / sifted_count
-    threshold = expected - config.accept_sigma * math.sqrt(
-        expected * (1.0 - expected) / sifted_count
-    )
-    # positional: a sweep builds one report per trial
-    return VerificationReport(sifted_count, match_count, match_fraction, expected, threshold,
-                              match_fraction >= threshold)
+    some = sifted > 0
+    n = np.where(some, sifted, 1)  # a trial with no sifted rounds has none matched either
+    # divided as Python ints, so each quotient is rounded once; in float64
+    # a count past 2**53 would be rounded before the division
+    fraction = (matched.astype(object) / n.astype(object)).astype(float)
+    threshold = np.where(
+        some, expected - config.accept_sigma * np.sqrt(expected * (1.0 - expected) / n), 1.0)
+    return expected, fraction, threshold, fraction >= threshold
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,12 @@ class HonestAlice:
 
     def __post_init__(self):
         _check_bit("bit", self.bit)
+
+    @functools.cached_property
+    def pair(self) -> DensityMatrix:
+        """The classical-quantum pair 1/2 sum_v |v><v| x P_v: a register |v> beside carrier v."""
+        return DensityMatrix(sum(np.kron(bb84_projector(0, v), bb84_projector(self.bit, v))
+                                 for v in (0, 1)) / 2)
 
 
 @dataclass(frozen=True)
@@ -234,6 +244,11 @@ class EprAlice:
         _check_type("strategy", self.strategy, CheatStrategy)
         _check_type("steer_basis", self.steer_basis, ProjectiveBasis)
         _check_bit("target_bit", self.target_bit)
+
+    @functools.cached_property
+    def pair(self) -> DensityMatrix:
+        """The committed pair |a0>|0> + |a1>|1> of ``strategy``, normalized."""
+        return cheat_state(self.strategy.a0, self.strategy.a1)
 
 
 Scenario = HonestAlice | EprAlice
@@ -252,15 +267,18 @@ _ARRANGEMENT = (0, 0, 0, 1)
 
 def _prepare(
     config: ProtocolConfig, scenario: Scenario
-) -> tuple[DensityMatrix, Callable[[int], tuple[int, int]], Callable[[int], Transcript]]:
+) -> tuple[DensityMatrix, Callable[[range], tuple[np.ndarray, np.ndarray]],
+           Callable[[int], Transcript]]:
     """Build a scenario's post-channel pair and round law for ``config.q`` once.
 
-    Both senders are pairs steered at opening. An honest sender of carrier
+    Both senders are pairs steered at opening, and the scenario builds its
+    ``pair`` once however often it is prepared. An honest sender of carrier
     v holds a register |v> beside it and reads the register once the
     receiver has measured, so her pair is the classical-quantum state
     1/2 sum_v |v><v| x P_v, steered in ``RECTILINEAR``. Returns the
-    post-channel pair and two samplers of trial t, given t: its sifted and
-    matched counts, and its transcript.
+    post-channel pair and two samplers: given a range of trials, their
+    sifted and matched counts as two int64 columns; given trial t, its
+    transcript.
 
     A trial draws class counts, not rounds, so its cost does not grow with
     ``config.rounds`` until a transcript lays the rounds out. The session
@@ -280,15 +298,12 @@ def _prepare(
     """
     _check_type("config", config, ProtocolConfig)
     if isinstance(scenario, HonestAlice):
-        pair = DensityMatrix(sum(np.kron(bb84_projector(0, v), bb84_projector(scenario.bit, v))
-                                 for v in (0, 1)) / 2)
         opened_bit, steer_basis = scenario.bit, RECTILINEAR
     elif isinstance(scenario, EprAlice):
-        pair = cheat_state(scenario.strategy.a0, scenario.strategy.a1)
         opened_bit, steer_basis = scenario.target_bit, scenario.steer_basis
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
-    joint = lift_apply(DepolarizingChannel(config.q), pair)
+    joint = lift_apply(DepolarizingChannel(config.q), scenario.pair)
     receiver, law = (np.rint(a / _LAW_GRID) * _LAW_GRID for a in _round_law(joint, steer_basis))
     outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
     pvals = receiver[outcomes] / receiver[outcomes].sum()
@@ -315,10 +330,14 @@ def _prepare(
         rekey(t, _COUNTS)
         return multinomial(n, pvals).tolist() + [0]
 
-    def counts(t: int) -> tuple[int, int]:
-        drawn = receiver_counts(t)
-        c0, c1 = drawn[at[g0]], drawn[at[g1]]
-        return c0 + c1, c0 - binomial(c0, p_one[g0]) + binomial(c1, p_one[g1])  # g0's draw first
+    def counts(trials: range) -> tuple[np.ndarray, np.ndarray]:
+        sifted, matched = [], []
+        for t in trials:
+            drawn = receiver_counts(t)
+            c0, c1 = drawn[at[g0]], drawn[at[g1]]
+            sifted.append(c0 + c1)
+            matched.append(c0 - binomial(c0, p_one[g0]) + binomial(c1, p_one[g1]))  # g0's first
+        return np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64)
 
     def transcript(t: int) -> Transcript:
         drawn = receiver_counts(t)
@@ -351,15 +370,19 @@ def run_session(
     return transcript, verify(transcript)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloSummary:
     """Statistics over the trials of one configuration.
 
-    The match-fraction mean and std run over the trials that had sifted
+    ``sifted_counts[t]`` and ``match_counts[t]`` are trial t's sifted and
+    matched round counts, read-only int64 columns, as ``verify`` counts
+    them in ``run_session(config, scenario, t)``'s transcript. The
+    match-fraction mean and std run over the trials that had sifted
     rounds; ``no_sifted_trials`` counts the others, and with none left
     both are 0.0. Separability (0 or 1) and concurrence are those of the
     post-channel pair, which is the same in every trial; an honest
     sender's classical-quantum pair is separable, so it reports 1 and 0.
+    Equality compares every field by value.
     """
 
     trials: int
@@ -369,7 +392,20 @@ class MonteCarloSummary:
     separable_fraction: float
     mean_concurrence: float
     no_sifted_trials: int
-    reports: tuple[VerificationReport, ...]
+    sifted_counts: np.ndarray
+    match_counts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("sifted_counts", "match_counts"):
+            column = np.array(getattr(self, name), dtype=np.int64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if not isinstance(other, MonteCarloSummary):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> MonteCarloSummary:
@@ -379,25 +415,28 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
     not depend on execution order. The scenario's post-channel state and
     round law are built once per call and shared by every trial. Trials
     run in one thread, and each draws only its sifted groups' counts, so
-    its cost does not grow with ``config.rounds``. Each report equals
-    ``verify`` of the trial's transcript, as ``run_session(config,
-    scenario, t)`` returns it.
+    its cost does not grow with ``config.rounds``. The counts come as two
+    columns, and ``_verdict`` decides all trials at once: trial t's
+    decision is ``verify``'s of the transcript ``run_session(config,
+    scenario, t)`` returns. Concurrence is exactly 0.0 on every state the
+    PPT test accepts, so the PPT test runs only where it is 0.0.
     """
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     joint, counts, _ = _prepare(config, scenario)
-    # trials often repeat a (sifted, matched) pair, and reports are immutable
-    report = functools.cache(functools.partial(_counts_report, config))
-    reports = [report(*counts(t)) for t in range(trials)]
-    fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
+    sifted, matched = counts(range(trials))
+    _, fraction, _, accepted = _verdict(config, sifted, matched)
+    fractions = fraction[sifted > 0]
+    mean_concurrence = concurrence(joint)
     return MonteCarloSummary(
         trials=trials,
         match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
         match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
-        acceptance_rate=sum(r.accepted for r in reports) / trials,
-        separable_fraction=1.0 if is_separable(joint) else 0.0,
-        mean_concurrence=concurrence(joint),
+        acceptance_rate=int(np.count_nonzero(accepted)) / trials,
+        separable_fraction=1.0 if mean_concurrence == 0.0 and is_separable(joint) else 0.0,
+        mean_concurrence=mean_concurrence,
         no_sifted_trials=trials - fractions.size,
-        reports=tuple(reports),
+        sifted_counts=sifted,
+        match_counts=matched,
     )

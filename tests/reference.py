@@ -7,7 +7,8 @@ state left on the other half; and the operator itself against I x E
 lifted to the pair, multiplied in and B traced out. The fidelity, its
 matrix square root, the Pauli-twirl Kraus form of the depolarizing
 channel and the textbook Wootters formula are the brute-force routes
-that the closed forms of the package are checked against.
+that the closed forms of the package are checked against. A Monte Carlo
+summary is checked against one built from a full session per trial.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 
 import numpy as np
 
-from ebcommit.channels import DepolarizingChannel, KrausChannel
+from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
+from ebcommit.entanglement import concurrence, is_separable
 from ebcommit.linalg import (
     PAULI_I,
     PAULI_X,
@@ -27,6 +29,7 @@ from ebcommit.linalg import (
     is_psd,
     partial_trace,
 )
+from ebcommit.protocol import MonteCarloSummary, VerificationReport, run_session
 from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis
 
 SPECTRUM_FLOOR = 1e-14
@@ -151,3 +154,45 @@ def joint_outcome_decomposition(
         w = np.clip(w, 0.0, None)
         branches.append((p, DensityMatrix((v * (w / w.sum())) @ v.conj().T)))
     return tuple(branches)
+
+
+def counts_report(config, sifted_count: int, match_count: int) -> VerificationReport:
+    """The receiver's rule for one session's counts, in Python scalars.
+
+    The match fraction is the ratio of the two ints, rounded once; the
+    threshold sits ``accept_sigma`` binomial standard deviations below
+    (1+q)/2. With no sifted rounds the session is rejected, with fraction
+    0 and threshold 1.
+    """
+    expected = (1.0 + config.q) / 2.0
+    if sifted_count == 0:
+        return VerificationReport(0, 0, 0.0, expected, 1.0, False, no_sifted_rounds=True)
+    fraction = match_count / sifted_count
+    threshold = expected - config.accept_sigma * math.sqrt(expected * (1.0 - expected) / sifted_count)
+    return VerificationReport(sifted_count, match_count, fraction, expected, threshold,
+                              fraction >= threshold)
+
+
+def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
+    """``monte_carlo``'s summary built trial by trial from ``run_session``'s reports.
+
+    Each trial's transcript is laid out and verified on its own, and the
+    statistics are read off the reports: the match-fraction mean and std
+    over the reports with sifted rounds, the share accepted, and the
+    separability and concurrence of the post-channel pair by the PPT test
+    and ``concurrence`` each run on their own.
+    """
+    reports = [run_session(config, scenario, t)[1] for t in range(trials)]
+    fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
+    joint = lift_apply(DepolarizingChannel(config.q), scenario.pair)
+    return MonteCarloSummary(
+        trials=trials,
+        match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
+        match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
+        acceptance_rate=sum(r.accepted for r in reports) / trials,
+        separable_fraction=1.0 if is_separable(joint) else 0.0,
+        mean_concurrence=concurrence(joint),
+        no_sifted_trials=trials - fractions.size,
+        sifted_counts=[r.sifted_count for r in reports],
+        match_counts=[r.match_count for r in reports],
+    )

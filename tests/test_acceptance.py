@@ -30,7 +30,7 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix, random_hermitian, random_pure_state
-from reference import fidelity, joint_outcome_decomposition, receiver_marginal
+from reference import fidelity, joint_outcome_decomposition, receiver_marginal, sessions_summary
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
@@ -160,8 +160,7 @@ def test_criterion_7_determinism(capsys):
 
     config = ProtocolConfig(q=0.5, rounds=400, seed=77)
     scenario = EprAlice(strategy=bell_strategy(), target_bit=0)
-    summary = monte_carlo(config, scenario, trials=6)
-    assert summary.reports == tuple(run_session(config, scenario, t)[1] for t in range(6))
+    assert monte_carlo(config, scenario, trials=6) == sessions_summary(config, scenario, 6)
     print("\ncriterion 7: byte-identical CLI reruns, monte carlo trials equal to "
           "their sessions: PASS")
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from ebcommit import protocol
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
-from ebcommit.entanglement import concurrence
+from ebcommit.entanglement import concurrence, is_separable
 from ebcommit.protocol import (
     EprAlice,
     HonestAlice,
@@ -37,7 +38,12 @@ from ebcommit.states import (
     isotropic,
 )
 
-from reference import joint_outcome_decomposition, receiver_marginal
+from reference import (
+    counts_report,
+    joint_outcome_decomposition,
+    receiver_marginal,
+    sessions_summary,
+)
 
 
 def cfg(q, rounds, seed=0, **kw):
@@ -362,7 +368,9 @@ def test_monte_carlo_single_trial_matches_run_session():
     c = cfg(0.5, 500, seed=31)
     summary = monte_carlo(c, HonestAlice(bit=0), trials=1)
     _, report = run_session(c, HonestAlice(bit=0), trial=0)
-    assert summary.reports == (report,)
+    assert summary.sifted_counts.tolist() == [report.sifted_count]
+    assert summary.match_counts.tolist() == [report.match_count]
+    assert summary.acceptance_rate == report.accepted
     assert summary.match_fraction_mean == report.match_fraction
     assert summary.no_sifted_trials == 0
 
@@ -394,8 +402,7 @@ def test_monte_carlo_single_trial_matches_run_session():
 )
 def test_monte_carlo_trials_match_run_session(scenario, seed, rounds, trials):
     c = cfg(0.6, rounds, seed=seed)
-    summary = monte_carlo(c, scenario, trials=trials)
-    assert summary.reports == tuple(run_session(c, scenario, t)[1] for t in range(trials))
+    assert monte_carlo(c, scenario, trials=trials) == sessions_summary(c, scenario, trials)
 
 
 def test_run_session_names_rounds_too_many_to_lay_out():
@@ -442,7 +449,7 @@ def test_monte_carlo_builds_no_transcripts(monkeypatch):
     monkeypatch.setattr(protocol, "Transcript", unexpected)
     monkeypatch.setattr(protocol, "verify", unexpected)
     sc = EprAlice(strategy=bell_strategy(), target_bit=1, steer_basis=DIAGONAL)
-    assert len(monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).reports) == 300
+    assert monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).match_counts.shape == (300,)
 
 
 def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
@@ -462,7 +469,7 @@ def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
     for sc in (HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)):
         built.clear()
-        assert len(monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).reports) == 300
+        assert monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).match_counts.shape == (300,)
         assert built == ["Philox", "Generator"]
         built.clear()
         run_session(cfg(0.7, 100, seed=2), sc, trial=5)
@@ -480,14 +487,14 @@ def test_monte_carlo_builds_the_joint_state_once(monkeypatch):
     sc = EprAlice(strategy=bell_strategy(), target_bit=0, steer_basis=RECTILINEAR)
     summary = monte_carlo(cfg(0.7, 40, seed=2), sc, trials=50)
     assert len(calls) == 1
-    assert len(summary.reports) == 50
+    assert summary.sifted_counts.shape == summary.match_counts.shape == (50,)
 
 
 def test_monte_carlo_mean_skips_trials_without_sifted_rounds():
     # one round per trial: about half the trials measure off the encoding
     # basis and have no evidence; the noiseless ones that do all match
     summary = monte_carlo(cfg(1.0, 1, seed=0), HonestAlice(bit=0), trials=20)
-    empty = sum(r.no_sifted_rounds for r in summary.reports)
+    empty = np.count_nonzero(summary.sifted_counts == 0)
     assert 0 < empty < 20
     assert summary.no_sifted_trials == empty
     assert summary.match_fraction_mean == 1.0 and summary.match_fraction_std == 0.0
@@ -547,6 +554,112 @@ def test_monte_carlo_cheating_summary_fields():
 def test_monte_carlo_validates_trials():
     with pytest.raises(ValueError):
         monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=0)
+
+
+def test_monte_carlo_summary_holds_read_only_columns_compared_by_value():
+    summary = monte_carlo(cfg(0.6, 50, seed=5), HonestAlice(bit=0), trials=7)
+    for column in (summary.sifted_counts, summary.match_counts):
+        assert column.dtype == np.int64 and column.shape == (7,)
+        assert not column.flags.writeable
+    again = monte_carlo(cfg(0.6, 50, seed=5), HonestAlice(bit=0), trials=7)
+    assert again == summary and again.sifted_counts is not summary.sifted_counts
+    other = summary.match_counts.copy()
+    other[0] += 1
+    assert dataclasses.replace(summary, match_counts=other) != summary
+
+
+def _sessions_follow_the_rule(c, scenario, trials):
+    """monte_carlo's columns and statistics are its sessions', and each session obeys the rule."""
+    summary = monte_carlo(c, scenario, trials)
+    assert summary == sessions_summary(c, scenario, trials)
+    reports = [run_session(c, scenario, t)[1] for t in range(trials)]
+    for r in reports:
+        assert r == counts_report(c, r.sifted_count, r.match_count)
+    return summary, reports
+
+
+_EDGE_SCENARIOS = [HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)]
+
+
+@pytest.mark.parametrize("scenario", _EDGE_SCENARIOS, ids=["honest", "epr"])
+@pytest.mark.parametrize("q, rounds", [(0.0, 4), (0.5, 8)])
+def test_monte_carlo_decides_like_verify_at_zero_sigma(scenario, q, rounds):
+    # the threshold is the expectation itself, and a fraction equal to it is accepted
+    c = cfg(q, rounds, seed=11, accept_sigma=0.0)
+    summary, reports = _sessions_follow_the_rule(c, scenario, 300)
+    at_threshold = [r for r in reports if r.match_fraction == r.expected_fraction]
+    assert at_threshold and all(r.accepted and r.threshold == (1 + q) / 2 for r in at_threshold)
+    assert 0.0 < summary.acceptance_rate < 1.0
+
+
+@pytest.mark.parametrize("scenario", _EDGE_SCENARIOS, ids=["honest", "epr"])
+def test_monte_carlo_decides_like_verify_without_noise(scenario):
+    # q = 1: the threshold is 1 whatever the sigma, and noiseless sessions match every round
+    summary, reports = _sessions_follow_the_rule(cfg(1.0, 30, seed=12), scenario, 100)
+    assert all(r.threshold == 1.0 for r in reports)
+    assert summary.acceptance_rate == 1.0 and summary.match_fraction_std == 0.0
+
+
+@pytest.mark.parametrize("scenario", _EDGE_SCENARIOS, ids=["honest", "epr"])
+def test_monte_carlo_decides_like_verify_on_single_rounds(scenario):
+    # one round per trial: about half the trials have no sifted round and are rejected
+    summary, reports = _sessions_follow_the_rule(cfg(0.6, 1, seed=13), scenario, 400)
+    empty = [r for r in reports if r.no_sifted_rounds]
+    assert 100 < len(empty) < 300 and summary.no_sifted_trials == len(empty)
+    assert not any(r.accepted for r in empty)
+    assert 0.0 < summary.acceptance_rate < 1.0
+
+
+def test_verdict_divides_counts_past_float_precision_exactly():
+    # counts past 2**53 are not floats; their ratio must still be rounded once
+    c = cfg(0.5, 2**63 - 1, accept_sigma=2.0)
+    sifted = [2**62 + 3, 2**63 - 1, 2**53 + 1, 2**53 + 1, 3, 0]
+    matched = [3 * 2**60 + 11009, 2**62 + 12345, 2**53 + 1, 2**53 - 1, 2, 0]
+    expected, fraction, threshold, accepted = protocol._verdict(
+        c, np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64))
+    for i, (s, m) in enumerate(zip(sifted, matched)):
+        r = counts_report(c, s, m)
+        assert (expected, fraction[i], threshold[i], accepted[i]) == (
+            r.expected_fraction, r.match_fraction, r.threshold, r.accepted)
+    # in float64 the first pair would round before the division, and land one ulp off
+    assert fraction[0] != np.float64(matched[0]) / np.float64(sifted[0])
+
+
+def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
+    # a sweep validates its scenario's committed pair once, and one lift per q
+    validated = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    for scenario in (HonestAlice(bit=0), EprAlice(bell_strategy(), 1, DIAGONAL)):
+        validated.clear()
+        for q in (0.2, 0.5, 0.9):
+            monte_carlo(cfg(q, 10, seed=3), scenario, trials=4)
+        assert len(validated) == 1 + 3
+
+
+_SEPARABILITY_QS = [0.0, 0.3, 1 / 3, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.34, 1.0]
+
+
+@pytest.mark.parametrize("q", _SEPARABILITY_QS)
+def test_separable_fraction_is_the_ppt_test(q):
+    # the PPT test runs only where the concurrence is 0.0; that must not change its answer
+    rng = np.random.default_rng(14)
+    strategies = [bell_strategy()] + [
+        CheatStrategy(*(ProjectiveBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                        .vectors()[0] for _ in range(2)))
+        for _ in range(2)
+    ]
+    for strategy in strategies:
+        scenario = EprAlice(strategy)
+        joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+        summary = monte_carlo(cfg(q, 10), scenario, trials=1)
+        assert summary.separable_fraction == (1.0 if is_separable(joint) else 0.0)
+        assert summary.mean_concurrence == concurrence(joint)
 
 
 def test_custom_cheat_strategy_flows_through():
@@ -770,12 +883,15 @@ def test_each_trial_draws_its_derive_rng_stream(
     else:
         scenario = HonestAlice(bit=bit)
     _, counts, transcript = protocol._prepare(config, scenario)
-    for t in range(first, first + trials):
+    sifted_counts, match_counts = counts(range(first, first + trials))
+    assert sifted_counts.dtype == match_counts.dtype == np.int64
+    for i, t in enumerate(range(first, first + trials)):
         classes = _replay(q, scenario, seed, t, rounds)
         assert transcript(t).classes.tolist() == classes.tolist()
         sifted = classes >> 2 == bit
         matched = sifted & ((classes >> 1) & 1 == classes & 1)
-        assert counts(t) == (np.count_nonzero(sifted), np.count_nonzero(matched))
+        assert (sifted_counts[i], match_counts[i]) == (np.count_nonzero(sifted),
+                                                        np.count_nonzero(matched))
 
 
 @pytest.mark.parametrize(
@@ -804,8 +920,8 @@ def test_monte_carlo_runs_with_a_receiver_outcome_of_tiny_probability(theta):
     strategy = CheatStrategy(np.array([1.0, 0.0]), ProjectiveBasis(theta, 0.0).vectors()[0])
     scenario = EprAlice(strategy, 1, ProjectiveBasis(1.5, 0.0))
     summary = monte_carlo(cfg(1.0, 200, seed=4), scenario, trials=3)
-    assert len(summary.reports) == 3
-    assert all(r.sifted_count > 0 for r in summary.reports)
+    assert summary.sifted_counts.shape == (3,)
+    assert (summary.sifted_counts > 0).all()
 
 
 def test_round_law_of_a_receiver_outcome_of_tiny_probability():
@@ -953,8 +1069,8 @@ def test_monte_carlo_pooled_counts_follow_the_exact_law(scenario):
     total = rounds * trials
     bit = scenario.bit if isinstance(scenario, HonestAlice) else scenario.target_bit
     for count, p in (
-        (sum(r.sifted_count for r in summary.reports), law[bit].sum()),
-        (sum(r.match_count for r in summary.reports), law[bit, 0, 0] + law[bit, 1, 1]),
+        (int(summary.sifted_counts.sum()), law[bit].sum()),
+        (int(summary.match_counts.sum()), law[bit, 0, 0] + law[bit, 1, 1]),
     ):
         assert abs(count - total * p) <= 5 * math.sqrt(total * p * (1 - p))
 

@@ -24,7 +24,10 @@ the dump's first slice of 1000 records),
 EPR runs whose round law is 0 on its leading class (``--a0 one --a1
 one``) and on its trailing classes (``--a0 zero --a1 zero`` at q = 1),
 CSV and JSON sweeps (one round per trial, two
-workers, the EPR sweep through q = 1/3), ``binding``, ``hiding``,
+workers, the EPR sweep through q = 1/3; an EPR sweep of 500 trials per q
+at ``--accept-sigma 0``, whose threshold is the expectation itself, and
+an honest one of 300 noiseless 7-round trials, some with no sifted
+round), ``binding``, ``hiding``,
 ``threshold`` and usage errors, among them the flags ``threshold`` no
 longer takes and a ``run`` of more rounds than numpy can lay out.
 """
@@ -106,6 +109,12 @@ def _sweep_commands() -> list[list[str]]:
                          "--format", fmt])
     cmds.append(["sweep", "--alice", "epr", "--q-min", "0.2", "--q-max", "0.6", "--q-steps", "5",
                  "--rounds", "300", "--trials", "2", "--accept-sigma", "1", "--format", "csv"])
+    # many trials decided at once: the threshold at the expectation itself,
+    # through q = 1/3, and noiseless trials of 7 rounds, some with no sifted round
+    cmds.append(["sweep", "--alice", "epr", "--q-steps", "7", "--trials", "500", "--rounds", "100",
+                 "--accept-sigma", "0"])
+    cmds.append(["sweep", "--q-min", "1", "--q-max", "1", "--q-steps", "1", "--trials", "300",
+                 "--rounds", "7"])
     return cmds
 
 
