@@ -2,9 +2,9 @@
 
 Layers, bottom up: ``linalg`` (dense two-qubit operator algebra),
 ``states`` and ``channels`` (the protocol's physics), ``entanglement``
-(concurrence, separability, the channel factorization law), ``protocol``
-(prepared commitment sessions plus a seeded Monte Carlo harness), ``security``
-(hiding and binding bounds), ``cli`` (experiment runner).
+(concurrence, separability of states and channels, the factorization law),
+``protocol`` (prepared commitment sessions plus a seeded Monte Carlo harness),
+``security`` (hiding and binding bounds), ``cli`` (experiment runner).
 """
 
 __version__ = "0.1.0"
@@ -14,13 +14,13 @@ from .channels import (
     KrausChannel,
     channel_apply,
     choi,
-    is_entanglement_breaking,
     lift_apply,
 )
 from .entanglement import (
     concurrence,
     eb_threshold,
     factorization_residual,
+    is_entanglement_breaking,
     is_separable,
 )
 from .linalg import (

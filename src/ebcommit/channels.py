@@ -1,4 +1,4 @@
-"""Qubit channels, their two-qubit lifts, and entanglement-breaking tests.
+"""Qubit channels, their two-qubit lifts, and their Choi states.
 
 The depolarizing channel eps(X) = q X + (1-q) tr[X] I/2 keeps a state
 with probability q and replaces it with the maximally mixed state
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_operator, is_psd, partial_trace, partial_transpose
+from .linalg import TOL, as_operator, partial_trace
 from .states import _BELL_PROJ, DensityMatrix, _check_q
 
 
@@ -84,17 +84,9 @@ def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:
     """Channel output on half of the Bell pair, (I x c)[|psi+><psi+|].
 
     This single state determines how the channel degrades any entangled
-    input, which is what makes the separability test below decisive. The
-    Bell projector is exact (entries 0 and 1/2), so the Choi state of the
-    depolarizing channel is ``isotropic(q)`` bit for bit.
+    input, which makes its separability decisive for
+    ``entanglement.is_entanglement_breaking``. The Bell projector is exact
+    (entries 0 and 1/2), so the Choi state of the depolarizing channel is
+    ``isotropic(q)`` bit for bit.
     """
     return lift_apply(c, _BELL_PROJ)
-
-
-def is_entanglement_breaking(c: KrausChannel | DepolarizingChannel) -> bool:
-    """True iff the channel output on half an entangled pair is separable.
-
-    Decided by positivity of the partial transpose of the Choi state,
-    which is exact for qubit pairs; this is ``is_separable(choi(c))``.
-    """
-    return is_psd(partial_transpose(choi(c)))

@@ -2,13 +2,13 @@
 
 Concurrence (Wootters) measures entanglement on [0, 1] and is read off
 the singular values of a square-root factor of the state; positivity of
-the partial transpose decides separability exactly at 2x2, and one of
-its eigenvalues gives the entanglement-breaking boundary of the
-depolarizing channel. The product law checked by
-:func:`factorization_residual` says a local channel degrades the
-concurrence of every pure input by one universal factor, the
-concurrence of its Choi state, so a channel that disentangles the Bell
-pair disentangles everything.
+the partial transpose decides separability exactly at 2x2, of a state
+and of a channel's Choi state alike, and one of its eigenvalues gives
+the entanglement-breaking boundary of the depolarizing channel. The
+product law checked by :func:`factorization_residual` says a local
+channel degrades the concurrence of every pure input by one universal
+factor, the concurrence of its Choi state, so a channel that
+disentangles the Bell pair disentangles everything.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ def concurrence(rho: DensityMatrix) -> float:
     With rho = X X^dagger, X = V sqrt(w) from the eigendecomposition of
     rho (tiny negative w taken as 0), they are the singular values of the
     symmetric matrix X^T (Y x Y) X, so no square is formed and no small
-    value is floored away. The value is exactly 0.0 on every state that
-    :func:`is_separable` accepts, so no state the PPT test calls
-    separable gets a roundoff residue as its concurrence.
+    value is floored away. The PPT test runs first, so C is 0.0, with no
+    roundoff residue, on every state it accepts; on every state it
+    rejects, C >= N = 2|l| > 2 TOL for l the least partial-transpose
+    eigenvalue (Verstraete et al., J. Phys. A 34, 10327 (2001)).
     """
     m = as_operator(rho, 4)
     if is_separable(m):
@@ -46,6 +47,11 @@ def concurrence(rho: DensityMatrix) -> float:
 def is_separable(rho: DensityMatrix) -> bool:
     """Positive-partial-transpose test, necessary and sufficient at 2x2."""
     return is_psd(partial_transpose(rho))
+
+
+def is_entanglement_breaking(c: KrausChannel | DepolarizingChannel) -> bool:
+    """True iff the Choi state of c is separable (Horodecki, Shor and Ruskai, 2003)."""
+    return is_separable(choi(c))
 
 
 def factorization_residual(x, c: KrausChannel | DepolarizingChannel) -> float:

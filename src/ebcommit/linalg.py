@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-#: The one numerical tolerance of the package: Hermiticity defects, PSD
-#: and PPT tests, unit trace and Kraus completeness are all judged at it.
+#: The tolerance of operators: Hermiticity defects, PSD and PPT tests,
+#: unit trace and Kraus completeness are judged at it. Scalars have their
+#: own: ``security.PURITY_TOL`` (a pure target) and ``SIGN_TOL`` (a zero
+#: Helstrom eigenvalue), ``states.OUTCOME_EPS`` (an impossible outcome),
+#: 1e-9 (a unit-norm state vector) and 1e-12 (a zero-norm cheat state) in
+#: ``states``, and ``protocol._LAW_GRID`` (the grid of a session's laws).
 TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
-    _p.setflags(write=False)
-del _p
+PAULI_I.setflags(write=False)
+PAULI_Y.setflags(write=False)
 
 
 def as_operator(x, dim: int | None = None) -> np.ndarray:

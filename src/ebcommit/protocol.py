@@ -59,7 +59,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channels import DepolarizingChannel, lift_apply
-from .entanglement import concurrence, is_separable
+from .entanglement import concurrence
 from .states import (
     OUTCOME_EPS,
     RECTILINEAR,
@@ -379,9 +379,9 @@ class MonteCarloSummary:
     them in ``run_session(config, scenario, t)``'s transcript. The
     match-fraction mean and std run over the trials that had sifted
     rounds; ``no_sifted_trials`` counts the others, and with none left
-    both are 0.0. Separability (0 or 1) and concurrence are those of the
-    post-channel pair, which is the same in every trial; an honest
-    sender's classical-quantum pair is separable, so it reports 1 and 0.
+    both are 0.0. Separability (1 iff the concurrence is 0.0) and
+    concurrence are those of the post-channel pair, the same in every
+    trial; an honest sender's classical-quantum pair reports 1 and 0.
     Equality compares every field by value.
     """
 
@@ -418,8 +418,8 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
     its cost does not grow with ``config.rounds``. The counts come as two
     columns, and ``_verdict`` decides all trials at once: trial t's
     decision is ``verify``'s of the transcript ``run_session(config,
-    scenario, t)`` returns. Concurrence is exactly 0.0 on every state the
-    PPT test accepts, so the PPT test runs only where it is 0.0.
+    scenario, t)`` returns. ``concurrence`` is 0.0 exactly on the states
+    the PPT test accepts, so its one PPT test also decides separability.
     """
     _check_int("trials", trials)
     if trials < 1:
@@ -434,7 +434,7 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
         match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
         match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
         acceptance_rate=int(np.count_nonzero(accepted)) / trials,
-        separable_fraction=1.0 if mean_concurrence == 0.0 and is_separable(joint) else 0.0,
+        separable_fraction=1.0 if mean_concurrence == 0.0 else 0.0,
         mean_concurrence=mean_concurrence,
         no_sifted_trials=trials - fractions.size,
         sifted_counts=sifted,

@@ -8,7 +8,8 @@ lifted to the pair, multiplied in and B traced out. The fidelity, its
 matrix square root, the Pauli-twirl Kraus form of the depolarizing
 channel and the textbook Wootters formula are the brute-force routes
 that the closed forms of the package are checked against. A Monte Carlo
-summary is checked against one built from a full session per trial.
+summary is checked against one built from a full session per trial. The
+Pauli X and Z matrices, which only the tests use, are defined here.
 """
 
 from __future__ import annotations
@@ -19,18 +20,14 @@ import numpy as np
 
 from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
 from ebcommit.entanglement import concurrence, is_separable
-from ebcommit.linalg import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    as_operator,
-    eig_hermitian,
-    is_psd,
-    partial_trace,
-)
+from ebcommit.linalg import PAULI_I, PAULI_Y, as_operator, eig_hermitian, is_psd, partial_trace
 from ebcommit.protocol import MonteCarloSummary, VerificationReport, run_session
 from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_X.setflags(write=False)
+PAULI_Z.setflags(write=False)
 
 SPECTRUM_FLOOR = 1e-14
 

@@ -10,11 +10,10 @@ from ebcommit.channels import (
     KrausChannel,
     channel_apply,
     choi,
-    is_entanglement_breaking,
     lift_apply,
 )
-from ebcommit.entanglement import is_separable
-from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, partial_trace
+from ebcommit.entanglement import is_entanglement_breaking, is_separable
+from ebcommit.linalg import PAULI_I, PAULI_Y, partial_trace
 from ebcommit.states import (
     DensityMatrix,
     bb84_projector,
@@ -24,7 +23,7 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix
-from reference import as_kraus, bell_psi_plus, joint_outcome_decomposition
+from reference import PAULI_X, PAULI_Z, as_kraus, bell_psi_plus, joint_outcome_decomposition
 
 I2 = np.eye(2)
 

@@ -183,6 +183,19 @@ def test_sweep_csv_schema_and_determinism(capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_sweep_prints_a_negative_zero_q_min_as_zero(capsys, steps):
+    # one q point or two, the grid starts at np.linspace's 0.0, not at -0.0
+    argv = ["sweep", "--q-min", "-0.0", "--q-steps", steps, "--rounds", "10", "--trials", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert out.split("\n")[1].split(",")[0] == "0"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert '"q": 0.0,' in out and '"q": -0.0' not in out
+    assert math.copysign(1.0, json.loads(out)["rows"][0]["q"]) == 1.0
+
+
 def test_sweep_mean_skips_trials_without_sifted_rounds(capsys):
     # one round per trial: the trials measured off the encoding basis have
     # no evidence, stay out of the mean and are rejected; the noiseless

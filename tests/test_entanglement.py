@@ -7,20 +7,20 @@ from ebcommit.channels import (
     DepolarizingChannel,
     KrausChannel,
     channel_apply,
-    is_entanglement_breaking,
     lift_apply,
 )
 from ebcommit.entanglement import (
     concurrence,
     eb_threshold,
     factorization_residual,
+    is_entanglement_breaking,
     is_separable,
 )
-from ebcommit.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from ebcommit.linalg import PAULI_I, PAULI_Y, TOL, eig_hermitian, partial_transpose
 from ebcommit.states import DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_pure_state
-from reference import bell_psi_plus, wootters_concurrence
+from reference import PAULI_X, PAULI_Z, bell_psi_plus, wootters_concurrence
 
 
 def test_concurrence_bell_is_one():
@@ -115,6 +115,67 @@ def test_concurrence_is_zero_exactly_on_ppt_states(q, seed):
         DepolarizingChannel(q), cheat_state(random_pure_state(rng, 2), random_pure_state(rng, 2))
     )
     assert is_separable(rho) == (concurrence(rho) == 0.0)
+
+
+def _least_pt_eigenvalue(rho) -> float:
+    return float(eig_hermitian(partial_transpose(rho))[-1])
+
+
+# Offsets from a point of a family, from roundoff up to 1e-6, either side.
+_OFFSETS = [s * 10.0**-k for s in (-1, 1) for k in range(6, 17)]
+
+
+def _isotropic_near_boundary(rng):
+    # PT(isotropic(q)) has least eigenvalue (1 - 3q)/4: 0 at q = 1/3, and
+    # -TOL, the PPT test's cut, at q = 1/3 + 4 TOL/3
+    for center in (1 / 3, 1 / 3 + 4 * TOL / 3):
+        for d in _OFFSETS:
+            yield isotropic(center + d)
+
+
+def _cheat_pairs_near_boundary(rng):
+    # every entangled pure pair loses its entanglement at q = 1/3; near
+    # there the least PT eigenvalue falls linearly in q, at a slope of the
+    # pair's own, which puts its cut at 1/3 + TOL/slope
+    for _ in range(60):
+        pair = cheat_state(random_pure_state(rng, 2), random_pure_state(rng, 2))
+        slope = -_least_pt_eigenvalue(lift_apply(DepolarizingChannel(1 / 3 + 1e-6), pair)) / 1e-6
+        for center in (1 / 3, 1 / 3 + TOL / slope):
+            for d in _OFFSETS:
+                yield lift_apply(DepolarizingChannel(center + d), pair)
+
+
+def _mixtures_near_boundary(rng):
+    # PT(p rho + (1 - p) I/4) has least eigenvalue p mu + (1 - p)/4, mu that
+    # of PT(rho): 0 at p = 1/(1 - 4 mu) and -TOL at p = (1 + 4 TOL)/(1 - 4 mu)
+    made = 0
+    while made < 60:
+        rho = random_density_matrix(rng, 4)
+        mu = _least_pt_eigenvalue(rho)
+        if mu > -0.01:  # separable, or too weakly entangled to tune
+            continue
+        made += 1
+        for center in (1 / (1 - 4 * mu), (1 + 4 * TOL) / (1 - 4 * mu)):
+            for d in _OFFSETS:
+                p = center + d
+                yield DensityMatrix(p * rho + (1 - p) * np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("family", [
+    _isotropic_near_boundary, _cheat_pairs_near_boundary, _mixtures_near_boundary,
+], ids=["isotropic", "depolarized-cheat-pairs", "noise-tuned-mixtures"])
+def test_concurrence_is_zero_exactly_on_ppt_states_near_the_boundary(rng, family):
+    # C >= N = 2|l| for l the least PT eigenvalue, so a state the PPT test
+    # rejects (l < -TOL) has C > 2 TOL, far above roundoff; one it accepts
+    # gets exactly 0.0. monte_carlo's separability column relies on both.
+    states = list(family(rng))
+    verdicts = [is_separable(rho) for rho in states]
+    wrong = [(_least_pt_eigenvalue(rho), concurrence(rho)) for rho, sep in zip(states, verdicts)
+             if (concurrence(rho) == 0.0) != sep]
+    assert wrong == []
+    assert any(verdicts) and not all(verdicts)
+    near = sum(abs(_least_pt_eigenvalue(rho)) < 1e-8 for rho in states)
+    assert near >= 0.8 * len(states)
 
 
 def test_factorization_trivial_cases():

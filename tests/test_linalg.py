@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ebcommit.linalg import (
-    PAULI_X,
-    PAULI_Z,
+    as_operator,
     eig_hermitian,
     hermiticity_defect,
     is_psd,
@@ -15,7 +14,7 @@ from ebcommit.channels import KrausChannel
 from ebcommit.states import CheatStrategy, DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_hermitian
-from reference import bell_psi_plus, fidelity, sqrtm_psd
+from reference import PAULI_X, PAULI_Z, bell_psi_plus, fidelity, sqrtm_psd
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -202,3 +201,19 @@ _NON_FINITE_INPUTS = {
 def test_non_finite_input_is_rejected(call, value):
     with pytest.raises(ValueError):
         _NON_FINITE_INPUTS[call](value)
+
+
+_MALFORMED_INPUTS = {
+    "as_operator": (lambda: as_operator(np.zeros((2, 3))), "expected a square matrix"),
+    "KrausChannel": (lambda: KrausChannel(()), "at least one Kraus operator"),
+    "CheatStrategy": (lambda: CheatStrategy([1, 0, 0], [0, 1]),
+                      "a0 must be a single-qubit state vector"),
+    "cheat_state": (lambda: cheat_state([1, 0], [0, 1, 0]), "single-qubit state vectors"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_is_rejected(call):
+    build, message = _MALFORMED_INPUTS[call]
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -4,13 +4,14 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebcommit import protocol
+from ebcommit import entanglement, protocol
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence, is_separable
@@ -129,7 +130,10 @@ class TestConfig:
         (lambda: monte_carlo({"q": 0.5}, HonestAlice(bit=0), 1),
          "config must be a ProtocolConfig, got {'q': 0.5}"),
         (lambda: verify("x"), "transcript must be a Transcript, got 'x'"),
-    ], ids=["transcript", "run-session", "monte-carlo", "verify"])
+        (lambda: run_session(cfg(0.5, 10), "honest"), "not a scenario: 'honest'"),
+        (lambda: monte_carlo(cfg(0.5, 10), None, 1), "not a scenario: None"),
+    ], ids=["transcript", "run-session", "monte-carlo", "verify", "run-session-scenario",
+            "monte-carlo-scenario"])
     def test_rejects_mistyped_config_and_transcript(self, call, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
@@ -568,6 +572,17 @@ def test_monte_carlo_summary_holds_read_only_columns_compared_by_value():
     assert dataclasses.replace(summary, match_counts=other) != summary
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DensityMatrix(np.eye(2) / 2),
+    lambda: Transcript(cfg(0.5, 2), 0, [0, 3]),
+    lambda: monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=2),
+], ids=["density-matrix", "transcript", "monte-carlo-summary"])
+def test_equality_with_another_type_is_false(make):
+    value = make()
+    assert value.__eq__(object()) is NotImplemented
+    assert (value == "x") is False and (value != None) is True  # noqa: E711
+
+
 def _sessions_follow_the_rule(c, scenario, trials):
     """monte_carlo's columns and statistics are its sessions', and each session obeys the rule."""
     summary = monte_carlo(c, scenario, trials)
@@ -642,12 +657,37 @@ def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
         assert len(validated) == 1 + 3
 
 
+@pytest.mark.parametrize("scenario, q", [
+    (HonestAlice(bit=1), 0.8),
+    (EprAlice(bell_strategy()), 0.2),
+    (EprAlice(bell_strategy()), 1 / 3),
+    (EprAlice(bell_strategy()), 0.8),
+], ids=["honest", "epr-separable", "epr-boundary", "epr-entangled"])
+def test_monte_carlo_runs_the_ppt_test_once(monkeypatch, scenario, q):
+    # concurrence runs the PPT test, and its 0.0 is the separability verdict;
+    # every module's binding of is_separable is counted, as a direct call would be
+    calls = []
+    original = entanglement.is_separable
+
+    def counting(rho):
+        calls.append(rho)
+        return original(rho)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ebcommit" and vars(module).get("is_separable") is original:
+            monkeypatch.setattr(module, "is_separable", counting)
+    summary = monte_carlo(cfg(q, 10), scenario, trials=3)
+    assert len(calls) == 1
+    separable = isinstance(scenario, HonestAlice) or q <= 1 / 3
+    assert summary.separable_fraction == (1.0 if separable else 0.0)
+
+
 _SEPARABILITY_QS = [0.0, 0.3, 1 / 3, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.34, 1.0]
 
 
 @pytest.mark.parametrize("q", _SEPARABILITY_QS)
 def test_separable_fraction_is_the_ppt_test(q):
-    # the PPT test runs only where the concurrence is 0.0; that must not change its answer
+    # the concurrence alone decides separability, so its 0.0 must be the PPT test's answer
     rng = np.random.default_rng(14)
     strategies = [bell_strategy()] + [
         CheatStrategy(*(ProjectiveBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
