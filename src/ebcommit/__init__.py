@@ -40,6 +40,7 @@ from .protocol import (
     derive_rng,
     monte_carlo,
     run_session,
+    sweep,
     verify,
 )
 from .security import (
@@ -102,6 +103,7 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "run_session",
+    "sweep",
     "trace_distance",
     "verify",
 ]

@@ -5,7 +5,9 @@ with probability q and replaces it with the maximally mixed state
 otherwise. Lifted to half of a two-qubit state it is the noise applied
 to incoming commitment qubits. Both apply functions use this closed form
 for a :class:`DepolarizingChannel` and the Kraus sum for a
-:class:`KrausChannel`.
+:class:`KrausChannel`. The closed-form lift is written once, over a
+vector of q: a batch of sessions lifts its pair for every q of the batch
+in one broadcast, and :func:`lift_apply` is the case of one q.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class DepolarizingChannel:
         _check_q(self.q)
 
 
+_HALF_I = np.eye(2) / 2
+_HALF_I.setflags(write=False)
+
+
 def _check_channel(c) -> None:
     if not isinstance(c, (KrausChannel, DepolarizingChannel)):
         raise TypeError(f"not a channel: {c!r}")
@@ -75,9 +81,18 @@ def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> Den
     _check_channel(c)
     m = as_operator(rho, 4)
     if isinstance(c, DepolarizingChannel):
-        return DensityMatrix(c.q * m + (1.0 - c.q) * np.kron(partial_trace(m), np.eye(2) / 2))
+        return DensityMatrix(_depolarizing_lift([c.q], m)[0])
     lifted = [np.kron(np.eye(2), k) for k in c.kraus_ops]
     return DensityMatrix(sum(k @ m @ k.conj().T for k in lifted))
+
+
+def _depolarizing_lift(qs, rho) -> np.ndarray:
+    """q rho + (1-q) tr_B[rho] x I/2 for each q of ``qs``: a (len(qs), 4, 4) stack, unvalidated."""
+    q = np.asarray(qs, dtype=float)[:, None, None]
+    m = as_operator(rho, 4)
+    # tr_B[rho] x I/2 as np.kron forms it, entry by entry, without its set-up cost
+    noise = np.multiply.outer(partial_trace(m), _HALF_I).swapaxes(1, 2).reshape(4, 4)
+    return q * m + (1.0 - q) * noise
 
 
 def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:

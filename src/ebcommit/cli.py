@@ -34,8 +34,8 @@ from .protocol import (
     EprAlice,
     HonestAlice,
     ProtocolConfig,
-    monte_carlo,
     run_session,
+    sweep,
 )
 from .security import alice_binding_attack, bob_cheat_probability
 from .states import CheatStrategy, DensityMatrix, ProjectiveBasis, _check_q, bb84_pair_mixture
@@ -80,12 +80,15 @@ def _parse_vector(spec: str, flag: str) -> np.ndarray:
 
 
 def _q_arg(flag: str, q: float) -> float:
-    """``q`` if it is a noise parameter in [0, 1], else a usage error naming ``flag``."""
+    """``q`` if it is a noise parameter in [0, 1], else a usage error naming ``flag``.
+
+    -0.0 comes back as 0.0, so that no row or meta prints a q of -0.
+    """
     try:
         _check_q(q)
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
-    return q
+    return q + 0.0
 
 
 def _parse_state(spec: str, flag: str) -> DensityMatrix:
@@ -322,7 +325,8 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
 def _cmd_run(args) -> int:
     if args.dump_transcript and args.format != "json":
         raise UsageError("--dump-transcript requires --format json")
-    config = _build_config(args, _q_arg("--q", args.q))
+    args.q = _q_arg("--q", args.q)
+    config = _build_config(args, args.q)
     scenario = _build_scenario(args)
     try:
         transcript, report = run_session(config, scenario)
@@ -346,24 +350,22 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    _q_arg("--q-min", args.q_min)
-    _q_arg("--q-max", args.q_max)
-    qs = np.linspace(args.q_min, args.q_max, args.q_steps)
+    args.q_min = _q_arg("--q-min", args.q_min)
+    args.q_max = _q_arg("--q-max", args.q_max)
+    qs = np.linspace(args.q_min, args.q_max, args.q_steps).tolist()
     scenario = _build_scenario(args)
-    rows = []
-    for q in qs:
-        config = _build_config(args, float(q))
-        summary = monte_carlo(config, scenario, args.trials)
-        rows.append(
-            {
-                "q": float(q),
-                "match_fraction_mean": summary.match_fraction_mean,
-                "match_fraction_std": summary.match_fraction_std,
-                "acceptance_rate": summary.acceptance_rate,
-                "separable_fraction": summary.separable_fraction,
-                "mean_concurrence_post_channel": summary.mean_concurrence,
-            }
-        )
+    configs = [_build_config(args, q) for q in qs]
+    rows = [
+        {
+            "q": q,
+            "match_fraction_mean": summary.match_fraction_mean,
+            "match_fraction_std": summary.match_fraction_std,
+            "acceptance_rate": summary.acceptance_rate,
+            "separable_fraction": summary.separable_fraction,
+            "mean_concurrence_post_channel": summary.mean_concurrence,
+        }
+        for q, summary in zip(qs, sweep(configs, scenario, args.trials))
+    ]
     _emit(_meta(args), rows, args.format, args.output)
     return EXIT_OK
 
@@ -376,8 +378,8 @@ def _cmd_threshold(args) -> int:
 def _cmd_hiding(args) -> int:
     sigma0 = _parse_state(args.sigma0, "--sigma0")
     sigma1 = _parse_state(args.sigma1, "--sigma1")
-    channel = DepolarizingChannel(_q_arg("--q", args.q))
-    report = bob_cheat_probability(sigma0, sigma1, channel)
+    args.q = _q_arg("--q", args.q)
+    report = bob_cheat_probability(sigma0, sigma1, DepolarizingChannel(args.q))
     _emit(_meta(args), [dataclasses.asdict(report)], args.format, args.output)
     return EXIT_OK
 
@@ -385,9 +387,9 @@ def _cmd_hiding(args) -> int:
 def _cmd_binding(args) -> int:
     strategy = _build_strategy(args.a0, args.a1)
     target = _parse_state(args.target, "--target")
+    # --q-grid overrides --q, but meta still echoes --q, so it must be a q
+    args.q = _q_arg("--q", args.q)
     if args.q_grid is not None:
-        # --q-grid overrides --q, but meta still echoes --q, so it must be a q
-        _q_arg("--q", args.q)
         try:
             qs = [float(tok) for tok in args.q_grid.split(",") if tok.strip()]
         except ValueError:
@@ -399,9 +401,9 @@ def _cmd_binding(args) -> int:
         qs, flag = [args.q], "--q"
     rows = []
     for q in qs:
-        channel = DepolarizingChannel(_q_arg(flag, q))
+        q = _q_arg(flag, q)
         try:
-            report = alice_binding_attack(strategy, channel, target)
+            report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         rows.append(

@@ -9,6 +9,11 @@ product law checked by :func:`factorization_residual` says a local
 channel degrades the concurrence of every pure input by one universal
 factor, the concurrence of its Choi state, so a channel that
 disentangles the Bell pair disentangles everything.
+
+:func:`concurrence` and :func:`is_separable` take one state or a stack of
+shape (..., 4, 4): a batch of sessions runs one PPT test and one
+Wootters evaluation over its whole stack of post-channel pairs, and a
+single state is the stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, choi, lift_apply
-from .linalg import PAULI_Y, as_operator, eig_hermitian, is_psd, partial_transpose
+from .linalg import PAULI_Y, as_stack, eig_hermitian, is_psd, partial_transpose
 from .states import DensityMatrix
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit state.
+def concurrence(rho: DensityMatrix):
+    """Wootters concurrence of a two-qubit state, a float, or of each state of a stack, an array.
 
     C = max(0, l1 - l2 - l3 - l4), the l_i the square roots, in
     descending order, of the eigenvalues of rho (Y x Y) conj(rho) (Y x Y).
@@ -33,19 +38,22 @@ def concurrence(rho: DensityMatrix) -> float:
     value is floored away. The PPT test runs first, so C is 0.0, with no
     roundoff residue, on every state it accepts; on every state it
     rejects, C >= N = 2|l| > 2 TOL for l the least partial-transpose
-    eigenvalue (Verstraete et al., J. Phys. A 34, 10327 (2001)).
+    eigenvalue (Verstraete et al., J. Phys. A 34, 10327 (2001)). Only
+    the states it rejects are decomposed, each as it would be alone.
     """
-    m = as_operator(rho, 4)
-    if is_separable(m):
-        return 0.0
-    w, v = eig_hermitian(m, vectors=True)
-    x = v * np.sqrt(np.maximum(w, 0.0))
-    lams = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
-    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    m = as_stack(rho, 4)
+    entangled = ~np.asarray(is_separable(m))
+    c = np.zeros(entangled.shape)
+    if entangled.any():
+        w, v = eig_hermitian(m[entangled], vectors=True)
+        x = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+        lams = np.linalg.svd(x.swapaxes(-1, -2) @ _YY @ x, compute_uv=False)
+        c[entangled] = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
+    return float(c) if c.ndim == 0 else c
 
 
-def is_separable(rho: DensityMatrix) -> bool:
-    """Positive-partial-transpose test, necessary and sufficient at 2x2."""
+def is_separable(rho: DensityMatrix):
+    """Positive-partial-transpose test, exact at 2x2; a stack gets a bool array."""
     return is_psd(partial_transpose(rho))
 
 

@@ -23,15 +23,20 @@ class. The classes are drawn from one law: 1/2 <s_v|x|s_v> of the
 sender's operator x = tr_B[rho (I x E)] for receiver projector E
 (``states._sender_operator``, as in ``security``) and steering vector
 s_v, so no conditional state or probability is formed. That law
-depends only on q and the scenario: a session is prepared once (the
-post-channel pair and the law, which stay with the prepared session, not
-in the transcript) and then sampled trial by trial. The committed pair
-depends on the scenario alone, so a scenario builds it once (its
-``pair``) for every q it is run at. ``run_session`` samples one trial's
-transcript and verifies it; ``monte_carlo`` prepares once for all of its
-trials, draws their sifted and matched counts as two columns and decides
-every trial at once by ``verify``'s rule, building no transcript and no
-per-trial report. Trials run in one thread.
+depends only on q and the scenario, and sessions are prepared in
+batches: a batch of configurations of one scenario (one per q of a
+sweep) is prepared once, with one lift of the pair over the batch's q
+vector, one validation of the stack of post-channel pairs, one round law
+evaluation, one PPT test and one concurrence over the stack, and one
+Philox generator, and is then sampled config by config and trial by
+trial. The committed pair depends on the scenario alone, so a scenario
+builds it once (its ``pair``) for every q it is run at. ``sweep`` draws
+each config's sifted and matched counts as two columns and decides every
+trial at once by ``verify``'s rule, building no transcript and no
+per-trial report, and yields its summaries lazily; ``monte_carlo`` is
+``sweep`` of one config, and ``run_session`` samples one trial's
+transcript of a batch of one config and verifies it. Trials run in one
+thread.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
@@ -53,12 +58,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import DepolarizingChannel, lift_apply
+from .channels import _depolarizing_lift
 from .entanglement import concurrence
 from .states import (
     OUTCOME_EPS,
@@ -72,6 +77,7 @@ from .states import (
     _check_real,
     _check_type,
     _check_word,
+    _density_matrices,
     _sender_operator,
     bb84_projector,
     cheat_state,
@@ -160,23 +166,23 @@ def derive_rng(seed: int, trial: int) -> np.random.Generator:
 _EFFECTS = np.array([[bb84_projector(b, o) for o in (0, 1)] for b in (0, 1)])
 
 
-def _round_law(
-    joint: DensityMatrix, steer_basis: ProjectiveBasis
-) -> tuple[np.ndarray, np.ndarray]:
+def _round_law(joint, steer_basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:
     """The receiver's law r[2b + o] and the round law law[4b + 2o + v] of a post-channel pair.
 
     With x[b, o] the sender's operators and s_v her steering vectors,
     law[4b + 2o + v] = 1/2 <s_v|x[b, o]|s_v>, 0 below ``OUTCOME_EPS``, and
     r[2b + o] = 1/2 tr x[b, o], 0 where both of its classes have law 0.
     r is read off the traces, not summed from the law: those sums differ
-    by ulps from one steering basis to another.
+    by ulps from one steering basis to another. A stack of pairs of shape
+    (Q, 4, 4) gets laws of shape (Q, 4) and (Q, 8).
     """
-    x = _sender_operator(joint, _EFFECTS)  # x[b, o]
+    x = _sender_operator(joint, _EFFECTS)  # x[..., b, o]
+    lead = x.shape[:-4]
     s = np.array(steer_basis.vectors())
-    law = np.einsum("vi,boij,vj->bov", s.conj(), x, s).real.ravel() / 2
+    law = np.einsum("vi,...boij,vj->...bov", s.conj(), x, s).real.reshape(lead + (8,)) / 2
     law[law < OUTCOME_EPS] = 0.0
-    receiver = np.einsum("boii->bo", x).real.ravel() / 2
-    receiver[~law.reshape(4, 2).any(axis=1)] = 0.0
+    receiver = np.einsum("...boii->...bo", x).real.reshape(lead + (4,)) / 2
+    receiver[~law.reshape(lead + (4, 2)).any(axis=-1)] = 0.0
     return receiver, law
 
 
@@ -266,23 +272,24 @@ _ARRANGEMENT = (0, 0, 0, 1)
 
 
 def _prepare(
-    config: ProtocolConfig, scenario: Scenario
-) -> tuple[DensityMatrix, Callable[[range], tuple[np.ndarray, np.ndarray]],
-           Callable[[int], Transcript]]:
-    """Build a scenario's post-channel pair and round law for ``config.q`` once.
+    configs: Sequence[ProtocolConfig], scenario: Scenario
+) -> tuple[np.ndarray, Callable[[int], tuple[Callable, Callable]]]:
+    """Build a scenario's post-channel pairs and round laws for a batch of configurations at once.
 
     Both senders are pairs steered at opening, and the scenario builds its
     ``pair`` once however often it is prepared. An honest sender of carrier
     v holds a register |v> beside it and reads the register once the
     receiver has measured, so her pair is the classical-quantum state
-    1/2 sum_v |v><v| x P_v, steered in ``RECTILINEAR``. Returns the
-    post-channel pair and two samplers: given a range of trials, their
-    sifted and matched counts as two int64 columns; given trial t, its
-    transcript.
+    1/2 sum_v |v><v| x P_v, steered in ``RECTILINEAR``. The batch lifts the
+    pair to every config's q in one broadcast, validates the (Q, 4, 4)
+    stack of post-channel pairs in one call and reads every round law off
+    it in one contraction. Returns the stack and ``session``: given config
+    i, its two samplers, which are: given a range of trials, their sifted
+    and matched counts as two int64 columns; given trial t, its transcript.
 
     A trial draws class counts, not rounds, so its cost does not grow with
-    ``config.rounds`` until a transcript lays the rounds out. The session
-    holds one Philox generator; a trial re-keys it to the key
+    ``config.rounds`` until a transcript lays the rounds out. The batch
+    holds one Philox generator; a trial of config i re-keys it to the key
     (config.seed, t) at counter 0 with an empty buffer, the state
     ``derive_rng(config.seed, t)`` starts in, and draws: the receiver's
     count of each (b, o), one multinomial over the outcomes of positive
@@ -296,63 +303,71 @@ def _prepare(
     receiver's counts nor the permutation depend on the steering basis or
     the opened bit, so neither does any round's receiver part 4b + 2o.
     """
-    _check_type("config", config, ProtocolConfig)
+    for config in configs:
+        _check_type("config", config, ProtocolConfig)
     if isinstance(scenario, HonestAlice):
         opened_bit, steer_basis = scenario.bit, RECTILINEAR
     elif isinstance(scenario, EprAlice):
         opened_bit, steer_basis = scenario.target_bit, scenario.steer_basis
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
-    joint = lift_apply(DepolarizingChannel(config.q), scenario.pair)
-    receiver, law = (np.rint(a / _LAW_GRID) * _LAW_GRID for a in _round_law(joint, steer_basis))
-    outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
-    pvals = receiver[outcomes] / receiver[outcomes].sum()
-    # where outcome g sits in a multinomial draw; a left-out one reads a 0 appended to it
-    at = [outcomes.tolist().index(g) if receiver[g] else outcomes.size for g in range(4)]
-    pairs = law.reshape(4, 2)
+    joints = _density_matrices(_depolarizing_lift([c.q for c in configs], scenario.pair))
+    receivers, laws = (np.rint(a / _LAW_GRID) * _LAW_GRID for a in _round_law(joints, steer_basis))
+    pairs = laws.reshape(-1, 4, 2)
     # P(v = 1 | b, o); exactly 0 or 1 where one class of the group has law 0
-    p_one = np.divide(pairs[:, 1], pairs.sum(axis=1), out=np.zeros(4), where=receiver > 0).tolist()
+    p_ones = np.divide(pairs[..., 1], pairs.sum(axis=-1), out=np.zeros(receivers.shape),
+                       where=receivers > 0)
     g0, g1 = 2 * opened_bit, 2 * opened_bit + 1  # the sifted groups
-    n, seed = config.rounds, config.seed
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     multinomial, binomial = rng.multinomial, rng.binomial
-    state = {"bit_generator": "Philox", "state": {"counter": _COUNTS, "key": (seed, 0)},
+    state = {"bit_generator": "Philox", "state": {"counter": _COUNTS, "key": (0, 0)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     keyed = state["state"]
 
-    def rekey(t: int, counter: tuple) -> None:
-        keyed["counter"], keyed["key"] = counter, (seed, t)
-        bitgen.state = state
+    def session(i: int):
+        config, receiver, p_one = configs[i], receivers[i], p_ones[i].tolist()
+        n, seed = config.rounds, config.seed
+        outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
+        pvals = receiver[outcomes] / receiver[outcomes].sum()
+        # where outcome g sits in a multinomial draw; a left-out one reads a 0 appended to it
+        at = [outcomes.tolist().index(g) if receiver[g] else outcomes.size for g in range(4)]
 
-    def receiver_counts(t: int) -> list[int]:
-        """Trial t's receiver counts: the count of outcome 2b + o is at index at[2b + o]."""
-        rekey(t, _COUNTS)
-        return multinomial(n, pvals).tolist() + [0]
+        def rekey(t: int, counter: tuple) -> None:
+            keyed["counter"], keyed["key"] = counter, (seed, t)
+            bitgen.state = state
 
-    def counts(trials: range) -> tuple[np.ndarray, np.ndarray]:
-        sifted, matched = [], []
-        for t in trials:
+        def receiver_counts(t: int) -> list[int]:
+            """Trial t's receiver counts: the count of outcome 2b + o is at index at[2b + o]."""
+            rekey(t, _COUNTS)
+            return multinomial(n, pvals).tolist() + [0]
+
+        def counts(trials: range) -> tuple[np.ndarray, np.ndarray]:
+            sifted, matched = [], []
+            for t in trials:
+                drawn = receiver_counts(t)
+                c0, c1 = drawn[at[g0]], drawn[at[g1]]
+                sifted.append(c0 + c1)
+                matched.append(c0 - binomial(c0, p_one[g0]) + binomial(c1, p_one[g1]))  # g0's first
+            return np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64)
+
+        def transcript(t: int) -> Transcript:
             drawn = receiver_counts(t)
-            c0, c1 = drawn[at[g0]], drawn[at[g1]]
-            sifted.append(c0 + c1)
-            matched.append(c0 - binomial(c0, p_one[g0]) + binomial(c1, p_one[g1]))  # g0's first
-        return np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64)
+            c = [drawn[j] for j in at]
+            ones = {g: binomial(c[g], p_one[g]) for g in (g0, g1, 2 - g0, 3 - g0)}
+            sizes = [k for g in range(4) for k in (c[g] - ones[g], ones[g])]
+            try:
+                classes = np.repeat(np.arange(8), sizes)
+            # numpy refuses a size past its limit with a ValueError
+            except (MemoryError, ValueError):
+                raise MemoryError(f"{n} rounds are too many to lay out as a transcript") from None
+            rekey(t, _ARRANGEMENT)
+            rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
+            return Transcript(config, opened_bit, classes)
 
-    def transcript(t: int) -> Transcript:
-        drawn = receiver_counts(t)
-        c = [drawn[i] for i in at]
-        ones = {g: binomial(c[g], p_one[g]) for g in (g0, g1, 2 - g0, 3 - g0)}
-        sizes = [k for g in range(4) for k in (c[g] - ones[g], ones[g])]
-        try:
-            classes = np.repeat(np.arange(8), sizes)
-        except (MemoryError, ValueError):  # numpy refuses a size past its limit with a ValueError
-            raise MemoryError(f"{n} rounds are too many to lay out as a transcript") from None
-        rekey(t, _ARRANGEMENT)
-        rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
-        return Transcript(config, opened_bit, classes)
+        return counts, transcript
 
-    return joint, counts, transcript
+    return joints, session
 
 
 def run_session(
@@ -366,7 +381,8 @@ def run_session(
     raises MemoryError for more rounds than the host can hold.
     """
     _check_word("trial", trial)
-    transcript = _prepare(config, scenario)[2](trial)
+    _, session = _prepare([config], scenario)
+    transcript = session(0)[1](trial)  # the one config's transcript sampler
     return transcript, verify(transcript)
 
 
@@ -409,34 +425,54 @@ class MonteCarloSummary:
 
 
 def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> MonteCarloSummary:
-    """Repeat a session over trial-indexed seed streams and summarize.
+    """Repeat a session over trial-indexed seed streams and summarize: ``sweep`` of one config.
 
     Trial t uses the stream ``derive_rng(config.seed, t)``, so results do
-    not depend on execution order. The scenario's post-channel state and
-    round law are built once per call and shared by every trial. Trials
-    run in one thread, and each draws only its sifted groups' counts, so
-    its cost does not grow with ``config.rounds``. The counts come as two
-    columns, and ``_verdict`` decides all trials at once: trial t's
-    decision is ``verify``'s of the transcript ``run_session(config,
-    scenario, t)`` returns. ``concurrence`` is 0.0 exactly on the states
-    the PPT test accepts, so its one PPT test also decides separability.
+    not depend on execution order.
+    """
+    return next(sweep([config], scenario, trials))
+
+
+def sweep(
+    configs: Iterable[ProtocolConfig], scenario: Scenario, trials: int
+) -> Iterator[MonteCarloSummary]:
+    """One ``MonteCarloSummary`` per config, in order, each over ``trials`` trials.
+
+    The batch is prepared once, here: one lift of the scenario's pair to
+    every q, one validation of the stack of post-channel pairs, one round
+    law evaluation, one Philox generator, and one PPT test and one
+    Wootters evaluation over the stack. The summaries are then drawn
+    lazily, one config at a time, so the sweep holds one config's count
+    columns at a time. Trials run in one thread, and each draws only its
+    sifted groups' counts, so its cost does not grow with
+    ``config.rounds``. A config's counts come as two columns, and
+    ``_verdict`` decides all its trials at once: trial t's decision is
+    ``verify``'s of the transcript ``run_session(config, scenario, t)``
+    returns. ``concurrence`` is 0.0 exactly on the states the PPT test
+    accepts, so its one PPT test also decides separability.
     """
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    joint, counts, _ = _prepare(config, scenario)
-    sifted, matched = counts(range(trials))
-    _, fraction, _, accepted = _verdict(config, sifted, matched)
-    fractions = fraction[sifted > 0]
-    mean_concurrence = concurrence(joint)
-    return MonteCarloSummary(
-        trials=trials,
-        match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
-        match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
-        acceptance_rate=int(np.count_nonzero(accepted)) / trials,
-        separable_fraction=1.0 if mean_concurrence == 0.0 else 0.0,
-        mean_concurrence=mean_concurrence,
-        no_sifted_trials=trials - fractions.size,
-        sifted_counts=sifted,
-        match_counts=matched,
-    )
+    configs = tuple(configs)
+    joints, session = _prepare(configs, scenario)
+    return _summaries(configs, trials, concurrence(joints).tolist(), session)
+
+
+def _summaries(configs, trials, concurrences, session) -> Iterator[MonteCarloSummary]:
+    """A prepared batch's summaries, each config's trials drawn as its summary is asked for."""
+    for i, (config, mean_concurrence) in enumerate(zip(configs, concurrences)):
+        sifted, matched = session(i)[0](range(trials))
+        _, fraction, _, accepted = _verdict(config, sifted, matched)
+        fractions = fraction[sifted > 0]
+        yield MonteCarloSummary(
+            trials=trials,
+            match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
+            match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
+            acceptance_rate=int(np.count_nonzero(accepted)) / trials,
+            separable_fraction=1.0 if mean_concurrence == 0.0 else 0.0,
+            mean_concurrence=mean_concurrence,
+            no_sifted_trials=trials - fractions.size,
+            sifted_counts=sifted,
+            match_counts=matched,
+        )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_operator, eig_hermitian, is_psd
+from .linalg import TOL, as_operator, as_stack, eig_hermitian, is_psd
 
 # Probability below which a measurement outcome is treated as impossible:
 # a session's round class of lower probability is never drawn.
@@ -77,17 +77,7 @@ class DensityMatrix:
         return np.array_equal(self.mat, other.mat)
 
     def __post_init__(self):
-        m = np.array(as_operator(self.mat), dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-        if m.shape[0] not in (2, 4):
-            raise ValueError(f"dimension must be 2 or 4, got {m.shape[0]}")
-        # is_psd rejects non-finite and non-Hermitian matrices first
-        if not is_psd(m):
-            raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(m)[-1]:.3e})")
-        tr = m.trace().real
-        if abs(tr - 1.0) > TOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
+        object.__setattr__(self, "mat", _density_matrices(as_operator(self.mat)))
 
     @property
     def dim(self) -> int:
@@ -102,6 +92,30 @@ class DensityMatrix:
             raise ValueError(f"state vector norm {n!r} is not 1")
         v = v / n
         return cls(np.outer(v, v.conj()))
+
+
+def _density_matrices(m) -> np.ndarray:
+    """A read-only copy of a density matrix, or of a (..., d, d) stack of them, validated.
+
+    Each matrix must be Hermitian, PSD and of unit trace, with d 2 or 4.
+    :class:`DensityMatrix` validates its one matrix here, and a batch of
+    sessions validates its whole stack of post-channel pairs in one call,
+    so both are judged by the same checks.
+    """
+    m = np.array(as_stack(m), dtype=complex)
+    m.setflags(write=False)
+    d = m.shape[-1]
+    if d not in (2, 4):
+        raise ValueError(f"dimension must be 2 or 4, got {d}")
+    stack = m.reshape(-1, d, d)  # one matrix is a stack of one
+    # is_psd rejects non-finite and non-Hermitian matrices first
+    if not is_psd(stack).all():
+        raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(stack)[:, -1].min():.3e})")
+    tr = stack.trace(axis1=1, axis2=2).real
+    off = np.abs(tr - 1.0) > TOL
+    if off.any():
+        raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
+    return m
 
 
 @dataclass(frozen=True)
@@ -226,7 +240,11 @@ def _sender_operator(rho, effects) -> np.ndarray:
 
     One contraction x_E[a, a'] = sum_{b, b'} rho[a, b, a', b'] E[b', b]
     serves one 2x2 effect or a stack of shape (..., 2, 2), x_E in its
-    place. For a projector E, tr x_E is the Born probability of the
+    place, and one pair or a stack of shape (P, 4, 4), whose axis leads
+    the result's. For a projector E, tr x_E is the Born probability of the
     outcome and x_E / tr x_E the sender's conditional state. x_E is linear in E.
     """
-    return np.einsum("ijkl,...lj->...ik", as_operator(rho, 4).reshape(2, 2, 2, 2), effects)
+    rho, effects = as_stack(rho, 4), np.asarray(effects)
+    # the pairs' axes before one axis per leading axis of the effects
+    tensor = rho.reshape(rho.shape[:-2] + (1,) * (effects.ndim - 2) + (2, 2, 2, 2))
+    return np.einsum("...ijkl,...lj->...ik", tensor, effects)

@@ -183,17 +183,49 @@ def test_sweep_csv_schema_and_determinism(capsys):
     assert out == out2
 
 
+def positive_zero(x) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
 @pytest.mark.parametrize("steps", ["1", "2"])
 def test_sweep_prints_a_negative_zero_q_min_as_zero(capsys, steps):
-    # one q point or two, the grid starts at np.linspace's 0.0, not at -0.0
-    argv = ["sweep", "--q-min", "-0.0", "--q-steps", steps, "--rounds", "10", "--trials", "1"]
-    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    # one q point or two, a grid with an end at -0.0 starts or ends at 0.0,
+    # in the rows and in meta
+    for bounds in (["--q-min", "-0.0"], ["--q-min", "0", "--q-max", "-0.0"],
+                   ["--q-min", "-0.0", "--q-max", "-0.0"]):
+        argv = ["sweep", *bounds, "--q-steps", steps, "--rounds", "10", "--trials", "1"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        qs = [line.split(",")[0] for line in out.split("\n")[1:-1]]
+        assert "-0" not in qs and qs[0] == "0"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert '"q": 0.0,' in out and "-0.0" not in out
+        doc = json.loads(out)
+        assert positive_zero(doc["rows"][0]["q"])
+        zeros = [doc["meta"][k] for k in ("q_min", "q_max") if doc["meta"][k] == 0.0]
+        assert zeros and all(positive_zero(q) for q in zeros)
+
+
+@pytest.mark.parametrize("q_flag", [["--q", "-0.0"], ["--q-grid=-0.0,0.5"]], ids=["q", "q-grid"])
+def test_binding_prints_a_negative_zero_q_as_zero(capsys, q_flag):
+    code, out, _ = run_cli(capsys, "binding", *q_flag, "--format", "csv")
     assert code == EXIT_OK
     assert out.split("\n")[1].split(",")[0] == "0"
-    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    code, out, _ = run_cli(capsys, "binding", *q_flag, "--format", "json")
     assert code == EXIT_OK
-    assert '"q": 0.0,' in out and '"q": -0.0' not in out
-    assert math.copysign(1.0, json.loads(out)["rows"][0]["q"]) == 1.0
+    doc = json.loads(out)
+    assert positive_zero(doc["rows"][0]["q"])
+    # meta echoes --q-grid as given, and --q, the default 1.0 under a grid, as parsed
+    if q_flag[0] == "--q":
+        assert "-0.0" not in out and positive_zero(doc["meta"]["q"])
+
+
+@pytest.mark.parametrize("command", [["run", "--rounds", "10"], ["hiding"]], ids=["run", "hiding"])
+def test_meta_prints_a_negative_zero_q_as_zero(capsys, command):
+    code, out, _ = run_cli(capsys, *command, "--q", "-0.0")
+    assert code in (EXIT_OK, EXIT_REJECT)
+    assert "-0.0" not in out and positive_zero(json.loads(out)["meta"]["q"])
 
 
 def test_sweep_mean_skips_trials_without_sifted_rounds(capsys):

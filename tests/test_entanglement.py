@@ -178,6 +178,25 @@ def test_concurrence_is_zero_exactly_on_ppt_states_near_the_boundary(rng, family
     assert near >= 0.8 * len(states)
 
 
+def test_stack_ppt_test_and_concurrence_equal_single_state_calls(rng):
+    # the boundary families, where the PPT verdict and the 0.0 are decided
+    # at roundoff, and random states either side of it, in one stack
+    near = [rho.mat for family in (_isotropic_near_boundary, _cheat_pairs_near_boundary,
+                                   _mixtures_near_boundary) for rho in family(rng)]
+    ginibre = [random_density_matrix(rng, 4) for _ in range(40)]
+    stack = np.array(near + ginibre)
+    separable, values = is_separable(stack), concurrence(stack)
+    assert separable.dtype == bool and separable.shape == values.shape == (len(stack),)
+    assert separable.tolist() == [is_separable(m) for m in stack]
+    assert values.tobytes() == np.array([concurrence(m) for m in stack]).tobytes()
+    assert any(separable) and not all(separable)
+    # leading axes of any shape, each state decided as it would be alone
+    assert np.array_equal(concurrence(stack.reshape(2, -1, 4, 4)), values.reshape(2, -1))
+    assert np.array_equal(is_separable(stack.reshape(2, -1, 4, 4)), separable.reshape(2, -1))
+    reference = [wootters_concurrence(m) for m in ginibre]
+    assert np.abs(values[len(near):] - reference).max() < 1e-12
+
+
 def test_factorization_trivial_cases():
     assert factorization_residual(bell_psi_plus(), DepolarizingChannel(0.5)) < 1e-12
     sep = np.kron([1, 0], [0.6, 0.8])

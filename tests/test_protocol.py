@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebcommit import entanglement, protocol
+from ebcommit import channels, entanglement, protocol, states
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence, is_separable
@@ -23,6 +23,7 @@ from ebcommit.protocol import (
     derive_rng,
     monte_carlo,
     run_session,
+    sweep,
     verify,
 )
 from ebcommit.security import CheatStrategy, alice_binding_attack, bell_strategy
@@ -49,6 +50,25 @@ from reference import (
 
 def cfg(q, rounds, seed=0, **kw):
     return ProtocolConfig(q=q, rounds=rounds, seed=seed, **kw)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``, through each ebcommit binding."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ebcommit" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+#: A sweep's q grid: one q below q* = 1/3 and two above it.
+_SWEEP_QS = (0.2, 0.5, 0.9)
 
 
 class TestConfig:
@@ -359,9 +379,10 @@ def test_matched_classes_carry_the_match_probability(q, bit):
     # law is (1+q)/2 for the honest sender, and for the Bell cheater steered
     # in the encoding basis it is her best binding fidelity
     t, basis = 4 * bit, encoding_basis(bit)
-    honest = protocol._round_law(protocol._prepare(cfg(q, 1), HonestAlice(bit))[0], RECTILINEAR)[1]
+    (honest,), _ = protocol._prepare([cfg(q, 1)], HonestAlice(bit))
+    honest = protocol._round_law(honest, RECTILINEAR)[1]
     assert abs(2 * (honest[t] + honest[t + 3]) - (1 + q) / 2) <= 1e-15
-    bell = protocol._prepare(cfg(q, 1), EprAlice(bell_strategy(), bit, basis))[0]
+    (bell,), _ = protocol._prepare([cfg(q, 1)], EprAlice(bell_strategy(), bit, basis))
     law = protocol._round_law(bell, basis)[1]
     target = DensityMatrix(bb84_projector(bit, 0))
     best = alice_binding_attack(bell_strategy(), DepolarizingChannel(q), target).best_fidelity_sq
@@ -478,20 +499,90 @@ def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
         built.clear()
         run_session(cfg(0.7, 100, seed=2), sc, trial=5)
         assert built == ["Philox", "Generator"]
+        # a sweep's configs, each of its own seed, share the batch's one generator
+        built.clear()
+        summaries = list(sweep([cfg(q, 100, seed=i) for i, q in enumerate(_SWEEP_QS)], sc, 30))
+        assert [s.match_counts.shape for s in summaries] == [(30,)] * len(_SWEEP_QS)
+        assert built == ["Philox", "Generator"]
 
 
 def test_monte_carlo_builds_the_joint_state_once(monkeypatch):
-    calls = []
-
-    def counting_lift_apply(*args):
-        calls.append(args)
-        return lift_apply(*args)
-
-    monkeypatch.setattr(protocol, "lift_apply", counting_lift_apply)
+    # one closed-form lift per batch, over the batch's q vector; no per-q lift_apply
+    calls = count_calls(monkeypatch, channels, "_depolarizing_lift")
+    per_state = count_calls(monkeypatch, channels, "lift_apply")
     sc = EprAlice(strategy=bell_strategy(), target_bit=0, steer_basis=RECTILINEAR)
     summary = monte_carlo(cfg(0.7, 40, seed=2), sc, trials=50)
-    assert len(calls) == 1
+    assert [list(qs) for qs, _ in calls] == [[0.7]]
     assert summary.sifted_counts.shape == summary.match_counts.shape == (50,)
+    calls.clear()
+    summaries = list(sweep([cfg(q, 40, seed=2) for q in _SWEEP_QS], sc, trials=50))
+    assert [list(qs) for qs, _ in calls] == [list(_SWEEP_QS)]
+    assert len(summaries) == len(_SWEEP_QS) and not per_state
+
+
+#: Every drawn q grid holds the noise extremes and both sides of q* = 1/3.
+_GRID_QS = (0.0, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 1.0)
+_ANGLES = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epr=st.booleans(),
+    bit=st.integers(0, 1),
+    a0=_ANGLES,
+    a1=_ANGLES,
+    steer=_ANGLES,
+    qs=st.lists(st.floats(0.0, 1.0), max_size=3).flatmap(
+        lambda extra: st.permutations(list(_GRID_QS) + extra)),
+    data=st.data(),
+    trials=st.integers(1, 4),
+)
+def test_sweep_equals_monte_carlo_per_config(epr, bit, a0, a1, steer, qs, data, trials):
+    # one batch preparation gives each config the summary its own monte_carlo does
+    if epr:
+        strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+        scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
+    else:
+        scenario = HonestAlice(bit=bit)
+    configs = [
+        cfg(q, data.draw(st.integers(1, 60)), seed=data.draw(st.integers(0, 2**64 - 1)),
+            accept_sigma=data.draw(st.floats(0.0, 5.0)))
+        for q in qs
+    ]
+    assert list(sweep(configs, scenario, trials)) == [
+        monte_carlo(c, scenario, trials) for c in configs]
+
+
+def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
+    # each config's trials draw one multinomial of its round count; the
+    # configs' round counts tell their draws apart
+    draws = []
+    generator = np.random.Generator
+
+    class Recording:
+        def __init__(self, bitgen):
+            self.rng = generator(bitgen)
+
+        def multinomial(self, n, pvals):
+            draws.append(n)
+            return self.rng.multinomial(n, pvals)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    sc = EprAlice(bell_strategy(), 1, DIAGONAL)
+    configs = [cfg(q, rounds, seed=4) for q, rounds in ((0.2, 11), (0.5, 12), (0.9, 13))]
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sweep(configs, sc, 0)  # validated on the call, before any summary is asked for
+    summaries = sweep(configs, sc, 3)
+    assert draws == []
+    taken = [next(summaries)]
+    assert draws == [11] * 3
+    taken += list(summaries)
+    assert draws == [11] * 3 + [12] * 3 + [13] * 3
+    assert taken == [monte_carlo(c, sc, 3) for c in configs]
+    assert list(sweep([], sc, 3)) == []
 
 
 def test_monte_carlo_mean_skips_trials_without_sifted_rounds():
@@ -641,20 +732,18 @@ def test_verdict_divides_counts_past_float_precision_exactly():
 
 
 def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
-    # a sweep validates its scenario's committed pair once, and one lift per q
-    validated = []
-    post_init = DensityMatrix.__post_init__
-
-    def counting(self):
-        validated.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    # a scenario's committed pair is validated once, as a DensityMatrix, and
+    # each batch validates its stack of lifts in one call: one per
+    # monte_carlo, one for a whole sweep
+    validated = count_calls(monkeypatch, states, "_density_matrices")
     for scenario in (HonestAlice(bit=0), EprAlice(bell_strategy(), 1, DIAGONAL)):
         validated.clear()
-        for q in (0.2, 0.5, 0.9):
+        for q in _SWEEP_QS:
             monte_carlo(cfg(q, 10, seed=3), scenario, trials=4)
-        assert len(validated) == 1 + 3
+        assert [np.shape(m) for m, in validated] == [(4, 4)] + [(1, 4, 4)] * len(_SWEEP_QS)
+        validated.clear()
+        list(sweep([cfg(q, 10, seed=3) for q in _SWEEP_QS], scenario, trials=4))
+        assert [np.shape(m) for m, in validated] == [(len(_SWEEP_QS), 4, 4)]
 
 
 @pytest.mark.parametrize("scenario, q", [
@@ -666,20 +755,18 @@ def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
 def test_monte_carlo_runs_the_ppt_test_once(monkeypatch, scenario, q):
     # concurrence runs the PPT test, and its 0.0 is the separability verdict;
     # every module's binding of is_separable is counted, as a direct call would be
-    calls = []
-    original = entanglement.is_separable
-
-    def counting(rho):
-        calls.append(rho)
-        return original(rho)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ebcommit" and vars(module).get("is_separable") is original:
-            monkeypatch.setattr(module, "is_separable", counting)
+    calls = count_calls(monkeypatch, entanglement, "is_separable")
     summary = monte_carlo(cfg(q, 10), scenario, trials=3)
-    assert len(calls) == 1
+    assert [np.shape(rho) for rho, in calls] == [(1, 4, 4)]
     separable = isinstance(scenario, HonestAlice) or q <= 1 / 3
     assert summary.separable_fraction == (1.0 if separable else 0.0)
+    # a sweep runs one PPT test over its whole stack
+    calls.clear()
+    qs = (q, *_SWEEP_QS)
+    summaries = list(sweep([cfg(p, 10) for p in qs], scenario, trials=3))
+    assert [np.shape(rho) for rho, in calls] == [(len(qs), 4, 4)]
+    assert [s.separable_fraction for s in summaries] == [
+        1.0 if isinstance(scenario, HonestAlice) or p <= 1 / 3 else 0.0 for p in qs]
 
 
 _SEPARABILITY_QS = [0.0, 0.3, 1 / 3, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.34, 1.0]
@@ -922,7 +1009,7 @@ def test_each_trial_draws_its_derive_rng_stream(
         scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
     else:
         scenario = HonestAlice(bit=bit)
-    _, counts, transcript = protocol._prepare(config, scenario)
+    counts, transcript = protocol._prepare([config], scenario)[1](0)
     sifted_counts, match_counts = counts(range(first, first + trials))
     assert sifted_counts.dtype == match_counts.dtype == np.int64
     for i, t in enumerate(range(first, first + trials)):
@@ -935,21 +1022,27 @@ def test_each_trial_draws_its_derive_rng_stream(
 
 
 @pytest.mark.parametrize(
-    "scenario", [HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)], ids=["honest", "epr"]
+    "scenario", [lambda: HonestAlice(bit=1), lambda: EprAlice(bell_strategy(), 1, DIAGONAL)],
+    ids=["honest", "epr"],
 )
 def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario):
-    # the committed pair and its lift; the round law is read off the
-    # sender's operators, with no normalized conditional state
-    validated = []
+    # the committed pair and the stack of its lifts; the round law is read
+    # off the sender's operators, with no normalized conditional state
+    validated = count_calls(monkeypatch, states, "_density_matrices")
+    constructed = []
     post_init = DensityMatrix.__post_init__
 
     def counting(self):
-        validated.append(self)
+        constructed.append(self)
         post_init(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
-    protocol._prepare(cfg(0.7, 10), scenario)
-    assert len(validated) == 2
+    for configs in ([cfg(0.7, 10)], [cfg(q, 10) for q in _SWEEP_QS]):
+        validated.clear()
+        constructed.clear()
+        protocol._prepare(configs, scenario())
+        assert [np.shape(m) for m, in validated] == [(4, 4), (len(configs), 4, 4)]
+        assert len(constructed) == 1
 
 
 @pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])
@@ -997,7 +1090,7 @@ def test_round_law_matches_the_reference_law(q, bit, epr, a0, a1, steer):
         scenario = EprAlice(strategy, bit, steer_basis)
     else:
         scenario = HonestAlice(bit=bit)
-    joint = protocol._prepare(cfg(q, 1), scenario)[0]
+    (joint,), _ = protocol._prepare([cfg(q, 1)], scenario)
     # an entry within roundoff of OUTCOME_EPS may be zeroed on one side only
     law = protocol._round_law(joint, steer_basis)[1]
     assert np.allclose(law, _reference_law(q, scenario).ravel(), rtol=0, atol=2 * OUTCOME_EPS)
@@ -1092,7 +1185,7 @@ def test_a_class_of_law_zero_is_never_drawn(monkeypatch, a0, a1, steer, q, zero)
     monkeypatch.setattr(np.random, "Generator", Edges)
     for corner in range(4):
         for high in (False, True):
-            t = protocol._prepare(cfg(q, 10), scenario)[2](0)
+            t = protocol._prepare([cfg(q, 10)], scenario)[1](0)[1](0)
             assert not np.isin(t.classes, zero).any()
 
 

@@ -12,6 +12,7 @@ from ebcommit.states import (
     CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
+    _density_matrices,
     _sender_operator,
     bb84_pair_mixture,
     bb84_projector,
@@ -245,6 +246,34 @@ def test_sender_operator_of_a_stack_of_effects(rng):
         effects = np.array([random_density_matrix(rng, 2) for _ in range(3)])
         for e, x_e in zip(effects, _sender_operator(joint, effects)):
             assert np.abs(x_e - sender_operator(joint, e)).max() <= 1e-15
+    # a stack of pairs leads the result's axes, each pair's operators bit
+    # for bit those of its own call
+    joints = np.array([random_density_matrix(rng, 4) for _ in range(5)])
+    x = _sender_operator(joints, _EFFECTS)
+    assert x.shape == (5, 2, 2, 2, 2)
+    for joint, x_joint in zip(joints, x):
+        assert np.array_equal(x_joint, _sender_operator(joint, _EFFECTS))
+
+
+def test_density_matrices_validate_a_stack_with_the_density_matrix_checks(rng):
+    stack = np.array([random_density_matrix(rng, 4) for _ in range(4)])
+    valid = _density_matrices(stack)
+    assert np.array_equal(valid, stack) and not valid.flags.writeable
+    assert valid is not stack
+    for i, (bad, message) in enumerate([
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "not PSD"),
+        (np.eye(4) / 2, "trace is"),
+        (np.triu(np.ones((4, 4))) / 4, "not Hermitian"),
+        (np.full((4, 4), np.nan), "non-finite"),
+    ]):
+        broken = stack.copy()
+        broken[i] = bad
+        with pytest.raises(ValueError, match=message):
+            _density_matrices(broken)
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(bad)
+    with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
+        _density_matrices(np.array([np.eye(3) / 3] * 2))
 
 
 def test_measure_joint_rejects_a_branch_that_is_not_psd():

@@ -27,7 +27,9 @@ CSV and JSON sweeps (one round per trial, two
 workers, the EPR sweep through q = 1/3; an EPR sweep of 500 trials per q
 at ``--accept-sigma 0``, whose threshold is the expectation itself, and
 an honest one of 300 noiseless 7-round trials, some with no sifted
-round), ``binding``, ``hiding``,
+round; an EPR sweep of 21 q with a tilted steering basis, and an honest
+and an EPR sweep of 9 q from 0.3 to 0.34, across q* = 1/3, whose grids
+are each prepared as one batch), ``binding``, ``hiding``,
 ``threshold`` and usage errors, among them the flags ``threshold`` no
 longer takes and a ``run`` of more rounds than numpy can lay out.
 """
@@ -115,6 +117,14 @@ def _sweep_commands() -> list[list[str]]:
                  "--accept-sigma", "0"])
     cmds.append(["sweep", "--q-min", "1", "--q-max", "1", "--q-steps", "1", "--trials", "300",
                  "--rounds", "7"])
+    # a grid of 21 q prepared as one batch, with a tilted steering basis, and
+    # grids of 9 q across 0.3 to 0.34, which straddle q* = 1/3
+    cmds.append(["sweep", "--alice", "epr", "--q-steps", "21", "--rounds", "150", "--trials", "3",
+                 "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
+                 "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "8"])
+    for alice in ("honest", "epr"):
+        cmds.append(["sweep", "--alice", alice, "--q-min", "0.3", "--q-max", "0.34",
+                     "--q-steps", "9", "--rounds", "120", "--trials", "4", "--seed", "9"])
     return cmds
 
 
