@@ -2,12 +2,12 @@
 
 The depolarizing channel eps(X) = q X + (1-q) tr[X] I/2 keeps a state
 with probability q and replaces it with the maximally mixed state
-otherwise. Lifted to half of a two-qubit state it is the noise applied
-to incoming commitment qubits. Both apply functions use this closed form
-for a :class:`DepolarizingChannel` and the Kraus sum for a
-:class:`KrausChannel`. The closed-form lift is written once, over a
-vector of q: a batch of sessions lifts its pair for every q of the batch
-in one broadcast, and :func:`lift_apply` is the case of one q.
+otherwise. :func:`channel_apply` is the one place a channel acts, on a
+2x2 operator or a stack of them: this closed form for a
+:class:`DepolarizingChannel`, the Kraus sum for a :class:`KrausChannel`.
+A lift (I x c), the noise on incoming commitment qubits, is that map on
+the pair's 2x2 blocks rho[a, :, a', :]; a batch of sessions lifts its
+pair for all its q at once, with a vector q broadcast over the blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_operator, partial_trace
+from .linalg import TOL, as_operator, as_stack
 from .states import _BELL_PROJ, DensityMatrix, _check_q
 
 
@@ -57,18 +57,26 @@ _HALF_I = np.eye(2) / 2
 _HALF_I.setflags(write=False)
 
 
-def _check_channel(c) -> None:
-    if not isinstance(c, (KrausChannel, DepolarizingChannel)):
-        raise TypeError(f"not a channel: {c!r}")
+def _depolarize(q, x) -> np.ndarray:
+    """q x + (1-q) tr[x] I/2 for each 2x2 operator of a stack; an array q broadcasts against it."""
+    return q * x + (1.0 - q) * (x[..., 0, 0] + x[..., 1, 1])[..., None, None] * _HALF_I
 
 
 def channel_apply(c: KrausChannel | DepolarizingChannel, x) -> np.ndarray:
-    """Apply a qubit channel to any 2x2 operator."""
-    _check_channel(c)
-    x = as_operator(x, 2)
+    """Apply a qubit channel to a 2x2 operator, or to each operator of a (..., 2, 2) stack."""
+    x = as_stack(x, 2)
     if isinstance(c, DepolarizingChannel):
-        return c.q * x + (1.0 - c.q) * x.trace() * np.eye(2) / 2
-    return sum(k @ x @ k.conj().T for k in c.kraus_ops)
+        return _depolarize(c.q, x)
+    if isinstance(c, KrausChannel):
+        return sum(k @ x @ k.conj().T for k in c.kraus_ops)
+    raise TypeError(f"not a channel: {c!r}")
+
+
+def _on_b_blocks(f, rho) -> np.ndarray:
+    """(I x f)(rho): f on the blocks rho[..., a, :, a', :] as a [..., a, a'] stack of 2x2s."""
+    m = as_stack(rho, 4)
+    out = f(m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2))
+    return out.swapaxes(-3, -2).reshape(out.shape[:-4] + (4, 4))
 
 
 def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -78,21 +86,13 @@ def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> Den
     is untouched, which is the channel-level statement that the noise
     cannot signal to the sender.
     """
-    _check_channel(c)
-    m = as_operator(rho, 4)
-    if isinstance(c, DepolarizingChannel):
-        return DensityMatrix(_depolarizing_lift([c.q], m)[0])
-    lifted = [np.kron(np.eye(2), k) for k in c.kraus_ops]
-    return DensityMatrix(sum(k @ m @ k.conj().T for k in lifted))
+    return DensityMatrix(_on_b_blocks(lambda x: channel_apply(c, x), rho))
 
 
 def _depolarizing_lift(qs, rho) -> np.ndarray:
-    """q rho + (1-q) tr_B[rho] x I/2 for each q of ``qs``: a (len(qs), 4, 4) stack, unvalidated."""
-    q = np.asarray(qs, dtype=float)[:, None, None]
-    m = as_operator(rho, 4)
-    # tr_B[rho] x I/2 as np.kron forms it, entry by entry, without its set-up cost
-    noise = np.multiply.outer(partial_trace(m), _HALF_I).swapaxes(1, 2).reshape(4, 4)
-    return q * m + (1.0 - q) * noise
+    """Depolarizing lifts of one pair, one per q of ``qs``: a (len(qs), 4, 4) stack, unvalidated."""
+    q = np.asarray(qs, dtype=float)[:, None, None, None, None]
+    return _on_b_blocks(lambda x: _depolarize(q, x), rho)
 
 
 def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:

@@ -6,7 +6,8 @@ textbook route here: project one half of the pair, then normalize the
 state left on the other half; and the operator itself against I x E
 lifted to the pair, multiplied in and B traced out. The fidelity, its
 matrix square root, the Pauli-twirl Kraus form of the depolarizing
-channel and the textbook Wootters formula are the brute-force routes
+channel, the Kraus sum lifted to the pair as I x K and the textbook
+Wootters formula are the brute-force routes
 that the closed forms of the package are checked against. A Monte Carlo
 summary is checked against one built from a full session per trial. The
 Pauli X and Z matrices, which only the tests use, are defined here.
@@ -81,6 +82,13 @@ def as_kraus(c: DepolarizingChannel) -> KrausChannel:
         (np.sqrt(p), PAULI_Z),
     )
     return KrausChannel(tuple(w * op for w, op in weighted if w > 0.0))
+
+
+def kraus_lift(c: KrausChannel, rho) -> np.ndarray:
+    """Textbook (I x c)(rho) = sum_K (I x K) rho (I x K)^dagger, with each K lifted by np.kron."""
+    m = as_operator(rho, 4)
+    lifted = [np.kron(PAULI_I, k) for k in c.kraus_ops]
+    return sum(k @ m @ k.conj().T for k in lifted)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from ebcommit.channels import (
     DepolarizingChannel,
     KrausChannel,
+    _depolarizing_lift,
     channel_apply,
     choi,
     lift_apply,
 )
 from ebcommit.entanglement import is_entanglement_breaking, is_separable
 from ebcommit.linalg import PAULI_I, PAULI_Y, partial_trace
+from ebcommit.protocol import HonestAlice, _round_law
 from ebcommit.states import (
+    RECTILINEAR,
     DensityMatrix,
     bb84_projector,
     cheat_state,
@@ -23,7 +26,14 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix
-from reference import PAULI_X, PAULI_Z, as_kraus, bell_psi_plus, joint_outcome_decomposition
+from reference import (
+    PAULI_X,
+    PAULI_Z,
+    as_kraus,
+    bell_psi_plus,
+    joint_outcome_decomposition,
+    kraus_lift,
+)
 
 I2 = np.eye(2)
 
@@ -52,6 +62,19 @@ _CHANNELS = st.one_of(
 )
 
 
+def random_kraus(rng: np.random.Generator, n: int) -> KrausChannel:
+    """n Kraus operators cut from a random 2n x 2 isometry V, so sum K^dagger K = V^dagger V = I."""
+    v, _ = np.linalg.qr(rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2)))
+    return KrausChannel(tuple(v[2 * i:2 * i + 2] for i in range(n)))
+
+
+_RANDOM_KRAUS = st.builds(
+    lambda n, seed: random_kraus(np.random.default_rng(seed), n),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+
+
 def test_depolarizing_channel_validation():
     with pytest.raises(ValueError):
         DepolarizingChannel(-0.01)
@@ -76,6 +99,20 @@ def test_depolarize_preserves_trace_of_operators(rng):
     for _ in range(10):
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert abs(channel_apply(c, x).trace() - x.trace()) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    channel=st.one_of(st.just(DepolarizingChannel(0.37)), _RANDOM_KRAUS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_apply_on_a_stack_equals_each_operator(channel, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(3, 5, 2, 2)) + 1j * rng.normal(size=(3, 5, 2, 2))
+    out = channel_apply(channel, stack)
+    assert out.shape == stack.shape
+    for i, j in np.ndindex(3, 5):
+        assert np.array_equal(out[i, j], channel_apply(channel, stack[i, j]))
 
 
 def test_depolarize_rejects_wrong_dim():
@@ -159,6 +196,30 @@ def test_closed_form_lift_matches_kraus_sum(q, seed):
     assert np.abs(lift_apply(c, rho).mat - lift_apply(as_kraus(c), rho).mat).max() < 1e-12
 
 
+# the textbook lift, each K lifted to I x K by np.kron, is the reference for
+# the package's, which applies each K to the pair's 2x2 B blocks
+@settings(max_examples=100, deadline=None)
+@given(channel=st.one_of(_CHANNELS, _RANDOM_KRAUS), seed=st.integers(0, 2**32 - 1))
+def test_lift_matches_the_kron_lifted_kraus_sum(channel, seed):
+    kraus = as_kraus(channel) if isinstance(channel, DepolarizingChannel) else channel
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4))
+    assert np.abs(lift_apply(kraus, rho).mat - kraus_lift(kraus, rho)).max() <= 1e-15
+
+
+#: Noise extremes, q* = 1/3 and both sides of it within roundoff.
+_LIFT_QS = (0.0, 1 / 3 - 1e-12, 1 / 3, 1 / 3 + 1e-12, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batch_lift_equals_each_lift(seed):
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4))
+    batch = _depolarizing_lift(_LIFT_QS, rho)
+    assert batch.shape == (len(_LIFT_QS), 4, 4)
+    for q, lifted in zip(_LIFT_QS, batch):
+        assert np.array_equal(lifted, lift_apply(DepolarizingChannel(q), rho).mat)
+
+
 @pytest.mark.parametrize("bad", [None, 0.5, "depolarizing", (PAULI_I,)])
 def test_apply_rejects_non_channel(bad):
     with pytest.raises(TypeError, match="not a channel"):
@@ -212,3 +273,17 @@ def test_bell_cheater_matches_like_honest_sender(channel, target):
           for v in (0, 1)]
     honest = (p0[0] + 1 - p0[1]) / 2
     assert abs(cheater - honest) <= 1e-12
+
+
+# The same remote preparation, for the whole round law: steered in the opened
+# bit's encoding basis, the Bell cheater's receiver law and 8-entry law equal
+# those of the honest sender's classical-quantum pair, under any channel.
+@settings(max_examples=100, deadline=None)
+@given(channel=st.one_of(_CHANNELS, _RANDOM_KRAUS), target=st.sampled_from((0, 1)))
+def test_bell_cheater_round_law_equals_the_honest_law(channel, target):
+    bell = lift_apply(channel, cheat_state([1, 0], [0, 1]))
+    honest = lift_apply(channel, HonestAlice(target).pair)
+    cheater_laws = _round_law(bell, encoding_basis(target))
+    honest_laws = _round_law(honest, RECTILINEAR)
+    for cheater, sender in zip(cheater_laws, honest_laws):
+        assert np.abs(cheater - sender).max() <= 1e-15

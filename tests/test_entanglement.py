@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ebcommit.channels import (
@@ -241,6 +241,20 @@ def test_eb_threshold_matches_ruskai_criterion(q):
     assert (q <= eb_threshold()) == eb
     # the weight is linear in q and 0 at q = 0, so it reaches 1 at 1 / weight(1)
     assert eb_threshold() == 1 / _bloch_weight(1.0)
+
+
+# A Pauli channel with weights p_i and Kraus operators sqrt(p_i) s_i scales
+# the Bloch axis i by lambda_i = p_0 + p_i - p_j - p_k = 2 (p_0 + p_i) - 1.
+# The PPT test works at TOL, so draws within 1e-9 of the boundary are skipped.
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ruskai_criterion_on_pauli_channels(seed):
+    p = np.random.default_rng(seed).dirichlet(np.ones(4))
+    weight = np.abs(2 * (p[0] + p[1:]) - 1).sum()
+    assume(abs(weight - 1) > 1e-9)
+    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+    channel = KrausChannel(tuple(np.sqrt(w) * s for w, s in zip(p, paulis)))
+    assert is_entanglement_breaking(channel) == (weight <= 1)
 
 
 def test_disentangling_below_threshold(rng):

@@ -26,7 +26,8 @@ from ebcommit.protocol import (
     sweep,
     verify,
 )
-from ebcommit.security import CheatStrategy, alice_binding_attack, bell_strategy
+from ebcommit.linalg import eig_hermitian
+from ebcommit.security import SIGN_TOL, CheatStrategy, alice_binding_attack, bell_strategy
 from ebcommit.states import (
     DIAGONAL,
     OUTCOME_EPS,
@@ -44,6 +45,7 @@ from reference import (
     counts_report,
     joint_outcome_decomposition,
     receiver_marginal,
+    sender_operator,
     sessions_summary,
 )
 
@@ -387,6 +389,37 @@ def test_matched_classes_carry_the_match_probability(q, bit):
     target = DensityMatrix(bb84_projector(bit, 0))
     best = alice_binding_attack(bell_strategy(), DepolarizingChannel(q), target).best_fidelity_sq
     assert abs(2 * (law[t] + law[t + 3]) - best) <= 1e-12
+
+
+# At the best basis of alice_binding_attack for the target bb84_projector(t, 0),
+# the matched classes' law is the Helstrom value, up to the entries zeroed
+# below OUTCOME_EPS: p_match needs no eigensolve of its own. That basis is the
+# eigenbasis of X_t - X_t' when its eigenvalues straddle 0 by SIGN_TOL. They do
+# unless a0 and a1 are parallel (a product pair), where the computational basis
+# is reported: the Helstrom value then announces t after either outcome, which
+# the sessions' announcement v = o cannot, so p_match is only bounded by it.
+@settings(max_examples=100, deadline=None)
+@given(
+    a0=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+    a1=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+    q=st.one_of(st.sampled_from((0.0, 1 / 3, 1.0)), st.floats(0.0, 1.0)),
+    bit=st.integers(0, 1),
+)
+@example(a0=(1.0, 1.0), a1=(1.0, 1.0), q=1 / 3, bit=1)
+def test_match_probability_at_the_best_basis_is_the_helstrom_value(a0, a1, q, bit):
+    strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+    target = DensityMatrix(bb84_projector(bit, 0))
+    report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
+    joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
+    law = protocol._round_law(joint, report.best_basis)[1]
+    matched = law[[4 * bit, 4 * bit + 3]]
+    gap = 2 * (matched[0] + matched[1]) - report.best_fidelity_sq
+    tol = 1e-15 + 2 * OUTCOME_EPS * int((matched == 0.0).sum())
+    w = eig_hermitian(sender_operator(joint, 2 * target.mat - np.eye(2)))
+    if w[0] > SIGN_TOL and w[1] < -SIGN_TOL:
+        assert abs(gap) <= tol
+    else:
+        assert gap <= tol
 
 
 def test_monte_carlo_single_trial_matches_run_session():
