@@ -18,8 +18,8 @@ import numpy as np
 
 #: The tolerance of operators: Hermiticity defects, PSD and PPT tests,
 #: unit trace and Kraus completeness are judged at it. Scalars have their
-#: own: ``security.PURITY_TOL`` (a pure target) and ``SIGN_TOL`` (a zero
-#: Helstrom eigenvalue), ``states.OUTCOME_EPS`` (an impossible outcome),
+#: own: ``security.PURITY_TOL`` (a pure target) and ``SIGN_TOL`` (two equal
+#: Helstrom eigenvalues), ``states.OUTCOME_EPS`` (an impossible outcome),
 #: 1e-9 (a unit-norm state vector) and 1e-12 (a zero-norm cheat state) in
 #: ``states``, and ``protocol._LAW_GRID`` (the grid of a session's laws).
 TOL = 1e-10

@@ -23,20 +23,14 @@ class. The classes are drawn from one law: 1/2 <s_v|x|s_v> of the
 sender's operator x = tr_B[rho (I x E)] for receiver projector E
 (``states._sender_operator``, as in ``security``) and steering vector
 s_v, so no conditional state or probability is formed. That law
-depends only on q and the scenario, and sessions are prepared in
-batches: a batch of configurations of one scenario (one per q of a
-sweep) is prepared once, with one lift of the pair over the batch's q
-vector, one validation of the stack of post-channel pairs, one round law
-evaluation, one PPT test and one concurrence over the stack, and one
-Philox generator, and is then sampled config by config and trial by
-trial. The committed pair depends on the scenario alone, so a scenario
-builds it once (its ``pair``) for every q it is run at. ``sweep`` draws
-each config's sifted and matched counts as two columns and decides every
-trial at once by ``verify``'s rule, building no transcript and no
-per-trial report, and yields its summaries lazily; ``monte_carlo`` is
-``sweep`` of one config, and ``run_session`` samples one trial's
-transcript of a batch of one config and verifies it. Trials run in one
-thread.
+depends only on q and the scenario, so the configurations of one
+scenario, one per q of a sweep, are prepared at once as one batch
+(``_Session``) and then sampled config by config and trial by trial.
+``sweep`` draws each config's sifted and matched counts as two columns
+and decides every trial at once by ``verify``'s rule, building no
+transcript and no per-trial report; ``monte_carlo`` is ``sweep`` of one
+config, and ``run_session`` draws one trial's transcript of a batch of
+one config and verifies it.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
@@ -46,7 +40,7 @@ reproduces the same transcript. Trial t's stream is
 independent, so no key is hashed, and a prepared session re-keys one
 generator per trial instead of building one. A trial draws how many of
 its rounds fall in each class, and a transcript then puts the rounds in
-one uniformly random order (``_prepare`` gives the draws). The rounds
+one uniformly random order. The rounds
 are independent and identically distributed, so this is
 distribution-identical to measuring each round's state individually.
 The receiver's basis choice is a fair coin, and measurements on the two
@@ -58,7 +52,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -271,38 +266,93 @@ _COUNTS = (0, 0, 0, 0)
 _ARRANGEMENT = (0, 0, 0, 1)
 
 
-def _prepare(
-    configs: Sequence[ProtocolConfig], scenario: Scenario
-) -> tuple[np.ndarray, Callable[[int], tuple[Callable, Callable]]]:
-    """Build a scenario's post-channel pairs and round laws for a batch of configurations at once.
+@dataclass(frozen=True, eq=False)
+class _Session:
+    """A batch of configurations of one scenario, prepared at once and then sampled trial by trial.
 
-    Both senders are pairs steered at opening, and the scenario builds its
-    ``pair`` once however often it is prepared. An honest sender of carrier
-    v holds a register |v> beside it and reads the register once the
-    receiver has measured, so her pair is the classical-quantum state
-    1/2 sum_v |v><v| x P_v, steered in ``RECTILINEAR``. The batch lifts the
-    pair to every config's q in one broadcast, validates the (Q, 4, 4)
-    stack of post-channel pairs in one call and reads every round law off
-    it in one contraction. Returns the stack and ``session``: given config
-    i, its two samplers, which are: given a range of trials, their sifted
-    and matched counts as two int64 columns; given trial t, its transcript.
+    Both senders are pairs steered at opening, the honest one in
+    ``RECTILINEAR``, and a scenario builds its ``pair`` once however often
+    it is prepared. ``_prepare`` lifts the pair to every config's q in one
+    broadcast, validates the (Q, 4, 4) stack ``joints`` of post-channel
+    pairs in one call and reads every round law off it in one contraction:
+    ``receivers`` holds each config's receiver law r[2b + o] and ``p_ones``
+    its P(v = 1 | b, o), both on the ``_LAW_GRID``.
 
     A trial draws class counts, not rounds, so its cost does not grow with
     ``config.rounds`` until a transcript lays the rounds out. The batch
-    holds one Philox generator; a trial of config i re-keys it to the key
+    holds one Philox generator, ``bitgen`` under ``rng``, and one state
+    dict. Trial t of config i re-keys the generator to the key
     (config.seed, t) at counter 0 with an empty buffer, the state
-    ``derive_rng(config.seed, t)`` starts in, and draws: the receiver's
-    count of each (b, o), one multinomial over the outcomes of positive
-    receiver law r; then the count of variant 1 in each (b, o) group, one
-    binomial with P(v = 1 | b, o) per group, the sifted groups (b the
-    opened bit) first, o = 0 before o = 1. The counts sampler stops
-    there. The transcript sampler splits the other two groups likewise,
-    lays the classes 4b + 2o + v out in sorted order, re-keys to the same
-    key at counter (0, 0, 0, 1) and shuffles them: one uniform permutation
-    of the rounds, which is the transcript's column. Neither the
-    receiver's counts nor the permutation depend on the steering basis or
-    the opened bit, so neither does any round's receiver part 4b + 2o.
+    ``derive_rng(config.seed, t)`` starts in, and draws (``_draws``): the
+    receiver's count of each (b, o), one multinomial over the outcomes of
+    positive r; then the count of variant 1 in each sifted group (b the
+    opened bit), one binomial with P(v = 1 | b, o) each, o = 0 first.
+    ``counts`` stops there. ``transcript`` goes on from the same draws: it
+    splits the other two groups likewise, lays the classes 4b + 2o + v out
+    in sorted order, re-keys to counter (0, 0, 0, 1) and shuffles them, one
+    uniform permutation of the rounds. Neither the receiver's counts nor
+    the permutation depend on the steering basis or the opened bit, so
+    neither does any round's receiver part 4b + 2o.
     """
+
+    configs: tuple[ProtocolConfig, ...]
+    opened_bit: int
+    joints: np.ndarray
+    receivers: np.ndarray
+    p_ones: np.ndarray
+    bitgen: np.random.Philox
+    rng: np.random.Generator
+    state: dict
+
+    def _draws(self, i: int, trials: Iterable[int]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Per trial: the receiver's counts c[2b + o] and the sifted groups' counts of variant 1."""
+        config, receiver, p_one = self.configs[i], self.receivers[i], self.p_ones[i].tolist()
+        n, seed, g0, g1 = config.rounds, config.seed, 2 * self.opened_bit, 2 * self.opened_bit + 1
+        outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
+        pvals = receiver[outcomes] / receiver[outcomes].sum()
+        # where outcome g sits in a multinomial draw; a left-out one reads a 0 appended to it
+        by_group = operator.itemgetter(
+            *(outcomes.tolist().index(g) if receiver[g] else outcomes.size for g in range(4)))
+        p0, p1 = p_one[g0], p_one[g1]
+        multinomial, binomial, bitgen, state = (
+            self.rng.multinomial, self.rng.binomial, self.bitgen, self.state)
+        keyed = state["state"]
+        for t in trials:
+            keyed["counter"], keyed["key"] = _COUNTS, (seed, t)
+            bitgen.state = state
+            c = by_group(multinomial(n, pvals).tolist() + [0])
+            yield c, binomial(c[g0], p0), binomial(c[g1], p1)
+
+    def counts(self, i: int, trials: range) -> tuple[np.ndarray, np.ndarray]:
+        """Config i's trials' sifted and matched counts, as two int64 columns."""
+        g0, g1 = 2 * self.opened_bit, 2 * self.opened_bit + 1
+        sifted, matched = [], []
+        for c, ones0, ones1 in self._draws(i, trials):
+            sifted.append(c[g0] + c[g1])
+            matched.append(c[g0] - ones0 + ones1)  # o = v
+        return np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64)
+
+    def transcript(self, i: int, t: int) -> Transcript:
+        """Config i's transcript of trial t."""
+        config, p_one, g0 = self.configs[i], self.p_ones[i], 2 * self.opened_bit
+        (c, *ones), = self._draws(i, (t,))  # ones[j] is group g0 ^ j's count of variant 1
+        ones += [self.rng.binomial(c[g0 ^ j], p_one[g0 ^ j]) for j in (2, 3)]
+        sizes = [k for g in range(4) for k in (c[g] - ones[g ^ g0], ones[g ^ g0])]
+        try:
+            classes = np.repeat(np.arange(8), sizes)
+        # numpy refuses a size past its limit with a ValueError
+        except (MemoryError, ValueError):
+            raise MemoryError(
+                f"{config.rounds} rounds are too many to lay out as a transcript") from None
+        keyed = self.state["state"]
+        keyed["counter"], keyed["key"] = _ARRANGEMENT, (config.seed, t)
+        self.bitgen.state = self.state
+        self.rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
+        return Transcript(config, self.opened_bit, classes)
+
+
+def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
+    """The scenario's ``_Session`` of ``configs``."""
     for config in configs:
         _check_type("config", config, ProtocolConfig)
     if isinstance(scenario, HonestAlice):
@@ -317,57 +367,11 @@ def _prepare(
     # P(v = 1 | b, o); exactly 0 or 1 where one class of the group has law 0
     p_ones = np.divide(pairs[..., 1], pairs.sum(axis=-1), out=np.zeros(receivers.shape),
                        where=receivers > 0)
-    g0, g1 = 2 * opened_bit, 2 * opened_bit + 1  # the sifted groups
     bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    multinomial, binomial = rng.multinomial, rng.binomial
     state = {"bit_generator": "Philox", "state": {"counter": _COUNTS, "key": (0, 0)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    keyed = state["state"]
-
-    def session(i: int):
-        config, receiver, p_one = configs[i], receivers[i], p_ones[i].tolist()
-        n, seed = config.rounds, config.seed
-        outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
-        pvals = receiver[outcomes] / receiver[outcomes].sum()
-        # where outcome g sits in a multinomial draw; a left-out one reads a 0 appended to it
-        at = [outcomes.tolist().index(g) if receiver[g] else outcomes.size for g in range(4)]
-
-        def rekey(t: int, counter: tuple) -> None:
-            keyed["counter"], keyed["key"] = counter, (seed, t)
-            bitgen.state = state
-
-        def receiver_counts(t: int) -> list[int]:
-            """Trial t's receiver counts: the count of outcome 2b + o is at index at[2b + o]."""
-            rekey(t, _COUNTS)
-            return multinomial(n, pvals).tolist() + [0]
-
-        def counts(trials: range) -> tuple[np.ndarray, np.ndarray]:
-            sifted, matched = [], []
-            for t in trials:
-                drawn = receiver_counts(t)
-                c0, c1 = drawn[at[g0]], drawn[at[g1]]
-                sifted.append(c0 + c1)
-                matched.append(c0 - binomial(c0, p_one[g0]) + binomial(c1, p_one[g1]))  # g0's first
-            return np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64)
-
-        def transcript(t: int) -> Transcript:
-            drawn = receiver_counts(t)
-            c = [drawn[j] for j in at]
-            ones = {g: binomial(c[g], p_one[g]) for g in (g0, g1, 2 - g0, 3 - g0)}
-            sizes = [k for g in range(4) for k in (c[g] - ones[g], ones[g])]
-            try:
-                classes = np.repeat(np.arange(8), sizes)
-            # numpy refuses a size past its limit with a ValueError
-            except (MemoryError, ValueError):
-                raise MemoryError(f"{n} rounds are too many to lay out as a transcript") from None
-            rekey(t, _ARRANGEMENT)
-            rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
-            return Transcript(config, opened_bit, classes)
-
-        return counts, transcript
-
-    return joints, session
+    return _Session(tuple(configs), opened_bit, joints, receivers, p_ones, bitgen,
+                    np.random.Generator(bitgen), state)
 
 
 def run_session(
@@ -381,8 +385,7 @@ def run_session(
     raises MemoryError for more rounds than the host can hold.
     """
     _check_word("trial", trial)
-    _, session = _prepare([config], scenario)
-    transcript = session(0)[1](trial)  # the one config's transcript sampler
+    transcript = _prepare([config], scenario).transcript(0, trial)
     return transcript, verify(transcript)
 
 
@@ -438,31 +441,27 @@ def sweep(
 ) -> Iterator[MonteCarloSummary]:
     """One ``MonteCarloSummary`` per config, in order, each over ``trials`` trials.
 
-    The batch is prepared once, here: one lift of the scenario's pair to
-    every q, one validation of the stack of post-channel pairs, one round
-    law evaluation, one Philox generator, and one PPT test and one
-    Wootters evaluation over the stack. The summaries are then drawn
-    lazily, one config at a time, so the sweep holds one config's count
-    columns at a time. Trials run in one thread, and each draws only its
-    sifted groups' counts, so its cost does not grow with
-    ``config.rounds``. A config's counts come as two columns, and
-    ``_verdict`` decides all its trials at once: trial t's decision is
-    ``verify``'s of the transcript ``run_session(config, scenario, t)``
-    returns. ``concurrence`` is 0.0 exactly on the states the PPT test
-    accepts, so its one PPT test also decides separability.
+    The configs are prepared once, here, as one ``_Session``, and its stack
+    of post-channel pairs gets one PPT test and one Wootters evaluation.
+    The summaries are then drawn lazily, one config at a time, so the
+    sweep holds one config's count columns at a time. Trials run in one
+    thread. A config's counts come as two columns, and ``_verdict``
+    decides all its trials at once: trial t's decision is ``verify``'s of
+    the transcript ``run_session(config, scenario, t)`` returns.
+    ``concurrence`` is 0.0 exactly on the states the PPT test accepts, so
+    its one PPT test also decides separability.
     """
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    configs = tuple(configs)
-    joints, session = _prepare(configs, scenario)
-    return _summaries(configs, trials, concurrence(joints).tolist(), session)
+    session = _prepare(tuple(configs), scenario)
+    return _summaries(session, trials, concurrence(session.joints).tolist())
 
 
-def _summaries(configs, trials, concurrences, session) -> Iterator[MonteCarloSummary]:
+def _summaries(session: _Session, trials: int, concurrences) -> Iterator[MonteCarloSummary]:
     """A prepared batch's summaries, each config's trials drawn as its summary is asked for."""
-    for i, (config, mean_concurrence) in enumerate(zip(configs, concurrences)):
-        sifted, matched = session(i)[0](range(trials))
+    for i, (config, mean_concurrence) in enumerate(zip(session.configs, concurrences)):
+        sifted, matched = session.counts(i, range(trials))
         _, fraction, _, accepted = _verdict(config, sifted, matched)
         fractions = fraction[sifted > 0]
         yield MonteCarloSummary(

@@ -38,8 +38,8 @@ from .states import (
 #: A target with tr(t^2) below 1 - PURITY_TOL is rejected as mixed.
 PURITY_TOL = 1e-9
 
-#: Eigenvalues of X_t - X_t' within this of zero count as zero, so that
-#: roundoff on a flat objective cannot pick an arbitrary eigenvector.
+#: Eigenvalues of X_t - X_t' within this of each other count as equal, so
+#: that roundoff on a flat objective cannot pick an arbitrary eigenvector.
 SIGN_TOL = 1e-12
 
 
@@ -100,10 +100,11 @@ def alice_binding_attack(
     reading most generous to the sender. Its maximum over all bases is
     the Helstrom value (1 + ||X_t - X_t'||_1)/2 with
     X_T = tr_B[(I x T) rho], attained by the eigenbasis of X_t - X_t';
-    outcome 0 (the positive eigenvector) announces t.
+    outcome 0 (the eigenvector of the larger eigenvalue) announces t.
 
-    When the two eigenvalues do not have opposite signs, every basis
-    attains the optimum and the computational basis (0, 0) is reported.
+    The eigenbasis is reported whenever the two eigenvalues differ by more
+    than ``SIGN_TOL``; otherwise every basis attains the optimum and the
+    computational basis (0, 0) is reported.
     Raises TypeError for a strategy that is not a CheatStrategy or a
     target that is not a DensityMatrix, and ValueError for a target that
     is not a pure qubit state.
@@ -119,7 +120,7 @@ def alice_binding_attack(
     diff = 2.0 * target.mat - PAULI_I  # t - t'
     w, v = eig_hermitian(_sender_operator(rho_out, diff), vectors=True)
     best = (1.0 + float(np.abs(w).sum())) / 2.0
-    if not (w[0] > SIGN_TOL and w[1] < -SIGN_TOL):
+    if w[0] - w[1] <= SIGN_TOL:  # X_t - X_t' is about a multiple of I: no basis stands out
         return BindingReport(best_basis=RECTILINEAR, best_fidelity_sq=best)
     b0, b1 = v[:, 0]
     theta = 2.0 * math.atan2(abs(b1), abs(b0))

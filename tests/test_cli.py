@@ -465,6 +465,18 @@ def test_binding_bloch_angle_states(capsys):
     assert abs(json.loads(out)["rows"][0]["best_fidelity_sq"] - 1.0) <= 1e-9
 
 
+def test_binding_reports_the_eigenbasis_of_a_product_strategy(capsys):
+    # a0 = a1: X_t - X_t' has eigenvalues 1/3 and 0, so the optimum is not
+    # flat, and only its eigenbasis, a0's own Bloch angles (1, 1), attains
+    # the Helstrom value 2/3 with the sessions' announcement v = o
+    code, out, _ = run_cli(
+        capsys, "binding", "--a0", "1,1", "--a1", "1,1", "--q", "0.3333333333333333",
+        "--target", "1.5707963267948966,0", "--format", "csv",
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "0.333333333333,1,1,0.666666666667"
+
+
 @pytest.mark.parametrize("target", ["bb84-0", "bb84-1"])
 def test_binding_rejects_mixed_target(capsys, target):
     code, out, err = run_cli(capsys, "binding", "--target", target)

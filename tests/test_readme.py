@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -13,12 +14,27 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_library_example_runs():
+    # each print line's trailing comment quotes what it prints
     section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    out = io.StringIO()
+    eb, conc, session, grid = re.findall(r"print\(.*\)\s+# (.*)", code)
+    out, names = io.StringIO(), {}
     with contextlib.redirect_stdout(out):
-        exec(compile(code, "README.md", "exec"), {})
-    assert out.getvalue().splitlines()[:2] == ["True", "0.0"]
+        exec(compile(code, "README.md", "exec"), names)
+    lines = out.getvalue().splitlines()
+    assert lines[:2] == [eb, conc]
+    # the session's match fraction lies within 5 binomial sd of the quoted value
+    report = names["report"]
+    approx, verdict = re.fullmatch(r"~(\S+), (\S+)", session).groups()
+    sd = math.sqrt(float(approx) * (1 - float(approx)) / report.sifted_count)
+    assert abs(report.match_fraction - float(approx)) <= 5 * sd
+    assert lines[2] == f"{report.match_fraction} {verdict}"
+    # the sweep prints the quoted separability at every q up to the quoted bound
+    separable, num, den = re.fullmatch(r"(\S+) up to q = (\d+)/(\d+)", grid).groups()
+    rows = [line.split() for line in lines[3:]]
+    assert len(rows) == len(names["configs"])
+    below = [sep for q, sep, _ in rows if float(q) <= int(num) / int(den)]
+    assert below and below == [separable] * len(below)
 
 
 def cli_block_commands() -> list[tuple[list[str], str]]:
