@@ -6,8 +6,8 @@ otherwise. :func:`channel_apply` is the one place a channel acts, on a
 2x2 operator or a stack of them: this closed form for a
 :class:`DepolarizingChannel`, the Kraus sum for a :class:`KrausChannel`.
 A lift (I x c), the noise on incoming commitment qubits, is that map on
-the pair's 2x2 blocks rho[a, :, a', :]; a batch of sessions lifts its
-pair for all its q at once, with a vector q broadcast over the blocks.
+the pair's 2x2 blocks (``linalg._b_blocks``); a batch of sessions lifts
+its pair for all its q at once, with a vector q broadcast over them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_operator, as_stack
+from .linalg import TOL, _b_blocks, _from_b_blocks, as_operator, as_stack
 from .states import _BELL_PROJ, DensityMatrix, _check_q
 
 
@@ -72,13 +72,6 @@ def channel_apply(c: KrausChannel | DepolarizingChannel, x) -> np.ndarray:
     raise TypeError(f"not a channel: {c!r}")
 
 
-def _on_b_blocks(f, rho) -> np.ndarray:
-    """(I x f)(rho): f on the blocks rho[..., a, :, a', :] as a [..., a, a'] stack of 2x2s."""
-    m = as_stack(rho, 4)
-    out = f(m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2))
-    return out.swapaxes(-3, -2).reshape(out.shape[:-4] + (4, 4))
-
-
 def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply (I x c) to a two-qubit state: noise on the B half only.
 
@@ -86,13 +79,13 @@ def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> Den
     is untouched, which is the channel-level statement that the noise
     cannot signal to the sender.
     """
-    return DensityMatrix(_on_b_blocks(lambda x: channel_apply(c, x), rho))
+    return DensityMatrix(_from_b_blocks(channel_apply(c, _b_blocks(rho))))
 
 
 def _depolarizing_lift(qs, rho) -> np.ndarray:
     """Depolarizing lifts of one pair, one per q of ``qs``: a (len(qs), 4, 4) stack, unvalidated."""
     q = np.asarray(qs, dtype=float)[:, None, None, None, None]
-    return _on_b_blocks(lambda x: _depolarize(q, x), rho)
+    return _from_b_blocks(_depolarize(q, _b_blocks(rho)))
 
 
 def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:

@@ -49,6 +49,15 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _usage(flag: str | None = None):
+    """Re-raise a library ValueError as a usage error, prefixed by ``flag`` if one is given."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; the contract wants 1
         raise UsageError(message)
@@ -73,10 +82,8 @@ def _parse_vector(spec: str, flag: str) -> np.ndarray:
         raise UsageError(
             f"{flag}: expected one of {sorted(_NAMED_VECTORS)} or 'theta,phi', got {spec!r}"
         ) from None
-    try:
+    with _usage(flag):
         return ProjectiveBasis(theta, phi).vectors()[0]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _q_arg(flag: str, q: float) -> float:
@@ -84,10 +91,8 @@ def _q_arg(flag: str, q: float) -> float:
 
     -0.0 comes back as 0.0, so that no row or meta prints a q of -0.
     """
-    try:
+    with _usage(flag):
         _check_q(q)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
     return q + 0.0
 
 
@@ -209,15 +214,9 @@ def _meta(args) -> dict:
 
 
 def _build_config(args, q: float) -> ProtocolConfig:
-    try:
-        return ProtocolConfig(
-            q=q,
-            rounds=args.rounds,
-            accept_sigma=args.accept_sigma,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    with _usage():
+        return ProtocolConfig(q=q, rounds=args.rounds, accept_sigma=args.accept_sigma,
+                              seed=args.seed)
 
 
 def _build_scenario(args) -> HonestAlice | EprAlice:
@@ -227,10 +226,8 @@ def _build_scenario(args) -> HonestAlice | EprAlice:
     # theta alone first, so that an error names the flag that caused it
     for flag, angles in (("--steer-theta", (args.steer_theta, 0.0)),
                          ("--steer-phi", (args.steer_theta, args.steer_phi))):
-        try:
+        with _usage(flag):
             steer = ProjectiveBasis(*angles)
-        except ValueError as exc:
-            raise UsageError(f"{flag}: {exc}") from None
     if args.alice == "honest":
         return HonestAlice(bit=args.bit)
     target = args.bit if args.target_bit is None else args.target_bit
@@ -352,7 +349,10 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--workers must be >= 1")
     args.q_min = _q_arg("--q-min", args.q_min)
     args.q_max = _q_arg("--q-max", args.q_max)
-    qs = np.linspace(args.q_min, args.q_max, args.q_steps).tolist()
+    try:
+        qs = np.linspace(args.q_min, args.q_max, args.q_steps).tolist()
+    except (MemoryError, ValueError, IndexError):  # which one numpy raises depends on the size
+        raise UsageError(f"--q-steps: {args.q_steps} q values are too many to lay out") from None
     scenario = _build_scenario(args)
     configs = [_build_config(args, q) for q in qs]
     rows = [
@@ -402,10 +402,8 @@ def _cmd_binding(args) -> int:
     rows = []
     for q in qs:
         q = _q_arg(flag, q)
-        try:
+        with _usage():
             report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         rows.append(
             {
                 "q": q,

@@ -3,7 +3,7 @@
 Operators are plain numpy arrays: square complex matrices of dimension 2
 or 4. Two-qubit matrices use the row-major tensor index ``2*a + b`` of
 ``np.kron(A, B)``, sender's half A first, receiver's half B second; as
-a (2, 2, 2, 2) tensor a pair's operator is indexed [a, b, a', b'].
+a (2, 2, 2, 2) tensor it is [a, b, a', b'], read only by ``_b_blocks``.
 Higher-level wrappers in this package expose the raw matrix as
 ``.mat``; every function here accepts either form. The eigen helpers,
 the PSD test and the partial trace and transpose also take a stack of
@@ -97,20 +97,29 @@ def is_psd(m):
     return bool(psd) if psd.ndim == 0 else psd
 
 
-def partial_trace(m) -> np.ndarray:
-    """Tr_B(M): the A marginal of a two-qubit operator, or of each of a stack."""
+def _b_blocks(m) -> np.ndarray:
+    """A pair's operator, or each of a stack, as its B blocks x[..., a, a'] = rho[a, :, a', :].
+
+    A view where numpy can give one. The partial trace and transpose, the
+    channel lifts and the sender's operator all act on these blocks.
+    """
     m = as_stack(m, 4)
-    return np.einsum("...ijkj->...ik", m.reshape(m.shape[:-2] + (2, 2, 2, 2)))
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
+
+
+def _from_b_blocks(x) -> np.ndarray:
+    """The inverse of :func:`_b_blocks`: a [..., a, a', b, b'] stack of blocks as (..., 4, 4)."""
+    return x.swapaxes(-3, -2).reshape(x.shape[:-4] + (4, 4))
+
+
+def partial_trace(m) -> np.ndarray:
+    """Tr_B(M), the trace of each B block: the A marginal of a two-qubit operator or of a stack."""
+    return np.trace(_b_blocks(m), axis1=-2, axis2=-1)
 
 
 def partial_transpose(m) -> np.ndarray:
-    """Transpose the B factor of a two-qubit operator, or of each of a stack.
-
-    Pure index permutation, so applying it twice restores the input
-    exactly.
-    """
-    m = as_stack(m, 4)
-    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(m.shape)
+    """Transpose each B block of a pair's operator, or of a stack; twice, it is the identity."""
+    return _from_b_blocks(_b_blocks(m).swapaxes(-1, -2))
 
 
 def trace_distance(a, b) -> float:

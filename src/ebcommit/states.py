@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_operator, as_stack, eig_hermitian, is_psd
+from .linalg import TOL, _b_blocks, as_operator, as_stack, eig_hermitian, is_psd
 
 # Probability below which a measurement outcome is treated as impossible:
 # a session's round class of lower probability is never drawn.
@@ -238,13 +238,13 @@ def cheat_state(a0, a1) -> DensityMatrix:
 def _sender_operator(rho, effects) -> np.ndarray:
     """x_E = tr_B[rho (I x E)]: the sender's half of a pair given a receiver effect E, unnormalized.
 
-    One contraction x_E[a, a'] = sum_{b, b'} rho[a, b, a', b'] E[b', b]
-    serves one 2x2 effect or a stack of shape (..., 2, 2), x_E in its
-    place, and one pair or a stack of shape (P, 4, 4), whose axis leads
-    the result's. For a projector E, tr x_E is the Born probability of the
+    One contraction x_E[a, a'] = tr(rho[a, :, a', :] E) over the pair's B
+    blocks serves one 2x2 effect or a stack of shape (..., 2, 2), x_E in
+    its place, and one pair or a stack of shape (P, 4, 4), whose axis
+    leads the result's. For a projector E, tr x_E is the Born probability of the
     outcome and x_E / tr x_E the sender's conditional state. x_E is linear in E.
     """
-    rho, effects = as_stack(rho, 4), np.asarray(effects)
+    blocks, effects = _b_blocks(rho), np.asarray(effects)
     # the pairs' axes before one axis per leading axis of the effects
-    tensor = rho.reshape(rho.shape[:-2] + (1,) * (effects.ndim - 2) + (2, 2, 2, 2))
-    return np.einsum("...ijkl,...lj->...ik", tensor, effects)
+    blocks = blocks.reshape(blocks.shape[:-4] + (1,) * (effects.ndim - 2) + (2, 2, 2, 2))
+    return np.einsum("...ijkl,...lk->...ij", blocks, effects)

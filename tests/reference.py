@@ -6,11 +6,12 @@ textbook route here: project one half of the pair, then normalize the
 state left on the other half; and the operator itself against I x E
 lifted to the pair, multiplied in and B traced out. The fidelity, its
 matrix square root, the Pauli-twirl Kraus form of the depolarizing
-channel, the Kraus sum lifted to the pair as I x K and the textbook
-Wootters formula are the brute-force routes
+channel, the Kraus sum lifted to the pair as I x K, a channel's adjoint
+and the textbook Wootters formula are the brute-force routes
 that the closed forms of the package are checked against. A Monte Carlo
-summary is checked against one built from a full session per trial. The
-Pauli X and Z matrices, which only the tests use, are defined here.
+summary is checked against one built from a full session per trial, and
+its acceptance rate against the exact binomial sum. The Pauli X and Z
+matrices, which only the tests use, are defined here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
 from ebcommit.entanglement import concurrence, is_separable
 from ebcommit.linalg import PAULI_I, PAULI_Y, as_operator, eig_hermitian, is_psd, partial_trace
-from ebcommit.protocol import MonteCarloSummary, VerificationReport, run_session
+from ebcommit.protocol import MonteCarloSummary, VerificationReport, _verdict, run_session
 from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,6 +90,16 @@ def kraus_lift(c: KrausChannel, rho) -> np.ndarray:
     m = as_operator(rho, 4)
     lifted = [np.kron(PAULI_I, k) for k in c.kraus_ops]
     return sum(k @ m @ k.conj().T for k in lifted)
+
+
+def channel_adjoint(c: KrausChannel | DepolarizingChannel, effect) -> np.ndarray:
+    """c^dagger(E) = sum_K K^dagger E K, the channel acting on an effect instead of a state.
+
+    The depolarizing channel is its own adjoint; it is taken through its
+    Pauli-twirl Kraus form here, not through the package's closed form.
+    """
+    kraus = as_kraus(c) if isinstance(c, DepolarizingChannel) else c
+    return sum(k.conj().T @ effect @ k for k in kraus.kraus_ops)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -201,3 +212,35 @@ def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
         sifted_counts=[r.sifted_count for r in reports],
         match_counts=[r.match_count for r in reports],
     )
+
+
+def exact_acceptance(config, p_match: float) -> float:
+    """P(accept) = sum_s Bin(s; n, 1/2) P[Bin(s, p_match) >= m*(s)] over n = ``config.rounds``.
+
+    Every sender has a round sifted with probability 1/2, and each sifted
+    round matches with probability ``p_match``. m*(s) is the least match
+    count among s sifted rounds that ``protocol._verdict`` accepts: the
+    float ceiling of threshold * s, settled by the verdict's own
+    comparison so that boundary cases agree with ``verify``; it is s + 1
+    where no count is accepted. The tail P[Bin(s, p) >= m] is
+    betainc(m, s - m + 1, p), 1 for m = 0 and 0 for m > s, and the
+    binomial weights come from gammaln. Needs scipy.
+    """
+    from scipy.special import betainc, gammaln
+
+    n = config.rounds
+    s = np.arange(n + 1)
+
+    def accepts(m):
+        return _verdict(config, s, np.clip(m, 0, s))[3]
+
+    threshold = _verdict(config, s, np.zeros_like(s))[2]
+    m = np.clip(np.ceil(threshold * s), 0, s + 1).astype(np.int64)
+    m = np.where((m > 0) & accepts(m - 1), m - 1, m)
+    m = np.where((m <= s) & ~accepts(m), m + 1, m)
+    assert ((m > s) | accepts(m)).all() and ((m == 0) | ~accepts(m - 1)).all()
+    inside = (m > 0) & (m <= s)
+    tail = np.where(m == 0, 1.0, 0.0)
+    tail[inside] = betainc(m[inside], (s - m + 1)[inside], p_match)
+    log_weight = gammaln(n + 1) - gammaln(s + 1) - gammaln(n - s + 1) - n * math.log(2.0)
+    return float((np.exp(log_weight) * tail).sum())

@@ -22,15 +22,17 @@ from ebcommit.states import (
     bb84_projector,
     cheat_state,
     encoding_basis,
+    _sender_operator,
     isotropic,
 )
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_hermitian
 from reference import (
     PAULI_X,
     PAULI_Z,
     as_kraus,
     bell_psi_plus,
+    channel_adjoint,
     joint_outcome_decomposition,
     kraus_lift,
 )
@@ -204,6 +206,21 @@ def test_lift_matches_the_kron_lifted_kraus_sum(channel, seed):
     kraus = as_kraus(channel) if isinstance(channel, DepolarizingChannel) else channel
     rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4))
     assert np.abs(lift_apply(kraus, rho).mat - kraus_lift(kraus, rho)).max() <= 1e-15
+
+
+# The receiver's channel acts on the receiver's effect: the sender's operator
+# of the lifted pair for E is that of the pair itself for c^dagger(E). With E
+# the receiver's projectors, this is the README's receiver-side no-go for
+# every pair, not only the Bell pair. It checks the two readers of the pair's
+# B blocks, the lift and the sender's operator, against each other.
+@settings(max_examples=200, deadline=None)
+@given(channel=st.one_of(_CHANNELS, _RANDOM_KRAUS), seed=st.integers(0, 2**32 - 1))
+def test_receiver_channel_acts_on_the_receiver_effect(channel, seed):
+    rng = np.random.default_rng(seed)
+    rho = DensityMatrix(random_density_matrix(rng, 4))
+    effect = random_hermitian(rng, 2)
+    x = _sender_operator(lift_apply(channel, rho), effect)
+    assert np.abs(x - _sender_operator(rho, channel_adjoint(channel, effect))).max() <= 1e-14
 
 
 #: Noise extremes, q* = 1/3 and both sides of it within roundoff.

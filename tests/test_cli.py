@@ -97,15 +97,15 @@ def test_bad_accept_sigma_is_usage_error(capsys, command, sigma):
     argv = [command, "--accept-sigma", sigma, "--rounds", "10"]
     if command == "run":
         argv += ["--q", "0.5"]
-    code, _, err = run_cli(capsys, *argv)
-    assert code == EXIT_USAGE
-    assert "accept_sigma" in err
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"ebcommit: error: accept_sigma must be finite and >= 0, got {float(sigma)}\n"
 
 
 def test_run_rejects_bad_q(capsys):
-    code, _, err = run_cli(capsys, "run", "--q", "1.5", "--rounds", "10")
-    assert code == EXIT_USAGE
-    assert "error" in err
+    code, out, err = run_cli(capsys, "run", "--q", "1.5", "--rounds", "10")
+    line = "ebcommit: error: --q: q must lie in [0, 1], got 1.5\n"
+    assert (code, out, err) == (EXIT_USAGE, "", line)
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -286,8 +286,33 @@ def test_sweep_of_a_trillion_rounds_per_trial(capsys):
 
 
 def test_sweep_empty_grid_fails(capsys):
-    code, _, _ = run_cli(capsys, "sweep", "--q-steps", "0")
-    assert code == EXIT_USAGE
+    code, out, err = run_cli(capsys, "sweep", "--q-steps", "0")
+    assert (code, out, err) == (EXIT_USAGE, "", "ebcommit: error: --q-steps must be >= 1\n")
+
+
+def test_sweep_trials_is_validated(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--trials", "0")
+    assert (code, out, err) == (EXIT_USAGE, "", "ebcommit: error: --trials must be >= 1\n")
+
+
+# numpy refuses each of these grid sizes by arithmetic, before it allocates
+# anything: "array is too big" for 2**61 and 2**62, an IndexError for 2**63 - 1
+# and 2**63, and "Maximum allowed size exceeded" for 2**64
+@pytest.mark.parametrize("steps", [2**61, 2**62, 2**63 - 1, 2**63, 2**64])
+def test_sweep_of_q_steps_too_many_to_lay_out_is_usage_error(capsys, steps):
+    code, out, err = run_cli(capsys, "sweep", "--q-steps", str(steps))
+    line = f"ebcommit: error: --q-steps: {steps} q values are too many to lay out\n"
+    assert (code, out, err) == (EXIT_USAGE, "", line)
+
+
+def test_sweep_out_of_memory_is_usage_error(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = run_cli(capsys, "sweep", "--q-steps", "11")
+    line = "ebcommit: error: --q-steps: 11 q values are too many to lay out\n"
+    assert (code, out, err) == (EXIT_USAGE, "", line)
 
 
 def test_sweep_workers_is_validated_and_echoed(capsys):
@@ -350,7 +375,7 @@ def test_sweep_rejects_q_bounds_outside_unit_interval(capsys, flag, value):
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith(f"ebcommit: error: {flag}: ")
+    assert err == f"ebcommit: error: {flag}: q must lie in [0, 1], got {float(value)}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -363,24 +388,29 @@ def test_q_error_names_its_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith(f"ebcommit: error: {flag}: q must lie in [0, 1], got ")
+    got = float(argv[-1].split(",")[-1])
+    assert err == f"ebcommit: error: {flag}: q must lie in [0, 1], got {got}\n"
+
+
+_SPECS = "expected one of ['minus', 'one', 'plus', 'zero'] or 'theta,phi'"
 
 
 @pytest.mark.parametrize("command", [
     ["run", "--q", "0.5"],
     ["sweep", "--q-steps", "2", "--rounds", "10", "--trials", "1"],
 ], ids=["run", "sweep"])
-@pytest.mark.parametrize("bad", [
-    ["--a0", "garbage"],
-    ["--a1", "1,2,3"],
-    ["--steer-theta", "4"],
-    ["--steer-phi", "-1"],
-], ids=["a0", "a1", "steer-theta", "steer-phi"])
-def test_honest_sender_rejects_bad_cheater_flags(capsys, command, bad):
+@pytest.mark.parametrize("bad, message", [
+    (["--a0", "garbage"], f"{_SPECS}, got 'garbage'"),
+    (["--a1", "1,2,3"], f"{_SPECS}, got '1,2,3'"),
+    (["--a0", "4,0"], "theta must lie in [0, pi], got 4.0"),
+    (["--steer-theta", "4"], "theta must lie in [0, pi], got 4.0"),
+    (["--steer-phi", "-1"], "phi must lie in [0, 2*pi), got -1.0"),
+], ids=["a0", "a1", "a0-angles", "steer-theta", "steer-phi"])
+def test_honest_sender_rejects_bad_cheater_flags(capsys, command, bad, message):
     code, out, err = run_cli(capsys, *command, "--alice", "honest", *bad)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith(f"ebcommit: error: {bad[0]}: ")
+    assert err == f"ebcommit: error: {bad[0]}: {message}\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -398,7 +428,11 @@ def test_steering_error_names_its_flag(capsys, command, theta, phi, flag):
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith(f"ebcommit: error: {flag}: ")
+    if flag == "--steer-theta":
+        message = f"theta must lie in [0, pi], got {float(theta)}"
+    else:
+        message = f"phi must lie in [0, 2*pi), got {float(phi)}"
+    assert err == f"ebcommit: error: {flag}: {message}\n"
 
 
 def test_epr_sweep_separability_columns(capsys):
@@ -433,9 +467,9 @@ def test_hiding_orthogonal_states(capsys):
 
 
 def test_hiding_bad_state_name(capsys):
-    code, _, err = run_cli(capsys, "hiding", "--sigma0", "sideways")
-    assert code == EXIT_USAGE
-    assert "--sigma0" in err
+    code, out, err = run_cli(capsys, "hiding", "--sigma0", "sideways")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"ebcommit: error: --sigma0: {_SPECS}, got 'sideways'\n"
 
 
 def test_binding_endpoints(capsys):
@@ -482,12 +516,18 @@ def test_binding_rejects_mixed_target(capsys, target):
     code, out, err = run_cli(capsys, "binding", "--target", target)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "pure" in err
+    assert err == "ebcommit: error: target must be a pure state, got tr(t^2) = 0.5\n"
 
 
 def test_binding_malformed_q_grid(capsys):
-    code, _, _ = run_cli(capsys, "binding", "--q-grid", "a,b")
-    assert code == EXIT_USAGE
+    code, out, err = run_cli(capsys, "binding", "--q-grid", "a,b")
+    line = "ebcommit: error: --q-grid: could not parse 'a,b'\n"
+    assert (code, out, err) == (EXIT_USAGE, "", line)
+
+
+def test_binding_empty_q_grid(capsys):
+    code, out, err = run_cli(capsys, "binding", "--q-grid", ",")
+    assert (code, out, err) == (EXIT_USAGE, "", "ebcommit: error: --q-grid is empty\n")
 
 
 @pytest.mark.parametrize("q", ["nan", "inf", "7"])
@@ -495,7 +535,7 @@ def test_binding_checks_q_under_q_grid(capsys, q):
     code, out, err = run_cli(capsys, "binding", "--q", q, "--q-grid", "0.5")
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("ebcommit: error: --q: ")
+    assert err == f"ebcommit: error: --q: q must lie in [0, 1], got {float(q)}\n"
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -43,6 +43,7 @@ from ebcommit.states import (
 
 from reference import (
     counts_report,
+    exact_acceptance,
     joint_outcome_decomposition,
     receiver_marginal,
     sender_operator,
@@ -652,6 +653,32 @@ def test_monte_carlo_honest_sweep_tracks_expectation(q):
     assert abs(summary.match_fraction_mean - expected) <= 3 * sigma + 1e-3
     assert summary.separable_fraction == 1.0
     assert summary.mean_concurrence == 0.0
+
+
+# (n, q, accept_sigma) and P(accept), to six decimals, of a sender who
+# matches each sifted round with probability (1+q)/2
+_EXACT_ACCEPTANCE = [
+    (100, 0.5, 1.0, 0.843100),
+    (1000, 0.2, 0.5, 0.692113),
+    (40, 0.9, 2.0, 0.956156),
+    (20, 0.98, 3.0, 0.965358),
+    (10000, 0.5, 3.0, 0.998555),
+]
+
+
+@pytest.mark.parametrize("rounds, q, sigma, exact", _EXACT_ACCEPTANCE)
+def test_monte_carlo_acceptance_rate_matches_the_exact_binomial_sum(rounds, q, sigma, exact):
+    pytest.importorskip("scipy.special")
+    config = cfg(q, rounds, accept_sigma=sigma)
+    p = exact_acceptance(config, (1 + q) / 2)
+    assert abs(p - exact) <= 5e-7
+    # the Bell cheater steered in the opened bit's encoding basis matches
+    # each sifted round as the honest sender does, so both accept at p
+    trials = 20_000
+    for scenario in (HonestAlice(bit=1),
+                     EprAlice(bell_strategy(), target_bit=1, steer_basis=encoding_basis(1))):
+        rate = monte_carlo(config, scenario, trials).acceptance_rate
+        assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / trials)
 
 
 @pytest.mark.parametrize("bit", [0, 1])
