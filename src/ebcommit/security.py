@@ -14,6 +14,10 @@ maximized over announcement after she sees each outcome. For a pure
 target this is a two-hypothesis discrimination problem on the sender's
 side, so the optimum over all steering bases is Helstrom's closed form
 (Quantum Detection and Estimation Theory, 1976): one 2x2 eigensolve.
+The receiver's depolarizing channel acts on his effect only as the
+factor q, so that eigensolve is of the noiseless pair's Helstrom
+operator: the objective is 1/2 + q times the sender's noiseless
+advantage, and her best basis does not depend on q.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DepolarizingChannel, KrausChannel, channel_apply, lift_apply
+from .channels import DepolarizingChannel, KrausChannel, channel_apply
 from .linalg import PAULI_I, eig_hermitian, trace_distance
 from .states import (
     RECTILINEAR,
@@ -68,8 +72,9 @@ def bob_cheat_probability(
 ) -> HidingReport:
     """Receiver's guessing probability 1/2 + max(D, D')/2 for the two encodings.
 
-    Both distances are computed as written even though the depolarizing
-    family can only contract them (D' = q D), so the raw term decides.
+    Both distances are computed as written even though, by data
+    processing, every channel can only contract them (D' <= D, and
+    D' = q D for the depolarizing family), so the raw term decides.
     Raises TypeError for an encoding that is not a DensityMatrix and
     ValueError for one that is not a qubit state.
     """
@@ -99,28 +104,40 @@ def alice_binding_attack(
     orthogonal partner t' = I - t after seeing her outcome. This is the
     reading most generous to the sender. Its maximum over all bases is
     the Helstrom value (1 + ||X_t - X_t'||_1)/2 with
-    X_T = tr_B[(I x T) rho], attained by the eigenbasis of X_t - X_t';
+    X_T = tr_B[(I x T) rho_q], attained by the eigenbasis of X_t - X_t';
     outcome 0 (the eigenvector of the larger eigenvalue) announces t.
 
-    The eigenbasis is reported whenever the two eigenvalues differ by more
-    than ``SIGN_TOL``; otherwise every basis attains the optimum and the
-    computational basis (0, 0) is reported.
-    Raises TypeError for a strategy that is not a CheatStrategy or a
-    target that is not a DensityMatrix, and ValueError for a target that
-    is not a pure qubit state.
+    The receiver's channel is read in the Heisenberg picture, on his
+    effect, and the post-channel pair rho_q = (I x eps_q)(rho) is never
+    formed: X_t - X_t' = tr_B[(I x eps_q(2t - I)) rho], since eps_q is
+    self-adjoint under the trace inner product, and
+    eps_q(2t - I) = q (2t - I) + (1 - q) tr(2t - I) I/2 = q (2t - I),
+    because tr t = 1. So X_t - X_t' = q X, with X the noiseless pair's
+    Helstrom operator, decomposed once: the value is (1 + q ||X||_1)/2
+    and the best basis, X's eigenbasis, is the same at every q > 0. A
+    general receiver channel c enters the same way, as its adjoint
+    c^dagger(2t - I) on the effect; the pair is not lifted.
+
+    The eigenbasis is reported whenever the two eigenvalues of q X differ
+    by more than ``SIGN_TOL``; otherwise every basis attains the optimum
+    and the computational basis (0, 0) is reported.
+    Raises TypeError for a strategy that is not a CheatStrategy, a
+    channel that is not a DepolarizingChannel or a target that is not a
+    DensityMatrix, and ValueError for a target that is not a pure qubit
+    state.
     """
     _check_type("strategy", strategy, CheatStrategy)
+    _check_type("channel", channel, DepolarizingChannel)
     _check_type("target", target, DensityMatrix)
     if target.dim != 2:
         raise ValueError(f"target must be a qubit state, got dimension {target.dim}")
     purity = float(np.vdot(target.mat, target.mat).real)
     if purity < 1.0 - PURITY_TOL:
         raise ValueError(f"target must be a pure state, got tr(t^2) = {purity:.9g}")
-    rho_out = lift_apply(channel, cheat_state(strategy.a0, strategy.a1))
-    diff = 2.0 * target.mat - PAULI_I  # t - t'
-    w, v = eig_hermitian(_sender_operator(rho_out, diff), vectors=True)
-    best = (1.0 + float(np.abs(w).sum())) / 2.0
-    if w[0] - w[1] <= SIGN_TOL:  # X_t - X_t' is about a multiple of I: no basis stands out
+    x = _sender_operator(cheat_state(strategy.a0, strategy.a1), 2.0 * target.mat - PAULI_I)
+    w, v = eig_hermitian(x, vectors=True)  # X of the noiseless pair, for the effect 2t - I = t - t'
+    best = (1.0 + channel.q * float(np.abs(w).sum())) / 2.0
+    if channel.q * (w[0] - w[1]) <= SIGN_TOL:  # q X is about a multiple of I: no basis stands out
         return BindingReport(best_basis=RECTILINEAR, best_fidelity_sq=best)
     b0, b1 = v[:, 0]
     theta = 2.0 * math.atan2(abs(b1), abs(b0))

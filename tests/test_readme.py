@@ -8,7 +8,12 @@ import pathlib
 import re
 import shlex
 
+import pytest
+
+from ebcommit.channels import DepolarizingChannel, lift_apply
 from ebcommit.cli import main
+from ebcommit.protocol import ProtocolConfig, _round_law
+from ebcommit.states import cheat_state, encoding_basis
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -72,3 +77,26 @@ def test_cli_block_runs_and_prints_what_it_quotes(tmp_path, monkeypatch, capsys)
             quoted["hiding"] = re.search(r"p_bcheat = (\S+)", comment).group(1)
             assert json.loads(out)["rows"][0]["p_bcheat"] == float(quoted["hiding"])
     assert sorted(quoted) == ["hiding", "threshold"]
+
+
+def test_opening_acceptance_values_are_exact():
+    # the Bell cheater's match probability, read off her round law for either
+    # target bit, and the honest (1+q)/2 give the quoted exact P(accept)
+    pytest.importorskip("scipy.special")
+    from reference import exact_acceptance
+
+    opening = " ".join(README.read_text(encoding="utf-8").split("\n## ", 1)[0].split())
+    values, sigma, rounds = re.search(
+        r"P\(accept\) = (.*?) \(σ = (\S+), (\S+) rounds, either target bit\)", opening
+    ).groups()
+    quoted = re.findall(r"(\S+) at q = ([\d.]+)", values)
+    assert quoted
+    bell = cheat_state([1, 0], [0, 1])
+    for value, q in quoted:
+        config = ProtocolConfig(q=float(q), rounds=int(float(rounds)), accept_sigma=float(sigma))
+        matches = [(1 + config.q) / 2]
+        for t in (0, 1):
+            law = _round_law(lift_apply(DepolarizingChannel(config.q), bell), encoding_basis(t))[1]
+            matches.append(2 * (law[4 * t] + law[4 * t + 3]))
+        for p_match in matches:
+            assert abs(exact_acceptance(config, p_match) - float(value)) <= 5e-7, (q, p_match)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ebcommit.channels import DepolarizingChannel, lift_apply
+from ebcommit.linalg import PAULI_I
 from ebcommit.security import (
+    SIGN_TOL,
     CheatStrategy,
     alice_binding_attack,
     bell_strategy,
@@ -22,10 +24,17 @@ from ebcommit.states import (
 )
 
 from conftest import random_density_matrix
-from reference import fidelity, joint_outcome_decomposition, receiver_marginal
+from reference import (
+    as_kraus,
+    fidelity,
+    joint_outcome_decomposition,
+    receiver_marginal,
+    sender_operator,
+)
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 ONE = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+HALF = DepolarizingChannel(0.5)
 
 
 class TestCheatStrategy:
@@ -200,14 +209,35 @@ class TestBinding:
         full = alice_binding_attack(bell_strategy(), DepolarizingChannel(1.0), ZERO)
         assert 0.5 < weak.best_fidelity_sq < full.best_fidelity_sq
 
-    @pytest.mark.parametrize("strategy, target, error, message", [
-        (bell_strategy().a0, ZERO, TypeError, "strategy must be a CheatStrategy"),
-        (bell_strategy(), ZERO.mat, TypeError, "target must be a DensityMatrix"),
-        (bell_strategy(), DensityMatrix.from_pure([1, 0, 0, 0]), ValueError, "target must be a qubit"),
-    ], ids=["strategy-array", "target-array", "target-pair"])
-    def test_mistyped_arguments_rejected(self, strategy, target, error, message):
+    @pytest.mark.parametrize("strategy, channel, target, error, message", [
+        (bell_strategy().a0, HALF, ZERO, TypeError, "strategy must be a CheatStrategy"),
+        (bell_strategy(), HALF, ZERO.mat, TypeError, "target must be a DensityMatrix"),
+        (bell_strategy(), HALF, DensityMatrix.from_pure([1, 0, 0, 0]), ValueError,
+         "target must be a qubit"),
+        (bell_strategy(), as_kraus(HALF), ZERO, TypeError,
+         r"channel must be a DepolarizingChannel, got KrausChannel\("),
+        (bell_strategy(), 0.5, ZERO, TypeError, r"channel must be a DepolarizingChannel, got 0\.5$"),
+    ], ids=["strategy-array", "target-array", "target-pair", "channel-kraus", "channel-float"])
+    def test_mistyped_arguments_rejected(self, strategy, channel, target, error, message):
         with pytest.raises(error, match=f"^{message}"):
-            alice_binding_attack(strategy, DepolarizingChannel(0.5), target)
+            alice_binding_attack(strategy, channel, target)
+
+    def test_best_basis_at_tiny_q_is_the_noiseless_one(self):
+        # `binding --a0 zero --a1 plus --target 1.2,0.7`: roundoff in a lifted
+        # pair would tilt the q = 3e-12 row's basis by about 4e-15/q
+        strategy = CheatStrategy(a0=np.array([1.0, 0.0]), a1=np.array([1.0, 1.0]) / math.sqrt(2))
+        target = DensityMatrix.from_pure(ProjectiveBasis(1.2, 0.7).vectors()[0])
+        expected = ProjectiveBasis(0.6614369223605915, 5.362582158188986)
+        for q in (3e-12, 0.5):
+            report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
+            assert report.best_basis == expected
+
+    def test_product_strategy_objective_is_exact(self):
+        # a0 = a1 = |0> sends |+> itself, so the best match with |+> is (1 + q)/2
+        zero = np.array([1.0, 0.0])
+        plus = DensityMatrix.from_pure(np.array([1.0, 1.0]) / math.sqrt(2))
+        report = alice_binding_attack(CheatStrategy(a0=zero, a1=zero), HALF, plus)
+        assert report.best_fidelity_sq == 0.75
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_mixed_target_rejected(self, bit):
@@ -242,3 +272,21 @@ def test_closed_form_is_the_steering_optimum(a0, a1, t, q):
     assert abs(attained - exact) <= 1e-9
     bell = alice_binding_attack(bell_strategy(), DepolarizingChannel(q), target)
     assert abs(bell.best_fidelity_sq - (1 + q) / 2) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(a0=_ANGLES, a1=_ANGLES, t=_ANGLES, q=st.floats(1e-10, 1.0))
+def test_best_basis_does_not_depend_on_q(a0, a1, t, q):
+    # the channel scales the Helstrom operator X of the noiseless pair by q,
+    # so the basis is X's at every q where q X has two distinct eigenvalues,
+    # and the objective is 1/2 + q times the noiseless advantage
+    strategy = CheatStrategy(a0=_pure(a0), a1=_pure(a1))
+    target = DensityMatrix.from_pure(_pure(t))
+    x = sender_operator(cheat_state(strategy.a0, strategy.a1), 2.0 * target.mat - PAULI_I)
+    w = np.linalg.eigvalsh(x)
+    assume(q * (w[1] - w[0]) > 2 * SIGN_TOL)
+    noisy = alice_binding_attack(strategy, DepolarizingChannel(q), target)
+    noiseless = alice_binding_attack(strategy, DepolarizingChannel(1.0), target)
+    assert noisy.best_basis == noiseless.best_basis
+    advantage = noiseless.best_fidelity_sq - 0.5
+    assert abs((noisy.best_fidelity_sq - 0.5) - q * advantage) <= 4.5e-16

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/cli_corpus.py SRC_DIR [--each]
+    python tools/cli_corpus.py SRC_DIR [--each] [--dump DIR]
 
 SRC_DIR is the directory that holds the ``ebcommit`` package (``src`` in a
 checkout). Every command of the corpus runs through ``ebcommit.cli.main``
@@ -14,7 +14,10 @@ print the same digest exactly when every command behaves the same byte
 for byte, so a change that must keep the CLI's outputs is checked by
 running this script on the tree before and after it, with the same Python
 and numpy. ``--each`` also prints one line per command (its own digest and
-argv), to find which outputs differ.
+argv), to find which outputs differ. ``--dump DIR`` writes the exit code,
+stdout and stderr of command i, the parts of its record that a tree can
+change, to the file ``DIR/i`` (i from 0, in corpus order), so that
+``diff -u`` of two trees' files shows how far a changed output moved.
 
 The corpus covers honest and EPR ``run`` with and without
 ``--dump-transcript`` (honest dumps of bit 1 at q = 0.6 and of bit 0 at
@@ -29,13 +32,17 @@ at ``--accept-sigma 0``, whose threshold is the expectation itself, and
 an honest one of 300 noiseless 7-round trials, some with no sifted
 round; an EPR sweep of 21 q with a tilted steering basis, and an honest
 and an EPR sweep of 9 q from 0.3 to 0.34, across q* = 1/3, whose grids
-are each prepared as one batch), ``binding``, ``hiding``,
-``threshold`` and usage errors, among them the flags ``threshold`` no
-longer takes and a ``run`` of more rounds than numpy can lay out.
+are each prepared as one batch), ``binding`` (among them the flat
+objective's rule on both sides of ``SIGN_TOL`` and at the smallest
+subnormal q, a best basis at q down to 1e-12, and a product strategy),
+``hiding``, ``threshold`` and usage errors, among them the flags
+``threshold`` no longer takes and a ``run`` of more rounds than numpy
+can lay out.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -136,6 +143,13 @@ def _security_commands() -> list[list[str]]:
             cmds.append(["binding", "--a0", a0, "--a1", a1, "--target", target,
                          "--q-grid", f"0,0.25,{THIRD},0.5,0.9,1"])
         cmds.append(["binding", "--a0", a0, "--a1", a1, "--q", "0.4", "--format", "csv"])
+    # the Bell gap is 1: q = 1e-12 is flat, its successor float is not; a
+    # basis that is the same at every q; a0 = a1, whose value (1 + q)/2 is exact
+    cmds.append(["binding", "--target", "plus",
+                 "--q-grid", "1e-12,1.0000000000000002e-12,2e-12,5e-324"])
+    cmds.append(["binding", "--a0", "zero", "--a1", "plus", "--target", "1.2,0.7",
+                 "--q-grid", "1e-12,3e-12,1e-10,1e-8,0.5"])
+    cmds.append(["binding", "--a0", "zero", "--a1", "zero", "--target", "plus", "--q-grid", "0.5,1"])
     for sigma0, sigma1 in (("bb84-0", "bb84-1"), ("zero", "plus"), ("zero", "one"),
                            ("1.0,0.5", "2.0,3.0")):
         for q in ("0", "0.5", "1"):
@@ -208,13 +222,14 @@ def _run(main, argv: list[str]) -> tuple[int | str, str, str]:
 
 
 def main() -> int:
-    args = sys.argv[1:]
-    each = "--each" in args
-    paths = [a for a in args if a != "--each"]
-    if len(paths) != 1:
-        sys.stderr.write(__doc__)
-        return 1
-    src = os.path.abspath(paths[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("src", metavar="SRC_DIR")
+    parser.add_argument("--each", action="store_true", help="one line per command")
+    parser.add_argument("--dump", metavar="DIR", help="write each command's output to DIR/i")
+    args = parser.parse_args()
+    src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import ebcommit
     from ebcommit.cli import main as cli_main
@@ -222,13 +237,19 @@ def main() -> int:
     if not os.path.abspath(ebcommit.__file__).startswith(src + os.sep):
         sys.stderr.write(f"ebcommit was imported from {ebcommit.__file__}, not from {src}\n")
         return 1
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
     total = hashlib.sha256()
     commands = corpus()
-    for argv in commands:
-        record = json.dumps([argv, *_run(cli_main, argv)]).encode() + b"\n"
+    for i, argv in enumerate(commands):
+        code, out, err = _run(cli_main, argv)
+        record = json.dumps([argv, code, out, err]).encode() + b"\n"
         total.update(record)
-        if each:
+        if args.each:
             print(hashlib.sha256(record).hexdigest()[:16], " ".join(argv))
+        if args.dump:
+            with open(os.path.join(args.dump, str(i)), "w", encoding="utf-8", newline="") as f:
+                f.write(f"exit code: {code}\n--- stdout\n{out}\n--- stderr\n{err}\n")
     print(f"{total.hexdigest()}  {len(commands)} commands")
     return 0
 
