@@ -37,7 +37,7 @@ from .protocol import (
     run_session,
     sweep,
 )
-from .security import alice_binding_attack, bob_cheat_probability
+from .security import _binding_helstrom, bob_cheat_probability
 from .states import CheatStrategy, DensityMatrix, ProjectiveBasis, _check_q, bb84_pair_mixture
 
 EXIT_OK = 0
@@ -399,11 +399,13 @@ def _cmd_binding(args) -> int:
         flag = "--q-grid"
     else:
         qs, flag = [args.q], "--q"
+    _q_arg(flag, qs[0])  # a bad first q is reported before a mixed target
+    with _usage():
+        helstrom = _binding_helstrom(strategy, target)  # decomposed once for every q
     rows = []
     for q in qs:
         q = _q_arg(flag, q)
-        with _usage():
-            report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
+        report = helstrom.at(q)
         rows.append(
             {
                 "q": q,

@@ -34,25 +34,30 @@ one config and verifies it.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
-reproduces the same transcript. Trial t's stream is
-``derive_rng(config.seed, t)``: the Philox stream of the 128-bit key
-(seed, t), from counter 0. Philox keeps streams of distinct keys
-independent, so no key is hashed, and a prepared session re-keys one
-generator per trial instead of building one. A trial draws how many of
-its rounds fall in each class, and a transcript then puts the rounds in
-one uniformly random order. The rounds
-are independent and identically distributed, so this is
-distribution-identical to measuring each round's state individually.
-The receiver's basis choice is a fair coin, and measurements on the two
-halves commute, so the sender's steering outcome, which she announces as
-her variant, can be drawn jointly with his.
+reproduces the same transcript. Trial t draws from three substreams of
+the 128-bit key (seed, t): the receiver's (b, o) counts from counter 0,
+which is ``derive_rng(config.seed, t)``; the sender's variant splits from
+counter (0, 0, 0, 2); and the order of the rounds from counter
+(0, 0, 0, 1). Philox keeps streams of distinct keys and counters this far
+apart independent, so no key is hashed, and a prepared session re-keys
+one generator per draw instead of building one. A trial draws how many
+of its rounds fall in each class, and a transcript then puts the rounds
+in one uniformly random order. The rounds are independent and
+identically distributed, so this is distribution-identical to measuring
+each round's state individually. The receiver's basis choice is a fair
+coin, and measurements on the two halves commute, so he can be drawn
+first, from his own substream, and the sender's steering outcome, which
+she announces as her variant, drawn given his outcome. His counts then
+depend on the seed, the round count and his law r alone: consecutive
+configs that share the three share one draw of them per trial, which is
+a whole q grid for the honest sender and the Bell cheater, whose r is
+1/4 on every (b, o) at every q.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
@@ -147,10 +152,12 @@ def derive_rng(seed: int, trial: int) -> np.random.Generator:
     """Trial ``trial``'s generator: Philox keyed by the 128-bit key (seed, trial), counter 0.
 
     Key word 0 is the seed and word 1 the trial, so every (seed, trial)
-    pair is its own Philox stream. Trial t of a session draws
-    ``derive_rng(config.seed, t)``; sessions re-key one generator to that
-    key instead of calling this. The key is a uint64 array: a list of
-    Python ints would convert through float64 once a word is >= 2**63.
+    pair is its own Philox stream. Trial t of a session draws the
+    receiver's counts from ``derive_rng(config.seed, t)`` and its other
+    two substreams from counters (0, 0, 0, 1) and (0, 0, 0, 2) of the same
+    key; sessions re-key one generator instead of calling this. The key is
+    a uint64 array: a list of Python ints would convert through float64
+    once a word is >= 2**63.
     """
     _check_word("seed", seed)
     _check_word("trial", trial)
@@ -260,10 +267,12 @@ Scenario = HonestAlice | EprAlice
 #: at p = 1/2), so roundoff in the laws must not reach it.
 _LAW_GRID = 2.0**-40
 
-#: Philox counters of a trial's two substreams, both under the key (seed, t):
-#: its class counts, then the arrangement of its rounds.
-_COUNTS = (0, 0, 0, 0)
+#: Philox counters of a trial's three substreams, all under the key (seed, t):
+#: the receiver's (b, o) counts, the arrangement of its rounds, and the
+#: sender's announced variants.
+_RECEIVER = (0, 0, 0, 0)
 _ARRANGEMENT = (0, 0, 0, 1)
+_VARIANTS = (0, 0, 0, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,18 +290,26 @@ class _Session:
     A trial draws class counts, not rounds, so its cost does not grow with
     ``config.rounds`` until a transcript lays the rounds out. The batch
     holds one Philox generator, ``bitgen`` under ``rng``, and one state
-    dict. Trial t of config i re-keys the generator to the key
-    (config.seed, t) at counter 0 with an empty buffer, the state
-    ``derive_rng(config.seed, t)`` starts in, and draws (``_draws``): the
-    receiver's count of each (b, o), one multinomial over the outcomes of
-    positive r; then the count of variant 1 in each sifted group (b the
-    opened bit), one binomial with P(v = 1 | b, o) each, o = 0 first.
-    ``counts`` stops there. ``transcript`` goes on from the same draws: it
-    splits the other two groups likewise, lays the classes 4b + 2o + v out
-    in sorted order, re-keys to counter (0, 0, 0, 1) and shuffles them, one
-    uniform permutation of the rounds. Neither the receiver's counts nor
-    the permutation depend on the steering basis or the opened bit, so
-    neither does any round's receiver part 4b + 2o.
+    dict. Trial t of config i draws from three substreams of the key
+    (config.seed, t), re-keying the generator to each counter with an empty
+    buffer (counter 0 is the state ``derive_rng(config.seed, t)`` starts in):
+    at counter ``_RECEIVER`` the receiver's count of each (b, o), one
+    multinomial over the outcomes of positive r (``_receiver_counts``); at
+    counter ``_VARIANTS`` the count of variant 1 in each (b, o) group, one
+    binomial with P(v = 1 | b, o) each, the sifted groups (b the opened bit)
+    first and o = 0 before o = 1. ``counts`` stops after the sifted groups.
+    ``transcript`` splits all four groups, lays the classes 4b + 2o + v out
+    in sorted order and shuffles them at counter ``_ARRANGEMENT``, one
+    uniform permutation of the rounds.
+
+    The receiver's counts depend on (seed, rounds, r) and the trial alone,
+    so consecutive configs that share (seed, rounds, r) share one draw of
+    them: the honest sender's and the Bell cheater's r is 1/4 on every
+    outcome at every q, so a sweep of either draws one multinomial per trial
+    for its whole q grid. ``drawn`` keeps the latest such draw only. Neither
+    the receiver's counts nor the permutation depend on the steering basis,
+    the opened bit or q where r does not, so neither does any round's
+    receiver part 4b + 2o.
     """
 
     configs: tuple[ProtocolConfig, ...]
@@ -303,40 +320,51 @@ class _Session:
     bitgen: np.random.Philox
     rng: np.random.Generator
     state: dict
+    drawn: dict
 
-    def _draws(self, i: int, trials: Iterable[int]) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """Per trial: the receiver's counts c[2b + o] and the sifted groups' counts of variant 1."""
-        config, receiver, p_one = self.configs[i], self.receivers[i], self.p_ones[i].tolist()
-        n, seed, g0, g1 = config.rounds, config.seed, 2 * self.opened_bit, 2 * self.opened_bit + 1
-        outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
-        pvals = receiver[outcomes] / receiver[outcomes].sum()
-        # where outcome g sits in a multinomial draw; a left-out one reads a 0 appended to it
-        by_group = operator.itemgetter(
-            *(outcomes.tolist().index(g) if receiver[g] else outcomes.size for g in range(4)))
-        p0, p1 = p_one[g0], p_one[g1]
-        multinomial, binomial, bitgen, state = (
-            self.rng.multinomial, self.rng.binomial, self.bitgen, self.state)
-        keyed = state["state"]
-        for t in trials:
-            keyed["counter"], keyed["key"] = _COUNTS, (seed, t)
-            bitgen.state = state
-            c = by_group(multinomial(n, pvals).tolist() + [0])
-            yield c, binomial(c[g0], p0), binomial(c[g1], p1)
+    def _rekey(self, counter: tuple[int, ...], seed: int, t: int) -> None:
+        """Point the generator at counter ``counter`` of the key (seed, t), with an empty buffer."""
+        keyed = self.state["state"]
+        keyed["counter"], keyed["key"] = counter, (seed, t)
+        self.bitgen.state = self.state
+
+    def _receiver_counts(self, i: int, trials: range) -> np.ndarray:
+        """Config i's trials' receiver counts c[2b + o], as the rows of a (4, T) int64 array."""
+        config, receiver = self.configs[i], self.receivers[i]
+        key = (config.seed, config.rounds, receiver.tolist(), trials)
+        if self.drawn.get("key") != key:
+            outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
+            pvals = receiver[outcomes] / receiver[outcomes].sum()
+            rows = np.empty((len(trials), outcomes.size), dtype=np.int64)
+            multinomial, rekey = self.rng.multinomial, self._rekey
+            for j, t in enumerate(trials):
+                rekey(_RECEIVER, config.seed, t)
+                rows[j] = multinomial(config.rounds, pvals)
+            counts = np.zeros((4, len(trials)), dtype=np.int64)
+            counts[outcomes] = rows.T
+            self.drawn.update(key=key, counts=counts)
+        return self.drawn["counts"]
 
     def counts(self, i: int, trials: range) -> tuple[np.ndarray, np.ndarray]:
         """Config i's trials' sifted and matched counts, as two int64 columns."""
-        g0, g1 = 2 * self.opened_bit, 2 * self.opened_bit + 1
-        sifted, matched = [], []
-        for c, ones0, ones1 in self._draws(i, trials):
-            sifted.append(c[g0] + c[g1])
-            matched.append(c[g0] - ones0 + ones1)  # o = v
-        return np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64)
+        seed, g0 = self.configs[i].seed, 2 * self.opened_bit
+        c0, c1 = self._receiver_counts(i, trials)[g0:g0 + 2]
+        p0, p1 = self.p_ones[i, g0:g0 + 2].tolist()
+        binomial, rekey, ones0, ones1 = self.rng.binomial, self._rekey, [], []
+        for t, n0, n1 in zip(trials, c0.tolist(), c1.tolist()):
+            rekey(_VARIANTS, seed, t)
+            ones0.append(binomial(n0, p0))
+            ones1.append(binomial(n1, p1))
+        # o = v: variant 0 of outcome 0 and variant 1 of outcome 1
+        return c0 + c1, c0 - np.array(ones0, dtype=np.int64) + np.array(ones1, dtype=np.int64)
 
     def transcript(self, i: int, t: int) -> Transcript:
         """Config i's transcript of trial t."""
         config, p_one, g0 = self.configs[i], self.p_ones[i], 2 * self.opened_bit
-        (c, *ones), = self._draws(i, (t,))  # ones[j] is group g0 ^ j's count of variant 1
-        ones += [self.rng.binomial(c[g0 ^ j], p_one[g0 ^ j]) for j in (2, 3)]
+        c = self._receiver_counts(i, range(t, t + 1))[:, 0].tolist()
+        self._rekey(_VARIANTS, config.seed, t)
+        # ones[j] is group g0 ^ j's count of variant 1: the sifted groups first
+        ones = [self.rng.binomial(c[g0 ^ j], p_one[g0 ^ j]) for j in range(4)]
         sizes = [k for g in range(4) for k in (c[g] - ones[g ^ g0], ones[g ^ g0])]
         try:
             classes = np.repeat(np.arange(8), sizes)
@@ -344,9 +372,7 @@ class _Session:
         except (MemoryError, ValueError):
             raise MemoryError(
                 f"{config.rounds} rounds are too many to lay out as a transcript") from None
-        keyed = self.state["state"]
-        keyed["counter"], keyed["key"] = _ARRANGEMENT, (config.seed, t)
-        self.bitgen.state = self.state
+        self._rekey(_ARRANGEMENT, config.seed, t)
         self.rng.shuffle(classes)  # in int64: numpy shuffles 8-byte items faster than 1-byte ones
         return Transcript(config, self.opened_bit, classes)
 
@@ -368,10 +394,10 @@ def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
     p_ones = np.divide(pairs[..., 1], pairs.sum(axis=-1), out=np.zeros(receivers.shape),
                        where=receivers > 0)
     bitgen = np.random.Philox(0)
-    state = {"bit_generator": "Philox", "state": {"counter": _COUNTS, "key": (0, 0)},
+    state = {"bit_generator": "Philox", "state": {"counter": _RECEIVER, "key": (0, 0)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return _Session(tuple(configs), opened_bit, joints, receivers, p_ones, bitgen,
-                    np.random.Generator(bitgen), state)
+                    np.random.Generator(bitgen), state, {})
 
 
 def run_session(
@@ -430,8 +456,8 @@ class MonteCarloSummary:
 def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> MonteCarloSummary:
     """Repeat a session over trial-indexed seed streams and summarize: ``sweep`` of one config.
 
-    Trial t uses the stream ``derive_rng(config.seed, t)``, so results do
-    not depend on execution order.
+    Trial t draws from the substreams of the key (config.seed, t), so
+    results do not depend on execution order.
     """
     return next(sweep([config], scenario, trials))
 
@@ -444,10 +470,12 @@ def sweep(
     The configs are prepared once, here, as one ``_Session``, and its stack
     of post-channel pairs gets one PPT test and one Wootters evaluation.
     The summaries are then drawn lazily, one config at a time, so the
-    sweep holds one config's count columns at a time. Trials run in one
-    thread. A config's counts come as two columns, and ``_verdict``
-    decides all its trials at once: trial t's decision is ``verify``'s of
-    the transcript ``run_session(config, scenario, t)`` returns.
+    sweep holds one config's count columns at a time, and a run of
+    consecutive configs of one (seed, rounds, r) shares one draw of the
+    receiver's counts per trial. Trials run in one thread. A config's
+    counts come as two columns, and ``_verdict`` decides all its trials at
+    once: trial t's decision is ``verify``'s of the transcript
+    ``run_session(config, scenario, t)`` returns.
     ``concurrence`` is 0.0 exactly on the states the PPT test accepts, so
     its one PPT test also decides separability.
     """

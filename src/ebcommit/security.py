@@ -93,6 +93,58 @@ def bob_cheat_probability(
     )
 
 
+@dataclass(frozen=True)
+class _Helstrom:
+    """A Helstrom operator X, decomposed once and read at any scale q X.
+
+    ``trace_norm`` is ||X||_1, ``gap`` the difference w0 - w1 >= 0 of its
+    eigenvalues and ``basis`` its eigenbasis, outcome 0 on the larger
+    eigenvalue w0.
+    """
+
+    trace_norm: float
+    gap: float
+    basis: ProjectiveBasis
+
+    def at(self, q: float) -> BindingReport:
+        """The Helstrom value of q X and its basis.
+
+        The value is (1 + q ||X||_1)/2. The basis is X's eigenbasis, or
+        ``RECTILINEAR`` when q X's eigenvalues lie within ``SIGN_TOL``.
+        """
+        best = (1.0 + q * self.trace_norm) / 2.0
+        if q * self.gap <= SIGN_TOL:  # q X is about a multiple of I: no basis stands out
+            return BindingReport(best_basis=RECTILINEAR, best_fidelity_sq=best)
+        return BindingReport(best_basis=self.basis, best_fidelity_sq=best)
+
+
+def _helstrom(x: np.ndarray) -> _Helstrom:
+    """The 2x2 Hermitian Helstrom operator x, decomposed once, its eigenbasis as Bloch angles."""
+    w, v = eig_hermitian(x, vectors=True)
+    b0, b1 = v[:, 0]
+    theta = 2.0 * math.atan2(abs(b1), abs(b0))
+    phi = float(np.angle(b1 * b0.conjugate())) % (2.0 * math.pi)
+    if phi >= 2.0 * math.pi:  # a tiny negative angle rounds up to 2 pi
+        phi = 0.0
+    return _Helstrom(float(np.abs(w).sum()), float(w[0] - w[1]), ProjectiveBasis(theta, phi))
+
+
+def _binding_helstrom(strategy: CheatStrategy, target: DensityMatrix) -> _Helstrom:
+    """The noiseless pair's Helstrom operator X for ``target``, decomposed.
+
+    ``alice_binding_attack`` reads it at its channel's q. Raises
+    ValueError for a target that is not a pure qubit state.
+    """
+    if target.dim != 2:
+        raise ValueError(f"target must be a qubit state, got dimension {target.dim}")
+    purity = float(np.vdot(target.mat, target.mat).real)
+    if purity < 1.0 - PURITY_TOL:
+        raise ValueError(f"target must be a pure state, got tr(t^2) = {purity:.9g}")
+    # X of the noiseless pair, for the effect 2t - I = t - t'
+    return _helstrom(_sender_operator(cheat_state(strategy.a0, strategy.a1),
+                                      2.0 * target.mat - PAULI_I))
+
+
 def alice_binding_attack(
     strategy: CheatStrategy, channel: DepolarizingChannel, target: DensityMatrix
 ) -> BindingReport:
@@ -116,7 +168,8 @@ def alice_binding_attack(
     Helstrom operator, decomposed once: the value is (1 + q ||X||_1)/2
     and the best basis, X's eigenbasis, is the same at every q > 0. A
     general receiver channel c enters the same way, as its adjoint
-    c^dagger(2t - I) on the effect; the pair is not lifted.
+    c^dagger(2t - I) on the effect; the pair is not lifted. A q grid
+    decomposes X once: ``_binding_helstrom(strategy, target).at(q)`` per q.
 
     The eigenbasis is reported whenever the two eigenvalues of q X differ
     by more than ``SIGN_TOL``; otherwise every basis attains the optimum
@@ -129,19 +182,4 @@ def alice_binding_attack(
     _check_type("strategy", strategy, CheatStrategy)
     _check_type("channel", channel, DepolarizingChannel)
     _check_type("target", target, DensityMatrix)
-    if target.dim != 2:
-        raise ValueError(f"target must be a qubit state, got dimension {target.dim}")
-    purity = float(np.vdot(target.mat, target.mat).real)
-    if purity < 1.0 - PURITY_TOL:
-        raise ValueError(f"target must be a pure state, got tr(t^2) = {purity:.9g}")
-    x = _sender_operator(cheat_state(strategy.a0, strategy.a1), 2.0 * target.mat - PAULI_I)
-    w, v = eig_hermitian(x, vectors=True)  # X of the noiseless pair, for the effect 2t - I = t - t'
-    best = (1.0 + channel.q * float(np.abs(w).sum())) / 2.0
-    if channel.q * (w[0] - w[1]) <= SIGN_TOL:  # q X is about a multiple of I: no basis stands out
-        return BindingReport(best_basis=RECTILINEAR, best_fidelity_sq=best)
-    b0, b1 = v[:, 0]
-    theta = 2.0 * math.atan2(abs(b1), abs(b0))
-    phi = float(np.angle(b1 * b0.conjugate())) % (2.0 * math.pi)
-    if phi >= 2.0 * math.pi:  # a tiny negative angle rounds up to 2 pi
-        phi = 0.0
-    return BindingReport(best_basis=ProjectiveBasis(theta, phi), best_fidelity_sq=best)
+    return _binding_helstrom(strategy, target).at(channel.q)

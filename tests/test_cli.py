@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ebcommit
-from ebcommit import cli
+from ebcommit import cli, security
 from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from ebcommit.protocol import HonestAlice, ProtocolConfig, monte_carlo
 from ebcommit.states import ProjectiveBasis
@@ -530,6 +530,33 @@ def test_binding_empty_q_grid(capsys):
     assert (code, out, err) == (EXIT_USAGE, "", "ebcommit: error: --q-grid is empty\n")
 
 
+@pytest.mark.parametrize("grid, error", [
+    ("2,0.5", "--q-grid: q must lie in [0, 1], got 2.0"),
+    ("0.5,2", "target must be a pure state, got tr(t^2) = 0.5"),
+])
+def test_binding_reports_the_first_bad_input(capsys, grid, error):
+    # q values are checked in grid order, and the target after the first q
+    code, out, err = run_cli(capsys, "binding", "--target", "bb84-0", "--q-grid", grid)
+    assert (code, out, err) == (EXIT_USAGE, "", f"ebcommit: error: {error}\n")
+
+
+def test_binding_decomposes_once_per_command(capsys, monkeypatch):
+    # the channel scales the Helstrom operator by q, so a q grid reads every
+    # row off one eigendecomposition of the noiseless pair's operator
+    calls = []
+    eig_hermitian = security.eig_hermitian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eig_hermitian(*args, **kwargs)
+
+    monkeypatch.setattr(security, "eig_hermitian", counting)
+    code, out, _ = run_cli(capsys, "binding", "--a0", "1.1,0.4", "--a1", "2.3,5.0",
+                           "--target", "0.7,1.9", "--q-grid", "0,0.25,0.5,1", "--format", "csv")
+    assert code == EXIT_OK and len(out.splitlines()) == 5
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("q", ["nan", "inf", "7"])
 def test_binding_checks_q_under_q_grid(capsys, q):
     code, out, err = run_cli(capsys, "binding", "--q", q, "--q-grid", "0.5")
@@ -616,15 +643,15 @@ def test_closed_stdout_pipe_exits_quietly():
 _PINNED_DUMPS = {
     "honest": (
         ["run", "--q", "0.6", "--rounds", "300", "--bit", "1", "--seed", "11"],
-        "60344c6134fb27cf7cb1508a2ca165d05a189555d2727bcb9f4f612e3797d3f8",
-        "8ed6ffc150b7a03c614daecc421b574c6003ec8dcc0c0d8a64ab5b08b6512fe1",
+        "3fba4d68d9e4148aabe6108c06df8a40fb59ce23a27ebaecf7622c966a00547d",
+        "28cb0d94b1e629cfb69c53ff43e2aa8d9ab6b79299c6ba9e6abdea7b6a1ab15f",
     ),
     "epr": (
         ["run", "--alice", "epr", "--q", "0.7", "--rounds", "300", "--bit", "0",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "5"],
-        "1fcbc5d0853b67c50a85c7b1f3ef1449cc943b72499b4db488b358172ae8136f",
-        "f91e43bded86f9970b677b3f01b0837e06b683e11de0c286fbc8d43218890808",
+        "7e15d79134a29308fe31cd56912a00169e860e8e8f75f413d5381c25162715fe",
+        "0a8da2ac5aa4b5d8fb257c8dab583a9133da65a2c4c9352bebfadc751f366bdd",
     ),
 }
 
@@ -632,13 +659,13 @@ _PINNED_SWEEPS = {
     "honest": (
         ["sweep", "--q-steps", "4", "--rounds", "200", "--trials", "3", "--bit", "1",
          "--seed", "4"],
-        "494e7fd714cb1197004ad6248c014959755d538c8abc495dcc47b057b34e3f0b",
+        "20179ffe84f799beb03b0f4a014c9f62735fb6c1bada6ca1a4b153df0ce6a837",
     ),
     "epr": (
         ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "6"],
-        "b46477695452e2ba06a9c82674be8e3e67a9f4a2939d762dfeeae7986e48ce00",
+        "91255979a4b12af5c1ac76ddd705bf9b13156d3113ebf7f7ee075d9f0eac8fff",
     ),
 }
 

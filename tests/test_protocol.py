@@ -621,6 +621,78 @@ def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
     assert list(sweep([], sc, 3)) == []
 
 
+def _record_multinomials(monkeypatch):
+    """The round count of every multinomial the sessions draw, in order."""
+    draws = []
+    generator = np.random.Generator
+
+    class Recording:
+        def __init__(self, bitgen):
+            self.rng = generator(bitgen)
+
+        def multinomial(self, n, pvals):
+            draws.append(n)
+            return self.rng.multinomial(n, pvals)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return draws
+
+
+_GENERIC = CheatStrategy(ProjectiveBasis(1.1, 0.4).vectors()[0],
+                         ProjectiveBasis(2.3, 5.0).vectors()[0])
+
+
+@pytest.mark.parametrize("scenario", [
+    HonestAlice(bit=0), HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL),
+    EprAlice(bell_strategy(), 0, ProjectiveBasis(1.1, 2.2)),
+], ids=["honest-0", "honest-1", "bell-diagonal", "bell-oblique"])
+def test_a_grid_of_one_receiver_law_draws_his_counts_once_per_trial(monkeypatch, scenario):
+    # the receiver holds I/2 at every q, so a sweep at one seed and one round
+    # count draws his counts once per trial for the whole grid, and each
+    # summary is still the one its config's own monte_carlo gives
+    draws = _record_multinomials(monkeypatch)
+    configs = [cfg(q, 40, seed=8) for q in (0.0, 1 / 3, 0.5, 0.9, 1.0)]
+    summaries = list(sweep(configs, scenario, 6))
+    assert draws == [40] * 6
+    assert summaries == [monte_carlo(c, scenario, 6) for c in configs]
+
+
+def test_configs_of_distinct_receiver_counts_share_no_draw(monkeypatch):
+    # a generic cheater's r moves with q, so every (config, trial) draws its
+    # own; among Bell configs, only a run of consecutive configs of one seed
+    # and one round count shares a draw, and only the latest draw is kept
+    draws = _record_multinomials(monkeypatch)
+    qs = (0.0, 0.5, 1.0)
+    summaries = list(sweep([cfg(q, 40, seed=8) for q in qs], EprAlice(_GENERIC, 1), 6))
+    assert draws == [40] * 6 * len(qs)
+    draws.clear()
+    configs = [cfg(0.5, 40, seed=8), cfg(0.5, 40, seed=9), cfg(0.5, 41, seed=9),
+               cfg(0.7, 41, seed=9), cfg(0.7, 40, seed=8)]
+    bell = EprAlice(bell_strategy(), 0)
+    bell_summaries = list(sweep(configs, bell, 6))
+    assert draws == [40] * 6 + [40] * 6 + [41] * 6 + [40] * 6
+    assert summaries == [monte_carlo(cfg(q, 40, seed=8), EprAlice(_GENERIC, 1), 6) for q in qs]
+    assert bell_summaries == [monte_carlo(c, bell, 6) for c in configs]
+
+
+def test_receiver_parts_are_one_draw_for_every_q_and_sender():
+    # hiding at the sample level: the honest sender of either bit and the
+    # Bell cheater steered in any basis leave the receiver I/2 at every q, so
+    # trial t's receiver parts 4b + 2o are the same draw for all of them
+    scenarios = [HonestAlice(bit=0), HonestAlice(bit=1)] + [
+        EprAlice(bell_strategy(), target, basis)
+        for basis in (RECTILINEAR, DIAGONAL, ProjectiveBasis(1.1, 2.2)) for target in (0, 1)]
+    transcripts = [run_session(cfg(q, 500, seed=31), scenario, trial=4)[0]
+                   for q in (0.0, 1 / 3, 0.5, 1.0) for scenario in scenarios]
+    for t in transcripts:
+        assert np.array_equal(t.classes >> 1, transcripts[0].classes >> 1)
+    # while the announced variants move with q
+    assert not np.array_equal(transcripts[0].classes & 1, transcripts[-len(scenarios)].classes & 1)
+
+
 def test_monte_carlo_mean_skips_trials_without_sifted_rounds():
     # one round per trial: about half the trials measure off the encoding
     # basis and have no evidence; the noiseless ones that do all match
@@ -1015,13 +1087,13 @@ def _replay(q, scenario, seed, trial, rounds):
     """Trial ``trial``'s round classes 4b + 2o + v, drawn afresh.
 
     From the reference laws, each probability rounded to
-    ``protocol._LAW_GRID``, on the stream ``derive_rng(seed, trial)``: the
-    receiver's (b, o) counts in one multinomial draw over the outcomes of
-    positive law, then each (b, o) group's count of variant 1 in one
-    binomial draw, the opened bit's groups first and o = 0 before o = 1.
-    The class codes 4b + 2o + v, laid out in sorted order, are then
-    reordered by ``permutation(rounds)`` drawn from the same key at counter
-    (0, 0, 0, 1).
+    ``protocol._LAW_GRID``, on three substreams of the key (seed, trial):
+    on ``derive_rng(seed, trial)`` the receiver's (b, o) counts in one
+    multinomial draw over the outcomes of positive law; at counter
+    (0, 0, 0, 2) each (b, o) group's count of variant 1 in one binomial
+    draw, the opened bit's groups first and o = 0 before o = 1. The class
+    codes 4b + 2o + v, laid out in sorted order, are then reordered by
+    ``permutation(rounds)`` drawn at counter (0, 0, 0, 1).
     """
     grid = protocol._LAW_GRID
     law = np.rint(_reference_law(q, scenario).reshape(4, 2) / grid) * grid
@@ -1035,12 +1107,18 @@ def _replay(q, scenario, seed, trial, rounds):
     c[present] = rng.multinomial(rounds, receiver[present] / receiver[present].sum())
     bit = scenario.bit if isinstance(scenario, HonestAlice) else scenario.target_bit
     ones = np.zeros(4, dtype=np.int64)
+    variants = _substream(seed, trial, 2)
     for g in (2 * bit, 2 * bit + 1, 2 - 2 * bit, 3 - 2 * bit):
-        ones[g] = rng.binomial(c[g], law[g, 1] / law[g].sum()) if present[g] else 0
+        ones[g] = variants.binomial(c[g], law[g, 1] / law[g].sum()) if present[g] else 0
     classes = np.repeat(np.arange(8), np.stack([c - ones, ones], axis=1).ravel())
+    return classes[_substream(seed, trial, 1).permutation(rounds)]
+
+
+def _substream(seed, trial, counter):
+    """The generator of the key (seed, trial) from counter (0, 0, 0, ``counter``)."""
     philox = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64),
-                              counter=np.array([0, 0, 0, 1], dtype=np.uint64))
-    return classes[np.random.Generator(philox).permutation(rounds)]
+                              counter=np.array([0, 0, 0, counter], dtype=np.uint64))
+    return np.random.Generator(philox)
 
 
 @settings(max_examples=60, deadline=None)
