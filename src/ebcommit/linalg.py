@@ -61,12 +61,14 @@ def hermiticity_defect(m) -> float:
 def _hermitian_part(m) -> np.ndarray:
     """The one validation point for operators that must be Hermitian."""
     m = as_stack(m)
+    # first: m - m† of an infinite entry would warn of an invalid value
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    defect = hermiticity_defect(m)
+    mh = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - mh).max(initial=0.0)  # hermiticity_defect(m), with m† formed once
     if defect > TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {TOL:.1e})")
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    return (m + mh) / 2
 
 
 def eig_hermitian(m, vectors: bool = False):
@@ -90,8 +92,9 @@ def is_psd(m):
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -TOL.
 
     A stack gets a bool array, one verdict per matrix. The package's one
-    positivity test: density-matrix validation and the separability and
-    entanglement-breaking tests all decide through it.
+    positivity test: the validation of density matrices given as matrices
+    and the separability and entanglement-breaking tests all decide
+    through it.
     """
     psd = eig_hermitian(m)[..., -1] >= -TOL
     return bool(psd) if psd.ndim == 0 else psd

@@ -60,13 +60,21 @@ def _check_q(q) -> None:
         raise ValueError(f"q must lie in [0, 1], got {q}")
 
 
+def _check_dim(d: int) -> None:
+    """The dimension of a density matrix: a qubit or a qubit pair."""
+    if d not in (2, 4):
+        raise ValueError(f"dimension must be 2 or 4, got {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator of a qubit or an A|B qubit pair.
 
-    The dimension is 2 or 4. Validation happens on construction; the
-    stored matrix is an immutable copy. Equality is exact entrywise
-    equality of the matrices.
+    The dimension is 2 or 4. ``DensityMatrix(mat)`` validates ``mat`` in
+    full and stores an immutable copy. :meth:`from_pure` and
+    :func:`cheat_state` check their state vector instead and build its
+    projector with :func:`_projector`, which needs no further check.
+    Equality is exact entrywise equality of the matrices.
     """
 
     mat: np.ndarray
@@ -85,13 +93,16 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, vec) -> "DensityMatrix":
-        """Projector |v><v| of a normalized state vector."""
+        """Projector |v><v| of a normalized state vector of dimension 2 or 4.
+
+        The norm check rejects a non-finite v and a norm off 1 by more than
+        1e-9; that is all :func:`_projector` needs to form |v><v| unchecked.
+        """
         v = np.asarray(vec, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
         if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails this too
             raise ValueError(f"state vector norm {n!r} is not 1")
-        v = v / n
-        return cls(np.outer(v, v.conj()))
+        return _projector(v / n)
 
 
 def _density_matrices(m) -> np.ndarray:
@@ -105,8 +116,7 @@ def _density_matrices(m) -> np.ndarray:
     m = np.array(as_stack(m), dtype=complex)
     m.setflags(write=False)
     d = m.shape[-1]
-    if d not in (2, 4):
-        raise ValueError(f"dimension must be 2 or 4, got {d}")
+    _check_dim(d)
     stack = m.reshape(-1, d, d)  # one matrix is a stack of one
     # is_psd rejects non-finite and non-Hermitian matrices first
     if not is_psd(stack).all():
@@ -116,6 +126,25 @@ def _density_matrices(m) -> np.ndarray:
     if off.any():
         raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
     return m
+
+
+def _projector(v: np.ndarray) -> DensityMatrix:
+    """The read-only projector |v><v| of a finite state vector of unit norm, as a DensityMatrix.
+
+    The caller checks v and divides it by its norm; only the dimension is
+    checked here, since the checks of :func:`_density_matrices` could reject
+    nothing more. With |v_i| <= 1, each entry of ``np.outer(v, v.conj())``
+    is within a few ulps of v_i conj(v_j) (a fused complex product can leave
+    ~1e-17 of imaginary part on the diagonal), so its Hermiticity defect,
+    its most negative eigenvalue and the distance of its trace |v|^2 from 1
+    are of order 1e-15, far inside ``TOL``. It is stored with no eigensolve.
+    """
+    _check_dim(v.shape[0])
+    m = np.outer(v, v.conj())
+    m.setflags(write=False)
+    rho = object.__new__(DensityMatrix)  # skips __post_init__'s validation
+    object.__setattr__(rho, "mat", m)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -221,7 +250,9 @@ def cheat_state(a0, a1) -> DensityMatrix:
 
     This is the generic state a cheating committer keeps half of: the B
     qubit goes to the receiver while the A register stays behind for
-    later steering.
+    later steering. a0 and a1 need not be normalized, only finite and of
+    joint norm at least 1e-12; the joint vector is divided by that norm
+    once, and :func:`_projector` forms its projector with no eigensolve.
     """
     a0 = np.asarray(a0, dtype=complex).reshape(-1)
     a1 = np.asarray(a1, dtype=complex).reshape(-1)
@@ -231,8 +262,7 @@ def cheat_state(a0, a1) -> DensityMatrix:
     n = np.linalg.norm(joint)
     if not 1e-12 <= n < math.inf:
         raise ValueError(f"joint vector has zero norm or non-finite entries (norm {n!r})")
-    joint = joint / n
-    return DensityMatrix(np.outer(joint, joint.conj()))
+    return _projector(joint / n)
 
 
 def _sender_operator(rho, effects) -> np.ndarray:

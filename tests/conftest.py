@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ def random_pure_state(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``, through each ebcommit binding."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ebcommit" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from ebcommit.states import (
     isotropic,
 )
 
+from conftest import count_calls
 from reference import (
     counts_report,
     exact_acceptance,
@@ -53,21 +53,6 @@ from reference import (
 
 def cfg(q, rounds, seed=0, **kw):
     return ProtocolConfig(q=q, rounds=rounds, seed=seed, **kw)
-
-
-def count_calls(monkeypatch, module, name):
-    """Record the arguments of every call to ``module.name``, through each ebcommit binding."""
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "ebcommit" and vars(mod).get(name) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
 
 
 #: A sweep's q grid: one q below q* = 1/3 and two above it.
@@ -866,15 +851,17 @@ def test_verdict_divides_counts_past_float_precision_exactly():
 
 
 def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
-    # a scenario's committed pair is validated once, as a DensityMatrix, and
-    # each batch validates its stack of lifts in one call: one per
-    # monte_carlo, one for a whole sweep
+    # the honest pair, a mixture, is validated once, as a DensityMatrix; the
+    # cheater's pure pair is not re-validated (states._projector), and each
+    # batch validates its stack of lifts in one call: one per monte_carlo,
+    # one for a whole sweep
     validated = count_calls(monkeypatch, states, "_density_matrices")
-    for scenario in (HonestAlice(bit=0), EprAlice(bell_strategy(), 1, DIAGONAL)):
+    for scenario, pair in ((HonestAlice(bit=0), [(4, 4)]),
+                           (EprAlice(bell_strategy(), 1, DIAGONAL), [])):
         validated.clear()
         for q in _SWEEP_QS:
             monte_carlo(cfg(q, 10, seed=3), scenario, trials=4)
-        assert [np.shape(m) for m, in validated] == [(4, 4)] + [(1, 4, 4)] * len(_SWEEP_QS)
+        assert [np.shape(m) for m, in validated] == pair + [(1, 4, 4)] * len(_SWEEP_QS)
         validated.clear()
         list(sweep([cfg(q, 10, seed=3) for q in _SWEEP_QS], scenario, trials=4))
         assert [np.shape(m) for m, in validated] == [(len(_SWEEP_QS), 4, 4)]
@@ -1176,13 +1163,15 @@ def test_each_call_on_a_batch_draws_what_a_fresh_batch_draws():
     assert session.transcript(0, 1) == protocol._prepare(configs, scenario).transcript(0, 1)
 
 
-@pytest.mark.parametrize(
-    "scenario", [lambda: HonestAlice(bit=1), lambda: EprAlice(bell_strategy(), 1, DIAGONAL)],
-    ids=["honest", "epr"],
-)
-def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario):
-    # the committed pair and the stack of its lifts; the round law is read
-    # off the sender's operators, with no normalized conditional state
+@pytest.mark.parametrize("scenario, pair", [
+    (lambda: HonestAlice(bit=1), [(4, 4)]),
+    (lambda: EprAlice(bell_strategy(), 1, DIAGONAL), []),
+], ids=["honest", "epr"])
+def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario, pair):
+    # the honest pair and the stack of its lifts; the cheater's pure pair is
+    # formed by states._projector, with no validation, so only her stack is
+    # validated; the round law is read off the sender's operators, with no
+    # normalized conditional state
     validated = count_calls(monkeypatch, states, "_density_matrices")
     constructed = []
     post_init = DensityMatrix.__post_init__
@@ -1196,8 +1185,8 @@ def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario):
         validated.clear()
         constructed.clear()
         protocol._prepare(configs, scenario())
-        assert [np.shape(m) for m, in validated] == [(4, 4), (len(configs), 4, 4)]
-        assert len(constructed) == 1
+        assert [np.shape(m) for m, in validated] == pair + [(len(configs), 4, 4)]
+        assert len(constructed) == len(pair)
 
 
 @pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])

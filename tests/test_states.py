@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
+from ebcommit import linalg
 from ebcommit.channels import DepolarizingChannel, lift_apply
 from ebcommit.protocol import _EFFECTS, EprAlice, ProtocolConfig, run_session
 from ebcommit.states import (
@@ -21,7 +24,7 @@ from ebcommit.states import (
     isotropic,
 )
 
-from conftest import random_density_matrix
+from conftest import count_calls, random_density_matrix
 from reference import (
     bell_psi_plus,
     joint_outcome_decomposition,
@@ -59,6 +62,11 @@ class TestDensityMatrix:
     def test_rejects_dimension_other_than_2_or_4(self, dim):
         with pytest.raises(ValueError, match=f"dimension must be 2 or 4, got {dim}"):
             DensityMatrix(np.eye(dim) / dim)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_from_pure_rejects_dimension_other_than_2_or_4(self, dim):
+        with pytest.raises(ValueError, match=f"dimension must be 2 or 4, got {dim}"):
+            DensityMatrix.from_pure(np.full(dim, 1 / math.sqrt(dim)))
 
     def test_from_pure_requires_normalization(self):
         with pytest.raises(ValueError, match="norm"):
@@ -178,6 +186,61 @@ def test_cheat_state_product_case():
 def test_cheat_state_zero_norm():
     with pytest.raises(ValueError, match="zero norm"):
         cheat_state([0, 0], [0, 0])
+
+
+def _assert_is_the_checked_projector(rho, v):
+    # the projector of v / |v|, bit for bit, read-only, Hermitian to within
+    # ulps (a fused complex product leaves ~1e-17 on the diagonal), and
+    # accepted by the full validation that DensityMatrix(mat) runs
+    w = v / np.linalg.norm(v)
+    assert np.array_equal(rho.mat, np.outer(w, w.conj()))
+    assert not rho.mat.flags.writeable
+    assert linalg.hermiticity_defect(rho.mat) <= 4 * np.finfo(float).eps
+    assert np.array_equal(_density_matrices(rho.mat), rho.mat)
+
+
+_ENTRIES = st.floats(-1e6, 1e6)
+
+
+def _complex_vector(dim):
+    return st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=dim, max_size=dim).map(
+        lambda xs: np.array([complex(re, im) for re, im in xs]))
+
+
+@given(raw=st.one_of(_complex_vector(2), _complex_vector(4)))
+@example(raw=np.array([1.0, 1.0, 1.0, 1e-300j]))
+def test_from_pure_of_a_unit_vector_passes_the_full_check(raw):
+    n = np.linalg.norm(raw)
+    assume(0.0 < n < math.inf)
+    v = raw / n
+    assume(abs(np.linalg.norm(v) - 1.0) <= 1e-9)  # from_pure's own norm check
+    _assert_is_the_checked_projector(DensityMatrix.from_pure(v), v)
+
+
+@given(a0=_complex_vector(2), a1=_complex_vector(2),
+       norm=st.one_of(st.just(1e-12), st.floats(1e-12, 2e-12), st.floats(1e-3, 1e3)))
+@example(a0=np.array([1.0, 0.0]), a1=np.array([0.0, 1.0]), norm=1.0)
+@example(a0=np.array([1e-12, 0.0]), a1=np.array([0.0, 0.0]), norm=1e-12)  # on the floor
+def test_cheat_state_passes_the_full_check(a0, a1, norm):
+    # the joint vector scaled to a norm near or at the 1e-12 floor, or far above it
+    n0 = np.linalg.norm(np.concatenate([a0, a1]))
+    assume(0.0 < n0 < math.inf)
+    a0, a1 = a0 * (norm / n0), a1 * (norm / n0)
+    joint = np.array([a0[0], a1[0], a0[1], a1[1]])
+    assume(1e-12 <= np.linalg.norm(joint) < math.inf)
+    _assert_is_the_checked_projector(cheat_state(a0, a1), joint)
+
+
+def test_pure_states_make_no_eigensolve(monkeypatch):
+    # a checked unit vector's projector needs no eigensolve; a mixture does
+    eigensolves = count_calls(monkeypatch, linalg, "eig_hermitian")
+    DensityMatrix.from_pure([0.6, 0.8j])
+    DensityMatrix.from_pure(bell_psi_plus())
+    cheat_state([1, 0], [0.6, 0.8])
+    cheat_state([2.0, 1j], [0.0, 3.0])
+    assert eigensolves == []
+    DensityMatrix(np.eye(2) / 2)
+    assert len(eigensolves) == 1
 
 
 def test_measure_joint_bell_correlations():
