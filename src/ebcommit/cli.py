@@ -98,10 +98,8 @@ def _q_arg(flag: str, q: float) -> float:
 
 def _parse_state(spec: str, flag: str) -> DensityMatrix:
     """State spec: additionally accepts the bb84-0 / bb84-1 pair mixtures."""
-    if spec == "bb84-0":
-        return bb84_pair_mixture(0)
-    if spec == "bb84-1":
-        return bb84_pair_mixture(1)
+    if spec in ("bb84-0", "bb84-1"):
+        return bb84_pair_mixture(int(spec[-1]))
     return DensityMatrix.from_pure(_parse_vector(spec, flag))
 
 
@@ -355,17 +353,21 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"--q-steps: {args.q_steps} q values are too many to lay out") from None
     scenario = _build_scenario(args)
     configs = [_build_config(args, q) for q in qs]
-    rows = [
-        {
-            "q": q,
-            "match_fraction_mean": summary.match_fraction_mean,
-            "match_fraction_std": summary.match_fraction_std,
-            "acceptance_rate": summary.acceptance_rate,
-            "separable_fraction": summary.separable_fraction,
-            "mean_concurrence_post_channel": summary.mean_concurrence,
-        }
-        for q, summary in zip(qs, sweep(configs, scenario, args.trials))
-    ]
+    summaries = sweep(configs, scenario, args.trials)
+    try:
+        rows = [
+            {
+                "q": q,
+                "match_fraction_mean": summary.match_fraction_mean,
+                "match_fraction_std": summary.match_fraction_std,
+                "acceptance_rate": summary.acceptance_rate,
+                "separable_fraction": summary.separable_fraction,
+                "mean_concurrence_post_channel": summary.mean_concurrence,
+            }
+            for q, summary in zip(qs, summaries)
+        ]
+    except MemoryError as exc:  # the summaries draw their trials lazily
+        raise UsageError(f"--trials: {exc}") from None
     _emit(_meta(args), rows, args.format, args.output)
     return EXIT_OK
 

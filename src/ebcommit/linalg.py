@@ -52,12 +52,6 @@ def as_operator(x, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m) -> float:
-    """max |M[i,j] - conj(M[j,i])| over a matrix or a stack, zero iff each is exactly Hermitian."""
-    m = as_stack(m)
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
-
-
 def _hermitian_part(m) -> np.ndarray:
     """The one validation point for operators that must be Hermitian."""
     m = as_stack(m)
@@ -65,7 +59,7 @@ def _hermitian_part(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     mh = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - mh).max(initial=0.0)  # hermiticity_defect(m), with m† formed once
+    defect = np.abs(m - mh).max(initial=0.0)
     if defect > TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {TOL:.1e})")
     return (m + mh) / 2
@@ -91,10 +85,11 @@ def eig_hermitian(m, vectors: bool = False):
 def is_psd(m):
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -TOL.
 
-    A stack gets a bool array, one verdict per matrix. The package's one
-    positivity test: the validation of density matrices given as matrices
-    and the separability and entanglement-breaking tests all decide
-    through it.
+    A stack gets a bool array, one verdict per matrix, as a sweep's PPT
+    test over its stack of post-channel pairs needs. The package's one
+    positivity test: the validation of a density matrix given as a
+    matrix and the separability and entanglement-breaking tests all
+    decide through it.
     """
     psd = eig_hermitian(m)[..., -1] >= -TOL
     return bool(psd) if psd.ndim == 0 else psd

@@ -77,7 +77,6 @@ from .states import (
     _check_real,
     _check_type,
     _check_word,
-    _density_matrices,
     _sender_operator,
     bb84_projector,
     cheat_state,
@@ -282,10 +281,11 @@ class _Session:
     Both senders are pairs steered at opening, the honest one in
     ``RECTILINEAR``, and a scenario builds its ``pair`` once however often
     it is prepared. ``_prepare`` lifts the pair to every config's q in one
-    broadcast, validates the (Q, 4, 4) stack ``joints`` of post-channel
-    pairs in one call and reads every round law off it in one contraction:
-    ``receivers`` holds each config's receiver law r[2b + o] and ``p_ones``
-    its P(v = 1 | b, o), both on the ``_LAW_GRID``.
+    broadcast, into the read-only (Q, 4, 4) stack ``joints`` of post-channel
+    pairs, which needs no validation (see ``_prepare``), and reads every
+    round law off it in one contraction: ``receivers`` holds each config's
+    receiver law r[2b + o] and ``p_ones`` its P(v = 1 | b, o), both on the
+    ``_LAW_GRID``.
 
     A trial draws class counts, not rounds, so its cost does not grow with
     ``config.rounds`` until a transcript lays the rounds out. The batch
@@ -335,12 +335,18 @@ class _Session:
         if self.drawn.get("key") != key:
             outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
             pvals = receiver[outcomes] / receiver[outcomes].sum()
-            rows = np.empty((len(trials), outcomes.size), dtype=np.int64)
+            try:
+                rows = np.empty((len(trials), outcomes.size), dtype=np.int64)
+                counts = np.zeros((4, len(trials)), dtype=np.int64)
+            # numpy refuses a size past its limit with a ValueError, and len()
+            # a range past 2**63 - 1 with an OverflowError
+            except (MemoryError, ValueError, OverflowError):
+                raise MemoryError(
+                    f"{trials.stop - trials.start} trials are too many to lay out") from None
             multinomial, rekey = self.rng.multinomial, self._rekey
             for j, t in enumerate(trials):
                 rekey(_RECEIVER, config.seed, t)
                 rows[j] = multinomial(config.rounds, pvals)
-            counts = np.zeros((4, len(trials)), dtype=np.int64)
             counts[outcomes] = rows.T
             self.drawn.update(key=key, counts=counts)
         return self.drawn["counts"]
@@ -378,7 +384,17 @@ class _Session:
 
 
 def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
-    """The scenario's ``_Session`` of ``configs``."""
+    """The scenario's ``_Session`` of ``configs``.
+
+    The lifts ``joints`` are stored read-only and not validated, since no
+    check of ``DensityMatrix(mat)`` could fail on one. The pair is either
+    a validated ``DensityMatrix`` (the honest classical-quantum pair) or a
+    ``states._projector`` output, within ~1e-15 of an exact state;
+    ``ProtocolConfig`` has checked that q lies in [0, 1]; and each lift
+    q rho + (1 - q) rho_A x I/2 is a convex combination of two states, so
+    it is Hermitian, PSD and of unit trace to within a few ulps, far
+    inside ``TOL``.
+    """
     for config in configs:
         _check_type("config", config, ProtocolConfig)
     if isinstance(scenario, HonestAlice):
@@ -387,7 +403,8 @@ def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
         opened_bit, steer_basis = scenario.target_bit, scenario.steer_basis
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
-    joints = _density_matrices(_depolarizing_lift([c.q for c in configs], scenario.pair))
+    joints = _depolarizing_lift([c.q for c in configs], scenario.pair)
+    joints.setflags(write=False)
     receivers, laws = (np.rint(a / _LAW_GRID) * _LAW_GRID for a in _round_law(joints, steer_basis))
     pairs = laws.reshape(-1, 4, 2)
     # P(v = 1 | b, o); exactly 0 or 1 where one class of the group has law 0
@@ -457,7 +474,8 @@ def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> Mont
     """Repeat a session over trial-indexed seed streams and summarize: ``sweep`` of one config.
 
     Trial t draws from the substreams of the key (config.seed, t), so
-    results do not depend on execution order.
+    results do not depend on execution order. Raises MemoryError for more
+    trials than the host can lay out as a column.
     """
     return next(sweep([config], scenario, trials))
 
@@ -468,7 +486,8 @@ def sweep(
     """One ``MonteCarloSummary`` per config, in order, each over ``trials`` trials.
 
     The configs are prepared once, here, as one ``_Session``, and its stack
-    of post-channel pairs gets one PPT test and one Wootters evaluation.
+    of post-channel pairs, which needs no validation (see ``_prepare``),
+    gets one PPT test and one Wootters evaluation.
     The summaries are then drawn lazily, one config at a time, so the
     sweep holds one config's count columns at a time, and a run of
     consecutive configs of one (seed, rounds, r) shares one draw of the
@@ -477,7 +496,8 @@ def sweep(
     once: trial t's decision is ``verify``'s of the transcript
     ``run_session(config, scenario, t)`` returns.
     ``concurrence`` is 0.0 exactly on the states the PPT test accepts, so
-    its one PPT test also decides separability.
+    its one PPT test also decides separability. The summaries raise
+    MemoryError for more trials than the host can lay out as a column.
     """
     _check_int("trials", trials)
     if trials < 1:

@@ -72,11 +72,14 @@ def bob_cheat_probability(
 ) -> HidingReport:
     """Receiver's guessing probability 1/2 + max(D, D')/2 for the two encodings.
 
-    Both distances are computed as written even though, by data
-    processing, every channel can only contract them (D' <= D, and
-    D' = q D for the depolarizing family), so the raw term decides.
-    Raises TypeError for an encoding that is not a DensityMatrix and
-    ValueError for one that is not a qubit state.
+    D is the trace distance of the encodings, and D' (``delta_channel``)
+    that of their images under ``channel``: what the honest receiver's
+    noisy apparatus sees. ``p_bcheat`` is for a cheating receiver, who
+    can skip his own noise, so D decides: by data processing every
+    channel can only contract the distance (D' <= D, and D' = q D for the
+    depolarizing family). D' is still computed as written, to show that
+    contraction. Raises TypeError for an encoding that is not a
+    DensityMatrix and ValueError for one that is not a qubit state.
     """
     for name, sigma in (("sigma0", sigma0), ("sigma1", sigma1)):
         _check_type(name, sigma, DensityMatrix)

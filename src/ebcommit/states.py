@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, _b_blocks, as_operator, as_stack, eig_hermitian, is_psd
+from .linalg import TOL, _b_blocks, as_operator, eig_hermitian, is_psd
 
 # Probability below which a measurement outcome is treated as impossible:
 # a session's round class of lower probability is never drawn.
@@ -71,7 +71,10 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace operator of a qubit or an A|B qubit pair.
 
     The dimension is 2 or 4. ``DensityMatrix(mat)`` validates ``mat`` in
-    full and stores an immutable copy. :meth:`from_pure` and
+    full and stores a read-only copy: a square matrix of dimension 2 or 4,
+    finite, Hermitian, PSD (by :func:`is_psd`) and of unit trace, checked
+    in that order. It is the package's one validation of a density matrix;
+    a stack of them is no density matrix. :meth:`from_pure` and
     :func:`cheat_state` check their state vector instead and build its
     projector with :func:`_projector`, which needs no further check.
     Equality is exact entrywise equality of the matrices.
@@ -85,7 +88,16 @@ class DensityMatrix:
         return np.array_equal(self.mat, other.mat)
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _density_matrices(as_operator(self.mat)))
+        m = np.array(as_operator(self.mat), dtype=complex)
+        m.setflags(write=False)
+        _check_dim(m.shape[0])
+        # is_psd rejects non-finite and non-Hermitian matrices first
+        if not is_psd(m):
+            raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(m)[-1]:.3e})")
+        tr = m.trace().real
+        if abs(tr - 1.0) > TOL:
+            raise ValueError(f"trace is {tr!r}, expected 1")
+        object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
@@ -105,34 +117,11 @@ class DensityMatrix:
         return _projector(v / n)
 
 
-def _density_matrices(m) -> np.ndarray:
-    """A read-only copy of a density matrix, or of a (..., d, d) stack of them, validated.
-
-    Each matrix must be Hermitian, PSD and of unit trace, with d 2 or 4.
-    :class:`DensityMatrix` validates its one matrix here, and a batch of
-    sessions validates its whole stack of post-channel pairs in one call,
-    so both are judged by the same checks.
-    """
-    m = np.array(as_stack(m), dtype=complex)
-    m.setflags(write=False)
-    d = m.shape[-1]
-    _check_dim(d)
-    stack = m.reshape(-1, d, d)  # one matrix is a stack of one
-    # is_psd rejects non-finite and non-Hermitian matrices first
-    if not is_psd(stack).all():
-        raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(stack)[:, -1].min():.3e})")
-    tr = stack.trace(axis1=1, axis2=2).real
-    off = np.abs(tr - 1.0) > TOL
-    if off.any():
-        raise ValueError(f"trace is {tr[off][0]!r}, expected 1")
-    return m
-
-
 def _projector(v: np.ndarray) -> DensityMatrix:
     """The read-only projector |v><v| of a finite state vector of unit norm, as a DensityMatrix.
 
     The caller checks v and divides it by its norm; only the dimension is
-    checked here, since the checks of :func:`_density_matrices` could reject
+    checked here, since the checks of ``DensityMatrix(mat)`` could reject
     nothing more. With |v_i| <= 1, each entry of ``np.outer(v, v.conj())``
     is within a few ulps of v_i conj(v_j) (a fused complex product can leave
     ~1e-17 of imaginary part on the diagonal), so its Hermiticity defect,

@@ -36,6 +36,21 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def refuse_rows(monkeypatch, rows: int) -> None:
+    """Make ``np.empty`` refuse any array of ``rows`` rows, as a host short of memory would.
+
+    Smaller arrays, such as numpy's own buffers, are still allocated.
+    """
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if np.ndim(shape) == 1 and len(shape) > 1 and shape[0] == rows:
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)

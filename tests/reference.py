@@ -11,7 +11,8 @@ and the textbook Wootters formula are the brute-force routes
 that the closed forms of the package are checked against. A Monte Carlo
 summary is checked against one built from a full session per trial, and
 its acceptance rate against the exact binomial sum. The Pauli X and Z
-matrices, which only the tests use, are defined here.
+matrices and the Hermiticity defect of a matrix, which only the tests
+use, are defined here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ import numpy as np
 
 from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
 from ebcommit.entanglement import concurrence, is_separable
-from ebcommit.linalg import PAULI_I, PAULI_Y, as_operator, eig_hermitian, is_psd, partial_trace
+from ebcommit.linalg import (
+    PAULI_I,
+    PAULI_Y,
+    as_operator,
+    as_stack,
+    eig_hermitian,
+    is_psd,
+    partial_trace,
+)
 from ebcommit.protocol import MonteCarloSummary, VerificationReport, _verdict, run_session
 from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis
 
@@ -45,6 +54,12 @@ def clip_spectrum(w: np.ndarray) -> np.ndarray:
     cutoff = SPECTRUM_FLOOR * max(1.0, float(w.max()))
     w[w < cutoff] = 0.0
     return w
+
+
+def hermiticity_defect(m) -> float:
+    """max |M[i,j] - conj(M[j,i])| over a matrix or a stack, zero iff each is exactly Hermitian."""
+    m = as_stack(m)
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
 def sqrtm_psd(m) -> np.ndarray:

@@ -14,6 +14,8 @@ from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from ebcommit.protocol import HonestAlice, ProtocolConfig, monte_carlo
 from ebcommit.states import ProjectiveBasis
 
+from conftest import refuse_rows
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -312,6 +314,23 @@ def test_sweep_out_of_memory_is_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(np, "linspace", refuse)
     code, out, err = run_cli(capsys, "sweep", "--q-steps", "11")
     line = "ebcommit: error: --q-steps: 11 q values are too many to lay out\n"
+    assert (code, out, err) == (EXIT_USAGE, "", line)
+
+
+# numpy refuses a column of 2**62 or 2**63 - 1 trials by arithmetic, before it
+# allocates anything ("array is too big"), and len() a range of 2**63 or more
+@pytest.mark.parametrize("trials", [2**62, 2**63 - 1, 2**63, 2**64])
+def test_sweep_of_trials_too_many_to_lay_out_is_usage_error(capsys, trials):
+    code, out, err = run_cli(capsys, "sweep", "--q-steps", "1", "--rounds", "1",
+                             "--trials", str(trials))
+    line = f"ebcommit: error: --trials: {trials} trials are too many to lay out\n"
+    assert (code, out, err) == (EXIT_USAGE, "", line)
+
+
+def test_sweep_of_trials_out_of_memory_is_usage_error(capsys, monkeypatch):
+    refuse_rows(monkeypatch, 1000)
+    code, out, err = run_cli(capsys, "sweep", "--q-steps", "11", "--trials", "1000")
+    line = "ebcommit: error: --trials: 1000 trials are too many to lay out\n"
     assert (code, out, err) == (EXIT_USAGE, "", line)
 
 

@@ -4,7 +4,6 @@ import pytest
 from ebcommit.linalg import (
     as_operator,
     eig_hermitian,
-    hermiticity_defect,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -14,7 +13,7 @@ from ebcommit.channels import KrausChannel
 from ebcommit.states import CheatStrategy, DensityMatrix, cheat_state, isotropic
 
 from conftest import random_density_matrix, random_hermitian
-from reference import PAULI_X, PAULI_Z, bell_psi_plus, fidelity, sqrtm_psd
+from reference import PAULI_X, PAULI_Z, bell_psi_plus, fidelity, hermiticity_defect, sqrtm_psd
 
 I2 = np.eye(2)
 I4 = np.eye(4)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebcommit import channels, entanglement, protocol, states
+from ebcommit import channels, entanglement, linalg, protocol
 from ebcommit.channels import DepolarizingChannel, channel_apply, lift_apply
 from ebcommit.cli import main
 from ebcommit.entanglement import concurrence, is_separable
@@ -40,7 +40,7 @@ from ebcommit.states import (
     isotropic,
 )
 
-from conftest import count_calls
+from conftest import count_calls, refuse_rows
 from reference import (
     counts_report,
     exact_acceptance,
@@ -457,6 +457,28 @@ def test_run_session_names_rounds_too_many_to_lay_out():
         run_session(cfg(0.5, 2**62), HonestAlice(bit=0))
 
 
+# numpy refuses a (trials, outcomes) column of 2**62 or 2**63 - 1 rows by
+# arithmetic, before it allocates anything, and len() a range of 2**63 or more
+@pytest.mark.parametrize("trials", [2**62, 2**63 - 1, 2**63, 2**64])
+@pytest.mark.parametrize("scenario", [HonestAlice(bit=0), EprAlice(bell_strategy(), 1, DIAGONAL),
+                                      EprAlice(CheatStrategy([1, 0], [1, 0]))],
+                         ids=["honest", "bell", "product"])
+def test_sweep_names_trials_too_many_to_lay_out(scenario, trials):
+    # the product cheater's |0>|+> leaves the receiver 3 outcomes of positive law at q = 1
+    message = f"^{trials} trials are too many to lay out$"
+    with pytest.raises(MemoryError, match=message):
+        monte_carlo(cfg(1.0, 10), scenario, trials)
+    summaries = sweep([cfg(q, 10) for q in _SWEEP_QS], scenario, trials)
+    with pytest.raises(MemoryError, match=message):
+        next(summaries)
+
+
+def test_sweep_out_of_memory_names_the_trials(monkeypatch):
+    refuse_rows(monkeypatch, 1000)
+    with pytest.raises(MemoryError, match="^1000 trials are too many to lay out$"):
+        monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), 1000)
+
+
 @pytest.mark.parametrize("trial", [True, 2.5, "1", None, -1, 2**64])
 def test_run_session_rejects_bad_trial(trial):
     with pytest.raises(ValueError, match="trial must be"):
@@ -572,6 +594,30 @@ def test_sweep_equals_monte_carlo_per_config(epr, bit, a0, a1, steer, qs, data, 
     ]
     assert list(sweep(configs, scenario, trials)) == [
         monte_carlo(c, scenario, trials) for c in configs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epr=st.booleans(),
+    bit=st.integers(0, 1),
+    a0=_ANGLES,
+    a1=_ANGLES,
+    steer=_ANGLES,
+    qs=st.lists(st.floats(0.0, 1.0), max_size=3).flatmap(
+        lambda extra: st.permutations(list(_GRID_QS) + extra)),
+)
+def test_prepared_lifts_pass_the_density_matrix_check(epr, bit, a0, a1, steer, qs):
+    # _prepare does not validate its lifts; the full check of each, run here
+    # as an oracle, must accept every one, and the stack is read-only
+    if epr:
+        strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+        scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
+    else:
+        scenario = HonestAlice(bit=bit)
+    joints = protocol._prepare([cfg(q, 10) for q in qs], scenario).joints
+    assert joints.shape == (len(qs), 4, 4) and not joints.flags.writeable
+    for m in joints:
+        DensityMatrix(m)
 
 
 def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
@@ -850,21 +896,37 @@ def test_verdict_divides_counts_past_float_precision_exactly():
     assert fraction[0] != np.float64(matched[0]) / np.float64(sifted[0])
 
 
+def _count_prepare_eigensolves(monkeypatch):
+    """The shapes ``eig_hermitian`` gets inside each ``protocol._prepare`` call, a list per call."""
+    eigensolves = count_calls(monkeypatch, linalg, "eig_hermitian")
+    prepared = []
+    prepare = protocol._prepare
+
+    def counting(configs, scenario):
+        before = len(eigensolves)
+        session = prepare(configs, scenario)
+        prepared.append([np.shape(args[0]) for args in eigensolves[before:]])
+        return session
+
+    monkeypatch.setattr(protocol, "_prepare", counting)
+    return prepared
+
+
 def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
-    # the honest pair, a mixture, is validated once, as a DensityMatrix; the
-    # cheater's pure pair is not re-validated (states._projector), and each
-    # batch validates its stack of lifts in one call: one per monte_carlo,
-    # one for a whole sweep
-    validated = count_calls(monkeypatch, states, "_density_matrices")
+    # the honest pair, a mixture, is validated once, as a DensityMatrix, by
+    # one eigensolve the first time its scenario is prepared; the cheater's
+    # pure pair is not re-validated (states._projector); and no batch
+    # validates its stack of lifts, in a monte_carlo or a whole sweep
+    prepared = _count_prepare_eigensolves(monkeypatch)
     for scenario, pair in ((HonestAlice(bit=0), [(4, 4)]),
                            (EprAlice(bell_strategy(), 1, DIAGONAL), [])):
-        validated.clear()
+        prepared.clear()
         for q in _SWEEP_QS:
             monte_carlo(cfg(q, 10, seed=3), scenario, trials=4)
-        assert [np.shape(m) for m, in validated] == pair + [(1, 4, 4)] * len(_SWEEP_QS)
-        validated.clear()
+        assert prepared == [pair] + [[]] * (len(_SWEEP_QS) - 1)
+        prepared.clear()
         list(sweep([cfg(q, 10, seed=3) for q in _SWEEP_QS], scenario, trials=4))
-        assert [np.shape(m) for m, in validated] == [(len(_SWEEP_QS), 4, 4)]
+        assert prepared == [[]]
 
 
 @pytest.mark.parametrize("scenario, q", [
@@ -1168,11 +1230,13 @@ def test_each_call_on_a_batch_draws_what_a_fresh_batch_draws():
     (lambda: EprAlice(bell_strategy(), 1, DIAGONAL), []),
 ], ids=["honest", "epr"])
 def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario, pair):
-    # the honest pair and the stack of its lifts; the cheater's pure pair is
-    # formed by states._projector, with no validation, so only her stack is
-    # validated; the round law is read off the sender's operators, with no
-    # normalized conditional state
-    validated = count_calls(monkeypatch, states, "_density_matrices")
+    # of the two density matrices a preparation meets, the pair and the stack
+    # of its lifts, only the honest pair is validated: once, with one
+    # eigensolve, the first time its scenario is prepared. The cheater's
+    # pure pair is formed by states._projector, with no validation, and no
+    # lift is validated; the round law is read off the sender's operators,
+    # with no normalized conditional state
+    prepared = _count_prepare_eigensolves(monkeypatch)
     constructed = []
     post_init = DensityMatrix.__post_init__
 
@@ -1182,10 +1246,12 @@ def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario, pair)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
     for configs in ([cfg(0.7, 10)], [cfg(q, 10) for q in _SWEEP_QS]):
-        validated.clear()
+        prepared.clear()
         constructed.clear()
-        protocol._prepare(configs, scenario())
-        assert [np.shape(m) for m, in validated] == pair + [(len(configs), 4, 4)]
+        sc = scenario()
+        protocol._prepare(configs, sc)
+        protocol._prepare(configs, sc)
+        assert prepared == [pair, []]
         assert len(constructed) == len(pair)
 
 

@@ -15,7 +15,6 @@ from ebcommit.states import (
     CheatStrategy,
     DensityMatrix,
     ProjectiveBasis,
-    _density_matrices,
     _sender_operator,
     bb84_pair_mixture,
     bb84_projector,
@@ -27,6 +26,7 @@ from ebcommit.states import (
 from conftest import count_calls, random_density_matrix
 from reference import (
     bell_psi_plus,
+    hermiticity_defect,
     joint_outcome_decomposition,
     projectors,
     receiver_marginal,
@@ -195,8 +195,8 @@ def _assert_is_the_checked_projector(rho, v):
     w = v / np.linalg.norm(v)
     assert np.array_equal(rho.mat, np.outer(w, w.conj()))
     assert not rho.mat.flags.writeable
-    assert linalg.hermiticity_defect(rho.mat) <= 4 * np.finfo(float).eps
-    assert np.array_equal(_density_matrices(rho.mat), rho.mat)
+    assert hermiticity_defect(rho.mat) <= 4 * np.finfo(float).eps
+    assert np.array_equal(DensityMatrix(rho.mat).mat, rho.mat)
 
 
 _ENTRIES = st.floats(-1e6, 1e6)
@@ -318,25 +318,25 @@ def test_sender_operator_of_a_stack_of_effects(rng):
         assert np.array_equal(x_joint, _sender_operator(joint, _EFFECTS))
 
 
-def test_density_matrices_validate_a_stack_with_the_density_matrix_checks(rng):
+def test_density_matrix_rejects_each_malformed_matrix_and_a_stack(rng):
+    # the one validation of a density matrix: each check raises its own
+    # message, and a stack of valid matrices is no density matrix
     stack = np.array([random_density_matrix(rng, 4) for _ in range(4)])
-    valid = _density_matrices(stack)
-    assert np.array_equal(valid, stack) and not valid.flags.writeable
-    assert valid is not stack
-    for i, (bad, message) in enumerate([
-        (np.diag([1.5, -0.5, 0.0, 0.0]), "not PSD"),
-        (np.eye(4) / 2, "trace is"),
-        (np.triu(np.ones((4, 4))) / 4, "not Hermitian"),
-        (np.full((4, 4), np.nan), "non-finite"),
-    ]):
-        broken = stack.copy()
-        broken[i] = bad
-        with pytest.raises(ValueError, match=message):
-            _density_matrices(broken)
+    for m in stack:
+        valid = DensityMatrix(m).mat
+        assert np.array_equal(valid, m) and not valid.flags.writeable
+        assert valid is not m
+    for bad, message in [
+        (np.diag([1.5, -0.5, 0.0, 0.0]), r"^not PSD \(min eigenvalue -5\.000e-01\)$"),
+        (np.eye(4) / 2, r"^trace is (np\.float64\()?2\.0\)?, expected 1$"),  # numpy 2 reprs np.float64
+        (np.triu(np.ones((4, 4))) / 4, r"^matrix is not Hermitian \(defect 2\.500e-01 > 1\.0e-10\)$"),
+        (np.full((4, 4), np.nan), "^matrix has non-finite entries$"),
+        (np.eye(3) / 3, "^dimension must be 2 or 4, got 3$"),
+    ]:
         with pytest.raises(ValueError, match=message):
             DensityMatrix(bad)
-    with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
-        _density_matrices(np.array([np.eye(3) / 3] * 2))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 4, 4\)$"):
+        DensityMatrix(stack[:2])
 
 
 def test_measure_joint_rejects_a_branch_that_is_not_psd():

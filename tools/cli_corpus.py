@@ -186,6 +186,7 @@ def _usage_errors() -> list[list[str]]:
         ["sweep", "--accept-sigma", "inf"],
         ["sweep", "--q-steps", "0"],
         ["sweep", "--trials", "0"],
+        ["sweep", "--trials", str(2**62)],  # more trials than numpy lays out
         ["sweep", "--workers", "0"],
         ["sweep", "--q-min", "nan"],
         ["sweep", "--q-max", "1.5"],
