@@ -6,8 +6,12 @@ otherwise. :func:`channel_apply` is the one place a channel acts, on a
 2x2 operator or a stack of them: this closed form for a
 :class:`DepolarizingChannel`, the Kraus sum for a :class:`KrausChannel`.
 A lift (I x c), the noise on incoming commitment qubits, is that map on
-the pair's 2x2 blocks (``linalg._b_blocks``); a batch of sessions lifts
-its pair for all its q at once, with a vector q broadcast over them.
+the pair's 2x2 blocks (``linalg._b_blocks``). Sessions do not lift their
+pair: they apply the depolarizing map, which is self-adjoint, to the
+receiver's four effects, for all their q at once with a vector q
+broadcast over them (``_depolarize``). Only a sweep's separability and
+concurrence columns need the post-channel pairs, one broadcast lift per
+sweep (``_depolarizing_lift``).
 """
 
 from __future__ import annotations

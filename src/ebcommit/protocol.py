@@ -20,9 +20,12 @@ A round is one of 8 classes 4b + 2o + v (receiver basis b and outcome
 o, announced variant v), and a transcript, the record of one opened
 session, is the opened bit and a read-only int8 column of each round's
 class. The classes are drawn from one law: 1/2 <s_v|x|s_v> of the
-sender's operator x = tr_B[rho (I x E)] for receiver projector E
-(``states._sender_operator``, as in ``security``) and steering vector
-s_v, so no conditional state or probability is formed. That law
+sender's operator x = tr_B[rho (I x eps_q(E))] of the noiseless pair rho
+(``states._sender_operator``) and steering vector s_v, for the
+receiver's projector E mapped by his channel eps_q. The channel is read
+on his effects, as in ``security``: eps_q is self-adjoint, so this is
+the operator of E on the post-channel pair, which is never formed, and
+no conditional state or probability is either. That law
 depends only on q and the scenario, so the configurations of one
 scenario, one per q of a sweep, are prepared at once as one batch
 (``_Session``) and then sampled config by config and trial by trial.
@@ -63,7 +66,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import _depolarizing_lift
+from .channels import _depolarize, _depolarizing_lift
 from .entanglement import concurrence
 from .states import (
     OUTCOME_EPS,
@@ -167,17 +170,17 @@ def derive_rng(seed: int, trial: int) -> np.random.Generator:
 _EFFECTS = np.array([[bb84_projector(b, o) for o in (0, 1)] for b in (0, 1)])
 
 
-def _round_law(joint, steer_basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The receiver's law r[2b + o] and the round law law[4b + 2o + v] of a post-channel pair.
+def _round_law(x: np.ndarray, steer_basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver's law r[2b + o] and the round law law[4b + 2o + v] of the sender's operators.
 
-    With x[b, o] the sender's operators and s_v her steering vectors,
+    With x[b, o] the sender's operators of the receiver's effects, of
+    shape (2, 2, 2, 2), and s_v her steering vectors,
     law[4b + 2o + v] = 1/2 <s_v|x[b, o]|s_v>, 0 below ``OUTCOME_EPS``, and
     r[2b + o] = 1/2 tr x[b, o], 0 where both of its classes have law 0.
     r is read off the traces, not summed from the law: those sums differ
-    by ulps from one steering basis to another. A stack of pairs of shape
-    (Q, 4, 4) gets laws of shape (Q, 4) and (Q, 8).
+    by ulps from one steering basis to another. A stack of operators of
+    shape (Q, 2, 2, 2, 2) gets laws of shape (Q, 4) and (Q, 8).
     """
-    x = _sender_operator(joint, _EFFECTS)  # x[..., b, o]
     lead = x.shape[:-4]
     s = np.array(steer_basis.vectors())
     law = np.einsum("vi,...boij,vj->...bov", s.conj(), x, s).real.reshape(lead + (8,)) / 2
@@ -280,12 +283,11 @@ class _Session:
 
     Both senders are pairs steered at opening, the honest one in
     ``RECTILINEAR``, and a scenario builds its ``pair`` once however often
-    it is prepared. ``_prepare`` lifts the pair to every config's q in one
-    broadcast, into the read-only (Q, 4, 4) stack ``joints`` of post-channel
-    pairs, which needs no validation (see ``_prepare``), and reads every
-    round law off it in one contraction: ``receivers`` holds each config's
-    receiver law r[2b + o] and ``p_ones`` its P(v = 1 | b, o), both on the
-    ``_LAW_GRID``.
+    it is prepared. ``_prepare`` maps the receiver's effects through the
+    channel of every config's q in one broadcast and reads every round law
+    off the noiseless pair's sender operators of them in one contraction:
+    ``receivers`` holds each config's receiver law r[2b + o] and
+    ``p_ones`` its P(v = 1 | b, o), both on the ``_LAW_GRID``.
 
     A trial draws class counts, not rounds, so its cost does not grow with
     ``config.rounds`` until a transcript lays the rounds out. The batch
@@ -314,7 +316,6 @@ class _Session:
 
     configs: tuple[ProtocolConfig, ...]
     opened_bit: int
-    joints: np.ndarray
     receivers: np.ndarray
     p_ones: np.ndarray
     bitgen: np.random.Philox
@@ -386,14 +387,12 @@ class _Session:
 def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
     """The scenario's ``_Session`` of ``configs``.
 
-    The lifts ``joints`` are stored read-only and not validated, since no
-    check of ``DensityMatrix(mat)`` could fail on one. The pair is either
-    a validated ``DensityMatrix`` (the honest classical-quantum pair) or a
-    ``states._projector`` output, within ~1e-15 of an exact state;
-    ``ProtocolConfig`` has checked that q lies in [0, 1]; and each lift
-    q rho + (1 - q) rho_A x I/2 is a convex combination of two states, so
-    it is Hermitian, PSD and of unit trace to within a few ulps, far
-    inside ``TOL``.
+    Config i's sender operators are x_i[b, o] = tr_B[rho (I x eps_q(E[b, o]))]
+    of the noiseless pair rho, with the receiver's channel eps_q applied
+    to his effects ``_EFFECTS``, all configs' at once; no post-channel
+    pair is formed. This is the one place a session meets a channel: any
+    other receiver channel would enter as its adjoint on ``_EFFECTS``, and
+    a channel on the sender's retained half as that channel applied to x.
     """
     for config in configs:
         _check_type("config", config, ProtocolConfig)
@@ -403,9 +402,9 @@ def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
         opened_bit, steer_basis = scenario.target_bit, scenario.steer_basis
     else:
         raise TypeError(f"not a scenario: {scenario!r}")
-    joints = _depolarizing_lift([c.q for c in configs], scenario.pair)
-    joints.setflags(write=False)
-    receivers, laws = (np.rint(a / _LAW_GRID) * _LAW_GRID for a in _round_law(joints, steer_basis))
+    qs = np.array([c.q for c in configs], dtype=float)[:, None, None, None, None]
+    x = _sender_operator(scenario.pair, _depolarize(qs, _EFFECTS))
+    receivers, laws = (np.rint(a / _LAW_GRID) * _LAW_GRID for a in _round_law(x, steer_basis))
     pairs = laws.reshape(-1, 4, 2)
     # P(v = 1 | b, o); exactly 0 or 1 where one class of the group has law 0
     p_ones = np.divide(pairs[..., 1], pairs.sum(axis=-1), out=np.zeros(receivers.shape),
@@ -413,7 +412,7 @@ def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
     bitgen = np.random.Philox(0)
     state = {"bit_generator": "Philox", "state": {"counter": _RECEIVER, "key": (0, 0)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _Session(tuple(configs), opened_bit, joints, receivers, p_ones, bitgen,
+    return _Session(tuple(configs), opened_bit, receivers, p_ones, bitgen,
                     np.random.Generator(bitgen), state, {})
 
 
@@ -485,9 +484,17 @@ def sweep(
 ) -> Iterator[MonteCarloSummary]:
     """One ``MonteCarloSummary`` per config, in order, each over ``trials`` trials.
 
-    The configs are prepared once, here, as one ``_Session``, and its stack
-    of post-channel pairs, which needs no validation (see ``_prepare``),
-    gets one PPT test and one Wootters evaluation.
+    The configs are prepared once, here, as one ``_Session``. The pair
+    is lifted here, for the separability and concurrence columns only,
+    to every config's q in one broadcast, a (Q, 4, 4) stack that gets one
+    PPT test and one Wootters evaluation. The lifts are not validated,
+    since no check of ``DensityMatrix(mat)`` could fail on one: the pair
+    is either a validated ``DensityMatrix`` (the honest classical-quantum
+    pair) or a ``states._projector`` output, within ~1e-15 of an exact
+    state; ``ProtocolConfig`` has checked that q lies in [0, 1]; and each
+    lift q rho + (1 - q) rho_A x I/2 is a convex combination of two
+    states, so it is Hermitian, PSD and of unit trace to within a few
+    ulps, far inside ``TOL``.
     The summaries are then drawn lazily, one config at a time, so the
     sweep holds one config's count columns at a time, and a run of
     consecutive configs of one (seed, rounds, r) shares one draw of the
@@ -503,7 +510,8 @@ def sweep(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     session = _prepare(tuple(configs), scenario)
-    return _summaries(session, trials, concurrence(session.joints).tolist())
+    lifts = _depolarizing_lift([c.q for c in session.configs], scenario.pair)
+    return _summaries(session, trials, concurrence(lifts).tolist())
 
 
 def _summaries(session: _Session, trials: int, concurrences) -> Iterator[MonteCarloSummary]:

@@ -111,10 +111,27 @@ class DensityMatrix:
         1e-9; that is all :func:`_projector` needs to form |v><v| unchecked.
         """
         v = np.asarray(vec, dtype=complex).reshape(-1)
-        n = np.linalg.norm(v)
+        n = _norm(v)
         if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails this too
             raise ValueError(f"state vector norm {n!r} is not 1")
         return _projector(v / n)
+
+
+def _norm(v: np.ndarray):
+    """The 2-norm of a complex vector: ``np.linalg.norm``'s, unless its squares overflow.
+
+    ``np.linalg.norm`` sums the squares of the parts, which overflow past
+    ~1.3e154. Wherever its value is finite it is returned bit for bit; a
+    finite v on which it overflows is divided by its largest part first,
+    so that its norm is inf only when the norm itself is past the largest
+    float. No overflow warning is raised.
+    """
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+        if n == math.inf and np.isfinite(v).all():
+            top = np.maximum(abs(v.real), abs(v.imag)).max()
+            n = top * np.linalg.norm(v / top)
+    return n
 
 
 def _projector(v: np.ndarray) -> DensityMatrix:
@@ -227,7 +244,7 @@ class CheatStrategy:
             v = np.array(np.reshape(getattr(self, name), -1), dtype=complex)
             if v.shape != (2,):
                 raise ValueError(f"{name} must be a single-qubit state vector")
-            n = np.linalg.norm(v)
+            n = _norm(v)
             if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails this too
                 raise ValueError(f"{name} must be normalized, got norm {n!r}")
             v.setflags(write=False)
@@ -240,17 +257,18 @@ def cheat_state(a0, a1) -> DensityMatrix:
     This is the generic state a cheating committer keeps half of: the B
     qubit goes to the receiver while the A register stays behind for
     later steering. a0 and a1 need not be normalized, only finite and of
-    joint norm at least 1e-12; the joint vector is divided by that norm
-    once, and :func:`_projector` forms its projector with no eigensolve.
+    a finite joint norm of at least 1e-12; the joint vector is divided by
+    that norm once, and :func:`_projector` forms its projector with no
+    eigensolve.
     """
     a0 = np.asarray(a0, dtype=complex).reshape(-1)
     a1 = np.asarray(a1, dtype=complex).reshape(-1)
     if a0.shape != (2,) or a1.shape != (2,):
         raise ValueError("a0 and a1 must be single-qubit state vectors")
     joint = np.array([a0[0], a1[0], a0[1], a1[1]], dtype=complex)
-    n = np.linalg.norm(joint)
+    n = _norm(joint)
     if not 1e-12 <= n < math.inf:
-        raise ValueError(f"joint vector has zero norm or non-finite entries (norm {n!r})")
+        raise ValueError(f"joint vector has zero norm or a non-finite entry or norm (norm {n!r})")
     return _projector(joint / n)
 
 
@@ -259,11 +277,9 @@ def _sender_operator(rho, effects) -> np.ndarray:
 
     One contraction x_E[a, a'] = tr(rho[a, :, a', :] E) over the pair's B
     blocks serves one 2x2 effect or a stack of shape (..., 2, 2), x_E in
-    its place, and one pair or a stack of shape (P, 4, 4), whose axis
-    leads the result's. For a projector E, tr x_E is the Born probability of the
-    outcome and x_E / tr x_E the sender's conditional state. x_E is linear in E.
+    its place. For a projector E, tr x_E is the Born probability of the
+    outcome and x_E / tr x_E the sender's conditional state. x_E is linear
+    in E, so a receiver channel c enters as its adjoint on the effect:
+    the operator of E on the pair (I x c)(rho) is that of c^dagger(E) on rho.
     """
-    blocks, effects = _b_blocks(rho), np.asarray(effects)
-    # the pairs' axes before one axis per leading axis of the effects
-    blocks = blocks.reshape(blocks.shape[:-4] + (1,) * (effects.ndim - 2) + (2, 2, 2, 2))
-    return np.einsum("...ijkl,...lk->...ij", blocks, effects)
+    return np.einsum("ijkl,...lk->...ij", _b_blocks(rho), np.asarray(effects))

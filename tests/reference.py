@@ -4,7 +4,10 @@ Sessions and the binding attack read their Born probabilities off the sender's
 operator ``states._sender_operator``. The tests check them against the
 textbook route here: project one half of the pair, then normalize the
 state left on the other half; and the operator itself against I x E
-lifted to the pair, multiplied in and B traced out. The fidelity, its
+lifted to the pair, multiplied in and B traced out. Sessions map the
+receiver's effects through his channel; ``lifted_round_law`` reads the
+round law off a pair the channel has already acted on, with the bare
+effects, as the route they are checked against. The fidelity, its
 matrix square root, the Pauli-twirl Kraus form of the depolarizing
 channel, the Kraus sum lifted to the pair as I x K, a channel's adjoint
 and the textbook Wootters formula are the brute-force routes
@@ -32,8 +35,15 @@ from ebcommit.linalg import (
     is_psd,
     partial_trace,
 )
-from ebcommit.protocol import MonteCarloSummary, VerificationReport, _verdict, run_session
-from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis
+from ebcommit.protocol import (
+    _EFFECTS,
+    MonteCarloSummary,
+    VerificationReport,
+    _round_law,
+    _verdict,
+    run_session,
+)
+from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis, _sender_operator
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -151,6 +161,11 @@ def receiver_marginal(m) -> np.ndarray:
 def sender_operator(rho, effect) -> np.ndarray:
     """Textbook x_E = tr_B[rho (I x E)]: lift the effect to the pair, multiply, trace out B."""
     return partial_trace(as_operator(rho, 4) @ np.kron(PAULI_I, effect))
+
+
+def lifted_round_law(joint, steer_basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:
+    """``protocol._round_law`` of a post-channel pair, read with the receiver's bare effects."""
+    return _round_law(_sender_operator(joint, _EFFECTS), steer_basis)
 
 
 def joint_outcome_decomposition(

@@ -15,7 +15,7 @@ from ebcommit.channels import (
 )
 from ebcommit.entanglement import is_entanglement_breaking, is_separable
 from ebcommit.linalg import PAULI_I, PAULI_Y, partial_trace
-from ebcommit.protocol import HonestAlice, _round_law
+from ebcommit.protocol import HonestAlice
 from ebcommit.states import (
     RECTILINEAR,
     DensityMatrix,
@@ -35,6 +35,7 @@ from reference import (
     channel_adjoint,
     joint_outcome_decomposition,
     kraus_lift,
+    lifted_round_law,
 )
 
 I2 = np.eye(2)
@@ -300,7 +301,7 @@ def test_bell_cheater_matches_like_honest_sender(channel, target):
 def test_bell_cheater_round_law_equals_the_honest_law(channel, target):
     bell = lift_apply(channel, cheat_state([1, 0], [0, 1]))
     honest = lift_apply(channel, HonestAlice(target).pair)
-    cheater_laws = _round_law(bell, encoding_basis(target))
-    honest_laws = _round_law(honest, RECTILINEAR)
+    cheater_laws = lifted_round_law(bell, encoding_basis(target))
+    honest_laws = lifted_round_law(honest, RECTILINEAR)
     for cheater, sender in zip(cheater_laws, honest_laws):
         assert np.abs(cheater - sender).max() <= 1e-15

@@ -45,6 +45,7 @@ from reference import (
     counts_report,
     exact_acceptance,
     joint_outcome_decomposition,
+    lifted_round_law,
     receiver_marginal,
     sender_operator,
     sessions_summary,
@@ -366,12 +367,11 @@ def test_matched_classes_carry_the_match_probability(q, bit):
     # verify counts classes 4t and 4t + 3 as matched; per sifted round their
     # law is (1+q)/2 for the honest sender, and for the Bell cheater steered
     # in the encoding basis it is her best binding fidelity
-    t, basis = 4 * bit, encoding_basis(bit)
-    (honest,) = protocol._prepare([cfg(q, 1)], HonestAlice(bit)).joints
-    honest = protocol._round_law(honest, RECTILINEAR)[1]
+    t, basis, channel = 4 * bit, encoding_basis(bit), DepolarizingChannel(q)
+    honest = lifted_round_law(lift_apply(channel, HonestAlice(bit).pair), RECTILINEAR)[1]
     assert abs(2 * (honest[t] + honest[t + 3]) - (1 + q) / 2) <= 1e-15
-    (bell,) = protocol._prepare([cfg(q, 1)], EprAlice(bell_strategy(), bit, basis)).joints
-    law = protocol._round_law(bell, basis)[1]
+    bell = lift_apply(channel, EprAlice(bell_strategy(), bit, basis).pair)
+    law = lifted_round_law(bell, basis)[1]
     target = DensityMatrix(bb84_projector(bit, 0))
     best = alice_binding_attack(bell_strategy(), DepolarizingChannel(q), target).best_fidelity_sq
     assert abs(2 * (law[t] + law[t + 3]) - best) <= 1e-12
@@ -399,7 +399,7 @@ def test_match_probability_at_the_best_basis_is_the_helstrom_value(a0, a1, produ
     target = DensityMatrix(bb84_projector(bit, 0))
     report = alice_binding_attack(strategy, DepolarizingChannel(q), target)
     joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-    law = protocol._round_law(joint, report.best_basis)[1]
+    law = lifted_round_law(joint, report.best_basis)[1]
     matched = law[[4 * bit, 4 * bit + 3]]
     gap = 2 * (matched[0] + matched[1]) - report.best_fidelity_sq
     tol = 1e-15 + 2 * OUTCOME_EPS * int((matched == 0.0).sum())
@@ -607,17 +607,83 @@ def test_sweep_equals_monte_carlo_per_config(epr, bit, a0, a1, steer, qs, data, 
         lambda extra: st.permutations(list(_GRID_QS) + extra)),
 )
 def test_prepared_lifts_pass_the_density_matrix_check(epr, bit, a0, a1, steer, qs):
-    # _prepare does not validate its lifts; the full check of each, run here
-    # as an oracle, must accept every one, and the stack is read-only
+    # sweep does not validate the lifts it forms for its separability and
+    # concurrence columns; the full check of each, run here as an oracle,
+    # must accept every one
     if epr:
         strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
         scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
     else:
         scenario = HonestAlice(bit=bit)
-    joints = protocol._prepare([cfg(q, 10) for q in qs], scenario).joints
-    assert joints.shape == (len(qs), 4, 4) and not joints.flags.writeable
+    lifts = []
+
+    def lift(qs, rho):
+        lifts.append(channels._depolarizing_lift(qs, rho))
+        return lifts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_depolarizing_lift", lift)
+        list(sweep([cfg(q, 10) for q in qs], scenario, 1))
+    (joints,) = lifts
+    assert joints.shape == (len(qs), 4, 4)
     for m in joints:
         DensityMatrix(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epr=st.booleans(),
+    bit=st.integers(0, 1),
+    a0=_ANGLES,
+    a1=_ANGLES,
+    steer=_ANGLES,
+    qs=st.lists(st.floats(0.0, 1.0), max_size=3).flatmap(
+        lambda extra: st.permutations(list(_GRID_QS) + extra)),
+)
+def test_session_laws_are_the_laws_of_the_lifted_pair(epr, bit, a0, a1, steer, qs):
+    # a session applies the receiver's channel to his effects and never forms
+    # the post-channel pair; the channel is self-adjoint, so its laws before
+    # grid rounding are those read off the lifted pair with the bare effects,
+    # to roundoff. An entry within roundoff of OUTCOME_EPS may be zeroed on
+    # one side only, and the other is then below OUTCOME_EPS and roundoff
+    if epr:
+        strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+        scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
+    else:
+        scenario = HonestAlice(bit=bit)
+    steer_basis = scenario.steer_basis if epr else RECTILINEAR
+    laws, original = [], protocol._round_law
+
+    def round_law(x, basis):
+        laws.append(original(x, basis))
+        return laws[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_round_law", round_law)
+        protocol._prepare([cfg(q, 10) for q in qs], scenario)
+    ((receivers, law),) = laws
+    assert receivers.shape == (len(qs), 4) and law.shape == (len(qs), 8)
+    for q, session in zip(qs, zip(receivers, law)):
+        lifted = lifted_round_law(lift_apply(DepolarizingChannel(q), scenario.pair), steer_basis)
+        for got, want, floor in zip(session, lifted, (2 * OUTCOME_EPS, OUTCOME_EPS)):
+            kept = (got != 0) & (want != 0)
+            assert np.abs(got - want)[kept].max(initial=0.0) <= 4.5e-16
+            assert np.maximum(got, want)[~kept].max(initial=0.0) <= floor + 4.5e-16
+
+
+def test_sessions_lift_no_pair(monkeypatch):
+    # the session laws come from the receiver's effects; the one lift is
+    # sweep's, once per sweep, for its separability and concurrence columns
+    lifts = count_calls(monkeypatch, channels, "lift_apply")
+    batch = count_calls(monkeypatch, channels, "_depolarizing_lift")
+    strategy = CheatStrategy([0.6, 0.8j], [1.0, 0.0])
+    for scenario in (HonestAlice(bit=1), EprAlice(strategy, 1, ProjectiveBasis(0.9, 2.1))):
+        run_session(cfg(0.6, 50, seed=3), scenario, trial=2)
+        protocol._prepare([cfg(q, 50) for q in _SWEEP_QS], scenario)
+        assert not lifts and not batch
+        assert len(list(sweep([cfg(q, 50) for q in _SWEEP_QS], scenario, 4))) == len(_SWEEP_QS)
+        assert [list(qs) for qs, _ in batch] == [list(_SWEEP_QS)] and not lifts
+        batch.clear()
 
 
 def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
@@ -1274,14 +1340,14 @@ def test_round_law_of_a_receiver_outcome_of_tiny_probability():
     a0, a1 = np.array([1.0, 0.0]), ProjectiveBasis(1e-5, 0.0).vectors()[0]
     steer = ProjectiveBasis(1.5, 0.0)
     joint = lift_apply(DepolarizingChannel(1.0), cheat_state(a0, a1))
-    law = protocol._round_law(joint, steer)[1].reshape(2, 2, 2)
+    law = lifted_round_law(joint, steer)[1].reshape(2, 2, 2)
     for v, s in enumerate(steer.vectors()):
         assert abs(law[1, 1, v] - abs(s.conj() @ (a0 - a1)) ** 2 / 8) <= 1e-16
     assert law[1, 1].min() > OUTCOME_EPS
     # at a1 = (1e-7, 0) the closed form is about 1.5e-16: impossible, so exactly 0
     a1 = ProjectiveBasis(1e-7, 0.0).vectors()[0]
     joint = lift_apply(DepolarizingChannel(1.0), cheat_state(a0, a1))
-    assert not protocol._round_law(joint, steer)[1].reshape(2, 2, 2)[1, 1].any()
+    assert not lifted_round_law(joint, steer)[1].reshape(2, 2, 2)[1, 1].any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1300,9 +1366,9 @@ def test_round_law_matches_the_reference_law(q, bit, epr, a0, a1, steer):
         scenario = EprAlice(strategy, bit, steer_basis)
     else:
         scenario = HonestAlice(bit=bit)
-    (joint,) = protocol._prepare([cfg(q, 1)], scenario).joints
+    joint = lift_apply(DepolarizingChannel(q), scenario.pair)
     # an entry within roundoff of OUTCOME_EPS may be zeroed on one side only
-    law = protocol._round_law(joint, steer_basis)[1]
+    law = lifted_round_law(joint, steer_basis)[1]
     assert np.allclose(law, _reference_law(q, scenario).ravel(), rtol=0, atol=2 * OUTCOME_EPS)
 
 
@@ -1318,8 +1384,8 @@ def test_receiver_law_does_not_depend_on_the_steering_basis(q, a0, a1, steer):
     # sum of the steered law would differ by ulps from one basis to another
     strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
     joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-    r1, law1 = protocol._round_law(joint, RECTILINEAR)
-    r2, law2 = protocol._round_law(joint, ProjectiveBasis(*steer))
+    r1, law1 = lifted_round_law(joint, RECTILINEAR)
+    r2, law2 = lifted_round_law(joint, ProjectiveBasis(*steer))
     # an outcome below 2 OUTCOME_EPS can have both of its classes zeroed in one basis only
     kept = law1.reshape(4, 2).any(axis=1) & law2.reshape(4, 2).any(axis=1)
     assert np.array_equal(r1[kept], r2[kept])
@@ -1371,7 +1437,7 @@ def test_a_class_of_law_zero_is_never_drawn(monkeypatch, a0, a1, steer, q, zero)
     # classes of 8.1e-13, so the outcome itself is impossible
     scenario = EprAlice(CheatStrategy(a0, a1), 0, steer)
     joint = lift_apply(DepolarizingChannel(q), cheat_state(a0, a1))
-    law = protocol._round_law(joint, steer)[1]
+    law = lifted_round_law(joint, steer)[1]
     assert np.flatnonzero(law == 0).tolist() == zero
     assert not _class_counts(cfg(q, 200_000, seed=22), scenario)[zero].any()
     # draws on every edge of each draw's support: all rounds on one receiver

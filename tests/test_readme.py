@@ -12,7 +12,7 @@ import pytest
 
 from ebcommit.channels import DepolarizingChannel, lift_apply
 from ebcommit.cli import main
-from ebcommit.protocol import ProtocolConfig, _round_law
+from ebcommit.protocol import ProtocolConfig
 from ebcommit.states import cheat_state, encoding_basis
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -83,7 +83,7 @@ def test_opening_acceptance_values_are_exact():
     # the Bell cheater's match probability, read off her round law for either
     # target bit, and the honest (1+q)/2 give the quoted exact P(accept)
     pytest.importorskip("scipy.special")
-    from reference import exact_acceptance
+    from reference import exact_acceptance, lifted_round_law
 
     opening = " ".join(README.read_text(encoding="utf-8").split("\n## ", 1)[0].split())
     values, sigma, rounds = re.search(
@@ -96,7 +96,8 @@ def test_opening_acceptance_values_are_exact():
         config = ProtocolConfig(q=float(q), rounds=int(float(rounds)), accept_sigma=float(sigma))
         matches = [(1 + config.q) / 2]
         for t in (0, 1):
-            law = _round_law(lift_apply(DepolarizingChannel(config.q), bell), encoding_basis(t))[1]
+            lifted = lift_apply(DepolarizingChannel(config.q), bell)
+            law = lifted_round_law(lifted, encoding_basis(t))[1]
             matches.append(2 * (law[4 * t] + law[4 * t + 3]))
         for p_match in matches:
             assert abs(exact_acceptance(config, p_match) - float(value)) <= 5e-7, (q, p_match)

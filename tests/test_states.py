@@ -231,6 +231,35 @@ def test_cheat_state_passes_the_full_check(a0, a1, norm):
     _assert_is_the_checked_projector(cheat_state(a0, a1), joint)
 
 
+# The sum of squares behind np.linalg.norm overflows past ~1.3e154, with a
+# RuntimeWarning that the suite turns into an error; a joint vector of a
+# finite norm above that is still accepted, and its projector is the one
+# of the same direction at unit scale, to roundoff
+@given(a0=_complex_vector(2), a1=_complex_vector(2), scale=st.floats(1e154, 1e307))
+@example(a0=np.array([1.0, 0.0]), a1=np.array([0.0, 0.0]), scale=1e160)
+@example(a0=np.array([1.0, 1.0]), a1=np.array([1.0, 0.0]), scale=1e308)  # norm 1.7e308
+def test_cheat_state_of_amplitudes_whose_squares_overflow(a0, a1, scale):
+    top = np.abs(np.concatenate([a0, a1])).max()
+    assume(top > 0.0)
+    huge = cheat_state(a0 / top * scale, a1 / top * scale)
+    assert np.abs(huge.mat - cheat_state(a0 / top, a1 / top).mat).max() <= 1e-15
+    assert np.array_equal(DensityMatrix(huge.mat).mat, huge.mat)
+    assert np.array_equal(cheat_state([1e160, 0], [0, 0]).mat, cheat_state([1, 0], [0, 0]).mat)
+
+
+def test_a_vector_whose_squares_overflow_is_judged_by_its_norm():
+    # rejected by the norm check itself, with the norm in the message, and
+    # no overflow warning; a joint norm past the largest float is not finite
+    with pytest.raises(ValueError, match=r"norm .*1e\+200"):
+        DensityMatrix.from_pure([1e200, 0])
+    with pytest.raises(ValueError, match=r"a0 must be normalized, got norm .*1e\+200"):
+        CheatStrategy([1e200, 0], [0, 1])
+    with pytest.raises(ValueError, match=r"a1 must be normalized, got norm .*1e\+200"):
+        CheatStrategy([1, 0], [0, 1e200j])
+    with pytest.raises(ValueError, match=r"non-finite .*\(norm .*inf\)"):
+        cheat_state([1.7e308, 1.7e308], [0, 0])
+
+
 def test_pure_states_make_no_eigensolve(monkeypatch):
     # a checked unit vector's projector needs no eigensolve; a mixture does
     eigensolves = count_calls(monkeypatch, linalg, "eig_hermitian")
@@ -309,13 +338,6 @@ def test_sender_operator_of_a_stack_of_effects(rng):
         effects = np.array([random_density_matrix(rng, 2) for _ in range(3)])
         for e, x_e in zip(effects, _sender_operator(joint, effects)):
             assert np.abs(x_e - sender_operator(joint, e)).max() <= 1e-15
-    # a stack of pairs leads the result's axes, each pair's operators bit
-    # for bit those of its own call
-    joints = np.array([random_density_matrix(rng, 4) for _ in range(5)])
-    x = _sender_operator(joints, _EFFECTS)
-    assert x.shape == (5, 2, 2, 2, 2)
-    for joint, x_joint in zip(joints, x):
-        assert np.array_equal(x_joint, _sender_operator(joint, _EFFECTS))
 
 
 def test_density_matrix_rejects_each_malformed_matrix_and_a_stack(rng):

@@ -26,6 +26,8 @@ an honest dump of 2500 rounds and an EPR one of 10001, which run past
 the dump's first slice of 1000 records),
 EPR runs whose round law is 0 on its leading class (``--a0 one --a1
 one``) and on its trailing classes (``--a0 zero --a1 zero`` at q = 1),
+EPR runs of generic strategies steered in tilted bases at four q, whose
+receiver's law moves with q, two of them dumped,
 CSV and JSON sweeps (one round per trial, two
 workers, the EPR sweep through q = 1/3; an EPR sweep of 500 trials per q
 at ``--accept-sigma 0``, whose threshold is the expectation itself, and
@@ -94,6 +96,18 @@ def _run_commands() -> list[list[str]]:
     # round laws that are 0 on classes 0, 2, 4, 6 and on classes 1, 3, 5, 6, 7
     for a, q in (("one", "0.5"), ("zero", "1.0")):
         cmds.append(["run", "--alice", "epr", "--q", q, "--rounds", "300", "--a0", a, "--a1", a])
+    # non-orthogonal a0 and a1 leave the receiver a marginal other than I/2, so
+    # his law moves with q: each run draws from the effects his channel maps
+    tilted = (("0.5,1", "2,3", "0", "2.4", "0.7"), ("zero", "1.2,0.7", "1", "1.3", "5.5"),
+              ("1.1,0.4", "2.3,5.0", "0", "0.9", "2.1"))
+    for a0, a1, target, theta, phi in tilted:
+        for q in ("0.15", THIRD, "0.55", "0.95"):
+            cmds.append(["run", "--alice", "epr", "--q", q, "--rounds", "3000", "--a0", a0,
+                         "--a1", a1, "--target-bit", target, "--steer-theta", theta,
+                         "--steer-phi", phi, "--seed", "11"])
+        cmds.append(["run", "--alice", "epr", "--q", "0.45", "--rounds", "60", "--a0", a0,
+                     "--a1", a1, "--target-bit", target, "--steer-theta", theta,
+                     "--steer-phi", phi, "--seed", "12", "--dump-transcript"])
     return cmds
 
 
