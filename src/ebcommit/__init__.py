@@ -38,7 +38,6 @@ from .protocol import (
     Transcript,
     VerificationReport,
     derive_rng,
-    monte_carlo,
     run_session,
     sweep,
     verify,
@@ -99,7 +98,6 @@ __all__ = [
     "is_separable",
     "isotropic",
     "lift_apply",
-    "monte_carlo",
     "partial_trace",
     "partial_transpose",
     "run_session",

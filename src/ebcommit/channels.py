@@ -55,6 +55,7 @@ class DepolarizingChannel:
 
     def __post_init__(self):
         _check_q(self.q)
+        object.__setattr__(self, "q", float(self.q))  # a numpy float32 q would leak into reports
 
 
 _HALF_I = np.eye(2) / 2

@@ -391,22 +391,19 @@ def _cmd_binding(args) -> int:
     target = _parse_state(args.target, "--target")
     # --q-grid overrides --q, but meta still echoes --q, so it must be a q
     args.q = _q_arg("--q", args.q)
+    qs = [args.q]
     if args.q_grid is not None:
         try:
-            qs = [float(tok) for tok in args.q_grid.split(",") if tok.strip()]
+            grid = [float(tok) for tok in args.q_grid.split(",") if tok.strip()]
         except ValueError:
             raise UsageError(f"--q-grid: could not parse {args.q_grid!r}") from None
-        if not qs:
+        if not grid:
             raise UsageError("--q-grid is empty")
-        flag = "--q-grid"
-    else:
-        qs, flag = [args.q], "--q"
-    _q_arg(flag, qs[0])  # a bad first q is reported before a mixed target
+        qs = [_q_arg("--q-grid", q) for q in grid]  # every q is checked before the target
     with _usage():
         helstrom = _binding_helstrom(strategy, target)  # decomposed once for every q
     rows = []
     for q in qs:
-        q = _q_arg(flag, q)
         report = helstrom.at(q)
         rows.append(
             {

@@ -31,9 +31,8 @@ scenario, one per q of a sweep, are prepared at once as one batch
 (``_Session``) and then sampled config by config and trial by trial.
 ``sweep`` draws each config's sifted and matched counts as two columns
 and decides every trial at once by ``verify``'s rule, building no
-transcript and no per-trial report; ``monte_carlo`` is ``sweep`` of one
-config, and ``run_session`` draws one trial's transcript of a batch of
-one config and verifies it.
+transcript and no per-trial report, and ``run_session`` draws one trial's
+transcript of a batch of one config and verifies it.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
@@ -104,6 +103,9 @@ class ProtocolConfig:
             raise ValueError(f"rounds must be < 2**63, got {self.rounds}")
         if not (math.isfinite(self.accept_sigma) and self.accept_sigma >= 0):
             raise ValueError(f"accept_sigma must be finite and >= 0, got {self.accept_sigma}")
+        # stored as Python scalars: a numpy float32 q would carry its precision into every verdict
+        for name, kind in (("q", float), ("rounds", int), ("accept_sigma", float), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,10 +423,11 @@ def run_session(
 ) -> tuple[Transcript, VerificationReport]:
     """Full commit, open, verify pipeline; deterministic given (config, scenario, trial).
 
-    The transcript's column holds the class counts that ``monte_carlo``
-    draws for the same trial, one class per round in one uniformly random
-    order; laying them out makes its cost grow with ``config.rounds``, and
-    raises MemoryError for more rounds than the host can hold.
+    The transcript's column holds the class counts that ``sweep`` draws
+    for the same config and trial, one class per round in one uniformly
+    random order; laying them out makes its cost grow with
+    ``config.rounds``, and raises MemoryError for more rounds than the
+    host can hold.
     """
     _check_word("trial", trial)
     transcript = _prepare([config], scenario).transcript(0, trial)
@@ -469,21 +472,14 @@ class MonteCarloSummary:
                    for f in fields(self))
 
 
-def monte_carlo(config: ProtocolConfig, scenario: Scenario, trials: int) -> MonteCarloSummary:
-    """Repeat a session over trial-indexed seed streams and summarize: ``sweep`` of one config.
-
-    Trial t draws from the substreams of the key (config.seed, t), so
-    results do not depend on execution order. Raises MemoryError for more
-    trials than the host can lay out as a column.
-    """
-    return next(sweep([config], scenario, trials))
-
-
 def sweep(
     configs: Iterable[ProtocolConfig], scenario: Scenario, trials: int
 ) -> Iterator[MonteCarloSummary]:
     """One ``MonteCarloSummary`` per config, in order, each over ``trials`` trials.
 
+    One config's summary is ``next(sweep([config], scenario, trials))``.
+    Trial t draws from the substreams of the key (config.seed, t), so no
+    result depends on the order the trials run in.
     The configs are prepared once, here, as one ``_Session``. The pair
     is lifted here, for the separability and concurrence columns only,
     to every config's q in one broadcast, a (Q, 4, 4) stack that gets one
@@ -509,6 +505,7 @@ def sweep(
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = int(trials)  # a numpy count would make each summary's counts numpy scalars
     session = _prepare(tuple(configs), scenario)
     lifts = _depolarizing_lift([c.q for c in session.configs], scenario.pair)
     return _summaries(session, trials, concurrence(lifts).tolist())

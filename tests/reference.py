@@ -220,7 +220,7 @@ def counts_report(config, sifted_count: int, match_count: int) -> VerificationRe
 
 
 def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
-    """``monte_carlo``'s summary built trial by trial from ``run_session``'s reports.
+    """A one-config ``sweep``'s summary built trial by trial from ``run_session``'s reports.
 
     Each trial's transcript is laid out and verified on its own, and the
     statistics are read off the reports: the match-fraction mean and std

@@ -19,7 +19,7 @@ from ebcommit.entanglement import (
     is_separable,
 )
 from ebcommit.linalg import eig_hermitian, partial_transpose, trace_distance
-from ebcommit.protocol import EprAlice, HonestAlice, ProtocolConfig, monte_carlo, run_session
+from ebcommit.protocol import EprAlice, HonestAlice, ProtocolConfig, run_session, sweep
 from ebcommit.security import alice_binding_attack, bell_strategy, bob_cheat_probability
 from ebcommit.states import (
     DensityMatrix,
@@ -160,7 +160,7 @@ def test_criterion_7_determinism(capsys):
 
     config = ProtocolConfig(q=0.5, rounds=400, seed=77)
     scenario = EprAlice(strategy=bell_strategy(), target_bit=0)
-    assert monte_carlo(config, scenario, trials=6) == sessions_summary(config, scenario, 6)
+    assert next(sweep([config], scenario, trials=6)) == sessions_summary(config, scenario, 6)
     print("\ncriterion 7: byte-identical CLI reruns, monte carlo trials equal to "
           "their sessions: PASS")
 

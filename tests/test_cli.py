@@ -11,7 +11,7 @@ import pytest
 import ebcommit
 from ebcommit import cli, security
 from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
-from ebcommit.protocol import HonestAlice, ProtocolConfig, monte_carlo
+from ebcommit.protocol import HonestAlice, ProtocolConfig, sweep
 from ebcommit.states import ProjectiveBasis
 
 from conftest import refuse_rows
@@ -238,7 +238,8 @@ def test_sweep_mean_skips_trials_without_sifted_rounds(capsys):
         capsys, "sweep", "--rounds", "1", "--trials", "20", "--q-steps", "3", "--format", "csv",
     )
     assert code == EXIT_OK
-    no_sifted = monte_carlo(ProtocolConfig(q=1.0, rounds=1), HonestAlice(bit=0), 20).no_sifted_trials
+    config = ProtocolConfig(q=1.0, rounds=1)
+    no_sifted = next(sweep([config], HonestAlice(bit=0), 20)).no_sifted_trials
     assert 0 < no_sifted < 20
     q, mean, std, rate = out.strip().split("\n")[-1].split(",")[:4]
     assert (q, mean, std) == ("1", "1", "0")
@@ -551,10 +552,10 @@ def test_binding_empty_q_grid(capsys):
 
 @pytest.mark.parametrize("grid, error", [
     ("2,0.5", "--q-grid: q must lie in [0, 1], got 2.0"),
-    ("0.5,2", "target must be a pure state, got tr(t^2) = 0.5"),
+    ("0.5,2", "--q-grid: q must lie in [0, 1], got 2.0"),
 ])
 def test_binding_reports_the_first_bad_input(capsys, grid, error):
-    # q values are checked in grid order, and the target after the first q
+    # every q is checked, in grid order, before the target
     code, out, err = run_cli(capsys, "binding", "--target", "bb84-0", "--q-grid", grid)
     assert (code, out, err) == (EXIT_USAGE, "", f"ebcommit: error: {error}\n")
 

@@ -167,7 +167,7 @@ def _mixtures_near_boundary(rng):
 def test_concurrence_is_zero_exactly_on_ppt_states_near_the_boundary(rng, family):
     # C >= N = 2|l| for l the least PT eigenvalue, so a state the PPT test
     # rejects (l < -TOL) has C > 2 TOL, far above roundoff; one it accepts
-    # gets exactly 0.0. monte_carlo's separability column relies on both.
+    # gets exactly 0.0. sweep's separability column relies on both.
     states = list(family(rng))
     verdicts = [is_separable(rho) for rho in states]
     wrong = [(_least_pt_eigenvalue(rho), concurrence(rho)) for rho, sep in zip(states, verdicts)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from ebcommit.protocol import (
     ProtocolConfig,
     Transcript,
     derive_rng,
-    monte_carlo,
     run_session,
     sweep,
     verify,
@@ -123,7 +123,7 @@ class TestConfig:
     @pytest.mark.parametrize("trials", [2.5, True])
     def test_monte_carlo_rejects_non_integer_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=trials)
+            next(sweep([cfg(0.5, 10)], HonestAlice(bit=0), trials=trials))
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"strategy": None}, "strategy"),
@@ -136,11 +136,11 @@ class TestConfig:
     @pytest.mark.parametrize("call, message", [
         (lambda: Transcript(None, 0, [0]), "config must be a ProtocolConfig, got None"),
         (lambda: run_session(None, HonestAlice(bit=0)), "config must be a ProtocolConfig, got None"),
-        (lambda: monte_carlo({"q": 0.5}, HonestAlice(bit=0), 1),
+        (lambda: next(sweep([{"q": 0.5}], HonestAlice(bit=0), 1)),
          "config must be a ProtocolConfig, got {'q': 0.5}"),
         (lambda: verify("x"), "transcript must be a Transcript, got 'x'"),
         (lambda: run_session(cfg(0.5, 10), "honest"), "not a scenario: 'honest'"),
-        (lambda: monte_carlo(cfg(0.5, 10), None, 1), "not a scenario: None"),
+        (lambda: next(sweep([cfg(0.5, 10)], None, 1)), "not a scenario: None"),
     ], ids=["transcript", "run-session", "monte-carlo", "verify", "run-session-scenario",
             "monte-carlo-scenario"])
     def test_rejects_mistyped_config_and_transcript(self, call, message):
@@ -149,17 +149,66 @@ class TestConfig:
 
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(q=0.5, rounds=np.int64(10), seed=np.uint64(3))
-        assert monte_carlo(config, HonestAlice(bit=0), trials=np.int32(2)).trials == 2
+        assert next(sweep([config], HonestAlice(bit=0), trials=np.int32(2))).trials == 2
 
     def test_accepts_numpy_scalars(self):
         config = ProtocolConfig(q=np.float64(0.5), rounds=10, accept_sigma=np.float32(2.0))
         scenario = EprAlice(bell_strategy(), target_bit=np.int64(1))
-        assert monte_carlo(config, scenario, trials=2).trials == 2
+        assert next(sweep([config], scenario, trials=2)).trials == 2
         assert run_session(config, HonestAlice(bit=np.int8(1)))[0].opened_bit == 1
         assert DepolarizingChannel(np.float32(0.25)).q == 0.25
         assert isotropic(np.int64(1)) == isotropic(1.0)
         assert encoding_basis(np.int16(1)) == DIAGONAL
         assert np.array_equal(bb84_projector(np.int64(1), np.int32(0)), bb84_projector(1, 0))
+
+    def test_verify_decides_a_float32_q_at_the_q_it_simulates(self):
+        # 13 of 20 sifted rounds match: 0.65, below the expectation (1 + q)/2 =
+        # 0.6500000059604645 of the float32 0.3, which the session simulates as
+        # 0.30000001192092896; in float32 the expectation would read 0.65
+        config = ProtocolConfig(q=np.float32(0.3), rounds=20, accept_sigma=0.0)
+        report = verify(Transcript(config, 0, [0] * 13 + [1] * 7))
+        assert (report.sifted_count, report.match_count) == (20, 13)
+        assert type(report.expected_fraction) is float
+        assert report.expected_fraction == 0.6500000059604645
+        assert not report.accepted
+        assert report == verify(Transcript(cfg(0.30000001192092896, 20, accept_sigma=0.0), 0,
+                                           [0] * 13 + [1] * 7))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.one_of(
+            st.tuples(st.sampled_from([np.float16, np.float32, np.float64]),
+                      st.floats(0.0, 1.0)).map(lambda kind_value: kind_value[0](kind_value[1])),
+            st.fractions(0, 1, max_denominator=1000),
+            st.sampled_from([0, 1]),
+        ),
+        sigma=st.sampled_from([np.float32(0.5), np.float64(2.0), 3]),
+        epr=st.booleans(),
+    )
+    def test_reports_hold_python_scalars_whatever_the_type_of_q(self, q, sigma, epr):
+        # a numpy or rational q is stored as the float it is simulated with, so
+        # every report is made of Python scalars, serializes as JSON and
+        # decides as the float q does
+        scenario = EprAlice(bell_strategy(), 1) if epr else HonestAlice(bit=1)
+        target = DensityMatrix(bb84_projector(0, 0))
+        config = ProtocolConfig(q=q, rounds=np.int64(20), accept_sigma=sigma, seed=np.uint64(5))
+        same = ProtocolConfig(q=float(q), rounds=20, accept_sigma=float(sigma), seed=5)
+        summary = next(sweep([config], scenario, trials=np.int64(3)))
+        scalars = {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)
+                   if f.name not in ("sifted_counts", "match_counts")}
+        reports = [
+            (run_session(config, scenario, 2)[1], run_session(same, scenario, 2)[1]),
+            (scalars, {name: getattr(next(sweep([same], scenario, 3)), name) for name in scalars}),
+            (alice_binding_attack(bell_strategy(), DepolarizingChannel(q), target),
+             alice_binding_attack(bell_strategy(), DepolarizingChannel(float(q)), target)),
+        ]
+        for report, expected in reports:
+            fields = report if isinstance(report, dict) else dataclasses.asdict(report)
+            leaves = [v for value in fields.values()
+                      for v in (value.values() if isinstance(value, dict) else [value])]
+            assert all(type(v) in (bool, int, float) for v in leaves), fields
+            json.dumps(fields)
+            assert report == expected
 
     def test_zero_accept_sigma_puts_threshold_at_expectation(self):
         report = run_session(cfg(1.0, 100, seed=3, accept_sigma=0.0), HonestAlice(bit=0))[1]
@@ -239,7 +288,7 @@ def test_honest_alice_validates_bit():
 
 
 def _bell_summary(q, rounds):
-    return monte_carlo(cfg(q, rounds, seed=9), EprAlice(strategy=bell_strategy()), trials=1)
+    return next(sweep([cfg(q, rounds, seed=9)], EprAlice(strategy=bell_strategy()), trials=1))
 
 
 def test_cheating_noiseless_joint_is_bell():
@@ -412,7 +461,7 @@ def test_match_probability_at_the_best_basis_is_the_helstrom_value(a0, a1, produ
 
 def test_monte_carlo_single_trial_matches_run_session():
     c = cfg(0.5, 500, seed=31)
-    summary = monte_carlo(c, HonestAlice(bit=0), trials=1)
+    summary = next(sweep([c], HonestAlice(bit=0), trials=1))
     _, report = run_session(c, HonestAlice(bit=0), trial=0)
     assert summary.sifted_counts.tolist() == [report.sifted_count]
     assert summary.match_counts.tolist() == [report.match_count]
@@ -448,7 +497,7 @@ def test_monte_carlo_single_trial_matches_run_session():
 )
 def test_monte_carlo_trials_match_run_session(scenario, seed, rounds, trials):
     c = cfg(0.6, rounds, seed=seed)
-    assert monte_carlo(c, scenario, trials=trials) == sessions_summary(c, scenario, trials)
+    assert next(sweep([c], scenario, trials=trials)) == sessions_summary(c, scenario, trials)
 
 
 def test_run_session_names_rounds_too_many_to_lay_out():
@@ -467,7 +516,7 @@ def test_sweep_names_trials_too_many_to_lay_out(scenario, trials):
     # the product cheater's |0>|+> leaves the receiver 3 outcomes of positive law at q = 1
     message = f"^{trials} trials are too many to lay out$"
     with pytest.raises(MemoryError, match=message):
-        monte_carlo(cfg(1.0, 10), scenario, trials)
+        next(sweep([cfg(1.0, 10)], scenario, trials))
     summaries = sweep([cfg(q, 10) for q in _SWEEP_QS], scenario, trials)
     with pytest.raises(MemoryError, match=message):
         next(summaries)
@@ -476,7 +525,7 @@ def test_sweep_names_trials_too_many_to_lay_out(scenario, trials):
 def test_sweep_out_of_memory_names_the_trials(monkeypatch):
     refuse_rows(monkeypatch, 1000)
     with pytest.raises(MemoryError, match="^1000 trials are too many to lay out$"):
-        monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), 1000)
+        next(sweep([cfg(0.5, 10)], HonestAlice(bit=0), 1000))
 
 
 @pytest.mark.parametrize("trial", [True, 2.5, "1", None, -1, 2**64])
@@ -512,12 +561,12 @@ def test_derive_rng_rejects_a_bad_word(name, value):
 
 def test_monte_carlo_builds_no_transcripts(monkeypatch):
     def unexpected(*args, **kwargs):
-        raise AssertionError("monte_carlo built or verified a transcript")
+        raise AssertionError("a sweep built or verified a transcript")
 
     monkeypatch.setattr(protocol, "Transcript", unexpected)
     monkeypatch.setattr(protocol, "verify", unexpected)
     sc = EprAlice(strategy=bell_strategy(), target_bit=1, steer_basis=DIAGONAL)
-    assert monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).match_counts.shape == (300,)
+    assert next(sweep([cfg(0.7, 100, seed=2)], sc, trials=300)).match_counts.shape == (300,)
 
 
 def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
@@ -537,7 +586,7 @@ def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
     for sc in (HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)):
         built.clear()
-        assert monte_carlo(cfg(0.7, 100, seed=2), sc, trials=300).match_counts.shape == (300,)
+        assert next(sweep([cfg(0.7, 100, seed=2)], sc, trials=300)).match_counts.shape == (300,)
         assert built == ["Philox", "Generator"]
         built.clear()
         run_session(cfg(0.7, 100, seed=2), sc, trial=5)
@@ -554,7 +603,7 @@ def test_monte_carlo_builds_the_joint_state_once(monkeypatch):
     calls = count_calls(monkeypatch, channels, "_depolarizing_lift")
     per_state = count_calls(monkeypatch, channels, "lift_apply")
     sc = EprAlice(strategy=bell_strategy(), target_bit=0, steer_basis=RECTILINEAR)
-    summary = monte_carlo(cfg(0.7, 40, seed=2), sc, trials=50)
+    summary = next(sweep([cfg(0.7, 40, seed=2)], sc, trials=50))
     assert [list(qs) for qs, _ in calls] == [[0.7]]
     assert summary.sifted_counts.shape == summary.match_counts.shape == (50,)
     calls.clear()
@@ -581,7 +630,7 @@ _ANGLES = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude
     trials=st.integers(1, 4),
 )
 def test_sweep_equals_monte_carlo_per_config(epr, bit, a0, a1, steer, qs, data, trials):
-    # one batch preparation gives each config the summary its own monte_carlo does
+    # one batch preparation gives each config the summary its own one-config sweep does
     if epr:
         strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
         scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
@@ -593,7 +642,7 @@ def test_sweep_equals_monte_carlo_per_config(epr, bit, a0, a1, steer, qs, data, 
         for q in qs
     ]
     assert list(sweep(configs, scenario, trials)) == [
-        monte_carlo(c, scenario, trials) for c in configs]
+        next(sweep([c], scenario, trials)) for c in configs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -714,7 +763,7 @@ def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
     assert draws == [11] * 3
     taken += list(summaries)
     assert draws == [11] * 3 + [12] * 3 + [13] * 3
-    assert taken == [monte_carlo(c, sc, 3) for c in configs]
+    assert taken == [next(sweep([c], sc, 3)) for c in configs]
     assert list(sweep([], sc, 3)) == []
 
 
@@ -749,12 +798,12 @@ _GENERIC = CheatStrategy(ProjectiveBasis(1.1, 0.4).vectors()[0],
 def test_a_grid_of_one_receiver_law_draws_his_counts_once_per_trial(monkeypatch, scenario):
     # the receiver holds I/2 at every q, so a sweep at one seed and one round
     # count draws his counts once per trial for the whole grid, and each
-    # summary is still the one its config's own monte_carlo gives
+    # summary is still the one its config's own one-config sweep gives
     draws = _record_multinomials(monkeypatch)
     configs = [cfg(q, 40, seed=8) for q in (0.0, 1 / 3, 0.5, 0.9, 1.0)]
     summaries = list(sweep(configs, scenario, 6))
     assert draws == [40] * 6
-    assert summaries == [monte_carlo(c, scenario, 6) for c in configs]
+    assert summaries == [next(sweep([c], scenario, 6)) for c in configs]
 
 
 def test_configs_of_distinct_receiver_counts_share_no_draw(monkeypatch):
@@ -771,8 +820,8 @@ def test_configs_of_distinct_receiver_counts_share_no_draw(monkeypatch):
     bell = EprAlice(bell_strategy(), 0)
     bell_summaries = list(sweep(configs, bell, 6))
     assert draws == [40] * 6 + [40] * 6 + [41] * 6 + [40] * 6
-    assert summaries == [monte_carlo(cfg(q, 40, seed=8), EprAlice(_GENERIC, 1), 6) for q in qs]
-    assert bell_summaries == [monte_carlo(c, bell, 6) for c in configs]
+    assert summaries == [next(sweep([cfg(q, 40, seed=8)], EprAlice(_GENERIC, 1), 6)) for q in qs]
+    assert bell_summaries == [next(sweep([c], bell, 6)) for c in configs]
 
 
 def test_receiver_parts_are_one_draw_for_every_q_and_sender():
@@ -793,7 +842,7 @@ def test_receiver_parts_are_one_draw_for_every_q_and_sender():
 def test_monte_carlo_mean_skips_trials_without_sifted_rounds():
     # one round per trial: about half the trials measure off the encoding
     # basis and have no evidence; the noiseless ones that do all match
-    summary = monte_carlo(cfg(1.0, 1, seed=0), HonestAlice(bit=0), trials=20)
+    summary = next(sweep([cfg(1.0, 1, seed=0)], HonestAlice(bit=0), trials=20))
     empty = np.count_nonzero(summary.sifted_counts == 0)
     assert 0 < empty < 20
     assert summary.no_sifted_trials == empty
@@ -807,7 +856,7 @@ def test_monte_carlo_without_any_sifted_rounds_reports_zero():
         for seed in range(64)
         if run_session(cfg(1.0, 1, seed=seed), HonestAlice(bit=0))[1].no_sifted_rounds
     )
-    summary = monte_carlo(c, HonestAlice(bit=0), trials=1)
+    summary = next(sweep([c], HonestAlice(bit=0), trials=1))
     assert summary.no_sifted_trials == 1
     assert summary.match_fraction_mean == summary.match_fraction_std == 0.0
     assert summary.acceptance_rate == 0.0
@@ -816,7 +865,7 @@ def test_monte_carlo_without_any_sifted_rounds_reports_zero():
 @pytest.mark.parametrize("q", [0.1, 0.4, 0.7, 1.0])
 def test_monte_carlo_honest_sweep_tracks_expectation(q):
     c = cfg(q, 10000, seed=17)
-    summary = monte_carlo(c, HonestAlice(bit=0), trials=5)
+    summary = next(sweep([c], HonestAlice(bit=0), trials=5))
     expected = (1 + q) / 2
     sigma = math.sqrt(expected * (1 - expected) / (10000 / 2 * 5)) if q < 1 else 0.0
     assert abs(summary.match_fraction_mean - expected) <= 3 * sigma + 1e-3
@@ -846,7 +895,7 @@ def test_monte_carlo_acceptance_rate_matches_the_exact_binomial_sum(rounds, q, s
     trials = 20_000
     for scenario in (HonestAlice(bit=1),
                      EprAlice(bell_strategy(), target_bit=1, steer_basis=encoding_basis(1))):
-        rate = monte_carlo(config, scenario, trials).acceptance_rate
+        rate = next(sweep([config], scenario, trials)).acceptance_rate
         assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / trials)
 
 
@@ -854,23 +903,23 @@ def test_monte_carlo_acceptance_rate_matches_the_exact_binomial_sum(rounds, q, s
 @pytest.mark.parametrize("q", [0.0, 1 / 3, 0.5, 1.0])
 def test_monte_carlo_honest_pair_is_separable(q, bit):
     # the honest sender's classical-quantum pair stays separable through any channel
-    summary = monte_carlo(cfg(q, 20, seed=8), HonestAlice(bit=bit), trials=2)
+    summary = next(sweep([cfg(q, 20, seed=8)], HonestAlice(bit=bit), trials=2))
     assert summary.separable_fraction == 1.0
     assert summary.mean_concurrence == 0.0
 
 
 def test_monte_carlo_honest_acceptance_rate():
     c = cfg(0.8, 10000, seed=0)
-    summary = monte_carlo(c, HonestAlice(bit=1), trials=100)
+    summary = next(sweep([c], HonestAlice(bit=1), trials=100))
     assert summary.acceptance_rate >= 0.99
 
 
 def test_monte_carlo_cheating_summary_fields():
     sc = EprAlice(strategy=bell_strategy(), target_bit=0, steer_basis=RECTILINEAR)
-    low = monte_carlo(cfg(0.2, 300, seed=3), sc, trials=4)
+    low = next(sweep([cfg(0.2, 300, seed=3)], sc, trials=4))
     assert low.separable_fraction == 1.0
     assert low.mean_concurrence <= 1e-10
-    high = monte_carlo(cfg(0.8, 300, seed=3), sc, trials=4)
+    high = next(sweep([cfg(0.8, 300, seed=3)], sc, trials=4))
     assert high.separable_fraction == 0.0
     assert abs(high.mean_concurrence - (3 * 0.8 - 1) / 2) < 1e-9
     joint = lift_apply(DepolarizingChannel(0.8), cheat_state(sc.strategy.a0, sc.strategy.a1))
@@ -879,15 +928,15 @@ def test_monte_carlo_cheating_summary_fields():
 
 def test_monte_carlo_validates_trials():
     with pytest.raises(ValueError):
-        monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=0)
+        next(sweep([cfg(0.5, 10)], HonestAlice(bit=0), trials=0))
 
 
 def test_monte_carlo_summary_holds_read_only_columns_compared_by_value():
-    summary = monte_carlo(cfg(0.6, 50, seed=5), HonestAlice(bit=0), trials=7)
+    summary = next(sweep([cfg(0.6, 50, seed=5)], HonestAlice(bit=0), trials=7))
     for column in (summary.sifted_counts, summary.match_counts):
         assert column.dtype == np.int64 and column.shape == (7,)
         assert not column.flags.writeable
-    again = monte_carlo(cfg(0.6, 50, seed=5), HonestAlice(bit=0), trials=7)
+    again = next(sweep([cfg(0.6, 50, seed=5)], HonestAlice(bit=0), trials=7))
     assert again == summary and again.sifted_counts is not summary.sifted_counts
     other = summary.match_counts.copy()
     other[0] += 1
@@ -897,7 +946,7 @@ def test_monte_carlo_summary_holds_read_only_columns_compared_by_value():
 @pytest.mark.parametrize("make", [
     lambda: DensityMatrix(np.eye(2) / 2),
     lambda: Transcript(cfg(0.5, 2), 0, [0, 3]),
-    lambda: monte_carlo(cfg(0.5, 10), HonestAlice(bit=0), trials=2),
+    lambda: next(sweep([cfg(0.5, 10)], HonestAlice(bit=0), trials=2)),
 ], ids=["density-matrix", "transcript", "monte-carlo-summary"])
 def test_equality_with_another_type_is_false(make):
     value = make()
@@ -906,8 +955,8 @@ def test_equality_with_another_type_is_false(make):
 
 
 def _sessions_follow_the_rule(c, scenario, trials):
-    """monte_carlo's columns and statistics are its sessions', and each session obeys the rule."""
-    summary = monte_carlo(c, scenario, trials)
+    """A one-config sweep's columns and statistics are its sessions', each obeying the rule."""
+    summary = next(sweep([c], scenario, trials))
     assert summary == sessions_summary(c, scenario, trials)
     reports = [run_session(c, scenario, t)[1] for t in range(trials)]
     for r in reports:
@@ -962,6 +1011,30 @@ def test_verdict_divides_counts_past_float_precision_exactly():
     assert fraction[0] != np.float64(matched[0]) / np.float64(sifted[0])
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("q", [0.0, 1 / 3, 0.5, 0.98, 1.0])
+def test_verdict_accepts_the_match_counts_from_one_cut_up(q, sigma):
+    # among s sifted rounds the accepted match counts are {m >= m*(s)}, so an
+    # exact acceptance is the one binomial tail above m*(s); checked at every
+    # s <= 300 and in a window around the cut at s = 2**53 + 1, where
+    # consecutive fractions m / s lie closer together than a float's ulp
+    c = cfg(q, 2**63 - 1, accept_sigma=sigma)
+
+    def accepted(s, matched):
+        """_verdict's decisions on ``matched`` among s sifted rounds, checked to be a suffix."""
+        verdicts = protocol._verdict(c, np.full(matched.size, s), matched)[3]
+        assert np.array_equal(verdicts, matched > matched[-1] - verdicts.sum()), s
+        return verdicts
+
+    for s in range(301):
+        accepted(s, np.arange(s + 1))
+    s = 2**53 + 1
+    (threshold,) = protocol._verdict(c, np.array([s]), np.array([0]))[2]
+    cut = int(Fraction(float(threshold)) * s)
+    window = accepted(s, np.arange(max(cut - 64, 0), min(cut + 64, s) + 1))
+    assert window.any() and not window.all()  # the window holds the cut
+
+
 def _count_prepare_eigensolves(monkeypatch):
     """The shapes ``eig_hermitian`` gets inside each ``protocol._prepare`` call, a list per call."""
     eigensolves = count_calls(monkeypatch, linalg, "eig_hermitian")
@@ -982,13 +1055,13 @@ def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
     # the honest pair, a mixture, is validated once, as a DensityMatrix, by
     # one eigensolve the first time its scenario is prepared; the cheater's
     # pure pair is not re-validated (states._projector); and no batch
-    # validates its stack of lifts, in a monte_carlo or a whole sweep
+    # validates its stack of lifts, in a sweep of one config or of many
     prepared = _count_prepare_eigensolves(monkeypatch)
     for scenario, pair in ((HonestAlice(bit=0), [(4, 4)]),
                            (EprAlice(bell_strategy(), 1, DIAGONAL), [])):
         prepared.clear()
         for q in _SWEEP_QS:
-            monte_carlo(cfg(q, 10, seed=3), scenario, trials=4)
+            next(sweep([cfg(q, 10, seed=3)], scenario, trials=4))
         assert prepared == [pair] + [[]] * (len(_SWEEP_QS) - 1)
         prepared.clear()
         list(sweep([cfg(q, 10, seed=3) for q in _SWEEP_QS], scenario, trials=4))
@@ -1005,7 +1078,7 @@ def test_monte_carlo_runs_the_ppt_test_once(monkeypatch, scenario, q):
     # concurrence runs the PPT test, and its 0.0 is the separability verdict;
     # every module's binding of is_separable is counted, as a direct call would be
     calls = count_calls(monkeypatch, entanglement, "is_separable")
-    summary = monte_carlo(cfg(q, 10), scenario, trials=3)
+    summary = next(sweep([cfg(q, 10)], scenario, trials=3))
     assert [np.shape(rho) for rho, in calls] == [(1, 4, 4)]
     separable = isinstance(scenario, HonestAlice) or q <= 1 / 3
     assert summary.separable_fraction == (1.0 if separable else 0.0)
@@ -1033,7 +1106,7 @@ def test_separable_fraction_is_the_ppt_test(q):
     for strategy in strategies:
         scenario = EprAlice(strategy)
         joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
-        summary = monte_carlo(cfg(q, 10), scenario, trials=1)
+        summary = next(sweep([cfg(q, 10)], scenario, trials=1))
         assert summary.separable_fraction == (1.0 if is_separable(joint) else 0.0)
         assert summary.mean_concurrence == concurrence(joint)
 
@@ -1041,7 +1114,7 @@ def test_separable_fraction_is_the_ppt_test(q):
 def test_custom_cheat_strategy_flows_through():
     a1 = np.array([1.0, 1.0]) / math.sqrt(2)
     strategy = CheatStrategy(a0=np.array([1.0, 0.0]), a1=a1)
-    summary = monte_carlo(cfg(0.5, 200, seed=19), EprAlice(strategy=strategy), trials=1)
+    summary = next(sweep([cfg(0.5, 200, seed=19)], EprAlice(strategy=strategy), trials=1))
     # C(cheat) = sin(pi/4) pre-channel, scaled by (3q-1)/2 after the lift
     assert abs(summary.mean_concurrence - math.sin(math.pi / 4) * 0.25) < 1e-9
 
@@ -1328,7 +1401,7 @@ def test_monte_carlo_runs_with_a_receiver_outcome_of_tiny_probability(theta):
     # roundoff past TOL
     strategy = CheatStrategy(np.array([1.0, 0.0]), ProjectiveBasis(theta, 0.0).vectors()[0])
     scenario = EprAlice(strategy, 1, ProjectiveBasis(1.5, 0.0))
-    summary = monte_carlo(cfg(1.0, 200, seed=4), scenario, trials=3)
+    summary = next(sweep([cfg(1.0, 200, seed=4)], scenario, trials=3))
     assert summary.sifted_counts.shape == (3,)
     assert (summary.sifted_counts > 0).all()
 
@@ -1474,7 +1547,7 @@ def test_monte_carlo_pooled_counts_follow_the_exact_law(scenario):
     # totals over all trials are binomial in all of them
     q, rounds, trials = 0.6, 50, 400
     law = _reference_law(q, scenario)
-    summary = monte_carlo(cfg(q, rounds, seed=23), scenario, trials)
+    summary = next(sweep([cfg(q, rounds, seed=23)], scenario, trials))
     total = rounds * trials
     bit = scenario.bit if isinstance(scenario, HonestAlice) else scenario.target_bit
     for count, p in (

@@ -38,8 +38,9 @@ are each prepared as one batch), ``binding`` (among them the flat
 objective's rule on both sides of ``SIGN_TOL`` and at the smallest
 subnormal q, a best basis at q down to 1e-12, and a product strategy),
 ``hiding``, ``threshold`` and usage errors, among them the flags
-``threshold`` no longer takes and a ``run`` of more rounds than numpy
-can lay out.
+``threshold`` no longer takes, a ``run`` of more rounds than numpy
+can lay out and a ``binding --q-grid`` whose bad q follows a mixed
+target.
 """
 
 from __future__ import annotations
@@ -211,6 +212,7 @@ def _usage_errors() -> list[list[str]]:
         ["hiding", "--sigma0", "bogus"],
         ["hiding", "--q", "2"],
         ["binding", "--target", "bb84-0"],
+        ["binding", "--target", "bb84-0", "--q-grid", "0.5,2"],  # every q before the target
         ["binding", "--q-grid", "0,x"],
         ["binding", "--q-grid", ","],
         ["binding", "--q", "-0.1"],
