@@ -37,7 +37,6 @@ from .protocol import (
     ProtocolConfig,
     Transcript,
     VerificationReport,
-    derive_rng,
     run_session,
     sweep,
     verify,
@@ -88,7 +87,6 @@ __all__ = [
     "cheat_state",
     "choi",
     "concurrence",
-    "derive_rng",
     "eb_threshold",
     "eig_hermitian",
     "encoding_basis",

@@ -36,11 +36,16 @@ transcript of a batch of one config and verifies it.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
-reproduces the same transcript. Trial t draws from three substreams of
-the 128-bit key (seed, t): the receiver's (b, o) counts from counter 0,
-which is ``derive_rng(config.seed, t)``; the sender's variant splits from
-counter (0, 0, 0, 2); and the order of the rounds from counter
-(0, 0, 0, 1). Philox keeps streams of distinct keys and counters this far
+reproduces the same transcript. Trials are drawn in blocks of 64: trial
+t's receiver (b, o) counts are row t mod 64 of one multinomial draw at
+counter 0 of the 128-bit key (seed, t // 64), and the sender's variant
+splits of its sifted rounds row t mod 64 of one binomial draw at counter
+(0, 0, 0, 2) of that key; a transcript splits its other rounds next on
+that stream, and puts its rounds in order from counter (0, 0, 0, 1) of the
+key (seed, t). numpy draws a block row by row, so trial t draws the same
+whether its block is drawn whole or only up to its row: a sweep re-keys
+once per block and stream, and a transcript draws at most 63 rows before
+its own. Philox keeps streams of distinct keys and counters this far
 apart independent, so no key is hashed, and a prepared session re-keys
 one generator per draw instead of building one. A trial draws how many
 of its rounds fall in each class, and a transcript then puts the rounds
@@ -51,7 +56,7 @@ coin, and measurements on the two halves commute, so he can be drawn
 first, from his own substream, and the sender's steering outcome, which
 she announces as her variant, drawn given his outcome. His counts then
 depend on the seed, the round count and his law r alone: consecutive
-configs that share the three share one draw of them per trial, which is
+configs that share the three share one draw of them per block, which is
 a whole q grid for the honest sender and the Bell cheater, whose r is
 1/4 on every (b, o) at every q.
 """
@@ -125,6 +130,7 @@ class Transcript:
     def __post_init__(self):
         _check_type("config", self.config, ProtocolConfig)
         _check_bit("opened_bit", self.opened_bit)
+        object.__setattr__(self, "opened_bit", int(self.opened_bit))
         classes = np.asarray(self.classes)
         if classes.shape != (self.config.rounds,):
             raise ValueError(f"classes has shape {classes.shape} for {self.config.rounds} rounds")
@@ -150,22 +156,6 @@ class VerificationReport:
     threshold: float
     accepted: bool
     no_sifted_rounds: bool = False
-
-
-def derive_rng(seed: int, trial: int) -> np.random.Generator:
-    """Trial ``trial``'s generator: Philox keyed by the 128-bit key (seed, trial), counter 0.
-
-    Key word 0 is the seed and word 1 the trial, so every (seed, trial)
-    pair is its own Philox stream. Trial t of a session draws the
-    receiver's counts from ``derive_rng(config.seed, t)`` and its other
-    two substreams from counters (0, 0, 0, 1) and (0, 0, 0, 2) of the same
-    key; sessions re-key one generator instead of calling this. The key is
-    a uint64 array: a list of Python ints would convert through float64
-    once a word is >= 2**63.
-    """
-    _check_word("seed", seed)
-    _check_word("trial", trial)
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 #: The receiver's effects: E[b, o] projects on outcome o of basis b.
@@ -238,6 +228,7 @@ class HonestAlice:
 
     def __post_init__(self):
         _check_bit("bit", self.bit)
+        object.__setattr__(self, "bit", int(self.bit))  # a numpy bit would reach every transcript
 
     @functools.cached_property
     def pair(self) -> DensityMatrix:
@@ -256,6 +247,7 @@ class EprAlice:
         _check_type("strategy", self.strategy, CheatStrategy)
         _check_type("steer_basis", self.steer_basis, ProjectiveBasis)
         _check_bit("target_bit", self.target_bit)
+        object.__setattr__(self, "target_bit", int(self.target_bit))
 
     @functools.cached_property
     def pair(self) -> DensityMatrix:
@@ -271,9 +263,15 @@ Scenario = HonestAlice | EprAlice
 #: at p = 1/2), so roundoff in the laws must not reach it.
 _LAW_GRID = 2.0**-40
 
-#: Philox counters of a trial's three substreams, all under the key (seed, t):
-#: the receiver's (b, o) counts, the arrangement of its rounds, and the
-#: sender's announced variants.
+#: Trials per Philox key of the count streams: trial t's counts are row t mod 64
+#: of block t // 64's draws. A block costs one re-key and one draw per stream,
+#: not one per trial; 64 bounds ``run_session(t)``'s extra work at one block
+#: prefix, the rows before t's.
+_BLOCK_TRIALS = 64
+
+#: Philox counters of the three substreams: under the key (seed, t // 64), the
+#: receiver's (b, o) counts and the sender's announced variants of t's block;
+#: under the key (seed, t), the arrangement of trial t's rounds.
 _RECEIVER = (0, 0, 0, 0)
 _ARRANGEMENT = (0, 0, 0, 1)
 _VARIANTS = (0, 0, 0, 2)
@@ -294,26 +292,34 @@ class _Session:
     A trial draws class counts, not rounds, so its cost does not grow with
     ``config.rounds`` until a transcript lays the rounds out. The batch
     holds one Philox generator, ``bitgen`` under ``rng``, and one state
-    dict. Trial t of config i draws from three substreams of the key
-    (config.seed, t), re-keying the generator to each counter with an empty
-    buffer (counter 0 is the state ``derive_rng(config.seed, t)`` starts in):
-    at counter ``_RECEIVER`` the receiver's count of each (b, o), one
-    multinomial over the outcomes of positive r (``_receiver_counts``); at
-    counter ``_VARIANTS`` the count of variant 1 in each (b, o) group, one
-    binomial with P(v = 1 | b, o) each, the sifted groups (b the opened bit)
-    first and o = 0 before o = 1. ``counts`` stops after the sifted groups.
-    ``transcript`` splits all four groups, lays the classes 4b + 2o + v out
-    in sorted order and shuffles them at counter ``_ARRANGEMENT``, one
-    uniform permutation of the rounds.
+    dict, and re-keys the generator to each substream's counter with an
+    empty buffer. The trials of config i are drawn in blocks of
+    ``_BLOCK_TRIALS``: trial t is row t mod 64 of block t // 64, whose two
+    count streams share the key (config.seed, t // 64). At counter
+    ``_RECEIVER`` the block's receiver counts of each (b, o), one
+    multinomial over the outcomes of positive r with one row per trial
+    (``_receiver_counts``); at counter ``_VARIANTS`` the count of variant 1
+    in each sifted group (b the opened bit), one binomial with
+    P(v = 1 | b, o) over a (rows, 2) array, o = 0 before o = 1 in each row
+    (``_sifted_ones``). numpy draws both row by row, so a block's first rows
+    do not depend on how many rows follow: trial t draws the same whether
+    its block is drawn to row t or whole, and trial 0 draws what a key of
+    its own would. ``counts`` stops after the sifted groups.
+    ``transcript`` draws trial t's block up to its row, then splits the two
+    other groups on the variant stream after that row, lays the classes
+    4b + 2o + v out in sorted order and shuffles them at counter
+    ``_ARRANGEMENT`` of trial t's own key (config.seed, t), one uniform
+    permutation of the rounds. The keys (seed, t // 64) and (seed, t) meet
+    only at distinct counters, so no stream overlaps another.
 
     The receiver's counts depend on (seed, rounds, r) and the trial alone,
     so consecutive configs that share (seed, rounds, r) share one draw of
     them: the honest sender's and the Bell cheater's r is 1/4 on every
-    outcome at every q, so a sweep of either draws one multinomial per trial
-    for its whole q grid. ``drawn`` keeps the latest such draw only. Neither
-    the receiver's counts nor the permutation depend on the steering basis,
-    the opened bit or q where r does not, so neither does any round's
-    receiver part 4b + 2o.
+    outcome at every q, so a sweep of either draws one multinomial per
+    block for its whole q grid. ``drawn`` keeps the latest such draw only.
+    Neither the receiver's counts nor the permutation depend on the
+    steering basis, the opened bit or q where r does not, so neither does
+    any round's receiver part 4b + 2o.
     """
 
     configs: tuple[ProtocolConfig, ...]
@@ -325,55 +331,73 @@ class _Session:
     state: dict
     drawn: dict
 
-    def _rekey(self, counter: tuple[int, ...], seed: int, t: int) -> None:
-        """Point the generator at counter ``counter`` of the key (seed, t), with an empty buffer."""
+    def _rekey(self, counter: tuple[int, ...], seed: int, word: int) -> None:
+        """Point the generator at counter ``counter`` of the key (seed, word), with an empty buffer."""
         keyed = self.state["state"]
-        keyed["counter"], keyed["key"] = counter, (seed, t)
+        keyed["counter"], keyed["key"] = counter, (seed, word)
         self.bitgen.state = self.state
 
     def _receiver_counts(self, i: int, trials: range) -> np.ndarray:
-        """Config i's trials' receiver counts c[2b + o], as the rows of a (4, T) int64 array."""
+        """Config i's receiver counts c[2b + o] as a (T, 4) int64 array, one row per trial.
+
+        The rows run from the first trial of ``trials.start``'s block to
+        ``trials.stop``, since a block is drawn from its first row on.
+        """
         config, receiver = self.configs[i], self.receivers[i]
-        key = (config.seed, config.rounds, receiver.tolist(), trials)
+        rows = range(trials.start - trials.start % _BLOCK_TRIALS, trials.stop)
+        key = (config.seed, config.rounds, receiver.tolist(), rows)
         if self.drawn.get("key") != key:
             outcomes = np.flatnonzero(receiver)  # an outcome of law 0 is left out, so never drawn
             pvals = receiver[outcomes] / receiver[outcomes].sum()
+            # laid out before any block is drawn, so too many trials fail at once
             try:
-                rows = np.empty((len(trials), outcomes.size), dtype=np.int64)
-                counts = np.zeros((4, len(trials)), dtype=np.int64)
+                counts = np.empty((len(rows), 4), dtype=np.int64)
             # numpy refuses a size past its limit with a ValueError, and len()
             # a range past 2**63 - 1 with an OverflowError
             except (MemoryError, ValueError, OverflowError):
                 raise MemoryError(
                     f"{trials.stop - trials.start} trials are too many to lay out") from None
-            multinomial, rekey = self.rng.multinomial, self._rekey
-            for j, t in enumerate(trials):
-                rekey(_RECEIVER, config.seed, t)
-                rows[j] = multinomial(config.rounds, pvals)
-            counts[outcomes] = rows.T
+            counts[:, receiver == 0] = 0
+            for j in range(0, len(rows), _BLOCK_TRIALS):
+                self._rekey(_RECEIVER, config.seed, (rows.start + j) // _BLOCK_TRIALS)
+                block = counts[j:j + _BLOCK_TRIALS]
+                block[:, outcomes] = self.rng.multinomial(config.rounds, pvals, size=len(block))
             self.drawn.update(key=key, counts=counts)
         return self.drawn["counts"]
 
+    def _sifted_ones(self, i: int, trials: range) -> tuple[np.ndarray, np.ndarray]:
+        """Config i's receiver counts and its sifted groups' counts of variant 1, row by row.
+
+        Returns ``_receiver_counts(i, trials)`` and a (T, 2) int64 array of
+        the same rows, group 2b's count first for b the opened bit, and
+        leaves the generator after the last block's splits.
+        """
+        seed, g0 = self.configs[i].seed, 2 * self.opened_bit
+        counts = self._receiver_counts(i, trials)
+        sifted, p = counts[:, g0:g0 + 2], self.p_ones[i, g0:g0 + 2]
+        ones = np.empty_like(sifted)
+        for j in range(0, len(sifted), _BLOCK_TRIALS):
+            self._rekey(_VARIANTS, seed, trials.start // _BLOCK_TRIALS + j // _BLOCK_TRIALS)
+            ones[j:j + _BLOCK_TRIALS] = self.rng.binomial(sifted[j:j + _BLOCK_TRIALS], p)
+        return counts, ones
+
     def counts(self, i: int, trials: range) -> tuple[np.ndarray, np.ndarray]:
         """Config i's trials' sifted and matched counts, as two int64 columns."""
-        seed, g0 = self.configs[i].seed, 2 * self.opened_bit
-        c0, c1 = self._receiver_counts(i, trials)[g0:g0 + 2]
-        p0, p1 = self.p_ones[i, g0:g0 + 2].tolist()
-        binomial, rekey, ones0, ones1 = self.rng.binomial, self._rekey, [], []
-        for t, n0, n1 in zip(trials, c0.tolist(), c1.tolist()):
-            rekey(_VARIANTS, seed, t)
-            ones0.append(binomial(n0, p0))
-            ones1.append(binomial(n1, p1))
+        counts, ones = self._sifted_ones(i, trials)
+        skip, g0 = trials.start % _BLOCK_TRIALS, 2 * self.opened_bit
+        (c0, c1), (ones0, ones1) = counts[skip:, g0:g0 + 2].T, ones[skip:].T
         # o = v: variant 0 of outcome 0 and variant 1 of outcome 1
-        return c0 + c1, c0 - np.array(ones0, dtype=np.int64) + np.array(ones1, dtype=np.int64)
+        return c0 + c1, c0 - ones0 + ones1
 
     def transcript(self, i: int, t: int) -> Transcript:
         """Config i's transcript of trial t."""
         config, p_one, g0 = self.configs[i], self.p_ones[i], 2 * self.opened_bit
-        c = self._receiver_counts(i, range(t, t + 1))[:, 0].tolist()
-        self._rekey(_VARIANTS, config.seed, t)
-        # ones[j] is group g0 ^ j's count of variant 1: the sifted groups first
-        ones = [self.rng.binomial(c[g0 ^ j], p_one[g0 ^ j]) for j in range(4)]
+        counts, sifted_ones = self._sifted_ones(i, range(t, t + 1))
+        c = counts[-1].tolist()
+        # ones[j] is group g0 ^ j's count of variant 1: the sifted groups' from
+        # t's row, then the others', drawn next on the same variant stream
+        ones = sifted_ones[-1].tolist() + [self.rng.binomial(c[g0 ^ j], p_one[g0 ^ j])
+                                           for j in (2, 3)]
         sizes = [k for g in range(4) for k in (c[g] - ones[g ^ g0], ones[g ^ g0])]
         try:
             classes = np.repeat(np.arange(8), sizes)
@@ -478,8 +502,9 @@ def sweep(
     """One ``MonteCarloSummary`` per config, in order, each over ``trials`` trials.
 
     One config's summary is ``next(sweep([config], scenario, trials))``.
-    Trial t draws from the substreams of the key (config.seed, t), so no
-    result depends on the order the trials run in.
+    Trial t's counts are row t mod 64 of its block's draws under the key
+    (config.seed, t // 64), so no result depends on the order the trials
+    run in.
     The configs are prepared once, here, as one ``_Session``. The pair
     is lifted here, for the separability and concurrence columns only,
     to every config's q in one broadcast, a (Q, 4, 4) stack that gets one
@@ -494,13 +519,15 @@ def sweep(
     The summaries are then drawn lazily, one config at a time, so the
     sweep holds one config's count columns at a time, and a run of
     consecutive configs of one (seed, rounds, r) shares one draw of the
-    receiver's counts per trial. Trials run in one thread. A config's
+    receiver's counts per block of trials. Trials run in one thread, a
+    block at a time. A config's
     counts come as two columns, and ``_verdict`` decides all its trials at
     once: trial t's decision is ``verify``'s of the transcript
     ``run_session(config, scenario, t)`` returns.
     ``concurrence`` is 0.0 exactly on the states the PPT test accepts, so
     its one PPT test also decides separability. The summaries raise
-    MemoryError for more trials than the host can lay out as a column.
+    MemoryError for more trials than the host can lay out as a column,
+    before any block is drawn.
     """
     _check_int("trials", trials)
     if trials < 1:

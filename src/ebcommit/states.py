@@ -172,6 +172,9 @@ class ProjectiveBasis:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2 * math.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+        # stored as Python floats, as ProtocolConfig stores q: a numpy angle would not serialize
+        for name in ("theta", "phi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)

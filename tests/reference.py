@@ -14,8 +14,8 @@ and the textbook Wootters formula are the brute-force routes
 that the closed forms of the package are checked against. A Monte Carlo
 summary is checked against one built from a full session per trial, and
 its acceptance rate against the exact binomial sum. The Pauli X and Z
-matrices and the Hermiticity defect of a matrix, which only the tests
-use, are defined here.
+matrices, the Hermiticity defect of a matrix and the Philox generator of
+a (seed, word) key, which only the tests use, are defined here.
 """
 
 from __future__ import annotations
@@ -43,7 +43,13 @@ from ebcommit.protocol import (
     _verdict,
     run_session,
 )
-from ebcommit.states import OUTCOME_EPS, DensityMatrix, ProjectiveBasis, _sender_operator
+from ebcommit.states import (
+    OUTCOME_EPS,
+    DensityMatrix,
+    ProjectiveBasis,
+    _check_word,
+    _sender_operator,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -200,6 +206,20 @@ def joint_outcome_decomposition(
         w = np.clip(w, 0.0, None)
         branches.append((p, DensityMatrix((v * (w / w.sum())) @ v.conj().T)))
     return tuple(branches)
+
+
+def derive_rng(seed: int, trial: int) -> np.random.Generator:
+    """Philox keyed by the 128-bit key (seed, trial), at counter 0.
+
+    Key word 0 is the seed and word 1 the trial, so every (seed, trial)
+    pair is its own Philox stream. Sessions draw trial t's receiver counts
+    from the stream of the key (seed, t // 64), as row t mod 64 of one
+    draw per block. The key is a uint64 array: a list of Python ints would
+    convert through float64 once a word is >= 2**63.
+    """
+    _check_word("seed", seed)
+    _check_word("trial", trial)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def counts_report(config, sifted_count: int, match_count: int) -> VerificationReport:

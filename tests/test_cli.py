@@ -679,13 +679,13 @@ _PINNED_SWEEPS = {
     "honest": (
         ["sweep", "--q-steps", "4", "--rounds", "200", "--trials", "3", "--bit", "1",
          "--seed", "4"],
-        "20179ffe84f799beb03b0f4a014c9f62735fb6c1bada6ca1a4b153df0ce6a837",
+        "f9a925616ca8cae5a30efb307f4b31db5c95dcc3c7167cd96474e3d71b3b1e6e",
     ),
     "epr": (
         ["sweep", "--alice", "epr", "--q-steps", "4", "--rounds", "200", "--trials", "3",
          "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target-bit", "1",
          "--steer-theta", "0.9", "--steer-phi", "2.1", "--seed", "6"],
-        "91255979a4b12af5c1ac76ddd705bf9b13156d3113ebf7f7ee075d9f0eac8fff",
+        "d7233989ebe0f146f3151e1702882d6dc2c607a9b7d951011f03afb9db2c0f97",
     ),
 }
 

@@ -20,7 +20,6 @@ from ebcommit.protocol import (
     HonestAlice,
     ProtocolConfig,
     Transcript,
-    derive_rng,
     run_session,
     sweep,
     verify,
@@ -43,6 +42,7 @@ from ebcommit.states import (
 from conftest import count_calls, refuse_rows
 from reference import (
     counts_report,
+    derive_rng,
     exact_acceptance,
     joint_outcome_decomposition,
     lifted_round_law,
@@ -160,6 +160,15 @@ class TestConfig:
         assert isotropic(np.int64(1)) == isotropic(1.0)
         assert encoding_basis(np.int16(1)) == DIAGONAL
         assert np.array_equal(bb84_projector(np.int64(1), np.int32(0)), bb84_projector(1, 0))
+
+    def test_bits_are_stored_as_python_ints(self):
+        # a numpy bit would reach every transcript opened from it
+        config = cfg(0.5, 10)
+        for scenario in (HonestAlice(bit=np.int8(1)), EprAlice(bell_strategy(), np.uint8(1))):
+            assert type(run_session(config, scenario)[0].opened_bit) is int
+        assert type(HonestAlice(bit=np.int64(0)).bit) is int
+        assert type(EprAlice(bell_strategy(), np.int16(1)).target_bit) is int
+        assert type(Transcript(config, np.int32(1), [4] * 10).opened_bit) is int
 
     def test_verify_decides_a_float32_q_at_the_q_it_simulates(self):
         # 13 of 20 sifted rounds match: 0.65, below the expectation (1 + q)/2 =
@@ -570,9 +579,8 @@ def test_monte_carlo_builds_no_transcripts(monkeypatch):
 
 
 def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
-    def unexpected(*ids):
-        raise AssertionError("a session called derive_rng")
-
+    # a session re-keys one generator for every block and trial; building
+    # one per key, as derive_rng does, would add a Philox and a Generator
     built = []
 
     def counting(cls):
@@ -581,7 +589,6 @@ def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
             return cls(*args, **kwargs)
         return build
 
-    monkeypatch.setattr(protocol, "derive_rng", unexpected)
     monkeypatch.setattr(np.random, "Philox", counting(np.random.Philox))
     monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
     for sc in (HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL)):
@@ -589,7 +596,7 @@ def test_sessions_build_one_generator_and_no_derive_rng(monkeypatch):
         assert next(sweep([cfg(0.7, 100, seed=2)], sc, trials=300)).match_counts.shape == (300,)
         assert built == ["Philox", "Generator"]
         built.clear()
-        run_session(cfg(0.7, 100, seed=2), sc, trial=5)
+        run_session(cfg(0.7, 100, seed=2), sc, trial=70)
         assert built == ["Philox", "Generator"]
         # a sweep's configs, each of its own seed, share the batch's one generator
         built.clear()
@@ -736,23 +743,9 @@ def test_sessions_lift_no_pair(monkeypatch):
 
 
 def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
-    # each config's trials draw one multinomial of its round count; the
-    # configs' round counts tell their draws apart
-    draws = []
-    generator = np.random.Generator
-
-    class Recording:
-        def __init__(self, bitgen):
-            self.rng = generator(bitgen)
-
-        def multinomial(self, n, pvals):
-            draws.append(n)
-            return self.rng.multinomial(n, pvals)
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-    monkeypatch.setattr(np.random, "Generator", Recording)
+    # each config's block of trials draws one multinomial of its round
+    # count; the configs' round counts tell their draws apart
+    draws = _record_multinomials(monkeypatch)
     sc = EprAlice(bell_strategy(), 1, DIAGONAL)
     configs = [cfg(q, rounds, seed=4) for q, rounds in ((0.2, 11), (0.5, 12), (0.9, 13))]
     with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -760,15 +753,15 @@ def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
     summaries = sweep(configs, sc, 3)
     assert draws == []
     taken = [next(summaries)]
-    assert draws == [11] * 3
+    assert draws == [(11, 3)]
     taken += list(summaries)
-    assert draws == [11] * 3 + [12] * 3 + [13] * 3
+    assert draws == [(11, 3), (12, 3), (13, 3)]
     assert taken == [next(sweep([c], sc, 3)) for c in configs]
     assert list(sweep([], sc, 3)) == []
 
 
 def _record_multinomials(monkeypatch):
-    """The round count of every multinomial the sessions draw, in order."""
+    """The round count and the number of rows of every multinomial the sessions draw, in order."""
     draws = []
     generator = np.random.Generator
 
@@ -776,9 +769,9 @@ def _record_multinomials(monkeypatch):
         def __init__(self, bitgen):
             self.rng = generator(bitgen)
 
-        def multinomial(self, n, pvals):
-            draws.append(n)
-            return self.rng.multinomial(n, pvals)
+        def multinomial(self, n, pvals, size):
+            draws.append((n, size))
+            return self.rng.multinomial(n, pvals, size)
 
         def __getattr__(self, name):
             return getattr(self.rng, name)
@@ -797,13 +790,14 @@ _GENERIC = CheatStrategy(ProjectiveBasis(1.1, 0.4).vectors()[0],
 ], ids=["honest-0", "honest-1", "bell-diagonal", "bell-oblique"])
 def test_a_grid_of_one_receiver_law_draws_his_counts_once_per_trial(monkeypatch, scenario):
     # the receiver holds I/2 at every q, so a sweep at one seed and one round
-    # count draws his counts once per trial for the whole grid, and each
-    # summary is still the one its config's own one-config sweep gives
+    # count draws his counts once per trial for the whole grid, a block of
+    # trials at a time, and each summary is still the one its config's own
+    # one-config sweep gives
     draws = _record_multinomials(monkeypatch)
     configs = [cfg(q, 40, seed=8) for q in (0.0, 1 / 3, 0.5, 0.9, 1.0)]
-    summaries = list(sweep(configs, scenario, 6))
-    assert draws == [40] * 6
-    assert summaries == [next(sweep([c], scenario, 6)) for c in configs]
+    summaries = list(sweep(configs, scenario, 70))
+    assert draws == [(40, 64), (40, 6)]
+    assert summaries == [next(sweep([c], scenario, 70)) for c in configs]
 
 
 def test_configs_of_distinct_receiver_counts_share_no_draw(monkeypatch):
@@ -813,13 +807,13 @@ def test_configs_of_distinct_receiver_counts_share_no_draw(monkeypatch):
     draws = _record_multinomials(monkeypatch)
     qs = (0.0, 0.5, 1.0)
     summaries = list(sweep([cfg(q, 40, seed=8) for q in qs], EprAlice(_GENERIC, 1), 6))
-    assert draws == [40] * 6 * len(qs)
+    assert draws == [(40, 6)] * len(qs)
     draws.clear()
     configs = [cfg(0.5, 40, seed=8), cfg(0.5, 40, seed=9), cfg(0.5, 41, seed=9),
                cfg(0.7, 41, seed=9), cfg(0.7, 40, seed=8)]
     bell = EprAlice(bell_strategy(), 0)
     bell_summaries = list(sweep(configs, bell, 6))
-    assert draws == [40] * 6 + [40] * 6 + [41] * 6 + [40] * 6
+    assert draws == [(40, 6), (40, 6), (41, 6), (40, 6)]
     assert summaries == [next(sweep([cfg(q, 40, seed=8)], EprAlice(_GENERIC, 1), 6)) for q in qs]
     assert bell_summaries == [next(sweep([c], bell, 6)) for c in configs]
 
@@ -1271,34 +1265,46 @@ def _reference_receiver_law(q, scenario):
                      for b in (0, 1) for e in encoding_basis(b).vectors()])
 
 
-def _replay(q, scenario, seed, trial, rounds):
-    """Trial ``trial``'s round classes 4b + 2o + v, drawn afresh.
-
-    From the reference laws, each probability rounded to
-    ``protocol._LAW_GRID``, on three substreams of the key (seed, trial):
-    on ``derive_rng(seed, trial)`` the receiver's (b, o) counts in one
-    multinomial draw over the outcomes of positive law; at counter
-    (0, 0, 0, 2) each (b, o) group's count of variant 1 in one binomial
-    draw, the opened bit's groups first and o = 0 before o = 1. The class
-    codes 4b + 2o + v, laid out in sorted order, are then reordered by
-    ``permutation(rounds)`` drawn at counter (0, 0, 0, 1).
-    """
+def _session_laws(q, scenario):
+    """The reference receiver law r[2b + o] and group laws law[2b + o, v], on ``protocol._LAW_GRID``."""
     grid = protocol._LAW_GRID
     law = np.rint(_reference_law(q, scenario).reshape(4, 2) / grid) * grid
     # the receiver's outcome probabilities, not sums of the law: a sum of
     # entries each on the grid can be a grid step off
     receiver = np.where(law.any(axis=1), _reference_receiver_law(q, scenario), 0.0)
-    receiver = np.rint(receiver / grid) * grid
+    return np.rint(receiver / grid) * grid, law
+
+
+def _replay(q, scenario, seed, trial, rounds):
+    """Trial ``trial``'s round classes 4b + 2o + v, drawn afresh.
+
+    From the reference laws, each probability rounded to
+    ``protocol._LAW_GRID``. Trial t is row j = t mod 64 of block t // 64,
+    whose two count streams are keyed (seed, t // 64): on
+    ``derive_rng(seed, t // 64)`` the receiver's (b, o) counts of rows 0
+    to j in one multinomial draw of j + 1 rows over the outcomes of
+    positive law; at counter (0, 0, 0, 2) the opened bit's two groups'
+    counts of variant 1 of rows 0 to j in one binomial draw of shape
+    (j + 1, 2), o = 0 before o = 1 in each row, and next on that stream
+    the two other groups' counts of row j, o = 0 first. The class codes
+    4b + 2o + v of row j, laid out in sorted order, are then reordered by
+    ``permutation(rounds)`` drawn at counter (0, 0, 0, 1) of trial t's own
+    key (seed, t).
+    """
+    receiver, law = _session_laws(q, scenario)
     present = receiver > 0
-    rng = derive_rng(seed, trial)  # the reference definition of trial t's stream
-    c = np.zeros(4, dtype=np.int64)
-    c[present] = rng.multinomial(rounds, receiver[present] / receiver[present].sum())
+    block, row = divmod(trial, 64)
+    c = np.zeros((row + 1, 4), dtype=np.int64)
+    c[:, present] = derive_rng(seed, block).multinomial(
+        rounds, receiver[present] / receiver[present].sum(), size=row + 1)
+    p_one = np.divide(law[:, 1], law.sum(axis=1), out=np.zeros(4), where=present)
     bit = scenario.bit if isinstance(scenario, HonestAlice) else scenario.target_bit
+    sifted, other = [2 * bit, 2 * bit + 1], [2 - 2 * bit, 3 - 2 * bit]
+    variants = _substream(seed, block, 2)
     ones = np.zeros(4, dtype=np.int64)
-    variants = _substream(seed, trial, 2)
-    for g in (2 * bit, 2 * bit + 1, 2 - 2 * bit, 3 - 2 * bit):
-        ones[g] = variants.binomial(c[g], law[g, 1] / law[g].sum()) if present[g] else 0
-    classes = np.repeat(np.arange(8), np.stack([c - ones, ones], axis=1).ravel())
+    ones[sifted] = variants.binomial(c[:, sifted], p_one[sifted])[row]
+    ones[other] = [variants.binomial(c[row, g], p_one[g]) for g in other]
+    classes = np.repeat(np.arange(8), np.stack([c[row] - ones, ones], axis=1).ravel())
     return classes[_substream(seed, trial, 1).permutation(rounds)]
 
 
@@ -1316,6 +1322,15 @@ def _substream(seed, trial, counter):
          a0=_no_angles, a1=_no_angles, steer=_no_angles)
 @example(q=1.0, seed=2**63, first=2**63 - 1, trials=3, rounds=5, bit=1, epr=True,
          a0=_no_angles, a1=(1e-3, 0.0), steer=(1.5, 0.0))
+# trials 63 and 64, the last row of block 0 and the first of block 1; a
+# range from mid-block 0 through block 1 into block 2; and the last block,
+# whose key's second word is (2**64 - 1) // 64
+@example(q=0.6, seed=5, first=63, trials=2, rounds=9, bit=0, epr=False,
+         a0=_no_angles, a1=_no_angles, steer=_no_angles)
+@example(q=0.8, seed=2**64 - 1, first=60, trials=71, rounds=7, bit=1, epr=True,
+         a0=(1.1, 0.4), a1=(2.3, 5.0), steer=(0.9, 2.1))
+@example(q=0.3, seed=0, first=2**64 - 66, trials=66, rounds=4, bit=0, epr=True,
+         a0=_no_angles, a1=(math.pi, 0.0), steer=(1.5, 0.0))
 @given(
     q=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64 - 1),
@@ -1347,6 +1362,50 @@ def test_each_trial_draws_its_derive_rng_stream(
         matched = sifted & ((classes >> 1) & 1 == classes & 1)
         assert (sifted_counts[i], match_counts[i]) == (np.count_nonzero(sifted),
                                                         np.count_nonzero(matched))
+
+
+@pytest.mark.parametrize("start, stop", [(1, 2), (5, 64), (63, 65), (60, 130), (64, 200),
+                                         (100, 129)])
+@pytest.mark.parametrize("scenario", [HonestAlice(bit=1), EprAlice(_GENERIC, 0, DIAGONAL)],
+                         ids=["honest", "generic"])
+def test_counts_from_mid_block_are_a_slice_of_counts_from_trial_0(scenario, start, stop):
+    # a block is drawn from its first row whatever trial a range starts at,
+    # so each trial's counts do not depend on where its range starts
+    configs = [cfg(q, 50, seed=7) for q in (0.3, 0.8)]
+    whole, part = (protocol._prepare(configs, scenario) for _ in range(2))
+    for i in range(len(configs)):
+        assert ([c[start:].tolist() for c in whole.counts(i, range(stop))]
+                == [c.tolist() for c in part.counts(i, range(start, stop))])
+
+
+@pytest.mark.parametrize("scenario", [
+    HonestAlice(bit=0), HonestAlice(bit=1), EprAlice(bell_strategy(), 1, DIAGONAL),
+    EprAlice(_GENERIC, 0, ProjectiveBasis(0.9, 2.1)), EprAlice(CheatStrategy([1, 0], [1, 0]), 1),
+], ids=["honest-0", "honest-1", "bell-diagonal", "generic", "product"])
+def test_trial_0_draws_the_streams_of_its_own_key(scenario):
+    # trial 0 is row 0 of block 0, keyed (seed, 0), so it draws what it drew
+    # when each trial had a key of its own: one multinomial at counter 0,
+    # each group's binomial in turn at counter (0, 0, 0, 2), sifted groups
+    # first, and the permutation at counter (0, 0, 0, 1)
+    bit = scenario.bit if isinstance(scenario, HonestAlice) else scenario.target_bit
+    for q, seed, rounds in ((0.0, 3, 40), (0.45, 2**64 - 1, 300), (1.0, 17, 7)):
+        receiver, law = _session_laws(q, scenario)
+        present = receiver > 0
+        c = np.zeros(4, dtype=np.int64)
+        c[present] = derive_rng(seed, 0).multinomial(
+            rounds, receiver[present] / receiver[present].sum())
+        variants, ones = _substream(seed, 0, 2), np.zeros(4, dtype=np.int64)
+        for g in (2 * bit, 2 * bit + 1, 2 - 2 * bit, 3 - 2 * bit):
+            ones[g] = variants.binomial(c[g], law[g, 1] / law[g].sum()) if present[g] else 0
+        classes = np.repeat(np.arange(8), np.stack([c - ones, ones], axis=1).ravel())
+        classes = classes[_substream(seed, 0, 1).permutation(rounds)]
+        config = cfg(q, rounds, seed=seed)
+        assert run_session(config, scenario)[0].classes.tolist() == classes.tolist()
+        sifted = classes >> 2 == bit
+        matched = sifted & ((classes >> 1) & 1 == classes & 1)
+        summary = next(sweep([config], scenario, 70))
+        assert (summary.sifted_counts[0], summary.match_counts[0]) == (
+            np.count_nonzero(sifted), np.count_nonzero(matched))
 
 
 def test_each_call_on_a_batch_draws_what_a_fresh_batch_draws():
@@ -1521,12 +1580,12 @@ def test_a_class_of_law_zero_is_never_drawn(monkeypatch, a0, a1, steer, q, zero)
         def __init__(self, bitgen):
             pass
 
-        def multinomial(self, n, pvals):
-            return n * np.eye(len(pvals), dtype=np.int64)[corner % len(pvals)]
+        def multinomial(self, n, pvals, size):
+            return np.tile(n * np.eye(len(pvals), dtype=np.int64)[corner % len(pvals)], (size, 1))
 
         def binomial(self, n, p):
-            assert 0 <= p <= 1
-            return n if (p > 0 if high else p == 1) else 0
+            assert np.all((0 <= p) & (p <= 1))
+            return np.where(p > 0 if high else p == 1, n, 0)
 
         def shuffle(self, x):
             pass

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -142,6 +144,13 @@ def test_projective_basis_rejects_non_real_angles(theta, phi, name):
 def test_projective_basis_accepts_integer_and_numpy_angles():
     assert ProjectiveBasis(0, 0) == RECTILINEAR
     assert ProjectiveBasis(np.float32(0.0), np.int64(0)) == RECTILINEAR
+
+
+def test_projective_basis_stores_python_floats():
+    # a numpy angle would make the basis fail to serialize
+    basis = ProjectiveBasis(np.float32(1.0), np.int64(2))
+    assert (type(basis.theta), type(basis.phi)) == (float, float)
+    assert json.loads(json.dumps(dataclasses.asdict(basis))) == {"theta": 1.0, "phi": 2.0}
 
 
 def test_rectilinear_and_diagonal_projectors():

@@ -34,7 +34,8 @@ at ``--accept-sigma 0``, whose threshold is the expectation itself, and
 an honest one of 300 noiseless 7-round trials, some with no sifted
 round; an EPR sweep of 21 q with a tilted steering basis, and an honest
 and an EPR sweep of 9 q from 0.3 to 0.34, across q* = 1/3, whose grids
-are each prepared as one batch), ``binding`` (among them the flat
+are each prepared as one batch; an EPR sweep of 130 trials, which span
+three blocks of 64 trials, at the largest seed), ``binding`` (among them the flat
 objective's rule on both sides of ``SIGN_TOL`` and at the smallest
 subnormal q, a best basis at q down to 1e-12, and a product strategy),
 ``hiding``, ``threshold`` and usage errors, among them the flags
@@ -147,6 +148,9 @@ def _sweep_commands() -> list[list[str]]:
     for alice in ("honest", "epr"):
         cmds.append(["sweep", "--alice", alice, "--q-min", "0.3", "--q-max", "0.34",
                      "--q-steps", "9", "--rounds", "120", "--trials", "4", "--seed", "9"])
+    # trials in three blocks of 64 at the largest seed, the top of the key space
+    cmds.append(["sweep", "--alice", "epr", "--q-steps", "5", "--rounds", "30", "--trials", "130",
+                 "--seed", str(2**64 - 1)])
     return cmds
 
 
