@@ -11,7 +11,7 @@ pair: they apply the depolarizing map, which is self-adjoint, to the
 receiver's four effects, for all their q at once with a vector q
 broadcast over them (``_depolarize``). Only a sweep's separability and
 concurrence columns need the post-channel pairs, one broadcast lift per
-sweep (``_depolarizing_lift``).
+chunk of a sweep's q grid (``_depolarizing_lift``).
 """
 
 from __future__ import annotations

@@ -366,7 +366,7 @@ def _cmd_sweep(args) -> int:
             }
             for q, summary in zip(qs, summaries)
         ]
-    except MemoryError as exc:  # the summaries draw their trials lazily
+    except MemoryError as exc:  # the summaries draw their trials lazily, a chunk of q at a time
         raise UsageError(f"--trials: {exc}") from None
     _emit(_meta(args), rows, args.format, args.output)
     return EXIT_OK

@@ -12,7 +12,7 @@ disentangles the Bell pair disentangles everything.
 
 :func:`concurrence` and :func:`is_separable` take one state or a stack of
 shape (..., 4, 4): a sweep runs one PPT test and one Wootters
-evaluation over its whole stack of post-channel pairs, and a
+evaluation over each chunk's stack of post-channel pairs, and a
 single state is the stack with no leading axes.
 """
 

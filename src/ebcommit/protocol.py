@@ -30,9 +30,9 @@ depends only on q and the scenario, so the configurations of one
 scenario, one per q of a sweep, are prepared at once as one batch
 (``_Session``) and then sampled config by config and trial by trial.
 ``sweep`` draws each config's sifted and matched counts as two columns
-and decides every trial at once by ``verify``'s rule, building no
-transcript and no per-trial report, and ``run_session`` draws one trial's
-transcript of a batch of one config and verifies it.
+and decides a chunk of configs' trials at once by ``verify``'s rule,
+building no transcript and no per-trial report, and ``run_session``
+draws one trial's transcript of a batch of one config and verifies it.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
@@ -193,32 +193,43 @@ def verify(transcript: Transcript) -> VerificationReport:
     c = np.bincount(transcript.classes, minlength=8)
     t = 4 * transcript.opened_bit
     sifted, matched = int(c[t:t + 4].sum()), int(c[t] + c[t + 3])
+    config = transcript.config
     expected, (fraction,), (threshold,), (accepted,) = _verdict(
-        transcript.config, np.array([sifted]), np.array([matched]))
+        config.q, config.accept_sigma, np.array([sifted]), np.array([matched]))
     return VerificationReport(sifted, matched, float(fraction), expected, float(threshold),
                               bool(accepted), no_sifted_rounds=sifted == 0)
 
 
 def _verdict(
-    config: ProtocolConfig, sifted: np.ndarray, matched: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The receiver's rule over int64 columns of trials' sifted and matched counts.
+    q, accept_sigma, sifted: np.ndarray, matched: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The receiver's rule over int64 arrays of trials' sifted and matched counts.
 
-    Returns the honest expectation (1+q)/2 per sifted round (the carrier
-    survives the channel with probability q, else the outcome is a fair
-    coin) and, per trial, the match fraction, the threshold, which sits
-    ``accept_sigma`` binomial standard deviations below the expectation,
-    and whether the fraction reaches it. A trial with no sifted rounds has
-    no evidence: its fraction is 0 and its threshold 1, so it is rejected.
+    q and ``accept_sigma`` are one config's, as scalars (``verify``), or
+    those of a chunk of configs, as (Q, 1) columns against (Q, T) counts,
+    one row per config (``sweep``). Returns the honest expectation
+    (1+q)/2 per sifted round (the carrier survives the channel with
+    probability q, else the outcome is a fair coin) and, per trial, the
+    match fraction, the threshold, which sits ``accept_sigma`` binomial
+    standard deviations below the expectation, and whether the fraction
+    reaches it. A trial with no sifted rounds has no evidence: its
+    fraction is 0 and its threshold 1, so it is rejected.
+    Each fraction is its quotient rounded once, whatever the counts, so
+    that a trial is decided the same in any chunk and in ``verify``:
+    float64 holds a count below 2**53 exactly, and Python's int / int
+    divides such counts in float64 too, but a count past 2**53 would be
+    rounded before a float64 division, so a stack that holds one is
+    divided as Python ints.
     """
-    expected = (1.0 + config.q) / 2.0
+    expected = (1.0 + q) / 2.0
     some = sifted > 0
     n = np.where(some, sifted, 1)  # a trial with no sifted rounds has none matched either
-    # divided as Python ints, so each quotient is rounded once; in float64
-    # a count past 2**53 would be rounded before the division
-    fraction = (matched.astype(object) / n.astype(object)).astype(float)
+    if n.max(initial=0) < 2**53 and matched.max(initial=0) < 2**53:
+        fraction = matched / n
+    else:
+        fraction = (matched.astype(object) / n.astype(object)).astype(float)
     threshold = np.where(
-        some, expected - config.accept_sigma * np.sqrt(expected * (1.0 - expected) / n), 1.0)
+        some, expected - accept_sigma * np.sqrt(expected * (1.0 - expected) / n), 1.0)
     return expected, fraction, threshold, fraction >= threshold
 
 
@@ -496,6 +507,14 @@ class MonteCarloSummary:
                    for f in fields(self))
 
 
+#: A sweep decides its q grid in chunks of consecutive configs, at most this
+#: many configs and this many trial cells, (config, trial) pairs, per chunk: one
+#: ``_verdict``, one set of trial statistics and one lift per chunk, not per
+#: config, while a chunk's count stacks and lifts stay a bounded size.
+_CHUNK_CONFIGS = 1024
+_CHUNK_CELLS = 2**16
+
+
 def sweep(
     configs: Iterable[ProtocolConfig], scenario: Scenario, trials: int
 ) -> Iterator[MonteCarloSummary]:
@@ -505,25 +524,29 @@ def sweep(
     Trial t's counts are row t mod 64 of its block's draws under the key
     (config.seed, t // 64), so no result depends on the order the trials
     run in.
-    The configs are prepared once, here, as one ``_Session``. The pair
-    is lifted here, for the separability and concurrence columns only,
-    to every config's q in one broadcast, a (Q, 4, 4) stack that gets one
-    PPT test and one Wootters evaluation. The lifts are not validated,
-    since no check of ``DensityMatrix(mat)`` could fail on one: the pair
-    is either a validated ``DensityMatrix`` (the honest classical-quantum
-    pair) or a ``states._projector`` output, within ~1e-15 of an exact
-    state; ``ProtocolConfig`` has checked that q lies in [0, 1]; and each
-    lift q rho + (1 - q) rho_A x I/2 is a convex combination of two
-    states, so it is Hermitian, PSD and of unit trace to within a few
-    ulps, far inside ``TOL``.
-    The summaries are then drawn lazily, one config at a time, so the
-    sweep holds one config's count columns at a time, and a run of
+    The configs are prepared once, here, as one ``_Session``. The
+    summaries are then drawn lazily, a chunk of consecutive configs at a
+    time: at most ``_CHUNK_CONFIGS`` configs and ``_CHUNK_CELLS`` trials
+    in all, and at least one config. Asking for a chunk's first summary
+    draws every config of the chunk, and the next chunk is drawn only
+    once the last summary of the one before has been asked for, so the
+    sweep holds one chunk's count columns at a time; a run of
     consecutive configs of one (seed, rounds, r) shares one draw of the
     receiver's counts per block of trials. Trials run in one thread, a
-    block at a time. A config's
-    counts come as two columns, and ``_verdict`` decides all its trials at
-    once: trial t's decision is ``verify``'s of the transcript
+    block at a time. Each config's counts come as two columns, drawn as
+    they would be alone, and one ``_verdict`` decides a chunk's stack of
+    them at once: trial t's decision is ``verify``'s of the transcript
     ``run_session(config, scenario, t)`` returns.
+    The pair is lifted to each chunk's q in one broadcast, for the
+    separability and concurrence columns only, a (Q, 4, 4) stack that
+    gets one PPT test and one Wootters evaluation. The lifts are not
+    validated, since no check of ``DensityMatrix(mat)`` could fail on
+    one: the pair is either a validated ``DensityMatrix`` (the honest
+    classical-quantum pair) or a ``states._projector`` output, within
+    ~1e-15 of an exact state; ``ProtocolConfig`` has checked that q lies
+    in [0, 1]; and each lift q rho + (1 - q) rho_A x I/2 is a convex
+    combination of two states, so it is Hermitian, PSD and of unit trace
+    to within a few ulps, far inside ``TOL``.
     ``concurrence`` is 0.0 exactly on the states the PPT test accepts, so
     its one PPT test also decides separability. The summaries raise
     MemoryError for more trials than the host can lay out as a column,
@@ -533,25 +556,40 @@ def sweep(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     trials = int(trials)  # a numpy count would make each summary's counts numpy scalars
-    session = _prepare(tuple(configs), scenario)
-    lifts = _depolarizing_lift([c.q for c in session.configs], scenario.pair)
-    return _summaries(session, trials, concurrence(lifts).tolist())
+    return _summaries(_prepare(tuple(configs), scenario), trials, scenario.pair)
 
 
-def _summaries(session: _Session, trials: int, concurrences) -> Iterator[MonteCarloSummary]:
-    """A prepared batch's summaries, each config's trials drawn as its summary is asked for."""
-    for i, (config, mean_concurrence) in enumerate(zip(session.configs, concurrences)):
-        sifted, matched = session.counts(i, range(trials))
-        _, fraction, _, accepted = _verdict(config, sifted, matched)
-        fractions = fraction[sifted > 0]
-        yield MonteCarloSummary(
-            trials=trials,
-            match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
-            match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
-            acceptance_rate=int(np.count_nonzero(accepted)) / trials,
-            separable_fraction=1.0 if mean_concurrence == 0.0 else 0.0,
-            mean_concurrence=mean_concurrence,
-            no_sifted_trials=trials - fractions.size,
-            sifted_counts=sifted,
-            match_counts=matched,
-        )
+def _summaries(
+    session: _Session, trials: int, pair: DensityMatrix
+) -> Iterator[MonteCarloSummary]:
+    """A prepared batch's summaries, each chunk's trials drawn as its first summary is asked for."""
+    configs = session.configs
+    size = max(1, min(_CHUNK_CONFIGS, _CHUNK_CELLS // trials))
+    for start in range(0, len(configs), size):
+        chunk = configs[start:start + size]
+        columns = [session.counts(i, range(trials)) for i in range(start, start + len(chunk))]
+        sifted, matched = map(np.stack, zip(*columns))
+        qs, sigmas = np.array([c.q for c in chunk]), np.array([c.accept_sigma for c in chunk])
+        _, fraction, _, accepted = _verdict(qs[:, None], sigmas[:, None], sifted, matched)
+        some = sifted > 0
+        sifted_trials = np.count_nonzero(some, axis=1)
+        means, stds = fraction.mean(axis=1).tolist(), fraction.std(axis=1).tolist()
+        for row in np.flatnonzero(sifted_trials < trials).tolist():
+            # a trial with no sifted round is left out of its row's statistics
+            fractions = fraction[row][some[row]]
+            means[row] = float(fractions.mean()) if fractions.size else 0.0
+            stds[row] = float(fractions.std()) if fractions.size else 0.0
+        accepts = np.count_nonzero(accepted, axis=1).tolist()
+        concurrences = concurrence(_depolarizing_lift(qs, pair)).tolist()
+        for row, mean_concurrence in enumerate(concurrences):
+            yield MonteCarloSummary(
+                trials=trials,
+                match_fraction_mean=means[row],
+                match_fraction_std=stds[row],
+                acceptance_rate=accepts[row] / trials,
+                separable_fraction=1.0 if mean_concurrence == 0.0 else 0.0,
+                mean_concurrence=mean_concurrence,
+                no_sifted_trials=trials - int(sifted_trials[row]),
+                sifted_counts=sifted[row],
+                match_counts=matched[row],
+            )

@@ -153,6 +153,15 @@ def _projector(v: np.ndarray) -> DensityMatrix:
     return rho
 
 
+def _as_angle(name: str, value) -> float:
+    """A real angle as a float; one past the float range, such as 10**400, as +-inf."""
+    _check_real(name, value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ProjectiveBasis:
     """Orthonormal qubit basis from the Bloch angles of its first vector.
@@ -166,15 +175,16 @@ class ProjectiveBasis:
     phi: float
 
     def __post_init__(self):
-        _check_real("theta", self.theta)
-        _check_real("phi", self.phi)
-        if not 0.0 <= self.theta <= math.pi:
+        # checked and stored as Python floats, as ProtocolConfig stores q: a
+        # numpy angle would not serialize, and one checked at its own precision
+        # could round past the range as a float (a float32 pi lies above pi)
+        theta, phi = (_as_angle(name, getattr(self, name)) for name in ("theta", "phi"))
+        if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2 * math.pi:
+        if not 0.0 <= phi < 2 * math.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-        # stored as Python floats, as ProtocolConfig stores q: a numpy angle would not serialize
-        for name in ("theta", "phi"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)

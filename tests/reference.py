@@ -282,9 +282,9 @@ def exact_acceptance(config, p_match: float) -> float:
     s = np.arange(n + 1)
 
     def accepts(m):
-        return _verdict(config, s, np.clip(m, 0, s))[3]
+        return _verdict(config.q, config.accept_sigma, s, np.clip(m, 0, s))[3]
 
-    threshold = _verdict(config, s, np.zeros_like(s))[2]
+    threshold = _verdict(config.q, config.accept_sigma, s, np.zeros_like(s))[2]
     m = np.clip(np.ceil(threshold * s), 0, s + 1).astype(np.int64)
     m = np.where((m > 0) & accepts(m - 1), m - 1, m)
     m = np.where((m <= s) & ~accepts(m), m + 1, m)

@@ -729,7 +729,8 @@ def test_session_laws_are_the_laws_of_the_lifted_pair(epr, bit, a0, a1, steer, q
 
 def test_sessions_lift_no_pair(monkeypatch):
     # the session laws come from the receiver's effects; the one lift is
-    # sweep's, once per sweep, for its separability and concurrence columns
+    # sweep's, once per chunk (here the whole grid), for its separability and
+    # concurrence columns
     lifts = count_calls(monkeypatch, channels, "lift_apply")
     batch = count_calls(monkeypatch, channels, "_depolarizing_lift")
     strategy = CheatStrategy([0.6, 0.8j], [1.0, 0.0])
@@ -744,7 +745,9 @@ def test_sessions_lift_no_pair(monkeypatch):
 
 def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
     # each config's block of trials draws one multinomial of its round
-    # count; the configs' round counts tell their draws apart
+    # count; the configs' round counts tell their draws apart. With chunks
+    # of one config, each config's draws wait for its own summary
+    monkeypatch.setattr(protocol, "_CHUNK_CONFIGS", 1)
     draws = _record_multinomials(monkeypatch)
     sc = EprAlice(bell_strategy(), 1, DIAGONAL)
     configs = [cfg(q, rounds, seed=4) for q, rounds in ((0.2, 11), (0.5, 12), (0.9, 13))]
@@ -758,6 +761,31 @@ def test_sweep_yields_each_summary_before_drawing_the_next(monkeypatch):
     assert draws == [(11, 3), (12, 3), (13, 3)]
     assert taken == [next(sweep([c], sc, 3)) for c in configs]
     assert list(sweep([], sc, 3)) == []
+
+
+def test_sweep_draws_a_chunk_before_its_first_summary_and_the_next_after_its_last(monkeypatch):
+    # 2**15 trials fill half of a chunk's 2**16 cells, so the 4 configs run
+    # in 2 chunks of 2; each config draws 2**15 / 64 blocks of its round count
+    draws = _record_multinomials(monkeypatch)
+    sc = EprAlice(bell_strategy(), 1, DIAGONAL)
+    configs = [cfg(q, rounds, seed=4) for q, rounds in ((0.2, 11), (0.5, 12), (0.7, 13), (0.9, 14))]
+    blocks = 2**15 // 64
+
+    def drawn(*rounds):
+        return [(n, 64) for n in rounds for _ in range(blocks)]
+
+    summaries = sweep(configs, sc, 2**15)
+    assert draws == []
+    taken = [next(summaries)]
+    assert draws == drawn(11, 12)
+    taken.append(next(summaries))
+    assert draws == drawn(11, 12)
+    taken.append(next(summaries))
+    assert draws == drawn(11, 12, 13, 14)
+    taken += list(summaries)
+    assert draws == drawn(11, 12, 13, 14)
+    assert [s.trials for s in taken] == [2**15] * 4
+    assert taken == [next(sweep([c], sc, 2**15)) for c in configs]
 
 
 def _record_multinomials(monkeypatch):
@@ -798,6 +826,32 @@ def test_a_grid_of_one_receiver_law_draws_his_counts_once_per_trial(monkeypatch,
     summaries = list(sweep(configs, scenario, 70))
     assert draws == [(40, 64), (40, 6)]
     assert summaries == [next(sweep([c], scenario, 70)) for c in configs]
+
+
+@pytest.mark.parametrize("rounds", [1, 40])
+@pytest.mark.parametrize("trials", [1, 7, 64, 129])
+@pytest.mark.parametrize("scenario",
+                         [HonestAlice(bit=1), EprAlice(_GENERIC, 1, ProjectiveBasis(0.9, 2.1))],
+                         ids=["honest", "generic"])
+def test_a_grid_of_several_chunks_equals_its_one_config_sweeps(monkeypatch, scenario, trials,
+                                                               rounds):
+    # chunks of 3 configs by their trial cells: 8 configs run in chunks of 3, 3
+    # and 2; with 1-round trials some rows hold a trial with no sifted round
+    monkeypatch.setattr(protocol, "_CHUNK_CELLS", 3 * trials + trials - 1)
+    configs = [cfg(q, rounds, seed=11) for q in np.linspace(0.0, 1.0, 8)]
+    summaries = list(sweep(configs, scenario, trials))
+    assert summaries == [next(sweep([c], scenario, trials)) for c in configs]
+    if rounds == 1 and trials > 1:
+        assert any(0 < s.no_sifted_trials < trials for s in summaries)
+
+
+@pytest.mark.parametrize("trials, steps", [(1, 1025), (129, 509)])
+def test_a_grid_past_the_default_chunk_equals_its_one_config_sweeps(trials, steps):
+    # 1024 configs of one trial, or 2**16 // 129 = 508 configs of 129 trials, fill a chunk
+    scenario = HonestAlice(bit=0)
+    configs = [cfg(q, 1, seed=12) for q in np.linspace(0.0, 1.0, steps)]
+    summaries = list(sweep(configs, scenario, trials))
+    assert summaries == [next(sweep([c], scenario, trials)) for c in configs]
 
 
 def test_configs_of_distinct_receiver_counts_share_no_draw(monkeypatch):
@@ -996,13 +1050,40 @@ def test_verdict_divides_counts_past_float_precision_exactly():
     sifted = [2**62 + 3, 2**63 - 1, 2**53 + 1, 2**53 + 1, 3, 0]
     matched = [3 * 2**60 + 11009, 2**62 + 12345, 2**53 + 1, 2**53 - 1, 2, 0]
     expected, fraction, threshold, accepted = protocol._verdict(
-        c, np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64))
+        c.q, c.accept_sigma, np.array(sifted, dtype=np.int64), np.array(matched, dtype=np.int64))
     for i, (s, m) in enumerate(zip(sifted, matched)):
         r = counts_report(c, s, m)
         assert (expected, fraction[i], threshold[i], accepted[i]) == (
             r.expected_fraction, r.match_fraction, r.threshold, r.accepted)
     # in float64 the first pair would round before the division, and land one ulp off
     assert fraction[0] != np.float64(matched[0]) / np.float64(sifted[0])
+
+
+def test_verdict_divides_counts_below_float_precision_as_python_ints(rng):
+    # counts below 2**53 are divided in float64, a stack with a count past it
+    # as Python ints; both must give each quotient of m / s, rounded once
+    top = 2**53
+    sifted = np.concatenate([rng.integers(1, 1000, 200), rng.integers(1, top, 200),
+                             [top - 1, top - 1, top - 1, 1, 0]])
+    matched = np.concatenate([(rng.random(400) * sifted[:400]).astype(np.int64),
+                              [top - 2, top - 1, 1, 0, 0]])
+    exact = [m / s if s else 0.0 for s, m in zip(sifted.tolist(), matched.tolist())]
+    by_float = protocol._verdict(0.5, 3.0, sifted, matched)
+    # one count past 2**53 sends the whole stack down the Python-int division
+    by_int = protocol._verdict(0.5, 3.0, np.append(sifted, top + 1), np.append(matched, top + 1))
+    assert by_float[1].tolist() == exact and by_int[1].tolist() == exact + [1.0]
+    for a, b in zip(by_float[2:], by_int[2:]):
+        assert np.array_equal(a, b[:-1])
+    # a row of a (Q, T) stack decides as that config's own scalar call
+    qs, sigmas = np.array([[0.2], [0.7]]), np.array([[1.0], [3.0]])
+    stack = protocol._verdict(qs, sigmas, sifted[:400].reshape(2, 200),
+                              matched[:400].reshape(2, 200))
+    for row in range(2):
+        cols = slice(200 * row, 200 * row + 200)
+        alone = protocol._verdict(float(qs[row, 0]), float(sigmas[row, 0]), sifted[cols],
+                                  matched[cols])
+        assert alone[0] == stack[0][row, 0]
+        assert all(np.array_equal(a, b[row]) for a, b in zip(alone[1:], stack[1:]))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5, 3.0])
@@ -1016,14 +1097,14 @@ def test_verdict_accepts_the_match_counts_from_one_cut_up(q, sigma):
 
     def accepted(s, matched):
         """_verdict's decisions on ``matched`` among s sifted rounds, checked to be a suffix."""
-        verdicts = protocol._verdict(c, np.full(matched.size, s), matched)[3]
+        verdicts = protocol._verdict(c.q, c.accept_sigma, np.full(matched.size, s), matched)[3]
         assert np.array_equal(verdicts, matched > matched[-1] - verdicts.sum()), s
         return verdicts
 
     for s in range(301):
         accepted(s, np.arange(s + 1))
     s = 2**53 + 1
-    (threshold,) = protocol._verdict(c, np.array([s]), np.array([0]))[2]
+    (threshold,) = protocol._verdict(c.q, c.accept_sigma, np.array([s]), np.array([0]))[2]
     cut = int(Fraction(float(threshold)) * s)
     window = accepted(s, np.arange(max(cut - 64, 0), min(cut + 64, s) + 1))
     assert window.any() and not window.all()  # the window holds the cut
@@ -1076,7 +1157,7 @@ def test_monte_carlo_runs_the_ppt_test_once(monkeypatch, scenario, q):
     assert [np.shape(rho) for rho, in calls] == [(1, 4, 4)]
     separable = isinstance(scenario, HonestAlice) or q <= 1 / 3
     assert summary.separable_fraction == (1.0 if separable else 0.0)
-    # a sweep runs one PPT test over its whole stack
+    # a sweep runs one PPT test over each chunk's stack, here the whole grid's
     calls.clear()
     qs = (q, *_SWEEP_QS)
     summaries = list(sweep([cfg(p, 10) for p in qs], scenario, trials=3))

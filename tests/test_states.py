@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ def test_projective_basis_rejects_non_real_angles(theta, phi, name):
 def test_projective_basis_accepts_integer_and_numpy_angles():
     assert ProjectiveBasis(0, 0) == RECTILINEAR
     assert ProjectiveBasis(np.float32(0.0), np.int64(0)) == RECTILINEAR
+
+
+def test_projective_basis_checks_a_numpy_angle_as_the_float_it_stores():
+    # float32 pi rounds up to 3.1415927410125732 > pi, and float32 2 pi up past 2 pi
+    with pytest.raises(ValueError, match="^theta must lie in"):
+        ProjectiveBasis(np.float32(math.pi), 0.0)
+    with pytest.raises(ValueError, match="^phi must lie in"):
+        ProjectiveBasis(0.0, np.float32(2 * math.pi))
+    # float32 values that stay in range as floats are kept, as those floats
+    basis = ProjectiveBasis(np.float32(3.1415925), np.float32(6.2831850))
+    assert (basis.theta, basis.phi) == (float(np.float32(3.1415925)), float(np.float32(6.2831850)))
+
+
+@pytest.mark.parametrize(
+    "theta, phi, name",
+    [(10**400, 0.0, "theta"), (-(10**400), 0.0, "theta"), (0.0, 10**400, "phi"),
+     (0.0, -(10**400), "phi"), (Fraction(10**400, 3), 0.0, "theta")],
+)
+def test_projective_basis_names_an_angle_past_the_float_range(theta, phi, name):
+    with pytest.raises(ValueError, match=f"^{name} must lie in .*, got -?[0-9]+"):
+        ProjectiveBasis(theta, phi)
 
 
 def test_projective_basis_stores_python_floats():

@@ -35,7 +35,9 @@ an honest one of 300 noiseless 7-round trials, some with no sifted
 round; an EPR sweep of 21 q with a tilted steering basis, and an honest
 and an EPR sweep of 9 q from 0.3 to 0.34, across q* = 1/3, whose grids
 are each prepared as one batch; an EPR sweep of 130 trials, which span
-three blocks of 64 trials, at the largest seed), ``binding`` (among them the flat
+three blocks of 64 trials, at the largest seed; an honest sweep of 1500 q
+of three 1-round trials, whose grid spans two chunks of configs and some
+of whose rows hold a trial with no sifted round), ``binding`` (among them the flat
 objective's rule on both sides of ``SIGN_TOL`` and at the smallest
 subnormal q, a best basis at q down to 1e-12, and a product strategy),
 ``hiding``, ``threshold`` and usage errors, among them the flags
@@ -151,6 +153,10 @@ def _sweep_commands() -> list[list[str]]:
     # trials in three blocks of 64 at the largest seed, the top of the key space
     cmds.append(["sweep", "--alice", "epr", "--q-steps", "5", "--rounds", "30", "--trials", "130",
                  "--seed", str(2**64 - 1)])
+    # a grid of 1500 q, which a sweep decides in two chunks of consecutive
+    # configs, of 1-round trials, some rows of which hold a trial with no sifted round
+    cmds.append(["sweep", "--alice", "honest", "--q-steps", "1500", "--trials", "3",
+                 "--rounds", "1", "--seed", "5", "--format", "csv"])
     return cmds
 
 
