@@ -9,9 +9,13 @@ A lift (I x c), the noise on incoming commitment qubits, is that map on
 the pair's 2x2 blocks (``linalg._b_blocks``). Sessions do not lift their
 pair: they apply the depolarizing map, which is self-adjoint, to the
 receiver's four effects, for all their q at once with a vector q
-broadcast over them (``_depolarize``). Only a sweep's separability and
-concurrence columns need the post-channel pairs, one broadcast lift per
-chunk of a sweep's q grid (``_depolarizing_lift``).
+broadcast over them (``_depolarize``). Nor does a sweep: its separability
+and concurrence columns are closed forms in q and the noiseless pair's
+concurrence C. The lift of a pure pair of concurrence C has least
+partial-transpose eigenvalue [(1 - q) - sqrt((1 - q)^2 (1 - C^2) +
+4 q^2 C^2)] / 4, and a row is separable iff it is >= -``TOL``;
+otherwise its concurrence is C (3q - 1)/2. (``protocol`` reads
+sqrt(1 - C^2), the pair's Schmidt gap, off its amplitudes.)
 """
 
 from __future__ import annotations
@@ -85,12 +89,6 @@ def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> Den
     cannot signal to the sender.
     """
     return DensityMatrix(_from_b_blocks(channel_apply(c, _b_blocks(rho))))
-
-
-def _depolarizing_lift(qs, rho) -> np.ndarray:
-    """Depolarizing lifts of one pair, one per q of ``qs``: a (len(qs), 4, 4) stack, unvalidated."""
-    q = np.asarray(qs, dtype=float)[:, None, None, None, None]
-    return _from_b_blocks(_depolarize(q, _b_blocks(rho)))
 
 
 def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:

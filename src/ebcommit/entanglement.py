@@ -11,9 +11,15 @@ factor, the concurrence of its Choi state, so a channel that
 disentangles the Bell pair disentangles everything.
 
 :func:`concurrence` and :func:`is_separable` take one state or a stack of
-shape (..., 4, 4): a sweep runs one PPT test and one Wootters
-evaluation over each chunk's stack of post-channel pairs, and a
-single state is the stack with no leading axes.
+shape (..., 4, 4), a single state being the stack with no leading axes.
+A sweep calls neither: both of its columns have closed forms. By the
+product law (Konrad et al., Nat. Phys. 4, 99 (2008)) the depolarizing
+channel eps_q on the B half of a pure pair of concurrence C leaves
+concurrence C (3q - 1)/2 wherever the lift is entangled, (3q - 1)/2
+being that of its Choi state; and the lift's least partial-transpose
+eigenvalue is [(1 - q) - sqrt((1 - q)^2 (1 - C^2) + 4 q^2 C^2)] / 4,
+which a sweep compares with -``TOL`` as :func:`is_separable` does
+through ``is_psd``.
 """
 
 from __future__ import annotations

@@ -85,11 +85,11 @@ def eig_hermitian(m, vectors: bool = False):
 def is_psd(m):
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -TOL.
 
-    A stack gets a bool array, one verdict per matrix, as a sweep's PPT
-    test over its stack of post-channel pairs needs. The package's one
+    A stack gets a bool array, one verdict per matrix. The package's one
     positivity test: the validation of a density matrix given as a
     matrix and the separability and entanglement-breaking tests all
-    decide through it.
+    decide through it, and a sweep's closed-form separability column
+    holds its least partial-transpose eigenvalue to the same -TOL.
     """
     psd = eig_hermitian(m)[..., -1] >= -TOL
     return bool(psd) if psd.ndim == 0 else psd

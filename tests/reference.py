@@ -12,10 +12,12 @@ matrix square root, the Pauli-twirl Kraus form of the depolarizing
 channel, the Kraus sum lifted to the pair as I x K, a channel's adjoint
 and the textbook Wootters formula are the brute-force routes
 that the closed forms of the package are checked against. A Monte Carlo
-summary is checked against one built from a full session per trial, and
-its acceptance rate against the exact binomial sum. The Pauli X and Z
-matrices, the Hermiticity defect of a matrix and the Philox generator of
-a (seed, word) key, which only the tests use, are defined here.
+summary is checked against one built from a full session per trial, its
+concurrence column against the factorization law on a cheater's
+amplitudes, and its acceptance rate against the exact binomial sum. The
+Pauli X and Z matrices, the Hermiticity defect of a matrix and the
+Philox generator of a (seed, word) key, which only the tests use, are
+defined here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
-from ebcommit.entanglement import concurrence, is_separable
+from ebcommit.entanglement import is_separable
 from ebcommit.linalg import (
     PAULI_I,
     PAULI_Y,
@@ -239,14 +241,38 @@ def counts_report(config, sifted_count: int, match_count: int) -> VerificationRe
                               fraction >= threshold)
 
 
+def pure_pair_concurrence(a0, a1) -> float:
+    """C = 2|det[a0 a1]| / (|a0|^2 + |a1|^2) of the pure pair |a0>|0> + |a1>|1>, capped at 1.
+
+    A pure pair psi of amplitude matrix M has Wootters' concurrence
+    |<psi|Y x Y|psi*>| = 2|det M| (PRL 80, 2245 (1998)), here with
+    M = [a0 a1] and the pair normalized.
+    """
+    (x0, y0), (x1, y1) = a0, a1
+    n = (abs(x0) ** 2 + abs(y0) ** 2) + (abs(x1) ** 2 + abs(y1) ** 2)
+    return float(min(1.0, 2.0 * abs(x0 * y1 - y0 * x1) / n))
+
+
+def lifted_concurrence(scenario, q: float) -> float:
+    """The concurrence of a scenario's pair after eps_q on its B half, by the factorization law.
+
+    0.0 where the PPT test of the lift, formed here, accepts it; otherwise
+    the cheater's pure-pair concurrence, read off her amplitudes, times
+    (3q - 1)/2, the concurrence of the Choi state of eps_q.
+    """
+    if is_separable(lift_apply(DepolarizingChannel(q), scenario.pair)):
+        return 0.0
+    return pure_pair_concurrence(scenario.strategy.a0, scenario.strategy.a1) * (3.0 * q - 1.0) / 2.0
+
+
 def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
     """A one-config ``sweep``'s summary built trial by trial from ``run_session``'s reports.
 
     Each trial's transcript is laid out and verified on its own, and the
     statistics are read off the reports: the match-fraction mean and std
-    over the reports with sifted rounds, the share accepted, and the
-    separability and concurrence of the post-channel pair by the PPT test
-    and ``concurrence`` each run on their own.
+    over the reports with sifted rounds, the share accepted, the
+    separability of the post-channel pair by the PPT test of the lift, and
+    its concurrence by ``lifted_concurrence``.
     """
     reports = [run_session(config, scenario, t)[1] for t in range(trials)]
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
@@ -257,7 +283,7 @@ def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
         match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
         acceptance_rate=sum(r.accepted for r in reports) / trials,
         separable_fraction=1.0 if is_separable(joint) else 0.0,
-        mean_concurrence=concurrence(joint),
+        mean_concurrence=lifted_concurrence(scenario, config.q),
         no_sifted_trials=trials - fractions.size,
         sifted_counts=[r.sifted_count for r in reports],
         match_counts=[r.match_count for r in reports],

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ebcommit.channels import (
     DepolarizingChannel,
     KrausChannel,
-    _depolarizing_lift,
     channel_apply,
     choi,
     lift_apply,
@@ -222,20 +221,6 @@ def test_receiver_channel_acts_on_the_receiver_effect(channel, seed):
     effect = random_hermitian(rng, 2)
     x = _sender_operator(lift_apply(channel, rho), effect)
     assert np.abs(x - _sender_operator(rho, channel_adjoint(channel, effect))).max() <= 1e-14
-
-
-#: Noise extremes, q* = 1/3 and both sides of it within roundoff.
-_LIFT_QS = (0.0, 1 / 3 - 1e-12, 1 / 3, 1 / 3 + 1e-12, 1.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_batch_lift_equals_each_lift(seed):
-    rho = DensityMatrix(random_density_matrix(np.random.default_rng(seed), 4))
-    batch = _depolarizing_lift(_LIFT_QS, rho)
-    assert batch.shape == (len(_LIFT_QS), 4, 4)
-    for q, lifted in zip(_LIFT_QS, batch):
-        assert np.array_equal(lifted, lift_apply(DepolarizingChannel(q), rho).mat)
 
 
 @pytest.mark.parametrize("bad", [None, 0.5, "depolarizing", (PAULI_I,)])

@@ -269,11 +269,15 @@ def test_cheat_state_passes_the_full_check(a0, a1, norm):
 @given(a0=_complex_vector(2), a1=_complex_vector(2), scale=st.floats(1e154, 1e307))
 @example(a0=np.array([1.0, 0.0]), a1=np.array([0.0, 0.0]), scale=1e160)
 @example(a0=np.array([1.0, 1.0]), a1=np.array([1.0, 0.0]), scale=1e308)  # norm 1.7e308
+@example(a0=np.array([0j, 0j]), a1=np.array([0j, 2.22507386e-313j]), scale=1e154)  # subnormal top
 def test_cheat_state_of_amplitudes_whose_squares_overflow(a0, a1, scale):
     top = np.abs(np.concatenate([a0, a1])).max()
     assume(top > 0.0)
-    huge = cheat_state(a0 / top * scale, a1 / top * scale)
-    assert np.abs(huge.mat - cheat_state(a0 / top, a1 / top).mat).max() <= 1e-15
+    # the parts are divided one by one: numpy divides a complex array by a
+    # subnormal through its reciprocal, which overflows
+    a0, a1 = (a.real / top + 1j * (a.imag / top) for a in (a0, a1))
+    huge = cheat_state(a0 * scale, a1 * scale)
+    assert np.abs(huge.mat - cheat_state(a0, a1).mat).max() <= 1e-15
     assert np.array_equal(DensityMatrix(huge.mat).mat, huge.mat)
     assert np.array_equal(cheat_state([1e160, 0], [0, 0]).mat, cheat_state([1, 0], [0, 0]).mat)
 
