@@ -9,13 +9,9 @@ A lift (I x c), the noise on incoming commitment qubits, is that map on
 the pair's 2x2 blocks (``linalg._b_blocks``). Sessions do not lift their
 pair: they apply the depolarizing map, which is self-adjoint, to the
 receiver's four effects, for all their q at once with a vector q
-broadcast over them (``_depolarize``). Nor does a sweep: its separability
-and concurrence columns are closed forms in q and the noiseless pair's
-concurrence C. The lift of a pure pair of concurrence C has least
-partial-transpose eigenvalue [(1 - q) - sqrt((1 - q)^2 (1 - C^2) +
-4 q^2 C^2)] / 4, and a row is separable iff it is >= -``TOL``;
-otherwise its concurrence is C (3q - 1)/2. (``protocol`` reads
-sqrt(1 - C^2), the pair's Schmidt gap, off its amplitudes.)
+broadcast over them (``_depolarize``). Nor does a sweep: its concurrence
+column is the closed form C (3q - 1)/2 of the noiseless pair's
+concurrence C, 0 where that is <= 0, and a row is separable iff it is 0.
 """
 
 from __future__ import annotations

@@ -2,24 +2,22 @@
 
 Concurrence (Wootters) measures entanglement on [0, 1] and is read off
 the singular values of a square-root factor of the state; positivity of
-the partial transpose decides separability exactly at 2x2, of a state
-and of a channel's Choi state alike, and one of its eigenvalues gives
-the entanglement-breaking boundary of the depolarizing channel. The
-product law checked by :func:`factorization_residual` says a local
-channel degrades the concurrence of every pure input by one universal
-factor, the concurrence of its Choi state, so a channel that
-disentangles the Bell pair disentangles everything.
+the partial transpose decides separability at 2x2, of a state and of a
+channel's Choi state alike, up to the tolerance ``TOL`` on its least
+eigenvalue, and that eigenvalue gives the entanglement-breaking
+boundary of the depolarizing channel. The product law checked by
+:func:`factorization_residual` says a local channel degrades the
+concurrence of every pure input by one universal factor, the
+concurrence of its Choi state, so a channel that disentangles the Bell
+pair disentangles everything.
 
 :func:`concurrence` and :func:`is_separable` take one state or a stack of
 shape (..., 4, 4), a single state being the stack with no leading axes.
-A sweep calls neither: both of its columns have closed forms. By the
-product law (Konrad et al., Nat. Phys. 4, 99 (2008)) the depolarizing
-channel eps_q on the B half of a pure pair of concurrence C leaves
-concurrence C (3q - 1)/2 wherever the lift is entangled, (3q - 1)/2
-being that of its Choi state; and the lift's least partial-transpose
-eigenvalue is [(1 - q) - sqrt((1 - q)^2 (1 - C^2) + 4 q^2 C^2)] / 4,
-which a sweep compares with -``TOL`` as :func:`is_separable` does
-through ``is_psd``.
+A sweep calls neither: by the product law (Konrad et al., Nat. Phys. 4,
+99 (2008)) the depolarizing channel eps_q on the B half of a pure pair
+of concurrence C leaves concurrence C max(0, (3q - 1)/2), (3q - 1)/2
+being that of its Choi state, so a sweep reads both of its columns off
+that closed form, with no tolerance.
 """
 
 from __future__ import annotations
@@ -59,7 +57,13 @@ def concurrence(rho: DensityMatrix):
 
 
 def is_separable(rho: DensityMatrix):
-    """Positive-partial-transpose test, exact at 2x2; a stack gets a bool array."""
+    """Positive-partial-transpose test at ``TOL``; a stack gets a bool array.
+
+    It decides through ``is_psd``, so an entangled state whose least
+    partial-transpose eigenvalue lies in [-``TOL``, 0) reads separable:
+    a weakly entangled pair, whose eigenvalue scales as the square of
+    its concurrence, can read separable far above q* = 1/3.
+    """
     return is_psd(partial_transpose(rho))
 
 

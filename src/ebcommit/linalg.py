@@ -88,8 +88,7 @@ def is_psd(m):
     A stack gets a bool array, one verdict per matrix. The package's one
     positivity test: the validation of a density matrix given as a
     matrix and the separability and entanglement-breaking tests all
-    decide through it, and a sweep's closed-form separability column
-    holds its least partial-transpose eigenvalue to the same -TOL.
+    decide through it.
     """
     psd = eig_hermitian(m)[..., -1] >= -TOL
     return bool(psd) if psd.ndim == 0 else psd

@@ -71,7 +71,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channels import _depolarize
-from .linalg import TOL
 from .states import (
     OUTCOME_EPS,
     RECTILINEAR,
@@ -537,16 +536,15 @@ def sweep(
     they would be alone, and one ``_verdict`` decides a chunk's stack of
     them at once: trial t's decision is ``verify``'s of the transcript
     ``run_session(config, scenario, t)`` returns.
-    The separability and concurrence columns are closed forms in q and
-    the noiseless pair's concurrence C and Schmidt gap g
-    (``_schmidt_form``), computed once per sweep, so no post-channel pair
-    is formed or decomposed. A row is separable iff the least
-    partial-transpose eigenvalue of its post-channel pair
-    (``_least_pt_eigenvalue``) is >= -``TOL``, ``is_psd``'s rule: its
-    verdict is the PPT test's, also in the band of width ~1e-10 above
-    q* = 1/3 that the test accepts. An entangled row's concurrence is
-    C (3q - 1)/2 by the factorization law (``entanglement``), a separable
-    row's 0.0. The honest pair has C = 0, so every honest row is separable.
+    The separability and concurrence columns are read off one closed
+    form, so no post-channel pair is formed or decomposed: a row's
+    concurrence is C (3q - 1)/2 by the factorization law
+    (``entanglement``), C the noiseless pair's (``_pair_concurrence``),
+    or 0.0 where that is <= 0, and a row is separable iff its
+    concurrence is 0.0. That is the exact entanglement-breaking rule: a
+    pair with C > 0 is entangled iff q > q* = 1/3. The honest pair has
+    C = 0, so every honest row is separable. At the first float above
+    1/3, 3q rounds to 1.0, so that row reads separable.
     The summaries raise MemoryError for more trials than the host can lay
     out as a column, before any block is drawn.
     """
@@ -554,40 +552,25 @@ def sweep(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     trials = int(trials)  # a numpy count would make each summary's counts numpy scalars
-    return _summaries(_prepare(tuple(configs), scenario), trials, *_schmidt_form(scenario))
+    return _summaries(_prepare(tuple(configs), scenario), trials, _pair_concurrence(scenario))
 
 
-def _schmidt_form(scenario: Scenario) -> tuple[float, float]:
-    """The concurrence C and Schmidt gap g = p0 - p1 of the scenario's noiseless pair.
+def _pair_concurrence(scenario: Scenario) -> float:
+    """The concurrence C of the scenario's noiseless pair.
 
     A cheater's pure pair |a0>|0> + |a1>|1> has C = 2|det[a0 a1]| / N,
-    capped at 1, and g the length of the Bloch vector of its A marginal,
-    N = |a0|^2 + |a1|^2. g is read off the amplitudes, not as
-    sqrt(1 - C^2), which keeps only ~1e-8 of it where C is an ulp below 1.
-    The honest classical-quantum pair, separable, gets a product pair's (0, 1).
+    capped at 1, N = |a0|^2 + |a1|^2. The honest classical-quantum pair
+    is separable, C = 0.
     """
     if isinstance(scenario, HonestAlice):
-        return 0.0, 1.0
+        return 0.0
     (x0, y0), (x1, y1) = scenario.strategy.a0, scenario.strategy.a1
     n = (abs(x0) ** 2 + abs(y0) ** 2) + (abs(x1) ** 2 + abs(y1) ** 2)
-    c = min(1.0, 2.0 * abs(x0 * y1 - y0 * x1) / n)
-    z = ((abs(x0) ** 2 + abs(x1) ** 2) - (abs(y0) ** 2 + abs(y1) ** 2)) / n
-    return float(c), float(np.hypot(z, 2.0 * abs(x0 * y0.conjugate() + x1 * y1.conjugate()) / n))
-
-
-def _least_pt_eigenvalue(q: np.ndarray, c: float, g: float) -> np.ndarray:
-    """The least partial-transpose eigenvalue of a pure pair (c, g) after eps_q on its B half.
-
-    In the Schmidt basis the partial transpose of q |psi><psi| +
-    (1 - q) rho_A x I/2 is diagonal, and >= 0, but for one 2x2 block, whose
-    lesser eigenvalue this is: [(1 - q) - sqrt((1 - q)^2 g^2 + 4 q^2 c^2)] / 4.
-    (c, g) = (0, 1) gives 0.
-    """
-    return ((1.0 - q) - np.hypot((1.0 - q) * g, 2.0 * q * c)) / 4.0
+    return float(min(1.0, 2.0 * abs(x0 * y1 - y0 * x1) / n))
 
 
 def _summaries(
-    session: _Session, trials: int, pair_concurrence: float, schmidt_gap: float
+    session: _Session, trials: int, pair_concurrence: float
 ) -> Iterator[MonteCarloSummary]:
     """A prepared batch's summaries, each chunk's trials drawn as its first summary is asked for."""
     configs = session.configs
@@ -607,16 +590,16 @@ def _summaries(
             means[row] = float(fractions.mean()) if fractions.size else 0.0
             stds[row] = float(fractions.std()) if fractions.size else 0.0
         accepts = np.count_nonzero(accepted, axis=1).tolist()
-        separable = (_least_pt_eigenvalue(qs, pair_concurrence, schmidt_gap) >= -TOL).tolist()
-        entangled_concurrences = (pair_concurrence * (3.0 * qs - 1.0) / 2.0).tolist()
+        concurrences = pair_concurrence * (3.0 * qs - 1.0) / 2.0
+        concurrences = np.where(concurrences > 0.0, concurrences, 0.0).tolist()  # maximum keeps -0.0
         for row in range(len(chunk)):
             yield MonteCarloSummary(
                 trials=trials,
                 match_fraction_mean=means[row],
                 match_fraction_std=stds[row],
                 acceptance_rate=accepts[row] / trials,
-                separable_fraction=1.0 if separable[row] else 0.0,
-                mean_concurrence=0.0 if separable[row] else entangled_concurrences[row],
+                separable_fraction=1.0 if concurrences[row] == 0.0 else 0.0,
+                mean_concurrence=concurrences[row],
                 no_sifted_trials=trials - int(sifted_trials[row]),
                 sifted_counts=sifted[row],
                 match_counts=matched[row],

@@ -13,9 +13,9 @@ channel, the Kraus sum lifted to the pair as I x K, a channel's adjoint
 and the textbook Wootters formula are the brute-force routes
 that the closed forms of the package are checked against. A Monte Carlo
 summary is checked against one built from a full session per trial, its
-concurrence column against the factorization law on a cheater's
-amplitudes, and its acceptance rate against the exact binomial sum. The
-Pauli X and Z matrices, the Hermiticity defect of a matrix and the
+separability and concurrence columns against the factorization law on a
+cheater's amplitudes, and its acceptance rate against the exact binomial
+sum. The Pauli X and Z matrices, the Hermiticity defect of a matrix and the
 Philox generator of a (seed, word) key, which only the tests use, are
 defined here.
 """
@@ -26,8 +26,7 @@ import math
 
 import numpy as np
 
-from ebcommit.channels import DepolarizingChannel, KrausChannel, lift_apply
-from ebcommit.entanglement import is_separable
+from ebcommit.channels import DepolarizingChannel, KrausChannel
 from ebcommit.linalg import (
     PAULI_I,
     PAULI_Y,
@@ -39,6 +38,7 @@ from ebcommit.linalg import (
 )
 from ebcommit.protocol import (
     _EFFECTS,
+    EprAlice,
     MonteCarloSummary,
     VerificationReport,
     _round_law,
@@ -256,13 +256,16 @@ def pure_pair_concurrence(a0, a1) -> float:
 def lifted_concurrence(scenario, q: float) -> float:
     """The concurrence of a scenario's pair after eps_q on its B half, by the factorization law.
 
-    0.0 where the PPT test of the lift, formed here, accepts it; otherwise
-    the cheater's pure-pair concurrence, read off her amplitudes, times
-    (3q - 1)/2, the concurrence of the Choi state of eps_q.
+    The cheater's pure-pair concurrence, read off her amplitudes, times
+    (3q - 1)/2, the concurrence of the Choi state of eps_q, and 0.0 (never
+    -0.0) where that product is <= 0: at q <= 1/3, where eps_q breaks
+    entanglement, and for the honest classical-quantum pair, which is
+    separable. The pair is separable iff this is 0.0.
     """
-    if is_separable(lift_apply(DepolarizingChannel(q), scenario.pair)):
+    if not isinstance(scenario, EprAlice):
         return 0.0
-    return pure_pair_concurrence(scenario.strategy.a0, scenario.strategy.a1) * (3.0 * q - 1.0) / 2.0
+    c = pure_pair_concurrence(scenario.strategy.a0, scenario.strategy.a1) * (3.0 * q - 1.0) / 2.0
+    return c if c > 0.0 else 0.0
 
 
 def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
@@ -270,20 +273,20 @@ def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
 
     Each trial's transcript is laid out and verified on its own, and the
     statistics are read off the reports: the match-fraction mean and std
-    over the reports with sifted rounds, the share accepted, the
-    separability of the post-channel pair by the PPT test of the lift, and
-    its concurrence by ``lifted_concurrence``.
+    over the reports with sifted rounds, the share accepted, and the
+    concurrence of the post-channel pair by ``lifted_concurrence``, whose
+    0.0 marks it separable.
     """
     reports = [run_session(config, scenario, t)[1] for t in range(trials)]
     fractions = np.array([r.match_fraction for r in reports if not r.no_sifted_rounds])
-    joint = lift_apply(DepolarizingChannel(config.q), scenario.pair)
+    concurrence = lifted_concurrence(scenario, config.q)
     return MonteCarloSummary(
         trials=trials,
         match_fraction_mean=float(fractions.mean()) if fractions.size else 0.0,
         match_fraction_std=float(fractions.std()) if fractions.size else 0.0,
         acceptance_rate=sum(r.accepted for r in reports) / trials,
-        separable_fraction=1.0 if is_separable(joint) else 0.0,
-        mean_concurrence=lifted_concurrence(scenario, config.q),
+        separable_fraction=1.0 if concurrence == 0.0 else 0.0,
+        mean_concurrence=concurrence,
         no_sifted_trials=trials - fractions.size,
         sifted_counts=[r.sifted_count for r in reports],
         match_counts=[r.match_count for r in reports],

@@ -24,7 +24,7 @@ from ebcommit.protocol import (
     sweep,
     verify,
 )
-from ebcommit.linalg import eig_hermitian, partial_transpose
+from ebcommit.linalg import TOL, eig_hermitian, partial_transpose
 from ebcommit.security import SIGN_TOL, CheatStrategy, alice_binding_attack, bell_strategy
 from ebcommit.states import (
     DIAGONAL,
@@ -47,6 +47,7 @@ from reference import (
     joint_outcome_decomposition,
     lifted_concurrence,
     lifted_round_law,
+    pure_pair_concurrence,
     receiver_marginal,
     sender_operator,
     sessions_summary,
@@ -662,32 +663,37 @@ def test_sweep_equals_monte_carlo_per_config(epr, bit, a0, a1, steer, qs, data, 
         lambda extra: st.permutations(list(_GRID_QS) + extra)),
 )
 def test_sweep_columns_are_those_of_the_lifted_pair(epr, bit, a0, a1, steer, qs):
-    # a sweep forms no post-channel pair, and its closed-form columns must be
-    # those of the lift formed here: each separability verdict exactly the
-    # PPT test's, also at q* +- 1e-12, and lambda, the least partial-transpose
-    # eigenvalue it decides on, to roundoff. The concurrence agrees to the
-    # roundoff of Wootters' formula on the lift, which grows as 1/C near a
-    # product pair of concurrence C, whose lift has eigenvalues of order C^2
-    # that enter through square roots; the closed form stays within ~1e-16
+    # a sweep forms no post-channel pair, and its columns must follow the
+    # exact rule: a pair of concurrence C > 0 is entangled iff q > 1/3, with
+    # concurrence C (3q - 1)/2. The PPT test of the lift formed here decides
+    # at -TOL, so it may call separable a weakly entangled lift whose least
+    # partial-transpose eigenvalue lies in [-TOL, 0), as at q* + 1e-12, and
+    # nowhere else may the two verdicts differ. Where the test rejects the
+    # lift, the concurrence agrees to the roundoff of Wootters' formula on
+    # it, which grows as 1/C near a product pair of concurrence C, whose lift
+    # has eigenvalues of order C^2 that enter through square roots; the
+    # closed form stays within ~1e-16
     if epr:
         strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
         scenario = EprAlice(strategy, bit, ProjectiveBasis(*steer))
+        c = pure_pair_concurrence(strategy.a0, strategy.a1)
     else:
         scenario = HonestAlice(bit=bit)
+        c = 0.0
     summaries = list(sweep([cfg(q, 10) for q in qs], scenario, 1))
-    c, gap = protocol._schmidt_form(scenario)
-    floors = protocol._least_pt_eigenvalue(np.array(qs), c, gap)
-    for q, summary, floor in zip(qs, summaries, floors):
+    for q, summary in zip(qs, summaries):
         joint = lift_apply(DepolarizingChannel(q), scenario.pair)
-        assert summary.separable_fraction == (1.0 if is_separable(joint) else 0.0)
-        if epr:
-            assert abs(floor - eig_hermitian(partial_transpose(joint))[-1]) <= 2e-15
-        else:
-            assert floor == 0.0  # the honest pair's C = 0
-        if summary.separable_fraction == 1.0:
-            assert summary.mean_concurrence == concurrence(joint) == 0.0
-        else:
+        assert summary.separable_fraction == (1.0 if c * (3.0 * q - 1.0) / 2.0 <= 0.0 else 0.0)
+        assert math.copysign(1.0, summary.mean_concurrence) == 1.0  # never -0.0
+        if not is_separable(joint):
+            assert summary.separable_fraction == 0.0
             assert abs(summary.mean_concurrence - concurrence(joint)) <= 1e-14 + 4e-15 / c
+        elif summary.separable_fraction == 0.0:
+            # inside the band: negative up to the eigensolver's roundoff of ~1e-15
+            assert -TOL <= eig_hermitian(partial_transpose(joint))[-1] <= 2e-15
+            assert summary.mean_concurrence == lifted_concurrence(scenario, q) > 0.0
+        else:
+            assert summary.mean_concurrence == concurrence(joint) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -1191,8 +1197,11 @@ _SEPARABILITY_QS = [0.0, 0.3, 1 / 3, 1 / 3 - 1e-12, 1 / 3 + 1e-12, 0.34, 1.0]
 
 @pytest.mark.parametrize("q", _SEPARABILITY_QS)
 def test_separable_fraction_is_the_ppt_test(q):
-    # the closed-form verdict must be the PPT test's answer, also within
-    # roundoff of q*, and the concurrence the factorization law's
+    # the verdict is the exact rule's, separable iff 3q <= 1, also within
+    # roundoff of q*, and the concurrence the factorization law's. It is the
+    # PPT test's answer at every q but q* + 1e-12: there the lift's least
+    # partial-transpose eigenvalue, about -(3q - 1) C^2 / 4 for a pair of
+    # concurrence C, lies in [-TOL, 0), which the PPT test accepts
     rng = np.random.default_rng(14)
     strategies = [bell_strategy()] + [
         CheatStrategy(*(ProjectiveBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
@@ -1203,7 +1212,11 @@ def test_separable_fraction_is_the_ppt_test(q):
         scenario = EprAlice(strategy)
         joint = lift_apply(DepolarizingChannel(q), cheat_state(strategy.a0, strategy.a1))
         summary = next(sweep([cfg(q, 10)], scenario, trials=1))
-        assert summary.separable_fraction == (1.0 if is_separable(joint) else 0.0)
+        assert summary.separable_fraction == (1.0 if 3.0 * q <= 1.0 else 0.0)
+        if q == 1 / 3 + 1e-12:
+            assert is_separable(joint) and summary.separable_fraction == 0.0
+        else:
+            assert summary.separable_fraction == (1.0 if is_separable(joint) else 0.0)
         assert summary.mean_concurrence == lifted_concurrence(scenario, q)
 
 
@@ -1213,6 +1226,18 @@ def test_custom_cheat_strategy_flows_through():
     summary = next(sweep([cfg(0.5, 200, seed=19)], EprAlice(strategy=strategy), trials=1))
     # C(cheat) = sin(pi/4) pre-channel, scaled by (3q-1)/2 after the lift
     assert abs(summary.mean_concurrence - math.sin(math.pi / 4) * 0.25) < 1e-9
+
+
+def test_near_product_pair_is_entangled_above_q_star():
+    # a pair of concurrence ~7e-6 keeps concurrence C (3q - 1)/2 = 1.77e-6 at
+    # q = 0.5, far above q*, though its lift's least partial-transpose
+    # eigenvalue, -9.4e-12, lies inside the PPT test's TOL band
+    a0, a1 = (1.618942996777032, 1.7957430321414596), (1.618952996777032, 1.7957530321414596)
+    strategy = CheatStrategy(*(ProjectiveBasis(*a).vectors()[0] for a in (a0, a1)))
+    summary = next(sweep([cfg(0.5, 10)], EprAlice(strategy), trials=1))
+    assert summary.separable_fraction == 0.0
+    assert summary.mean_concurrence == pure_pair_concurrence(strategy.a0, strategy.a1) * 0.25
+    assert summary.mean_concurrence > 1.7e-6
 
 
 _angle_theta = st.floats(0.0, math.pi)

@@ -38,8 +38,10 @@ are each prepared as one batch; an EPR sweep of 130 trials, which span
 three blocks of 64 trials, at the largest seed; an honest sweep of 1500 q
 of three 1-round trials, whose grid spans two chunks of configs and some
 of whose rows hold a trial with no sifted round; an EPR sweep of 6 q
-whose rows cross the edge of the PPT test's tolerance band just above
-q*), ``binding`` (among them the flat
+just above q*, whose rows turn entangled at the first q above 1/3,
+inside the band the PPT test's tolerance would call separable; and an
+EPR sweep of a near-product pair, entangled at q = 0.5 though its lift's
+least partial-transpose eigenvalue lies in that band), ``binding`` (among them the flat
 objective's rule on both sides of ``SIGN_TOL`` and at the smallest
 subnormal q, a best basis at q down to 1e-12, and a product strategy),
 ``hiding``, ``threshold`` and usage errors, among them the flags
@@ -159,11 +161,17 @@ def _sweep_commands() -> list[list[str]]:
     # configs, of 1-round trials, some rows of which hold a trial with no sifted round
     cmds.append(["sweep", "--alice", "honest", "--q-steps", "1500", "--trials", "3",
                  "--rounds", "1", "--seed", "5", "--format", "csv"])
-    # a grid across the edge of the PPT test's TOL band above q*: its rows turn
-    # from separable to entangled between q = 0.3333333337 and 0.3333333339
+    # a grid just above q*, inside the PPT test's TOL band: its rows turn
+    # entangled at the first q above 1/3, 0.3333333335
     cmds.append(["sweep", "--alice", "epr", "--a1", "1.1,0.4", "--q-min", "0.3333333333",
                  "--q-max", "0.3333333343", "--q-steps", "6", "--trials", "1", "--rounds", "10",
                  "--seed", "2", "--format", "csv"])
+    # a pair of concurrence ~7e-6, entangled at q = 0.5 and 0.9 with
+    # concurrence C (3q - 1)/2, though the PPT test accepts its lift at q = 0.5
+    cmds.append(["sweep", "--alice", "epr", "--a0", "1.618942996777032,1.7957430321414596",
+                 "--a1", "1.618952996777032,1.7957530321414596", "--q-min", "0.5", "--q-max", "0.9",
+                 "--q-steps", "2", "--trials", "1", "--rounds", "10", "--seed", "2",
+                 "--format", "csv"])
     return cmds
 
 
