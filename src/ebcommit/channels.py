@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TOL, _b_blocks, _from_b_blocks, as_operator, as_stack
-from .states import _BELL_PROJ, DensityMatrix, _check_q
+from .states import _BELL_PROJ, DensityMatrix, _check_q, _check_trace, _unchecked
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +94,13 @@ def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:
     input, which makes its separability decisive for
     ``entanglement.is_entanglement_breaking``. The Bell projector is exact
     (entries 0 and 1/2), so the Choi state of the depolarizing channel is
-    ``isotropic(q)`` bit for bit.
+    ``isotropic(q)`` bit for bit. It is stored with no eigensolve: a
+    validated channel's Choi state is Hermitian and PSD up to roundoff.
+    Its trace, half that of the channel's sum of K^dagger K, is within
+    ``TOL`` of 1 by the Kraus completeness check, but only up to roundoff
+    too, so it is checked as ``DensityMatrix`` checks it: a channel at the
+    completeness bound can give a trace an ulp past ``TOL``.
     """
-    return lift_apply(c, _BELL_PROJ)
+    m = _from_b_blocks(channel_apply(c, _b_blocks(_BELL_PROJ)))
+    _check_trace(m)
+    return _unchecked(m)

@@ -128,9 +128,39 @@ def _open_output(path: str):
         raise UsageError(f"--output: {exc}") from None
 
 
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """json's C encoder with each item of a dict ``depth`` levels deep on its own line."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _flat_json(d: dict, depth: int) -> str:
+    """``json.dumps(d, indent=2)`` of a flat dict ``depth`` levels deep in its document."""
+    if not d:
+        return "{}"
+    pad = "\n" + "  " * depth
+    # only the braces move from the C encoder's text, onto lines of their own
+    return "{" + pad + "  " + _flat_encoder(depth).encode(d)[1:-1] + pad + "}"
+
+
+def _json_report(meta: dict, rows: list[dict]) -> str:
+    """The text of ``json.dumps({"meta": meta, "rows": rows}, indent=2)``, from json's C encoder.
+
+    CPython's C encoder serves only ``indent=None``, so ``indent=2`` runs
+    the pure-Python one. For a flat dict the indented text is the C
+    encoder's with ``",\\n"`` and the indent as item separator, between
+    braces on their own lines. Takes flat dicts only: every value a str,
+    a number, a bool or None, as in every meta and row the CLI emits; a
+    nested container would come out on one line.
+    """
+    body = ",\n    ".join(_flat_json(row, 2) for row in rows)
+    rows_text = "[\n    " + body + "\n  ]" if rows else "[]"
+    return '{\n  "meta": ' + _flat_json(meta, 1) + ',\n  "rows": ' + rows_text + "\n}"
+
+
 def _emit(meta: dict, rows: list[dict], fmt: str, path: str) -> None:
     if fmt == "json":
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+        text = _json_report(meta, rows) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -162,7 +192,8 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steer-phi", type=float, default=0.0)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = _Parser(prog="ebcommit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -182,7 +213,7 @@ def _build_parser() -> _Parser:
                          help="accepted and echoed in meta; trials run in one thread")
     _add_output_flags(p_sweep)
 
-    sub.add_parser("threshold", help="print the entanglement-breaking boundary")
+    p_threshold = sub.add_parser("threshold", help="print the entanglement-breaking boundary")
 
     p_hide = sub.add_parser("hiding", help="receiver's distinguishing bound")
     p_hide.add_argument("--sigma0", default="bb84-0")
@@ -199,7 +230,8 @@ def _build_parser() -> _Parser:
                         help="comma-separated q values; overrides --q")
     _add_output_flags(p_bind)
 
-    return parser
+    return parser, {"run": p_run, "sweep": p_sweep, "threshold": p_threshold,
+                    "hiding": p_hide, "binding": p_bind}
 
 
 def _meta(args) -> dict:
@@ -256,6 +288,10 @@ def _low_digits() -> tuple[list[str], list[str]]:
     return [str(r) for r in range(1000)], [f"{r:03d}" for r in range(1000)]
 
 
+# the transcript list's opener, item separator and closer at its depth
+_TRANSCRIPT_LIST = json.dumps({"transcript": [0, 0]}, indent=2).split("0")
+
+
 @functools.cache
 def _record_texts(opened_bit: int) -> tuple[str, str, tuple[str, ...]]:
     """json.dumps(indent=2) of a record in the transcript list, split at its round number.
@@ -268,8 +304,7 @@ def _record_texts(opened_bit: int) -> tuple[str, str, tuple[str, ...]]:
     writer joins these pieces with the round numbers' digits and formats
     no record of its own.
     """
-    # the list's opener, item separator and closer at the transcript's depth
-    opener, sep, closer = json.dumps({"transcript": [0, 0]}, indent=2).split("0")
+    opener, sep, closer = _TRANSCRIPT_LIST
     tails = []
     for basis, outcome, variant in itertools.product((0, 1), repeat=3):
         sifted = basis == opened_bit
@@ -292,12 +327,12 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
     join of cached strings: each round number's last three digits, then
     its record's tail with the next round's leading digits.
     """
-    doc = json.dumps({"meta": meta, "rows": rows, "transcript": [0]}, indent=2)
-    head, foot = doc.rsplit("0", 1)
+    opener, _, closer = _TRANSCRIPT_LIST
     first, later, tails = _record_texts(transcript.opened_bit)
     first_low, low = _low_digits()
     rounds = transcript.config.rounds
-    fh.write(head + first)
+    # the report up to its closing "\n}", then the list's opener after its "{"
+    fh.write(_json_report(meta, rows)[:-2] + "," + opener[1:] + first)
     pieces = []
     for m, start in enumerate(range(0, rounds, _RECORDS_PER_WRITE)):
         chunk = transcript.classes[start:start + _RECORDS_PER_WRITE].tolist()
@@ -314,7 +349,7 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
         # the slice's last record leads into slice m + 1, or ends the list
         pieces[-1] = tails[chunk[-1]] + (later + str(m + 1) if start + c < rounds else "")
         fh.write("".join(pieces))
-    fh.write(foot + "\n")
+    fh.write(closer + "\n")
 
 
 def _cmd_run(args) -> int:
@@ -426,14 +461,25 @@ _COMMANDS = {
 }
 
 
-# parse_args fills a fresh Namespace on every call, so one parser serves
-# every command of a process
-_PARSER = _build_parser()
+# parse_args fills a fresh Namespace on every call, so one set of parsers
+# serves every command of a process
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names (default ``sys.argv[1:]``) and return its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
+        # An argv that starts with a subcommand's name goes to that subcommand's
+        # parser alone: the top-level parser would classify every argument only
+        # to hand them all to it. The rest, a missing, unknown or abbreviated
+        # command, a flag before it, or a '--' (whose handling argparse has
+        # changed between releases), goes through the top-level parser.
+        sub = _SUBPARSERS.get(argv[0]) if argv and "--" not in argv else None
+        if sub is None:
+            args = _PARSER.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"ebcommit: error: {exc}\n")

@@ -77,6 +77,8 @@ class DensityMatrix:
     a stack of them is no density matrix. :meth:`from_pure` and
     :func:`cheat_state` check their state vector instead and build its
     projector with :func:`_projector`, which needs no further check.
+    That and the other states valid by construction, :func:`bb84_pair_mixture`
+    and ``channels.choi``, are stored by :func:`_unchecked`, with no eigensolve.
     Equality is exact entrywise equality of the matrices.
     """
 
@@ -94,9 +96,7 @@ class DensityMatrix:
         # is_psd rejects non-finite and non-Hermitian matrices first
         if not is_psd(m):
             raise ValueError(f"not PSD (min eigenvalue {eig_hermitian(m)[-1]:.3e})")
-        tr = m.trace().real
-        if abs(tr - 1.0) > TOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
+        _check_trace(m)
         object.__setattr__(self, "mat", m)
 
     @property
@@ -115,6 +115,12 @@ class DensityMatrix:
         if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails this too
             raise ValueError(f"state vector norm {n!r} is not 1")
         return _projector(v / n)
+
+
+def _check_trace(m: np.ndarray) -> None:
+    tr = m.trace().real
+    if abs(tr - 1.0) > TOL:
+        raise ValueError(f"trace is {tr!r}, expected 1")
 
 
 def _norm(v: np.ndarray):
@@ -146,7 +152,15 @@ def _projector(v: np.ndarray) -> DensityMatrix:
     are of order 1e-15, far inside ``TOL``. It is stored with no eigensolve.
     """
     _check_dim(v.shape[0])
-    m = np.outer(v, v.conj())
+    return _unchecked(np.outer(v, v.conj()))
+
+
+def _unchecked(m: np.ndarray) -> DensityMatrix:
+    """A fresh complex matrix, made read-only and stored as a DensityMatrix with no validation.
+
+    For states valid by construction only: the caller guarantees that
+    ``DensityMatrix(m)`` would accept ``m`` and store it bit for bit.
+    """
     m.setflags(write=False)
     rho = object.__new__(DensityMatrix)  # skips __post_init__'s validation
     object.__setattr__(rho, "mat", m)
@@ -216,9 +230,12 @@ def bb84_projector(bit: int, variant: int) -> np.ndarray:
 
 
 def bb84_pair_mixture(bit: int) -> DensityMatrix:
-    """Uniform mixture of the two variants of a bit; equals I/2 for both bits."""
-    mix = (bb84_projector(bit, 0) + bb84_projector(bit, 1)) / 2
-    return DensityMatrix(mix)
+    """Uniform mixture of the two variants of a bit; equals I/2 for both bits.
+
+    The projectors' entries are exact, so the mixture is I/2 exactly and
+    is stored with no eigensolve.
+    """
+    return _unchecked((bb84_projector(bit, 0) + bb84_projector(bit, 1)) / 2)
 
 
 def encoding_basis(bit: int) -> ProjectiveBasis:

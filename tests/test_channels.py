@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ebcommit.channels import (
@@ -13,11 +13,12 @@ from ebcommit.channels import (
     lift_apply,
 )
 from ebcommit.entanglement import is_entanglement_breaking, is_separable
-from ebcommit.linalg import PAULI_I, PAULI_Y, partial_trace
+from ebcommit.linalg import PAULI_I, PAULI_Y, TOL, partial_trace
 from ebcommit.protocol import HonestAlice
 from ebcommit.states import (
     RECTILINEAR,
     DensityMatrix,
+    bb84_pair_mixture,
     bb84_projector,
     cheat_state,
     encoding_basis,
@@ -188,6 +189,59 @@ def test_choi_identity_and_depolarizing():
     # the closed-form lift of the exact Bell projector is the isotropic state
     for q in (*np.linspace(0.0, 1.0, 11), 1 / 3, 0.8):
         assert np.array_equal(choi(DepolarizingChannel(q)).mat, isotropic(q).mat)
+
+
+def assert_valid_by_construction(rho: DensityMatrix) -> None:
+    """rho, stored with no validation, is read-only and passes it: the check stores the same bits."""
+    assert not rho.mat.flags.writeable
+    checked = DensityMatrix(rho.mat)
+    assert checked.mat.dtype == rho.mat.dtype
+    assert checked.mat.tobytes() == rho.mat.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda bit=bit: bb84_pair_mixture(bit) for bit in (0, 1)),
+    *(lambda q=q: choi(DepolarizingChannel(q)) for q in (0.0, 1 / 3, 0.5, 1.0)),
+], ids=["bb84-0", "bb84-1", "choi-q0", "choi-q1/3", "choi-q0.5", "choi-q1"])
+def test_states_valid_by_construction_pass_validation(make):
+    assert_valid_by_construction(make())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       defects=st.tuples(st.floats(-TOL, TOL), st.floats(-TOL, TOL)))
+@example(n=4, seed=12, defects=(-TOL, TOL))  # at the bound, a valid Choi state
+@example(n=1, seed=38, defects=(TOL, TOL))  # at the bound, a Choi trace an ulp past TOL
+def test_choi_of_a_kraus_channel_passes_validation(n, seed, defects):
+    # scaling column j of the isometry by sqrt(1 + d_j) makes sum K^dagger K
+    # diag(1 + d_0, 1 + d_1): a completeness defect of up to TOL
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2)))
+    v = v * np.sqrt(1.0 + np.array(defects))
+    try:
+        channel = KrausChannel(tuple(v[2 * i:2 * i + 2] for i in range(n)))
+    except ValueError:  # roundoff took the defect past TOL
+        assume(False)
+    try:
+        rho = choi(channel)
+    except ValueError as exc:
+        # at the bound, roundoff can take the Choi state's trace an ulp past
+        # TOL too; choi rejects it as the validating lift does
+        assert str(exc).startswith("trace is ")
+        assert max(map(abs, defects)) > 0.99 * TOL
+        with pytest.raises(ValueError) as lifted:
+            lift_apply(channel, isotropic(1.0).mat)
+        assert str(lifted.value) == str(exc)
+        return
+    assert_valid_by_construction(rho)
+
+
+def test_lift_still_validates_a_raw_matrix():
+    # the identity lift of a non-PSD matrix of unit trace: choi skips the
+    # check, since its input is the exact Bell projector, but lift_apply's
+    # caller may pass any matrix
+    with pytest.raises(ValueError, match="not PSD"):
+        lift_apply(DepolarizingChannel(1.0), np.diag([1.2, 0, 0, -0.2]))
 
 
 @settings(max_examples=60, deadline=None)

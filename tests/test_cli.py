@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ebcommit
 from ebcommit import cli, security
@@ -384,6 +386,89 @@ def test_commands_in_one_process_share_no_state(capsys):
     ).stdout
     assert out == fresh
     assert list(json.loads(out)["meta"]) == ["command", "version", "sigma0", "sigma1", "q"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["thresh"], "argument command: invalid choice: 'thresh'"),
+    (["--q", "0.5", "run"], "argument command: invalid choice: '0.5'"),
+])
+def test_top_level_parser_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"ebcommit: error: {message}")
+    assert err.count("\n") == 1
+
+
+def _parsed(capsys, parse, argv):
+    """What ``parse(argv)`` makes of argv: its namespace's items, a usage error, or a help exit."""
+    try:
+        items = parse(argv)
+    except cli.UsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    return "ok", items
+
+
+@pytest.mark.parametrize("argv", [
+    *([name] for name in ("run", "sweep", "threshold", "hiding", "binding")),
+    ["run", "--q", "0.5", "--rounds", "5", "--alice", "epr", "--a0", "plus", "--format", "csv"],
+    ["sweep", "--q-steps", "3", "--trials", "2", "--workers", "2", "--output", "x.json"],
+    ["hiding", "--sigma0", "plus", "--sigma1", "bb84-1", "--q", "0.2"],
+    ["binding", "--q-grid", "0,0.5", "--target", "one", "--a1", "1.0,2.0"],
+    ["run", "--rou", "10", "--q", "0.5"],
+    ["run", "--q=0.5"],
+    ["run", "--q", "-0.5"],
+    ["run", "--q", "0.5", "--q", "0.7"],
+    ["run", "--q", "abc"],
+    ["sweep", "--bit", "2"],
+    ["binding", "--a0"],
+    ["threshold", "extra"],
+    ["threshold", "--format", "json"],
+    ["run", "--q", "0.5", "--rounds", "5", "--", "x"],
+    ["run", "-h"],
+])
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    # main hands an argv that starts with a subcommand to that subcommand's
+    # parser alone; the namespace, in its order, and any usage error or help
+    # text must be those of the top-level parser
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, seen.append))
+
+    def via_main(argv):
+        if main(argv) == EXIT_USAGE:
+            raise cli.UsageError(capsys.readouterr().err.removeprefix("ebcommit: error: ")[:-1])
+        return list(vars(seen.pop()).items())
+
+    expected = _parsed(capsys, lambda argv: list(vars(cli._PARSER.parse_args(argv)).items()), argv)
+    assert _parsed(capsys, via_main, argv) == expected
+    if argv == ["run", "-h"]:
+        assert expected[:2] == ("exit", 0)
+        assert expected[2].startswith("usage: ebcommit run")
+
+
+_SCALARS = st.one_of(
+    st.text(),
+    st.integers(-2**80, 2**80),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 2**64 + 1]),
+    st.booleans(),
+    st.none(),
+)
+_FLAT = st.dictionaries(st.text(), _SCALARS, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(meta=_FLAT, rows=st.lists(_FLAT, max_size=4))
+@example(meta={}, rows=[])
+@example(meta={}, rows=[{}])
+@example(meta={"a": 1}, rows=[{}, {"b": None}, {}])
+@example(meta={"s": 'é "q" \\ \x00\n\t\u2028 \U0001f600', "n": 2**64},
+         rows=[{"x": -0.0, "y": math.inf}])
+def test_json_report_equals_the_indented_dump(meta, rows):
+    assert cli._json_report(meta, rows) == json.dumps({"meta": meta, "rows": rows}, indent=2)
 
 
 @pytest.mark.filterwarnings("error")
