@@ -69,6 +69,8 @@ _NAMED_VECTORS = {
     "plus": np.array([1, 1], dtype=complex) / math.sqrt(2),
     "minus": np.array([1, -1], dtype=complex) / math.sqrt(2),
 }
+for _vector in _NAMED_VECTORS.values():  # _parse_vector hands out these very arrays
+    _vector.setflags(write=False)
 
 
 def _parse_vector(spec: str, flag: str) -> np.ndarray:
@@ -325,7 +327,10 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
     ``_RECORDS_PER_WRITE`` records straight from the transcript's round
     classes, so memory stays bounded in the round count. A slice is one
     join of cached strings: each round number's last three digits, then
-    its record's tail with the next round's leading digits.
+    its record's tail with the next round's leading digits. The tails of
+    a slice come from one numpy gather, an 8-entry object array of those
+    strings indexed by the slice's int8 class column, so no Python step
+    runs per round.
     """
     opener, _, closer = _TRANSCRIPT_LIST
     first, later, tails = _record_texts(transcript.opened_bit)
@@ -335,7 +340,7 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
     fh.write(_json_report(meta, rows)[:-2] + "," + opener[1:] + first)
     pieces = []
     for m, start in enumerate(range(0, rounds, _RECORDS_PER_WRITE)):
-        chunk = transcript.classes[start:start + _RECORDS_PER_WRITE].tolist()
+        chunk = transcript.classes[start:start + _RECORDS_PER_WRITE]
         c = len(chunk)
         # reuse the pieces: the low digits change only after the first slice,
         # and the length only in a short last one
@@ -344,8 +349,8 @@ def _write_transcript_doc(fh, meta: dict, rows: list[dict], transcript) -> None:
             pieces[0::2] = (low if m else first_low)[:c]
         # a record's tail, the item separator and the next round's leading digits
         lead = str(m) if m else ""
-        after = [tail + later + lead for tail in tails]
-        pieces[1::2] = [after[k] for k in chunk]
+        after = np.array([tail + later + lead for tail in tails], dtype=object)
+        pieces[1::2] = after[chunk].tolist()
         # the slice's last record leads into slice m + 1, or ends the list
         pieces[-1] = tails[chunk[-1]] + (later + str(m + 1) if start + c < rounds else "")
         fh.write("".join(pieces))

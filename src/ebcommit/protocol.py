@@ -159,6 +159,7 @@ class VerificationReport:
 
 #: The receiver's effects: E[b, o] projects on outcome o of basis b.
 _EFFECTS = np.array([[bb84_projector(b, o) for o in (0, 1)] for b in (0, 1)])
+_EFFECTS.setflags(write=False)
 
 
 def _round_law(x: np.ndarray, steer_basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ebcommit
-from ebcommit import cli, security
+from ebcommit import cli, protocol, security
 from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from ebcommit.protocol import HonestAlice, ProtocolConfig, sweep
 from ebcommit.states import ProjectiveBasis
@@ -145,7 +145,9 @@ def test_dump_transcript_requires_json(capsys, monkeypatch, tmp_path):
 
 
 def test_dump_transcript_file_bytes_equal_stdout(capsys, tmp_path):
-    argv = ["run", "--alice", "epr", "--q", "0.4", "--rounds", "300", "--seed", "8",
+    # three slices of the dump, the last of one record, so the two streams
+    # are compared across slice boundaries
+    argv = ["run", "--alice", "epr", "--q", "0.4", "--rounds", "2001", "--seed", "8",
             "--steer-theta", "1.2", "--steer-phi", "4.0", "--dump-transcript"]
     code, out, _ = run_cli(capsys, *argv)
     target = tmp_path / "dump.json"
@@ -153,6 +155,19 @@ def test_dump_transcript_file_bytes_equal_stdout(capsys, tmp_path):
     assert code == code_file
     assert out_file == ""
     assert target.read_bytes() == out.encode()
+
+
+def test_shared_constant_arrays_are_read_only():
+    # _parse_vector hands out the named vectors themselves, and every session
+    # reads _EFFECTS, so an in-place write would leak into every later
+    # command of one process
+    for name in cli._NAMED_VECTORS:
+        vector = cli._parse_vector(name, "--a0")
+        assert vector is cli._NAMED_VECTORS[name]
+        assert not vector.flags.writeable
+    assert not protocol._EFFECTS.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cli._parse_vector("plus", "--a0")[0] = 0
 
 
 def test_threshold_prints_one_third(capsys):

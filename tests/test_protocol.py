@@ -1322,9 +1322,10 @@ def test_columns_agree_with_verify_and_dump(q, seed, rounds, bit, epr, target_bi
 
 
 # round counts on each side of every slice boundary (a slice is 1000 records)
-# and of every digit boundary of the round numbers
+# and of every digit boundary of the round numbers; 100001 rounds end in a
+# slice of one record whose round number has the three-digit lead "100"
 @pytest.mark.parametrize("rounds", [1, 9, 10, 11, 999, 1000, 1001, 1999, 2000, 2001,
-                                    10000, 10001, 12345])
+                                    10000, 10001, 12345, 100_001])
 @pytest.mark.parametrize("bit", [0, 1])
 @pytest.mark.parametrize("alice", ["honest", "epr"])
 def test_dump_written_in_slices_is_one_document(alice, bit, rounds):
