@@ -2,7 +2,7 @@
 
 Layers, bottom up: ``linalg`` (dense two-qubit operator algebra),
 ``states`` and ``channels`` (the protocol's physics), ``entanglement``
-(concurrence, separability of states and channels, the factorization law),
+(concurrence, separability of states and channels, the boundary q*),
 ``protocol`` (prepared commitment sessions plus a seeded Monte Carlo harness),
 ``security`` (hiding and binding bounds), ``cli`` (experiment runner).
 """
@@ -19,14 +19,12 @@ from .channels import (
 from .entanglement import (
     concurrence,
     eb_threshold,
-    factorization_residual,
     is_entanglement_breaking,
     is_separable,
 )
 from .linalg import (
     eig_hermitian,
     is_psd,
-    partial_trace,
     partial_transpose,
     trace_distance,
 )
@@ -50,22 +48,18 @@ from .security import (
     bob_cheat_probability,
 )
 from .states import (
-    DIAGONAL,
     RECTILINEAR,
     DensityMatrix,
     ProjectiveBasis,
     bb84_pair_mixture,
     bb84_projector,
     cheat_state,
-    encoding_basis,
-    isotropic,
 )
 
 __all__ = [
     "__version__",
     "BindingReport",
     "CheatStrategy",
-    "DIAGONAL",
     "DensityMatrix",
     "DepolarizingChannel",
     "EprAlice",
@@ -89,14 +83,10 @@ __all__ = [
     "concurrence",
     "eb_threshold",
     "eig_hermitian",
-    "encoding_basis",
-    "factorization_residual",
     "is_entanglement_breaking",
     "is_psd",
     "is_separable",
-    "isotropic",
     "lift_apply",
-    "partial_trace",
     "partial_transpose",
     "run_session",
     "sweep",

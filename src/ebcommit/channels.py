@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TOL, _b_blocks, _from_b_blocks, as_operator, as_stack
-from .states import _BELL_PROJ, DensityMatrix, _check_q, _check_trace, _unchecked
+from .states import DensityMatrix, _check_q, _check_trace, _unchecked
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +87,15 @@ def lift_apply(c: KrausChannel | DepolarizingChannel, rho: DensityMatrix) -> Den
     return DensityMatrix(_from_b_blocks(channel_apply(c, _b_blocks(rho))))
 
 
+# Exact projector of the Bell pair; entries are 0 or 1/2.
+_BELL_PROJ = np.zeros((4, 4), dtype=complex)
+for _i in (0, 3):
+    for _j in (0, 3):
+        _BELL_PROJ[_i, _j] = 0.5
+_BELL_PROJ.setflags(write=False)
+del _i, _j
+
+
 def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:
     """Channel output on half of the Bell pair, (I x c)[|psi+><psi+|].
 
@@ -94,12 +103,13 @@ def choi(c: KrausChannel | DepolarizingChannel) -> DensityMatrix:
     input, which makes its separability decisive for
     ``entanglement.is_entanglement_breaking``. The Bell projector is exact
     (entries 0 and 1/2), so the Choi state of the depolarizing channel is
-    ``isotropic(q)`` bit for bit. It is stored with no eigensolve: a
-    validated channel's Choi state is Hermitian and PSD up to roundoff.
-    Its trace, half that of the channel's sum of K^dagger K, is within
-    ``TOL`` of 1 by the Kraus completeness check, but only up to roundoff
-    too, so it is checked as ``DensityMatrix`` checks it: a channel at the
-    completeness bound can give a trace an ulp past ``TOL``.
+    the isotropic state q |psi+><psi+| + (1-q) I/4 bit for bit. It is
+    stored with no eigensolve: a validated channel's Choi state is
+    Hermitian and PSD up to roundoff. Its trace, half that of the
+    channel's sum of K^dagger K, is within ``TOL`` of 1 by the Kraus
+    completeness check, but only up to roundoff too, so it is checked as
+    ``DensityMatrix`` checks it: a channel at the completeness bound can
+    give a trace an ulp past ``TOL``.
     """
     m = _from_b_blocks(channel_apply(c, _b_blocks(_BELL_PROJ)))
     _check_trace(m)

@@ -5,11 +5,7 @@ or 4. Two-qubit matrices use the row-major tensor index ``2*a + b`` of
 ``np.kron(A, B)``, sender's half A first, receiver's half B second; as
 a (2, 2, 2, 2) tensor it is [a, b, a', b'], read only by ``_b_blocks``.
 Higher-level wrappers in this package expose the raw matrix as
-``.mat``; every function here accepts either form. The eigen helpers,
-the PSD test and the partial trace and transpose also take a stack of
-shape (..., n, n) and act on each matrix of it, in one numpy call for
-the whole stack; a single matrix is the stack with no leading axes, so
-each formula is written once.
+``.mat``; every function here accepts either form.
 """
 
 from __future__ import annotations
@@ -82,23 +78,21 @@ def eig_hermitian(m, vectors: bool = False):
     return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
-def is_psd(m):
-    """True iff the smallest eigenvalue of a Hermitian matrix is >= -TOL.
+def is_psd(m) -> bool:
+    """True iff the smallest eigenvalue of one Hermitian matrix is >= -TOL.
 
-    A stack gets a bool array, one verdict per matrix. The package's one
-    positivity test: the validation of a density matrix given as a
-    matrix and the separability and entanglement-breaking tests all
-    decide through it.
+    The package's one positivity test: the validation of a density matrix
+    given as a matrix and the separability and entanglement-breaking
+    tests all decide through it.
     """
-    psd = eig_hermitian(m)[..., -1] >= -TOL
-    return bool(psd) if psd.ndim == 0 else psd
+    return bool(eig_hermitian(as_operator(m))[-1] >= -TOL)
 
 
 def _b_blocks(m) -> np.ndarray:
     """A pair's operator, or each of a stack, as its B blocks x[..., a, a'] = rho[a, :, a', :].
 
-    A view where numpy can give one. The partial trace and transpose, the
-    channel lifts and the sender's operator all act on these blocks.
+    A view where numpy can give one. The partial transpose, the channel
+    lifts and the sender's operator all act on these blocks.
     """
     m = as_stack(m, 4)
     return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
@@ -107,11 +101,6 @@ def _b_blocks(m) -> np.ndarray:
 def _from_b_blocks(x) -> np.ndarray:
     """The inverse of :func:`_b_blocks`: a [..., a, a', b, b'] stack of blocks as (..., 4, 4)."""
     return x.swapaxes(-3, -2).reshape(x.shape[:-4] + (4, 4))
-
-
-def partial_trace(m) -> np.ndarray:
-    """Tr_B(M), the trace of each B block: the A marginal of a two-qubit operator or of a stack."""
-    return np.trace(_b_blocks(m), axis1=-2, axis2=-1)
 
 
 def partial_transpose(m) -> np.ndarray:

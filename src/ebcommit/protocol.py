@@ -84,6 +84,7 @@ from .states import (
     _check_type,
     _check_word,
     _sender_operator,
+    _unchecked,
     bb84_projector,
     cheat_state,
 )
@@ -117,7 +118,7 @@ class Transcript:
     """The rounds of one opened session: a read-only int8 column of round classes.
 
     Round i's class is ``classes[i]`` = 4b + 2o + v: the receiver measured
-    in basis ``encoding_basis(b)`` and saw outcome o, and the sender
+    in the encoding basis of bit b and saw outcome o, and the sender
     announced variant v, her steering outcome, which for an honest sender
     is the carrier she sent. Equality compares every field by value.
     """
@@ -243,9 +244,12 @@ class HonestAlice:
 
     @functools.cached_property
     def pair(self) -> DensityMatrix:
-        """The classical-quantum pair 1/2 sum_v |v><v| x P_v: a register |v> beside carrier v."""
-        return DensityMatrix(sum(np.kron(bb84_projector(0, v), bb84_projector(self.bit, v))
-                                 for v in (0, 1)) / 2)
+        """The classical-quantum pair 1/2 sum_v |v><v| x P_v: a register |v> beside carrier v.
+
+        Its entries are 0, 1/4 and 1/2 exactly, so it is stored with no eigensolve.
+        """
+        return _unchecked(sum(np.kron(bb84_projector(0, v), bb84_projector(self.bit, v))
+                              for v in (0, 1)) / 2)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def _check_type(name: str, value, kind: type) -> None:
 
 
 def _check_q(q) -> None:
-    """The noise parameter q of the depolarizing channel and the isotropic family."""
+    """The noise parameter q of the depolarizing channel."""
     _check_real("q", q)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
@@ -77,8 +77,9 @@ class DensityMatrix:
     a stack of them is no density matrix. :meth:`from_pure` and
     :func:`cheat_state` check their state vector instead and build its
     projector with :func:`_projector`, which needs no further check.
-    That and the other states valid by construction, :func:`bb84_pair_mixture`
-    and ``channels.choi``, are stored by :func:`_unchecked`, with no eigensolve.
+    That and the other states valid by construction, :func:`bb84_pair_mixture`,
+    ``channels.choi`` and ``protocol.HonestAlice.pair``, are stored by
+    :func:`_unchecked`, with no eigensolve.
     Equality is exact entrywise equality of the matrices.
     """
 
@@ -209,7 +210,6 @@ class ProjectiveBasis:
 
 
 RECTILINEAR = ProjectiveBasis(0.0, 0.0)
-DIAGONAL = ProjectiveBasis(math.pi / 2, 0.0)
 
 
 def bb84_projector(bit: int, variant: int) -> np.ndarray:
@@ -236,27 +236,6 @@ def bb84_pair_mixture(bit: int) -> DensityMatrix:
     is stored with no eigensolve.
     """
     return _unchecked((bb84_projector(bit, 0) + bb84_projector(bit, 1)) / 2)
-
-
-def encoding_basis(bit: int) -> ProjectiveBasis:
-    """Measurement basis that resolves the two variants of a bit."""
-    _check_bit("bit", bit)
-    return RECTILINEAR if bit == 0 else DIAGONAL
-
-
-# Exact projector of the Bell pair; entries are 0 or 1/2.
-_BELL_PROJ = np.zeros((4, 4), dtype=complex)
-for _i in (0, 3):
-    for _j in (0, 3):
-        _BELL_PROJ[_i, _j] = 0.5
-_BELL_PROJ.setflags(write=False)
-del _i, _j
-
-
-def isotropic(q: float) -> DensityMatrix:
-    """Mixture q |psi+><psi+| + (1-q)/4 I of the Bell pair with white noise."""
-    _check_q(q)
-    return DensityMatrix(q * _BELL_PROJ + (1.0 - q) / 4.0 * np.eye(4))
 
 
 @dataclass(frozen=True, eq=False)

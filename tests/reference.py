@@ -15,9 +15,11 @@ that the closed forms of the package are checked against. A Monte Carlo
 summary is checked against one built from a full session per trial, its
 separability and concurrence columns against the factorization law on a
 cheater's amplitudes, and its acceptance rate against the exact binomial
-sum. The Pauli X and Z matrices, the Hermiticity defect of a matrix and the
-Philox generator of a (seed, word) key, which only the tests use, are
-defined here.
+sum. The Pauli X and Z matrices, the Hermiticity defect of a matrix, the
+Philox generator of a (seed, word) key, the partial trace Tr_B, the
+diagonal basis and the encoding basis of a bit, the isotropic family of
+the Bell pair and the residual of the concurrence factorization law,
+which only the tests use, are defined here.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ import math
 
 import numpy as np
 
-from ebcommit.channels import DepolarizingChannel, KrausChannel
+from ebcommit.channels import _BELL_PROJ, DepolarizingChannel, KrausChannel, choi, lift_apply
+from ebcommit.entanglement import concurrence
 from ebcommit.linalg import (
     PAULI_I,
     PAULI_Y,
+    _b_blocks,
     as_operator,
     as_stack,
     eig_hermitian,
     is_psd,
-    partial_trace,
 )
 from ebcommit.protocol import (
     _EFFECTS,
@@ -47,8 +50,11 @@ from ebcommit.protocol import (
 )
 from ebcommit.states import (
     OUTCOME_EPS,
+    RECTILINEAR,
     DensityMatrix,
     ProjectiveBasis,
+    _check_bit,
+    _check_q,
     _check_word,
     _sender_operator,
 )
@@ -150,15 +156,48 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 
+def factorization_residual(x, c: KrausChannel | DepolarizingChannel) -> float:
+    """|C((I x c)[|x><x|]) - C(|x><x|) * C(choi(c))| for a pure input x.
+
+    Both sides are evaluated independently: the left by pushing the state
+    through the lifted channel, the right from the input and the Choi
+    state alone.
+    """
+    rho = DensityMatrix.from_pure(x)
+    left = concurrence(lift_apply(c, rho))
+    right = concurrence(rho) * concurrence(choi(c))
+    return abs(left - right)
+
+
 def bell_psi_plus() -> np.ndarray:
     """Maximally entangled pair (|00> + |11>)/sqrt(2)."""
     return np.array([math.sqrt(0.5), 0, 0, math.sqrt(0.5)], dtype=complex)
+
+
+def isotropic(q: float) -> DensityMatrix:
+    """Mixture q |psi+><psi+| + (1-q)/4 I of the Bell pair with white noise."""
+    _check_q(q)
+    return DensityMatrix(q * _BELL_PROJ + (1.0 - q) / 4.0 * np.eye(4))
+
+
+DIAGONAL = ProjectiveBasis(math.pi / 2, 0.0)
+
+
+def encoding_basis(bit: int) -> ProjectiveBasis:
+    """Measurement basis that resolves the two variants of a bit."""
+    _check_bit("bit", bit)
+    return RECTILINEAR if bit == 0 else DIAGONAL
 
 
 def projectors(basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:
     """The rank-one projectors on the two vectors of ``basis``."""
     b0, b1 = basis.vectors()
     return np.outer(b0, b0.conj()), np.outer(b1, b1.conj())
+
+
+def partial_trace(m) -> np.ndarray:
+    """Tr_B(M), the trace of each B block: the A marginal of a two-qubit operator or of a stack."""
+    return np.trace(_b_blocks(m), axis1=-2, axis2=-1)
 
 
 def receiver_marginal(m) -> np.ndarray:

@@ -15,7 +15,6 @@ from ebcommit.cli import main
 from ebcommit.entanglement import (
     concurrence,
     eb_threshold,
-    factorization_residual,
     is_separable,
 )
 from ebcommit.linalg import eig_hermitian, partial_transpose, trace_distance
@@ -26,11 +25,17 @@ from ebcommit.states import (
     ProjectiveBasis,
     bb84_pair_mixture,
     cheat_state,
-    isotropic,
 )
 
 from conftest import random_density_matrix, random_hermitian, random_pure_state
-from reference import fidelity, joint_outcome_decomposition, receiver_marginal, sessions_summary
+from reference import (
+    factorization_residual,
+    fidelity,
+    isotropic,
+    joint_outcome_decomposition,
+    receiver_marginal,
+    sessions_summary,
+)
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 

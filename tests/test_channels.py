@@ -13,7 +13,7 @@ from ebcommit.channels import (
     lift_apply,
 )
 from ebcommit.entanglement import is_entanglement_breaking, is_separable
-from ebcommit.linalg import PAULI_I, PAULI_Y, TOL, partial_trace
+from ebcommit.linalg import PAULI_I, PAULI_Y, TOL
 from ebcommit.protocol import HonestAlice
 from ebcommit.states import (
     RECTILINEAR,
@@ -21,9 +21,7 @@ from ebcommit.states import (
     bb84_pair_mixture,
     bb84_projector,
     cheat_state,
-    encoding_basis,
     _sender_operator,
-    isotropic,
 )
 
 from conftest import random_density_matrix, random_hermitian
@@ -33,9 +31,12 @@ from reference import (
     as_kraus,
     bell_psi_plus,
     channel_adjoint,
+    encoding_basis,
+    isotropic,
     joint_outcome_decomposition,
     kraus_lift,
     lifted_round_law,
+    partial_trace,
 )
 
 I2 = np.eye(2)

@@ -12,15 +12,21 @@ from ebcommit.channels import (
 from ebcommit.entanglement import (
     concurrence,
     eb_threshold,
-    factorization_residual,
     is_entanglement_breaking,
     is_separable,
 )
 from ebcommit.linalg import PAULI_I, PAULI_Y, TOL, eig_hermitian, partial_transpose
-from ebcommit.states import DensityMatrix, cheat_state, isotropic
+from ebcommit.states import DensityMatrix, cheat_state
 
 from conftest import random_density_matrix, random_pure_state
-from reference import PAULI_X, PAULI_Z, bell_psi_plus, wootters_concurrence
+from reference import (
+    PAULI_X,
+    PAULI_Z,
+    bell_psi_plus,
+    factorization_residual,
+    isotropic,
+    wootters_concurrence,
+)
 
 
 def test_concurrence_bell_is_one():
@@ -178,23 +184,22 @@ def test_concurrence_is_zero_exactly_on_ppt_states_near_the_boundary(rng, family
     assert near >= 0.8 * len(states)
 
 
-def test_stack_ppt_test_and_concurrence_equal_single_state_calls(rng):
+def test_ppt_test_and_concurrence_take_one_state(rng):
     # the boundary families, where the PPT verdict and the 0.0 are decided
-    # at roundoff, and random states either side of it, in one stack
+    # at roundoff, and random states either side of it, one call per state
     near = [rho.mat for family in (_isotropic_near_boundary, _cheat_pairs_near_boundary,
                                    _mixtures_near_boundary) for rho in family(rng)]
     ginibre = [random_density_matrix(rng, 4) for _ in range(40)]
-    stack = np.array(near + ginibre)
-    separable, values = is_separable(stack), concurrence(stack)
-    assert separable.dtype == bool and separable.shape == values.shape == (len(stack),)
-    assert separable.tolist() == [is_separable(m) for m in stack]
-    assert values.tobytes() == np.array([concurrence(m) for m in stack]).tobytes()
+    separable = [is_separable(m) for m in near + ginibre]
+    values = [concurrence(m) for m in near + ginibre]
+    assert {type(s) for s in separable} == {bool} and {type(c) for c in values} == {float}
     assert any(separable) and not all(separable)
-    # leading axes of any shape, each state decided as it would be alone
-    assert np.array_equal(concurrence(stack.reshape(2, -1, 4, 4)), values.reshape(2, -1))
-    assert np.array_equal(is_separable(stack.reshape(2, -1, 4, 4)), separable.reshape(2, -1))
     reference = [wootters_concurrence(m) for m in ginibre]
-    assert np.abs(values[len(near):] - reference).max() < 1e-12
+    assert np.abs(np.array(values[len(near):]) - reference).max() < 1e-12
+    # a stack of states is no state
+    for f in (is_separable, concurrence):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            f(np.array(near + ginibre))
 
 
 def test_factorization_trivial_cases():

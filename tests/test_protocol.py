@@ -27,7 +27,6 @@ from ebcommit.protocol import (
 from ebcommit.linalg import TOL, eig_hermitian, partial_transpose
 from ebcommit.security import SIGN_TOL, CheatStrategy, alice_binding_attack, bell_strategy
 from ebcommit.states import (
-    DIAGONAL,
     OUTCOME_EPS,
     RECTILINEAR,
     DensityMatrix,
@@ -35,15 +34,16 @@ from ebcommit.states import (
     bb84_pair_mixture,
     bb84_projector,
     cheat_state,
-    encoding_basis,
-    isotropic,
 )
 
 from conftest import count_calls, refuse_rows
 from reference import (
+    DIAGONAL,
     counts_report,
     derive_rng,
+    encoding_basis,
     exact_acceptance,
+    isotropic,
     joint_outcome_decomposition,
     lifted_concurrence,
     lifted_round_law,
@@ -738,12 +738,25 @@ def test_session_laws_are_the_laws_of_the_lifted_pair(epr, bit, a0, a1, steer, q
 
 
 def _built_pairs():
-    """Both senders, each with its pair built (and the honest one validated) up front."""
+    """Both senders, each with its pair built up front."""
     strategy = CheatStrategy([0.6, 0.8j], [1.0, 0.0])
     scenarios = [HonestAlice(bit=1), EprAlice(strategy, 1, ProjectiveBasis(0.9, 2.1)),
                  EprAlice(bell_strategy(), 0, RECTILINEAR)]
     assert all(scenario.pair.mat.shape == (4, 4) for scenario in scenarios)
     return scenarios
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_honest_pair_is_stored_with_no_eigensolve(monkeypatch, bit):
+    # the classical-quantum pair has entries 0, 1/4 and 1/2 exactly, so it is
+    # valid by construction: stored as validation would store it, unchecked
+    eigensolves = count_calls(monkeypatch, linalg, "eig_hermitian")
+    pair = HonestAlice(bit).pair
+    assert eigensolves == []
+    mat = sum(np.kron(bb84_projector(0, v), bb84_projector(bit, v)) for v in (0, 1)) / 2
+    assert pair == DensityMatrix(mat)
+    assert pair.mat.dtype == complex and pair.mat.tobytes() == DensityMatrix(mat).mat.tobytes()
+    assert not pair.mat.flags.writeable
 
 
 def test_sessions_lift_no_pair(monkeypatch):
@@ -1154,17 +1167,16 @@ def _count_prepare_eigensolves(monkeypatch):
 
 
 def test_monte_carlo_validates_each_pair_once_per_scenario(monkeypatch):
-    # the honest pair, a mixture, is validated once, as a DensityMatrix, by
-    # one eigensolve the first time its scenario is prepared; the cheater's
+    # neither pair costs an eigensolve: the honest pair, a mixture of exact
+    # entries, is stored unchecked (states._unchecked), and the cheater's
     # pure pair is not re-validated (states._projector); and no batch
     # validates its stack of lifts, in a sweep of one config or of many
     prepared = _count_prepare_eigensolves(monkeypatch)
-    for scenario, pair in ((HonestAlice(bit=0), [(4, 4)]),
-                           (EprAlice(bell_strategy(), 1, DIAGONAL), [])):
+    for scenario in (HonestAlice(bit=0), EprAlice(bell_strategy(), 1, DIAGONAL)):
         prepared.clear()
         for q in _SWEEP_QS:
             next(sweep([cfg(q, 10, seed=3)], scenario, trials=4))
-        assert prepared == [pair] + [[]] * (len(_SWEEP_QS) - 1)
+        assert prepared == [[]] * len(_SWEEP_QS)
         prepared.clear()
         list(sweep([cfg(q, 10, seed=3) for q in _SWEEP_QS], scenario, trials=4))
         assert prepared == [[]]
@@ -1551,17 +1563,17 @@ def test_each_call_on_a_batch_draws_what_a_fresh_batch_draws():
     assert session.transcript(0, 1) == protocol._prepare(configs, scenario).transcript(0, 1)
 
 
-@pytest.mark.parametrize("scenario, pair", [
-    (lambda: HonestAlice(bit=1), [(4, 4)]),
-    (lambda: EprAlice(bell_strategy(), 1, DIAGONAL), []),
+@pytest.mark.parametrize("scenario", [
+    lambda: HonestAlice(bit=1),
+    lambda: EprAlice(bell_strategy(), 1, DIAGONAL),
 ], ids=["honest", "epr"])
-def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario, pair):
+def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario):
     # of the two density matrices a preparation meets, the pair and the stack
-    # of its lifts, only the honest pair is validated: once, with one
-    # eigensolve, the first time its scenario is prepared. The cheater's
-    # pure pair is formed by states._projector, with no validation, and no
-    # lift is validated; the round law is read off the sender's operators,
-    # with no normalized conditional state
+    # of its lifts, none is validated. The honest pair, of exact entries, is
+    # stored by states._unchecked and the cheater's pure pair formed by
+    # states._projector, neither with an eigensolve, and no lift is
+    # validated; the round law is read off the sender's operators, with no
+    # normalized conditional state
     prepared = _count_prepare_eigensolves(monkeypatch)
     constructed = []
     post_init = DensityMatrix.__post_init__
@@ -1577,8 +1589,8 @@ def test_epr_prepare_validates_two_density_matrices(monkeypatch, scenario, pair)
         sc = scenario()
         protocol._prepare(configs, sc)
         protocol._prepare(configs, sc)
-        assert prepared == [pair, []]
-        assert len(constructed) == len(pair)
+        assert prepared == [[], []]
+        assert constructed == []
 
 
 @pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])

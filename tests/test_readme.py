@@ -13,7 +13,7 @@ import pytest
 from ebcommit.channels import DepolarizingChannel, lift_apply
 from ebcommit.cli import main
 from ebcommit.protocol import ProtocolConfig
-from ebcommit.states import cheat_state, encoding_basis
+from ebcommit.states import cheat_state
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,7 +83,7 @@ def test_opening_acceptance_values_are_exact():
     # the Bell cheater's match probability, read off her round law for either
     # target bit, and the honest (1+q)/2 give the quoted exact P(accept)
     pytest.importorskip("scipy.special")
-    from reference import exact_acceptance, lifted_round_law
+    from reference import encoding_basis, exact_acceptance, lifted_round_law
 
     opening = " ".join(README.read_text(encoding="utf-8").split("\n## ", 1)[0].split())
     values, sigma, rounds = re.search(

@@ -20,13 +20,13 @@ from ebcommit.states import (
     ProjectiveBasis,
     bb84_pair_mixture,
     cheat_state,
-    isotropic,
 )
 
 from conftest import random_density_matrix
 from reference import (
     as_kraus,
     fidelity,
+    isotropic,
     joint_outcome_decomposition,
     receiver_marginal,
     sender_operator,

@@ -12,7 +12,6 @@ from ebcommit import linalg
 from ebcommit.channels import DepolarizingChannel, lift_apply
 from ebcommit.protocol import _EFFECTS, EprAlice, ProtocolConfig, run_session
 from ebcommit.states import (
-    DIAGONAL,
     OUTCOME_EPS,
     RECTILINEAR,
     CheatStrategy,
@@ -22,14 +21,15 @@ from ebcommit.states import (
     bb84_pair_mixture,
     bb84_projector,
     cheat_state,
-    encoding_basis,
-    isotropic,
 )
 
 from conftest import count_calls, random_density_matrix
 from reference import (
+    DIAGONAL,
     bell_psi_plus,
+    encoding_basis,
     hermiticity_defect,
+    isotropic,
     joint_outcome_decomposition,
     projectors,
     receiver_marginal,
