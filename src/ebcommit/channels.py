@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, _b_blocks, _from_b_blocks, as_operator, as_stack
+from .linalg import TOL, _b_blocks, _from_b_blocks, as_operator
 from .states import DensityMatrix, _check_q, _check_trace, _unchecked
 
 
@@ -68,8 +68,14 @@ def _depolarize(q, x) -> np.ndarray:
 
 
 def channel_apply(c: KrausChannel | DepolarizingChannel, x) -> np.ndarray:
-    """Apply a qubit channel to a 2x2 operator, or to each operator of a (..., 2, 2) stack."""
-    x = as_stack(x, 2)
+    """Apply a qubit channel to a 2x2 operator, or to each operator of a (..., 2, 2) stack.
+
+    The one function of the package that takes a stack: a pair's B blocks
+    in :func:`lift_apply` and :func:`choi`.
+    """
+    x = np.asarray(getattr(x, "mat", x), dtype=complex)
+    if x.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
     if isinstance(c, DepolarizingChannel):
         return _depolarize(c.q, x)
     if isinstance(c, KrausChannel):

@@ -36,18 +36,9 @@ draws one trial's transcript of a batch of one config and verifies it.
 
 All randomness flows from the session seed through a counter-based
 generator (Philox); a given ``(config, scenario, trial)`` always
-reproduces the same transcript. Trials are drawn in blocks of 64: trial
-t's receiver (b, o) counts are row t mod 64 of one multinomial draw at
-counter 0 of the 128-bit key (seed, t // 64), and the sender's variant
-splits of its sifted rounds row t mod 64 of one binomial draw at counter
-(0, 0, 0, 2) of that key; a transcript splits its other rounds next on
-that stream, and puts its rounds in order from counter (0, 0, 0, 1) of the
-key (seed, t). numpy draws a block row by row, so trial t draws the same
-whether its block is drawn whole or only up to its row: a sweep re-keys
-once per block and stream, and a transcript draws at most 63 rows before
-its own. Philox keeps streams of distinct keys and counters this far
-apart independent, so no key is hashed, and a prepared session re-keys
-one generator per draw instead of building one. A trial draws how many
+reproduces the same transcript, alone or in a sweep. ``_Session``'s
+docstring lays out the keys, counters and blocks of trials of its
+streams. A trial draws how many
 of its rounds fall in each class, and a transcript then puts the rounds
 in one uniformly random order. The rounds are independent and
 identically distributed, so this is distribution-identical to measuring
@@ -66,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,6 +282,11 @@ _RECEIVER = (0, 0, 0, 0)
 _ARRANGEMENT = (0, 0, 0, 1)
 _VARIANTS = (0, 0, 0, 2)
 
+#: The state a session gives its Philox generator, with an empty buffer, once
+#: ``_Session._rekey`` has filled in a counter and a key.
+_PHILOX_STATE = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+
 
 @dataclass(frozen=True, eq=False)
 class _Session:
@@ -305,27 +301,33 @@ class _Session:
     ``p_ones`` its P(v = 1 | b, o), both on the ``_LAW_GRID``.
 
     A trial draws class counts, not rounds, so its cost does not grow with
-    ``config.rounds`` until a transcript lays the rounds out. The batch
-    holds one Philox generator, ``bitgen`` under ``rng``, and one state
-    dict, and re-keys the generator to each substream's counter with an
-    empty buffer. The trials of config i are drawn in blocks of
-    ``_BLOCK_TRIALS``: trial t is row t mod 64 of block t // 64, whose two
-    count streams share the key (config.seed, t // 64). At counter
-    ``_RECEIVER`` the block's receiver counts of each (b, o), one
-    multinomial over the outcomes of positive r with one row per trial
-    (``_receiver_counts``); at counter ``_VARIANTS`` the count of variant 1
-    in each sifted group (b the opened bit), one binomial with
-    P(v = 1 | b, o) over a (rows, 2) array, o = 0 before o = 1 in each row
-    (``_sifted_ones``). numpy draws both row by row, so a block's first rows
-    do not depend on how many rows follow: trial t draws the same whether
-    its block is drawn to row t or whole, and trial 0 draws what a key of
-    its own would. ``counts`` stops after the sifted groups.
-    ``transcript`` draws trial t's block up to its row, then splits the two
-    other groups on the variant stream after that row, lays the classes
-    4b + 2o + v out in sorted order and shuffles them at counter
-    ``_ARRANGEMENT`` of trial t's own key (config.seed, t), one uniform
-    permutation of the rounds. The keys (seed, t // 64) and (seed, t) meet
-    only at distinct counters, so no stream overlaps another.
+    ``config.rounds`` until a transcript lays the rounds out.
+
+    The Philox stream layout, the one statement of it in the package: the
+    batch holds one generator, ``rng``, and ``_rekey`` sets its bit
+    generator's state to a counter of a 128-bit key with an empty buffer,
+    so no generator is built per draw. Philox keeps the streams of
+    distinct keys and counters independent, so no key is hashed. The
+    trials of config i are drawn in blocks of ``_BLOCK_TRIALS`` = 64:
+    trial t is row t mod 64 of block t // 64, whose two count streams
+    share the key (config.seed, t // 64), and a block costs one re-key and
+    one draw per stream. At counter ``_RECEIVER`` = (0, 0, 0, 0) the
+    block's receiver counts of each (b, o), one multinomial over the
+    outcomes of positive r with one row per trial (``_receiver_counts``);
+    at counter ``_VARIANTS`` = (0, 0, 0, 2) the count of variant 1 in each
+    sifted group (b the opened bit), one binomial with P(v = 1 | b, o)
+    over a (rows, 2) array, o = 0 before o = 1 in each row
+    (``_sifted_ones``). numpy draws both row by row, so a block's first
+    rows do not depend on how many rows follow: trial t draws the same
+    whether its block is drawn to row t or whole, and trial 0 draws what a
+    key of its own would. ``counts`` stops after the sifted groups.
+    ``transcript`` draws trial t's block up to its row, at most 63 rows
+    before its own, then splits the two other groups on the variant
+    stream after that row, lays the classes 4b + 2o + v out in sorted
+    order and shuffles them at counter ``_ARRANGEMENT`` = (0, 0, 0, 1) of
+    trial t's own key (config.seed, t), one uniform permutation of the
+    rounds. The keys (seed, t // 64) and (seed, t) meet only at distinct
+    counters, so no stream overlaps another.
 
     The receiver's counts depend on (seed, rounds, r) and the trial alone,
     so consecutive configs that share (seed, rounds, r) share one draw of
@@ -341,16 +343,13 @@ class _Session:
     opened_bit: int
     receivers: np.ndarray
     p_ones: np.ndarray
-    bitgen: np.random.Philox
     rng: np.random.Generator
-    state: dict
     drawn: dict
 
     def _rekey(self, counter: tuple[int, ...], seed: int, word: int) -> None:
         """Point the generator at counter ``counter`` of the key (seed, word), with an empty buffer."""
-        keyed = self.state["state"]
-        keyed["counter"], keyed["key"] = counter, (seed, word)
-        self.bitgen.state = self.state
+        self.rng.bit_generator.state = dict(
+            _PHILOX_STATE, state={"counter": counter, "key": (seed, word)})
 
     def _receiver_counts(self, i: int, trials: range) -> np.ndarray:
         """Config i's receiver counts c[2b + o] as a (T, 4) int64 array, one row per trial.
@@ -450,11 +449,8 @@ def _prepare(configs: Sequence[ProtocolConfig], scenario: Scenario) -> _Session:
     # P(v = 1 | b, o); exactly 0 or 1 where one class of the group has law 0
     p_ones = np.divide(pairs[..., 1], pairs.sum(axis=-1), out=np.zeros(receivers.shape),
                        where=receivers > 0)
-    bitgen = np.random.Philox(0)
-    state = {"bit_generator": "Philox", "state": {"counter": _RECEIVER, "key": (0, 0)},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _Session(tuple(configs), opened_bit, receivers, p_ones, bitgen,
-                    np.random.Generator(bitgen), state, {})
+    return _Session(tuple(configs), opened_bit, receivers, p_ones,
+                    np.random.Generator(np.random.Philox(0)), {})
 
 
 def run_session(
@@ -473,19 +469,17 @@ def run_session(
     return transcript, verify(transcript)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MonteCarloSummary:
     """Statistics over the trials of one configuration.
 
-    ``sifted_counts[t]`` and ``match_counts[t]`` are trial t's sifted and
-    matched round counts, read-only int64 columns, as ``verify`` counts
-    them in ``run_session(config, scenario, t)``'s transcript. The
+    Trial t's sifted and matched round counts are those ``verify`` counts
+    in ``run_session(config, scenario, t)``'s transcript. The
     match-fraction mean and std run over the trials that had sifted
     rounds; ``no_sifted_trials`` counts the others, and with none left
     both are 0.0. Separability (1 iff the concurrence is 0.0) and
     concurrence are those of the post-channel pair, the same in every
     trial; an honest sender's classical-quantum pair reports 1 and 0.
-    Equality compares every field by value.
     """
 
     trials: int
@@ -495,20 +489,6 @@ class MonteCarloSummary:
     separable_fraction: float
     mean_concurrence: float
     no_sifted_trials: int
-    sifted_counts: np.ndarray
-    match_counts: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sifted_counts", "match_counts"):
-            column = np.array(getattr(self, name), dtype=np.int64)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonteCarloSummary):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
 
 
 #: A sweep decides its q grid in chunks of consecutive configs, at most this
@@ -525,9 +505,8 @@ def sweep(
     """One ``MonteCarloSummary`` per config, in order, each over ``trials`` trials.
 
     One config's summary is ``next(sweep([config], scenario, trials))``.
-    Trial t's counts are row t mod 64 of its block's draws under the key
-    (config.seed, t // 64), so no result depends on the order the trials
-    run in.
+    Each trial draws its own rows of the streams ``_Session`` lays out, so
+    no result depends on the order the trials run in.
     The configs are prepared once, here, as one ``_Session``. The
     summaries are then drawn lazily, a chunk of consecutive configs at a
     time: at most ``_CHUNK_CONFIGS`` configs and ``_CHUNK_CELLS`` trials
@@ -540,7 +519,8 @@ def sweep(
     block at a time. Each config's counts come as two columns, drawn as
     they would be alone, and one ``_verdict`` decides a chunk's stack of
     them at once: trial t's decision is ``verify``'s of the transcript
-    ``run_session(config, scenario, t)`` returns.
+    ``run_session(config, scenario, t)`` returns. A summary keeps the
+    statistics of its columns, not the columns.
     The separability and concurrence columns are read off one closed
     form, so no post-channel pair is formed or decomposed: a row's
     concurrence is C (3q - 1)/2 by the factorization law
@@ -606,6 +586,4 @@ def _summaries(
                 separable_fraction=1.0 if concurrences[row] == 0.0 else 0.0,
                 mean_concurrence=concurrences[row],
                 no_sifted_trials=trials - int(sifted_trials[row]),
-                sifted_counts=sifted[row],
-                match_counts=matched[row],
             )

@@ -35,7 +35,6 @@ from ebcommit.linalg import (
     PAULI_Y,
     _b_blocks,
     as_operator,
-    as_stack,
     eig_hermitian,
     is_psd,
 )
@@ -44,6 +43,7 @@ from ebcommit.protocol import (
     EprAlice,
     MonteCarloSummary,
     VerificationReport,
+    _prepare,
     _round_law,
     _verdict,
     run_session,
@@ -81,9 +81,9 @@ def clip_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """max |M[i,j] - conj(M[j,i])| over a matrix or a stack, zero iff each is exactly Hermitian."""
-    m = as_stack(m)
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
+    """max |M[i,j] - conj(M[j,i])| of one matrix, zero iff it is exactly Hermitian."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.abs(m - m.conj().T).max())
 
 
 def sqrtm_psd(m) -> np.ndarray:
@@ -196,7 +196,7 @@ def projectors(basis: ProjectiveBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def partial_trace(m) -> np.ndarray:
-    """Tr_B(M), the trace of each B block: the A marginal of a two-qubit operator or of a stack."""
+    """Tr_B(M), the trace of each B block: the A marginal of a two-qubit operator."""
     return np.trace(_b_blocks(m), axis1=-2, axis2=-1)
 
 
@@ -327,9 +327,23 @@ def sessions_summary(config, scenario, trials: int) -> MonteCarloSummary:
         separable_fraction=1.0 if concurrence == 0.0 else 0.0,
         mean_concurrence=concurrence,
         no_sifted_trials=trials - fractions.size,
-        sifted_counts=[r.sifted_count for r in reports],
-        match_counts=[r.match_count for r in reports],
     )
+
+
+def sessions_counts(config, scenario, trials: int) -> tuple[list[int], list[int]]:
+    """Trial by trial, the sifted and matched counts of ``run_session``'s reports."""
+    reports = [run_session(config, scenario, t)[1] for t in range(trials)]
+    return [r.sifted_count for r in reports], [r.match_count for r in reports]
+
+
+def sweep_counts(config, scenario, trials: int) -> tuple[list[int], list[int]]:
+    """A one-config sweep's sifted and matched count columns of trials 0 to ``trials`` - 1.
+
+    They are ``_Session.counts`` of the config's prepared batch, the call
+    ``protocol._summaries`` decides the config's trials from, as lists.
+    """
+    sifted, matched = _prepare([config], scenario).counts(0, range(trials))
+    return sifted.tolist(), matched.tolist()
 
 
 def exact_acceptance(config, p_match: float) -> float:

@@ -34,7 +34,9 @@ from reference import (
     isotropic,
     joint_outcome_decomposition,
     receiver_marginal,
+    sessions_counts,
     sessions_summary,
+    sweep_counts,
 )
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -166,6 +168,7 @@ def test_criterion_7_determinism(capsys):
     config = ProtocolConfig(q=0.5, rounds=400, seed=77)
     scenario = EprAlice(strategy=bell_strategy(), target_bit=0)
     assert next(sweep([config], scenario, trials=6)) == sessions_summary(config, scenario, 6)
+    assert sweep_counts(config, scenario, 6) == sessions_counts(config, scenario, 6)
     print("\ncriterion 7: byte-identical CLI reruns, monte carlo trials equal to "
           "their sessions: PASS")
 

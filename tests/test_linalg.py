@@ -191,25 +191,18 @@ def test_fuchs_van_de_graaf_sandwich(rng):
             assert d <= np.sqrt(max(0.0, 1 - f * f)) + 1e-9
 
 
-def test_stack_forms_equal_the_single_matrix_calls(rng):
-    # each matrix of a stack is decided and decomposed as it would be alone
-    stack = np.array([random_hermitian(rng, 4) for _ in range(6)] + [random_density_matrix(rng, 4)])
-    w, v = eig_hermitian(stack, vectors=True)
-    for m, w_m, v_m in zip(stack, w, v):
-        w_alone, v_alone = eig_hermitian(m, vectors=True)
-        assert np.array_equal(w_m, w_alone) and np.array_equal(v_m, v_alone)
-    assert np.array_equal(eig_hermitian(stack), [eig_hermitian(m) for m in stack])
-    assert is_psd(stack[-1])
-    for f in (partial_trace, partial_transpose):
-        assert np.array_equal(f(stack), [f(m) for m in stack])
-    assert hermiticity_defect(stack) == max(hermiticity_defect(m) for m in stack)
-    # leading axes of any shape, none at all included
-    assert eig_hermitian(stack[:6].reshape(2, 3, 4, 4)).shape == (2, 3, 4)
-    assert eig_hermitian(stack[:0]).shape == (0, 4) and hermiticity_defect(stack[:0]) == 0.0
-    # the PSD test takes one matrix
-    for f in (as_operator, is_psd):
-        with pytest.raises(ValueError, match="expected a square matrix"):
-            f(stack)
+def test_one_operator_functions_refuse_a_stack(rng):
+    # the linear algebra takes one operator: a stack of valid matrices, with
+    # leading axes of any shape, or a single matrix in a stack of one, is
+    # refused with as_operator's error, while each of its matrices passes
+    stack = np.array([random_density_matrix(rng, 4) for _ in range(6)])
+    for f in (as_operator, is_psd, eig_hermitian, partial_transpose,
+              lambda m: eig_hermitian(m, vectors=True)):
+        for m in (stack, stack.reshape(2, 3, 4, 4), stack[:1]):
+            with pytest.raises(ValueError, match="^expected a square matrix, got shape"):
+                f(m)
+        f(stack[0])
+    assert is_psd(stack[0])
 
 
 # A NaN fails every comparison, so each check must be written to fail closed.

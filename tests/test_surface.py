@@ -3,6 +3,8 @@
 Physics that only the tests use lives in ``tests/reference.py``.
 """
 
+import dataclasses
+
 import ebcommit
 from ebcommit import entanglement, linalg, states
 
@@ -59,6 +61,28 @@ def test_public_names_are_pinned():
     assert sorted(ebcommit.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(ebcommit, name), name
+
+
+#: A sweep's summary holds its statistics only, no per-trial column.
+SUMMARY_FIELDS = [
+    "trials",
+    "match_fraction_mean",
+    "match_fraction_std",
+    "acceptance_rate",
+    "separable_fraction",
+    "mean_concurrence",
+    "no_sifted_trials",
+]
+
+
+def test_monte_carlo_summary_holds_seven_statistics():
+    assert [f.name for f in dataclasses.fields(ebcommit.MonteCarloSummary)] == SUMMARY_FIELDS
+
+
+def test_linalg_has_one_coercer():
+    # the linear algebra takes one operator, so as_operator is its only coercer
+    assert hasattr(linalg, "as_operator")
+    assert not hasattr(linalg, "as_stack")
 
 
 def test_test_only_names_live_in_the_references():
