@@ -7,6 +7,13 @@ with floats formatted to 12 significant digits, or as a JSON object with
 ``meta`` and ``rows``, with floats in Python's shortest round-trip form.
 Every run is reproducible from --seed.
 
+Each command loads only the layers of the package it runs: every command
+loads ``states`` (with ``linalg``); ``run`` and ``sweep`` add
+``protocol``, ``threshold`` adds ``entanglement``, and ``hiding`` and
+``binding`` add ``security``, each with ``channels``. Only ``--format
+csv`` loads the csv module. An argv that starts with a subcommand is
+parsed by that subcommand's parser alone, built on its first use.
+
 Exit codes: 0 success or accept, 2 protocol reject, 1 usage or
 configuration error.
 """
@@ -15,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import io
@@ -27,17 +33,12 @@ import sys
 
 import numpy as np
 
+# A command reaches the layers it runs as attributes of the package, which
+# loads each on first use. An import statement in the command would run on
+# every call: ~1 us, and 10-15 us on the cold caches a gc.collect() leaves.
+import ebcommit
+
 from . import __version__
-from .channels import DepolarizingChannel
-from .entanglement import eb_threshold
-from .protocol import (
-    EprAlice,
-    HonestAlice,
-    ProtocolConfig,
-    run_session,
-    sweep,
-)
-from .security import _binding_helstrom, bob_cheat_probability
 from .states import CheatStrategy, DensityMatrix, ProjectiveBasis, _check_q, bb84_pair_mixture
 
 EXIT_OK = 0
@@ -164,6 +165,8 @@ def _emit(meta: dict, rows: list[dict], fmt: str, path: str) -> None:
     if fmt == "json":
         text = _json_report(meta, rows) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         header = list(rows[0])  # every command emits at least one row
@@ -194,46 +197,69 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steer-phi", type=float, default=0.0)
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and each subcommand's own parser, by name."""
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=float, required=True)
+    _add_session_flags(p)
+    p.add_argument("--dump-transcript", action="store_true")
+    _add_output_flags(p)
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q-min", type=float, default=0.0)
+    p.add_argument("--q-max", type=float, default=1.0)
+    p.add_argument("--q-steps", type=int, default=11)
+    _add_session_flags(p)
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and echoed in meta; trials run in one thread")
+    _add_output_flags(p)
+
+
+def _add_hiding_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sigma0", default="bb84-0")
+    p.add_argument("--sigma1", default="bb84-1")
+    p.add_argument("--q", type=float, default=0.5)
+    _add_output_flags(p)
+
+
+def _add_binding_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a0", default="zero")
+    p.add_argument("--a1", default="one")
+    p.add_argument("--target", default="zero")
+    p.add_argument("--q", type=float, default=1.0)
+    p.add_argument("--q-grid", default=None,
+                   help="comma-separated q values; overrides --q")
+    _add_output_flags(p)
+
+
+# each subcommand's help line and the function that adds its flags to a parser
+_SUBCOMMANDS = {
+    "run": ("run one commitment session", _add_run_flags),
+    "sweep": ("Monte Carlo over a q grid", _add_sweep_flags),
+    "threshold": ("print the entanglement-breaking boundary", lambda p: None),
+    "hiding": ("receiver's distinguishing bound", _add_hiding_flags),
+    "binding": ("cheating sender's steering objective", _add_binding_flags),
+}
+
+
+# parse_args fills a fresh Namespace on every call, so each parser, built on
+# first use, serves every later command of a process
+@functools.cache
+def _top_parser() -> _Parser:
+    """The parser of a whole command line, with each subcommand's parser under it."""
     parser = _Parser(prog="ebcommit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in _SUBCOMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
+    return parser
 
-    p_run = sub.add_parser("run", help="run one commitment session")
-    p_run.add_argument("--q", type=float, required=True)
-    _add_session_flags(p_run)
-    p_run.add_argument("--dump-transcript", action="store_true")
-    _add_output_flags(p_run)
 
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo over a q grid")
-    p_sweep.add_argument("--q-min", type=float, default=0.0)
-    p_sweep.add_argument("--q-max", type=float, default=1.0)
-    p_sweep.add_argument("--q-steps", type=int, default=11)
-    _add_session_flags(p_sweep)
-    p_sweep.add_argument("--trials", type=int, default=10)
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="accepted and echoed in meta; trials run in one thread")
-    _add_output_flags(p_sweep)
-
-    p_threshold = sub.add_parser("threshold", help="print the entanglement-breaking boundary")
-
-    p_hide = sub.add_parser("hiding", help="receiver's distinguishing bound")
-    p_hide.add_argument("--sigma0", default="bb84-0")
-    p_hide.add_argument("--sigma1", default="bb84-1")
-    p_hide.add_argument("--q", type=float, default=0.5)
-    _add_output_flags(p_hide)
-
-    p_bind = sub.add_parser("binding", help="cheating sender's steering objective")
-    p_bind.add_argument("--a0", default="zero")
-    p_bind.add_argument("--a1", default="one")
-    p_bind.add_argument("--target", default="zero")
-    p_bind.add_argument("--q", type=float, default=1.0)
-    p_bind.add_argument("--q-grid", default=None,
-                        help="comma-separated q values; overrides --q")
-    _add_output_flags(p_bind)
-
-    return parser, {"run": p_run, "sweep": p_sweep, "threshold": p_threshold,
-                    "hiding": p_hide, "binding": p_bind}
+@functools.cache
+def _subparser(name: str) -> _Parser:
+    """Subcommand ``name``'s parser, as the top-level parser builds it under that name."""
+    parser = _Parser(prog=f"ebcommit {name}")
+    _SUBCOMMANDS[name][1](parser)
+    return parser
 
 
 def _meta(args) -> dict:
@@ -245,13 +271,16 @@ def _meta(args) -> dict:
     return meta
 
 
-def _build_config(args, q: float) -> ProtocolConfig:
+def _build_configs(args, qs: list[float]) -> list:
+    """One ``ProtocolConfig`` per q of ``qs``, with the session flags of ``args``."""
+    config = ebcommit.protocol.ProtocolConfig  # looked up once per command, not once per q
     with _usage():
-        return ProtocolConfig(q=q, rounds=args.rounds, accept_sigma=args.accept_sigma,
-                              seed=args.seed)
+        return [config(q=q, rounds=args.rounds, accept_sigma=args.accept_sigma, seed=args.seed)
+                for q in qs]
 
 
-def _build_scenario(args) -> HonestAlice | EprAlice:
+def _build_scenario(args):
+    """The ``HonestAlice`` or ``EprAlice`` that the session flags of ``args`` describe."""
     # The cheater flags are parsed for every sender, so a malformed one is a
     # usage error even where the honest sender ignores it.
     strategy = _build_strategy(args.a0, args.a1)
@@ -261,9 +290,9 @@ def _build_scenario(args) -> HonestAlice | EprAlice:
         with _usage(flag):
             steer = ProjectiveBasis(*angles)
     if args.alice == "honest":
-        return HonestAlice(bit=args.bit)
+        return ebcommit.protocol.HonestAlice(bit=args.bit)
     target = args.bit if args.target_bit is None else args.target_bit
-    return EprAlice(strategy=strategy, target_bit=target, steer_basis=steer)
+    return ebcommit.protocol.EprAlice(strategy=strategy, target_bit=target, steer_basis=steer)
 
 
 def _build_strategy(a0_spec: str, a1_spec: str) -> CheatStrategy:
@@ -361,10 +390,10 @@ def _cmd_run(args) -> int:
     if args.dump_transcript and args.format != "json":
         raise UsageError("--dump-transcript requires --format json")
     args.q = _q_arg("--q", args.q)
-    config = _build_config(args, args.q)
+    (config,) = _build_configs(args, [args.q])
     scenario = _build_scenario(args)
     try:
-        transcript, report = run_session(config, scenario)
+        transcript, report = ebcommit.protocol.run_session(config, scenario)
     except MemoryError as exc:
         hint = "sweep --trials 1 reports a session of any size"
         raise UsageError(f"--rounds: {exc}; {hint}") from None
@@ -392,8 +421,8 @@ def _cmd_sweep(args) -> int:
     except (MemoryError, ValueError, IndexError):  # which one numpy raises depends on the size
         raise UsageError(f"--q-steps: {args.q_steps} q values are too many to lay out") from None
     scenario = _build_scenario(args)
-    configs = [_build_config(args, q) for q in qs]
-    summaries = sweep(configs, scenario, args.trials)
+    configs = _build_configs(args, qs)
+    summaries = ebcommit.protocol.sweep(configs, scenario, args.trials)
     try:
         rows = [
             {
@@ -413,7 +442,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    sys.stdout.write(f"{eb_threshold():.9f}\n")
+    sys.stdout.write(f"{ebcommit.entanglement.eb_threshold():.9f}\n")
     return EXIT_OK
 
 
@@ -421,7 +450,8 @@ def _cmd_hiding(args) -> int:
     sigma0 = _parse_state(args.sigma0, "--sigma0")
     sigma1 = _parse_state(args.sigma1, "--sigma1")
     args.q = _q_arg("--q", args.q)
-    report = bob_cheat_probability(sigma0, sigma1, DepolarizingChannel(args.q))
+    channel = ebcommit.channels.DepolarizingChannel(args.q)
+    report = ebcommit.security.bob_cheat_probability(sigma0, sigma1, channel)
     _emit(_meta(args), [dataclasses.asdict(report)], args.format, args.output)
     return EXIT_OK
 
@@ -440,8 +470,8 @@ def _cmd_binding(args) -> int:
         if not grid:
             raise UsageError("--q-grid is empty")
         qs = [_q_arg("--q-grid", q) for q in grid]  # every q is checked before the target
-    with _usage():
-        helstrom = _binding_helstrom(strategy, target)  # decomposed once for every q
+    with _usage():  # decomposed once for every q
+        helstrom = ebcommit.security._binding_helstrom(strategy, target)
     rows = []
     for q in qs:
         report = helstrom.at(q)
@@ -466,11 +496,6 @@ _COMMANDS = {
 }
 
 
-# parse_args fills a fresh Namespace on every call, so one set of parsers
-# serves every command of a process
-_PARSER, _SUBPARSERS = _build_parser()
-
-
 def main(argv=None) -> int:
     """Run the command ``argv`` names (default ``sys.argv[1:]``) and return its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -480,11 +505,10 @@ def main(argv=None) -> int:
         # to hand them all to it. The rest, a missing, unknown or abbreviated
         # command, a flag before it, or a '--' (whose handling argparse has
         # changed between releases), goes through the top-level parser.
-        sub = _SUBPARSERS.get(argv[0]) if argv and "--" not in argv else None
-        if sub is None:
-            args = _PARSER.parse_args(argv)
+        if argv and argv[0] in _SUBCOMMANDS and "--" not in argv:
+            args = _subparser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         else:
-            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+            args = _top_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"ebcommit: error: {exc}\n")

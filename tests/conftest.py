@@ -1,7 +1,11 @@
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+import ebcommit
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -49,6 +53,15 @@ def refuse_rows(monkeypatch, rows: int) -> None:
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refusing)
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code *args`` run in a fresh process on this ebcommit."""
+    src = os.path.dirname(os.path.dirname(ebcommit.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from ebcommit.protocol import HonestAlice, ProtocolConfig, sweep
 from ebcommit.states import ProjectiveBasis
 
-from conftest import refuse_rows
+from conftest import fresh_python, refuse_rows
 
 
 def run_cli(capsys, *argv):
@@ -132,7 +132,7 @@ def test_dump_transcript_requires_json(capsys, monkeypatch, tmp_path):
     def no_session(*args):
         raise AssertionError("run_session called")
 
-    monkeypatch.setattr(cli, "run_session", no_session)
+    monkeypatch.setattr(protocol, "run_session", no_session)
     target = tmp_path / "dump.csv"
     code, out, err = run_cli(
         capsys, "run", "--q", "0.5", "--rounds", "20", "--dump-transcript",
@@ -371,17 +371,51 @@ def test_cli_import_leaves_out_concurrent_futures():
     assert out == "False\n"
 
 
+# runs main(argv) and prints the modules the process has loaded
+_LOADED = """import contextlib, io, sys
+from ebcommit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(*sorted(sys.modules))"""
+
+_SHARED = {"ebcommit", "ebcommit.cli", "ebcommit.states", "ebcommit.linalg", "ebcommit.channels"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["hiding"], {"ebcommit.security"}),
+    (["binding", "--q-grid", "0,1"], {"ebcommit.security"}),
+    (["threshold"], {"ebcommit.entanglement"}),
+    (["run", "--q", "0.5", "--rounds", "10"], {"ebcommit.protocol"}),
+    (["sweep", "--q-steps", "2", "--trials", "2", "--rounds", "10"], {"ebcommit.protocol"}),
+    (["hiding", "--format", "csv"], {"ebcommit.security", "csv"}),
+], ids=["hiding", "binding", "threshold", "run", "sweep", "hiding-csv"])
+def test_command_loads_only_the_layers_it_runs(argv, layers):
+    # a fresh process of one command loads the layers every command shares and
+    # its own, not those of the other commands; only a CSV report loads csv
+    loaded = set(fresh_python(_LOADED, *argv).split())
+    package = {name for name in loaded if name.split(".")[0] == "ebcommit"}
+    assert package == _SHARED | (layers - {"csv"})
+    assert ("csv" in loaded) == ("csv" in layers)
+
+
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):
-    def no_parser():
+    # each subcommand's parser, and the top-level one, is built on its first
+    # call and serves every later one
+    argvs = [[], ["run"], ["sweep", "--trials", "0"], ["threshold"], ["hiding", "--q", "2"],
+             ["binding", "--q-grid", ""]]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+
+    def no_parser(*args, **kwargs):
         raise AssertionError("main built a parser")
 
-    monkeypatch.setattr(cli, "_build_parser", no_parser)
-    assert run_cli(capsys, "threshold") == (EXIT_OK, "0.333333333\n", "")
-    # the subparsers still report through _Parser.error (exit 1), not argparse's exit 2
-    for _ in range(2):
-        code, out, err = run_cli(capsys, "run")
+    monkeypatch.setattr(cli._Parser, "__init__", no_parser)
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+    assert first[3] == (EXIT_OK, "0.333333333\n", "")
+    # the parsers still report through _Parser.error (exit 1), not argparse's exit 2
+    for code, out, err in first[:2]:
         assert (code, out) == (EXIT_USAGE, "")
-        assert "--q" in err
+    assert "command" in first[0][2]
+    assert "--q" in first[1][2]
 
 
 def test_commands_in_one_process_share_no_state(capsys):
@@ -457,7 +491,8 @@ def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
             raise cli.UsageError(capsys.readouterr().err.removeprefix("ebcommit: error: ")[:-1])
         return list(vars(seen.pop()).items())
 
-    expected = _parsed(capsys, lambda argv: list(vars(cli._PARSER.parse_args(argv)).items()), argv)
+    top = cli._top_parser()
+    expected = _parsed(capsys, lambda argv: list(vars(top.parse_args(argv)).items()), argv)
     assert _parsed(capsys, via_main, argv) == expected
     if argv == ["run", "-h"]:
         assert expected[:2] == ("exit", 0)
