@@ -7,18 +7,25 @@ a (2, 2, 2, 2) tensor it is [a, b, a', b'], read only by ``_b_blocks``.
 Higher-level wrappers in this package expose the raw matrix as
 ``.mat``; every function here accepts either form, of one operator: a
 stack of matrices is refused with :func:`as_operator`'s ``ValueError``.
+
+A qubit operator is read in closed form, as its Bloch form (:func:`bloch`):
+its spectrum, eigenbasis, positivity and trace distance take no LAPACK
+call. LAPACK runs only on pair operators.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 #: The tolerance of operators: Hermiticity defects, PSD and PPT tests,
 #: unit trace and Kraus completeness are judged at it. Scalars have their
-#: own: ``security.PURITY_TOL`` (a pure target) and ``SIGN_TOL`` (two equal
-#: Helstrom eigenvalues), ``states.OUTCOME_EPS`` (an impossible outcome),
-#: 1e-9 (a unit-norm state vector) and 1e-12 (a zero-norm cheat state) in
-#: ``states``, and ``protocol._LAW_GRID`` (the grid of a session's laws).
+#: own: ``security.PURITY_TOL`` (a pure target) and ``SIGN_TOL`` (the gap
+#: q |b| of two equal Helstrom eigenvalues), ``states.OUTCOME_EPS`` (an
+#: impossible outcome), 1e-9 (a unit-norm state vector) and 1e-12 (a
+#: zero-norm cheat state) in ``states``, and ``protocol._LAW_GRID`` (the
+#: grid of a session's laws).
 TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -41,17 +48,52 @@ def as_operator(x, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def _hermitian_part(m) -> np.ndarray:
-    """The one validation point for operators that must be Hermitian."""
-    m = as_operator(m)
-    # first: m - m† of an infinite entry would warn of an invalid value
-    if not np.isfinite(m).all():
+def _hermitian_part(m: np.ndarray):
+    """The one validation point for operators that must be Hermitian.
+
+    Checks the operator ``m`` (from :func:`as_operator`) on its entries as
+    Python scalars: finite, then Hermitian to within ``TOL``. Returns its
+    Hermitian part h = (m + m†)/2: a qubit's as its Bloch form
+    (a, bx, by, bz), h = (a I + bx X + by Y + bz Z)/2, with no numpy call
+    past ``tolist``; any other's as a matrix.
+    """
+    rows = m.tolist()
+    # first: m - m† of an infinite entry would be NaN
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for row in rows for z in row):
         raise ValueError("matrix has non-finite entries")
-    mh = m.conj().T
-    defect = np.abs(m - mh).max()
+    n = len(rows)
+    # hypot, not abs: abs of a complex raises OverflowError past the float range
+    defect = max(math.hypot(d.real, d.imag) for d in
+                 (rows[i][j] - rows[j][i].conjugate() for i in range(n) for j in range(i, n)))
     if defect > TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {TOL:.1e})")
-    return (m + mh) / 2
+    if n == 2:
+        (m00, m01), (m10, m11) = rows
+        return m00.real + m11.real, m01.real + m10.real, m10.imag - m01.imag, m00.real - m11.real
+    return (m + m.conj().T) / 2
+
+
+def bloch(m) -> tuple[float, float, float, float]:
+    """The Bloch form (a, bx, by, bz) of one 2x2 Hermitian operator h.
+
+    h = (a I + b.sigma)/2, so a = tr h, b_k = tr(h sigma_k), and the
+    eigenvalues of h are (a +- |b|)/2. Validated as by :func:`eig_hermitian`.
+    """
+    return _hermitian_part(as_operator(m, 2))
+
+
+def bloch_angles(bx: float, by: float, bz: float) -> tuple[float, float]:
+    """The Bloch angles (theta, phi) of the direction of b, theta in [0, pi], phi in [0, 2 pi).
+
+    theta = atan2(hypot(bx, by), bz) and phi = atan2(by, bx) mod 2 pi;
+    adding +0.0 makes a signed zero +0, so b = 0 has the angles (0, 0) and
+    b on the z axis has phi = 0.
+    """
+    theta = math.atan2(math.hypot(bx, by), bz + 0.0)
+    phi = math.atan2(by + 0.0, bx + 0.0) % (2.0 * math.pi)
+    if phi >= 2.0 * math.pi:  # a tiny negative angle rounds up to 2 pi
+        phi = 0.0
+    return theta, phi
 
 
 def eig_hermitian(m, vectors: bool = False):
@@ -61,8 +103,22 @@ def eig_hermitian(m, vectors: bool = False):
     channel-application chains; inputs with non-finite entries or a
     Hermiticity defect above ``TOL`` are rejected. With ``vectors=True``
     returns ``(w, V)`` where column ``V[:, i]`` belongs to ``w[i]`` and
-    ``M = V diag(w) V†``.
+    ``M = V diag(w) V†``. A qubit is decomposed in closed form from its
+    :func:`bloch` form: w = (a +- |b|)/2, and V's first column is the
+    state of Bloch angles :func:`bloch_angles` of b, the second its
+    orthogonal partner (the identity when b = 0). A pair goes to LAPACK.
     """
+    m = as_operator(m)
+    if m.shape[0] == 2:
+        a, bx, by, bz = _hermitian_part(m)
+        r = math.hypot(bx, by, bz)
+        w = np.array([(a + r) / 2, (a - r) / 2])
+        if not vectors:
+            return w
+        theta, phi = bloch_angles(bx, by, bz)
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        ph = complex(math.cos(phi), math.sin(phi))
+        return w, np.array([[c, -s * ph.conjugate()], [s * ph, c]])
     h = _hermitian_part(m)
     if vectors:
         w, v = np.linalg.eigh(h)

@@ -13,11 +13,14 @@ between the receiver's conditional state and the announced carrier,
 maximized over announcement after she sees each outcome. For a pure
 target this is a two-hypothesis discrimination problem on the sender's
 side, so the optimum over all steering bases is Helstrom's closed form
-(Quantum Detection and Estimation Theory, 1976): one 2x2 eigensolve.
-The receiver's depolarizing channel acts on his effect only as the
-factor q, so that eigensolve is of the noiseless pair's Helstrom
-operator: the objective is 1/2 + q times the sender's noiseless
-advantage, and her best basis does not depend on q.
+(Quantum Detection and Estimation Theory, 1976), read off the Bloch form
+(a I + b.sigma)/2 of the sender's 2x2 Helstrom operator X: the value
+(1 + ||X||_1)/2 with ||X||_1 = max(|a|, |b|), and the basis whose first
+state has b's direction. The receiver's depolarizing channel acts on his
+effect only as the factor q, so X is the noiseless pair's: the objective
+is 1/2 + q times the sender's noiseless advantage, and her best basis
+does not depend on q. Both metrics are closed forms on qubits; neither
+makes a LAPACK call.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DepolarizingChannel, KrausChannel, channel_apply
-from .linalg import PAULI_I, eig_hermitian, trace_distance
+from .linalg import PAULI_I, bloch, bloch_angles, trace_distance
 from .states import (
     RECTILINEAR,
     CheatStrategy,
@@ -42,8 +45,9 @@ from .states import (
 #: A target with tr(t^2) below 1 - PURITY_TOL is rejected as mixed.
 PURITY_TOL = 1e-9
 
-#: Eigenvalues of X_t - X_t' within this of each other count as equal, so
-#: that roundoff on a flat objective cannot pick an arbitrary eigenvector.
+#: A bound on q |b|, the gap between the eigenvalues of X_t - X_t' = q X:
+#: at or below it the two count as equal and the computational basis is
+#: reported, so that roundoff on a flat objective cannot pick a basis.
 SIGN_TOL = 1e-12
 
 
@@ -100,9 +104,10 @@ def bob_cheat_probability(
 class _Helstrom:
     """A Helstrom operator X, decomposed once and read at any scale q X.
 
-    ``trace_norm`` is ||X||_1, ``gap`` the difference w0 - w1 >= 0 of its
+    With X in its Bloch form (a I + b.sigma)/2, ``trace_norm`` is
+    ||X||_1 = max(|a|, |b|), ``gap`` the difference |b| of its two
     eigenvalues and ``basis`` its eigenbasis, outcome 0 on the larger
-    eigenvalue w0.
+    eigenvalue: the state whose Bloch vector points along b.
     """
 
     trace_norm: float
@@ -113,7 +118,7 @@ class _Helstrom:
         """The Helstrom value of q X and its basis.
 
         The value is (1 + q ||X||_1)/2. The basis is X's eigenbasis, or
-        ``RECTILINEAR`` when q X's eigenvalues lie within ``SIGN_TOL``.
+        ``RECTILINEAR`` when q |b|, the gap of q X, is at most ``SIGN_TOL``.
         """
         best = (1.0 + q * self.trace_norm) / 2.0
         if q * self.gap <= SIGN_TOL:  # q X is about a multiple of I: no basis stands out
@@ -122,14 +127,10 @@ class _Helstrom:
 
 
 def _helstrom(x: np.ndarray) -> _Helstrom:
-    """The 2x2 Hermitian Helstrom operator x, decomposed once, its eigenbasis as Bloch angles."""
-    w, v = eig_hermitian(x, vectors=True)
-    b0, b1 = v[:, 0]
-    theta = 2.0 * math.atan2(abs(b1), abs(b0))
-    phi = float(np.angle(b1 * b0.conjugate())) % (2.0 * math.pi)
-    if phi >= 2.0 * math.pi:  # a tiny negative angle rounds up to 2 pi
-        phi = 0.0
-    return _Helstrom(float(np.abs(w).sum()), float(w[0] - w[1]), ProjectiveBasis(theta, phi))
+    """The 2x2 Hermitian Helstrom operator x, read off its Bloch form (a, b) in closed form."""
+    a, bx, by, bz = bloch(x)
+    gap = math.hypot(bx, by, bz)
+    return _Helstrom(max(abs(a), gap), gap, ProjectiveBasis(*bloch_angles(bx, by, bz)))
 
 
 def _binding_helstrom(strategy: CheatStrategy, target: DensityMatrix) -> _Helstrom:
@@ -175,8 +176,9 @@ def alice_binding_attack(
     decomposes X once: ``_binding_helstrom(strategy, target).at(q)`` per q.
 
     The eigenbasis is reported whenever the two eigenvalues of q X differ
-    by more than ``SIGN_TOL``; otherwise every basis attains the optimum
-    and the computational basis (0, 0) is reported.
+    by more than ``SIGN_TOL``, that is when q |b| > ``SIGN_TOL`` for X's
+    Bloch vector b; otherwise every basis attains the optimum and the
+    computational basis (0, 0) is reported.
     Raises TypeError for a strategy that is not a CheatStrategy, a
     channel that is not a DepolarizingChannel or a target that is not a
     DensityMatrix, and ValueError for a target that is not a pure qubit

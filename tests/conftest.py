@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import ebcommit
 
@@ -25,6 +26,26 @@ def random_hermitian(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+@st.composite
+def qubit_operators(draw) -> np.ndarray:
+    """A 2x2 Hermitian s (a I + b.sigma)/2, s from 1e-150 to 1e150.
+
+    b is generic, near-degenerate (|b| down to 1e-16 |a|) or 0: an exact
+    multiple of I. Each part of a and b is 0 or at least 1e-6 in size, so
+    that no entry is subnormal, where rounding is no longer relative.
+    """
+    part = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) >= 1e-6 else 0.0)
+    s = 10.0 ** draw(st.integers(-150, 150))
+    a = draw(part)
+    b = np.array([draw(part) for _ in range(3)])
+    kind = draw(st.sampled_from(("generic", "near-degenerate", "multiple of I")))
+    if kind == "near-degenerate":
+        b *= 10.0 ** -draw(st.integers(6, 16))
+    elif kind == "multiple of I":
+        b[:] = 0.0
+    return s / 2 * np.array([[a + b[2], b[0] - 1j * b[1]], [b[0] + 1j * b[1], a - b[2]]])
+
+
 def count_calls(monkeypatch, module, name):
     """Record the arguments of every call to ``module.name``, through each ebcommit binding."""
     calls = []
@@ -38,6 +59,18 @@ def count_calls(monkeypatch, module, name):
         if mod_name.split(".")[0] == "ebcommit" and vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def lapack_calls(monkeypatch) -> list:
+    """The shapes that numpy's ``eigh``, ``eigvalsh`` and ``svd`` are called on, in call order."""
+    shapes = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counting(a, *args, _lapack=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _lapack(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
 
 
 def refuse_rows(monkeypatch, rows: int) -> None:

@@ -16,7 +16,7 @@ from ebcommit.cli import EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from ebcommit.protocol import HonestAlice, ProtocolConfig, sweep
 from ebcommit.states import ProjectiveBasis
 
-from conftest import fresh_python, refuse_rows
+from conftest import fresh_python, lapack_calls, refuse_rows
 
 
 def run_cli(capsys, *argv):
@@ -697,19 +697,41 @@ def test_binding_reports_the_first_bad_input(capsys, grid, error):
 
 def test_binding_decomposes_once_per_command(capsys, monkeypatch):
     # the channel scales the Helstrom operator by q, so a q grid reads every
-    # row off one eigendecomposition of the noiseless pair's operator
+    # row off one decomposition, into its Bloch form, of the noiseless pair's operator
     calls = []
-    eig_hermitian = security.eig_hermitian
+    bloch = security.bloch
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return eig_hermitian(*args, **kwargs)
+        return bloch(*args, **kwargs)
 
-    monkeypatch.setattr(security, "eig_hermitian", counting)
+    monkeypatch.setattr(security, "bloch", counting)
     code, out, _ = run_cli(capsys, "binding", "--a0", "1.1,0.4", "--a1", "2.3,5.0",
                            "--target", "0.7,1.9", "--q-grid", "0,0.25,0.5,1", "--format", "csv")
     assert code == EXIT_OK and len(out.splitlines()) == 5
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["binding"],
+    ["binding", "--a0", "1.1,0.4", "--a1", "2.3,5.0", "--target", "1.2,0.7",
+     "--q-grid", "0,1e-12,0.5,1"],
+    ["hiding"],
+    ["hiding", "--sigma0", "1.0,0.5", "--sigma1", "2.0,3.0", "--q", "0.5"],
+    ["hiding", "--sigma0", "1e-8,0", "--sigma1", "0,0"],
+])
+def test_qubit_commands_make_no_lapack_call(capsys, monkeypatch, argv):
+    # binding and hiding read every qubit operator off its Bloch form
+    shapes = lapack_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and shapes == []
+
+
+def test_threshold_makes_one_lapack_call(capsys, monkeypatch):
+    # the partial transpose of the depolarizing channel's Choi state, a 4x4
+    shapes = lapack_calls(monkeypatch)
+    assert run_cli(capsys, "threshold") == (EXIT_OK, "0.333333333\n", "")
+    assert shapes == [(4, 4)]
 
 
 @pytest.mark.parametrize("q", ["nan", "inf", "7"])

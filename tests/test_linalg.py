@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ebcommit.linalg import (
+    TOL,
     as_operator,
+    bloch,
+    bloch_angles,
     eig_hermitian,
     is_psd,
     partial_transpose,
@@ -11,7 +18,7 @@ from ebcommit.linalg import (
 from ebcommit.channels import KrausChannel
 from ebcommit.states import CheatStrategy, DensityMatrix, cheat_state
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import lapack_calls, qubit_operators, random_density_matrix, random_hermitian
 from reference import (
     PAULI_X,
     PAULI_Z,
@@ -238,3 +245,116 @@ def test_malformed_input_is_rejected(call):
     build, message = _MALFORMED_INPUTS[call]
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_invalid_operators_keep_their_messages(dim):
+    # the entries are checked as Python scalars, with numpy's messages: the
+    # finiteness first, then the largest |m - m†| entry; a defect past the
+    # float range reads inf, as numpy's would, not an OverflowError
+    cases = (
+        (np.full((dim, dim), np.nan), "matrix has non-finite entries"),
+        (np.diag([1.0] * (dim - 1) + [np.inf]), "matrix has non-finite entries"),
+        (np.eye(dim, k=1), "matrix is not Hermitian (defect 1.000e+00 > 1.0e-10)"),
+        (np.eye(dim) + 1.5e-10j * np.eye(dim, k=1),
+         "matrix is not Hermitian (defect 1.500e-10 > 1.0e-10)"),
+        (np.eye(dim) * (1 + 2e-10j), "matrix is not Hermitian (defect 4.000e-10 > 1.0e-10)"),
+        (1.7e308 * (np.eye(dim, k=1) - np.eye(dim, k=-1)),
+         "matrix is not Hermitian (defect inf > 1.0e-10)"),
+    )
+    for m, message in cases:
+        for call in (eig_hermitian, is_psd, lambda m: eig_hermitian(m, vectors=True)):
+            with pytest.raises(ValueError) as info:
+                call(m)
+            assert str(info.value) == message
+    assert is_psd(np.eye(dim) + 0.5e-10j * np.eye(dim, k=1))  # a defect within TOL
+
+
+def test_qubit_operators_make_no_lapack_call(monkeypatch, rng):
+    # a qubit is read off its Bloch form: LAPACK runs only on pair operators
+    shapes = lapack_calls(monkeypatch)
+    rho, sigma = random_density_matrix(rng, 2), random_density_matrix(rng, 2)
+    eig_hermitian(rho)
+    eig_hermitian(rho, vectors=True)
+    assert is_psd(rho) and not is_psd(-rho)
+    trace_distance(rho, sigma)
+    DensityMatrix(rho)
+    bloch(rho)
+    assert shapes == []
+    eig_hermitian(random_density_matrix(rng, 4))
+    assert shapes == [(4, 4)]
+
+
+def test_bloch_form():
+    a, bx, by, bz = 0.5, -0.25, 0.125, 2.0
+    h = np.array([[a + bz, bx - 1j * by], [bx + 1j * by, a - bz]]) / 2
+    assert bloch(h) == (a, bx, by, bz)
+    assert bloch(np.eye(2)) == (2.0, 0.0, 0.0, 0.0)
+    # a signed zero is no direction: b = 0 has the angles (0, 0) and the identity as eigenbasis
+    assert bloch_angles(-0.0, -0.0, -0.0) == (0.0, 0.0)
+    assert bloch_angles(0.0, 0.0, -1.0) == (math.pi, 0.0)
+    zero = np.diag([-0.0, 0.0]).astype(complex)
+    assert bloch(zero)[3] == 0.0 and math.copysign(1.0, bloch(zero)[3]) == -1.0
+    w, v = eig_hermitian(zero, vectors=True)
+    assert np.array_equal(w, [0.0, 0.0]) and np.array_equal(v, np.eye(2))
+    with pytest.raises(ValueError, match=r"expected a 2x2 operator, got shape \(4, 4\)"):
+        bloch(np.eye(4))
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=qubit_operators())
+def test_qubit_spectrum_agrees_with_lapack(h):
+    ref = np.linalg.eigvalsh(h)[::-1]
+    norm = np.abs(ref).max()
+    w, v = eig_hermitian(h, vectors=True)
+    assert np.array_equal(eig_hermitian(h), w)
+    assert np.abs(w - ref).max() <= 8 * EPS * norm
+    assert np.abs((v * w) @ v.conj().T - h).max() <= 8 * EPS * norm
+    assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 4 * EPS
+    if h[0, 1] == 0 and h[0, 0] == h[1, 1]:  # a multiple of I: exact, in the computational basis
+        assert np.array_equal(w, [h[0, 0].real] * 2) and np.array_equal(v, np.eye(2))
+
+
+def _qubit_state(r, theta, phi) -> np.ndarray:
+    """(I + n.sigma)/2 for the Bloch vector n of length r and angles (theta, phi)."""
+    n = r * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                      math.cos(theta)])
+    return np.array([[1 + n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], 1 - n[2]]]) / 2
+
+
+_ANGLES = (st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi))
+#: least eigenvalue (1 - r)/2: r anywhere in [0, 1.5] or near the -TOL edge
+_UNIT_TRACE_QUBITS = st.builds(
+    _qubit_state, st.one_of(st.floats(0.0, 1.5), st.floats(1 - 4 * TOL, 1 + 8 * TOL)), *_ANGLES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.one_of(qubit_operators(), _UNIT_TRACE_QUBITS))
+def test_qubit_positivity_agrees_with_lapack(h):
+    least = np.linalg.eigvalsh(h)[0]
+    assume(abs(least + TOL) > 1e-15)  # outside the rounding band around the -TOL edge
+    assert is_psd(h) == (least >= -TOL)
+    if abs(h.trace() - 1) <= TOL:
+        if least >= -TOL:
+            assert np.array_equal(DensityMatrix(h).mat, h)
+        else:
+            with pytest.raises(ValueError, match="^not PSD"):
+                DensityMatrix(h)
+
+
+_BLOCH_VECTORS = st.tuples(st.floats(0.0, 1.0), *_ANGLES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_BLOCH_VECTORS, y=_BLOCH_VECTORS, nearby=st.integers(0, 16))
+def test_qubit_trace_distance_agrees_with_lapack(x, y, nearby):
+    # y is either drawn on its own or x moved by up to 10^-nearby
+    if nearby:
+        y = tuple(u + v * 10.0 ** -nearby for u, v in zip(x, y))
+        assume(0.0 <= y[0] <= 1.0)
+    rho, sigma = _qubit_state(*x), _qubit_state(*y)
+    ref = min(1.0, float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum() / 2))
+    assert abs(trace_distance(rho, sigma) - ref) <= 1e-15

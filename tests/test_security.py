@@ -10,6 +10,7 @@ from ebcommit.linalg import PAULI_I
 from ebcommit.security import (
     SIGN_TOL,
     CheatStrategy,
+    _helstrom,
     alice_binding_attack,
     bell_strategy,
     bob_cheat_probability,
@@ -22,7 +23,7 @@ from ebcommit.states import (
     cheat_state,
 )
 
-from conftest import random_density_matrix
+from conftest import qubit_operators, random_density_matrix
 from reference import (
     as_kraus,
     fidelity,
@@ -290,3 +291,47 @@ def test_best_basis_does_not_depend_on_q(a0, a1, t, q):
     assert noisy.best_basis == noiseless.best_basis
     advantage = noiseless.best_fidelity_sq - 0.5
     assert abs((noisy.best_fidelity_sq - 0.5) - q * advantage) <= 4.5e-16
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=qubit_operators())
+def test_helstrom_reads_x_off_its_bloch_form(x):
+    # ||X||_1 = max(|a|, |b|), the gap |b| and the basis along b, with no
+    # eigenvector: its first vector v is X's top eigenvector all the same
+    h = _helstrom(x)
+    w = np.linalg.eigvalsh(x)
+    norm = np.abs(w).max()
+    assert abs(h.trace_norm - np.abs(w).sum()) <= 8 * np.finfo(float).eps * norm
+    assert abs(h.gap - (w[1] - w[0])) <= 8 * np.finfo(float).eps * norm
+    v = h.basis.vectors()[0]
+    assert np.linalg.norm(x @ v - w[1] * v) <= 1e-14 * norm
+
+
+def _bloch_direction(basis: ProjectiveBasis) -> np.ndarray:
+    s, c = math.sin(basis.theta), math.cos(basis.theta)
+    return np.array([s * math.cos(basis.phi), s * math.sin(basis.phi), c])
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.integers(-2**20, 2**20), min_size=5, max_size=5),
+       k=st.integers(-498, 478))
+def test_helstrom_basis_follows_b_alone(entries, k):
+    # dyadic entries at scales 1e-150 to 1e150, so that X + c I and -X are
+    # formed exactly: X + c I has X's b, and so X's basis bit for bit, and -X
+    # has -b, the antipodal basis: theta -> pi - theta, phi -> phi + pi mod 2 pi
+    m00, m11, re, im, c = (math.ldexp(e, k) for e in entries)
+    x = np.array([[m00, complex(re, im)], [complex(re, -im), m11]])
+    h = _helstrom(x)
+    shifted = _helstrom(x + c * np.eye(2))
+    assert (shifted.basis, shifted.gap) == (h.basis, h.gap)
+    flipped = _helstrom(-x).basis
+    if re or im or m00 != m11:  # b != 0
+        assert abs(flipped.theta - (math.pi - h.basis.theta)) <= 1e-15
+        assert np.abs(_bloch_direction(flipped) + _bloch_direction(h.basis)).max() <= 2e-15
+    if re or im:  # b off the z axis, where phi is X's own
+        turn = (flipped.phi - h.basis.phi - math.pi) % (2 * math.pi)
+        assert min(turn, 2 * math.pi - turn) <= 2e-15
+    else:  # phi is 0, and b = 0 reports the computational basis
+        assert flipped.phi == h.basis.phi == 0.0
+        if m00 == m11:
+            assert flipped == h.basis == RECTILINEAR

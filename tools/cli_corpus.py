@@ -43,8 +43,12 @@ inside the band the PPT test's tolerance would call separable; and an
 EPR sweep of a near-product pair, entangled at q = 0.5 though its lift's
 least partial-transpose eigenvalue lies in that band), ``binding`` (among them the flat
 objective's rule on both sides of ``SIGN_TOL`` and at the smallest
-subnormal q, a best basis at q down to 1e-12, and a product strategy),
-``hiding``, ``threshold`` and usage errors, among them the flags
+subnormal q, a best basis at q down to 1e-12, a product strategy, and a
+near-product strategy whose Helstrom operator X lies within 1.1e-12 of
+0 I, its gap |b| just above ``SIGN_TOL`` at q = 1 and 0.95 and below it at
+q = 0.9, where its basis rests on b's tiny components),
+``hiding`` (among them two nearly equal generic states, 5e-9 apart in
+trace distance), ``threshold`` and usage errors, among them the flags
 ``threshold`` no longer takes, a ``run`` of more rounds than numpy
 can lay out and a ``binding --q-grid`` whose bad q follows a mixed
 target.
@@ -190,12 +194,18 @@ def _security_commands() -> list[list[str]]:
     cmds.append(["binding", "--a0", "zero", "--a1", "plus", "--target", "1.2,0.7",
                  "--q-grid", "1e-12,3e-12,1e-10,1e-8,0.5"])
     cmds.append(["binding", "--a0", "zero", "--a1", "zero", "--target", "plus", "--q-grid", "0.5,1"])
+    # X = (|0><0| - |a1><a1|)/2 is within 1.1e-12 of 0 I: its gap q |b| is
+    # above SIGN_TOL at q = 1 and 0.95, below it at 0.9
+    cmds.append(["binding", "--a0", "zero", "--a1", "2.2e-12,0.7", "--target", "zero",
+                 "--q-grid", "1,0.95,0.9"])
     for sigma0, sigma1 in (("bb84-0", "bb84-1"), ("zero", "plus"), ("zero", "one"),
                            ("1.0,0.5", "2.0,3.0")):
         for q in ("0", "0.5", "1"):
             for fmt in ("json", "csv"):
                 cmds.append(["hiding", "--sigma0", sigma0, "--sigma1", sigma1, "--q", q,
                              "--format", fmt])
+    # two generic states 5e-9 apart: D is read off a tiny Bloch vector
+    cmds.append(["hiding", "--sigma0", "1e-8,0", "--sigma1", "0,0"])
     cmds.append(["threshold"])
     return cmds
 
